@@ -28,11 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import (
-    DicksonClass,
-    classify_group,
-    is_borel_conjugable,
-)
+from .classify import DicksonClass, classify_group
 from .ffield import (
     FieldElement,
     FieldSpec,
@@ -70,8 +66,12 @@ class CosetTraces:
     trace_sets: tuple[frozenset[int], ...]
 
 
-def coset_traces(G: MatGroup, commutator: MatGroup | None = None) -> CosetTraces:
-    H = commutator if commutator is not None else commutator_subgroup(G)
+def coset_traces(G: MatGroup) -> CosetTraces:
+    return G.memo(_coset_traces)
+
+
+def _coset_traces(G: MatGroup) -> CosetTraces:
+    H = commutator_subgroup(G)
     cs = tuple(cosets(G, H))
     return CosetTraces(H, cs, tuple(frozenset(c.trace_ints()) for c in cs))
 
@@ -90,12 +90,12 @@ def _trace_int(spec: FieldSpec, x) -> int:
 
 def proper_classes(G: MatGroup) -> set[FieldElement]:
     """Trace values attained on G: the classes a Frobenius trace can hit."""
-    return {m.trace() for m in G.elements}
+    return {G.spec.from_int(t) for t in G.trace_ints()}
 
 
 def _require_proper(G: MatGroup, x) -> int:
     xi = _trace_int(G.spec, x)
-    if all(m.trace_i() != xi for m in G.elements):
+    if xi not in G.trace_ints():
         raise ValueError(f"class {xi} is not attained on the group")
     return xi
 
@@ -118,35 +118,35 @@ def _union_i(tsets, xi: int) -> bool:
 # ---- public per-class verdicts ----------------------------------------------
 
 
-def is_weakly_abelian(G: MatGroup, x, data: CosetTraces | None = None):
+def is_weakly_abelian(G: MatGroup, x):
     """Whether some coset of [G, G] has constant trace x.
 
     Returns (verdict, witnessing coset or None).  Such a coset makes a
     congruence condition on p force a_p = x.  x must be attained on G.
     """
     xi = _require_proper(G, x)
-    data = data if data is not None else coset_traces(G)
+    data = coset_traces(G)
     for c, ts in zip(data.cosets, data.trace_sets):
         if ts == {xi}:
             return True, c
     return False, None
 
 
-def is_semi_abelian(G: MatGroup, x, data: CosetTraces | None = None):
+def is_semi_abelian(G: MatGroup, x):
     """Whether some coset of [G, G] misses the trace x.
 
     Returns (verdict, witnessing coset or None).  Such a coset confines
     the primes with a_p = x to a proper subset of residue classes.
     """
     xi = _require_proper(G, x)
-    data = data if data is not None else coset_traces(G)
+    data = coset_traces(G)
     for c, ts in zip(data.cosets, data.trace_sets):
         if xi not in ts:
             return True, c
     return False, None
 
 
-def is_abelian_class(G: MatGroup, x, data: CosetTraces | None = None):
+def is_abelian_class(G: MatGroup, x):
     """Whether the trace-x slice of G is a union of cosets of [G, G].
 
     Returns (verdict, tuple of the cosets forming the slice or None).
@@ -154,7 +154,7 @@ def is_abelian_class(G: MatGroup, x, data: CosetTraces | None = None):
     slice is a union of fibres of the abelianisation map.
     """
     xi = _require_proper(G, x)
-    data = data if data is not None else coset_traces(G)
+    data = coset_traces(G)
     hit = []
     for c, ts in zip(data.cosets, data.trace_sets):
         if xi in ts:
@@ -164,20 +164,20 @@ def is_abelian_class(G: MatGroup, x, data: CosetTraces | None = None):
     return True, tuple(hit)
 
 
-def is_totally_abelian(G: MatGroup, data: CosetTraces | None = None,
-                       dickson: DicksonClass | None = None) -> bool:
+def is_totally_abelian(G: MatGroup) -> bool:
     """Whether every class is abelian for G, computed two independent ways.
 
     Route one asks every coset of [G, G] to have constant trace; route two
-    asks for a common eigenline over the quadratic extension.  The two
-    must agree, otherwise TheoremConsistencyError is raised.
+    asks for a common eigenline over the quadratic extension, as found by
+    the classification.  The two must agree, otherwise
+    TheoremConsistencyError is raised.
     """
-    data = data if data is not None else coset_traces(G)
-    by_cosets = all(len(ts) == 1 for ts in data.trace_sets)
-    if dickson is not None:
-        by_line = dickson.label in ("BorelConjugable", "Cyclic")
-    else:
-        by_line, _ = is_borel_conjugable(G, data.commutator)
+    return G.memo(_totally_abelian)
+
+
+def _totally_abelian(G: MatGroup) -> bool:
+    by_cosets = all(len(ts) == 1 for ts in coset_traces(G).trace_sets)
+    by_line = classify_group(G).label in ("BorelConjugable", "Cyclic")
     if by_cosets != by_line:
         raise TheoremConsistencyError(
             "constant-trace cosets and common-eigenline criteria disagree "
@@ -188,16 +188,19 @@ def is_totally_abelian(G: MatGroup, data: CosetTraces | None = None,
 # ---- traceless density ------------------------------------------------------
 
 
-def density_c(G: MatGroup, dickson: DicksonClass | None = None) -> Fraction:
+def density_c(G: MatGroup) -> Fraction:
     """Fraction of traceless elements of G, as an exact rational.
 
     This is the density of primes with a_p = 0.  The counted value is
     checked against the table entry for the classified family; a mismatch
     raises TheoremConsistencyError.
     """
+    return G.memo(_density_c)
+
+
+def _density_c(G: MatGroup) -> Fraction:
     c = Fraction(sum(1 for m in G.elements if m.trace_i() == 0), G.order)
-    cls = dickson if dickson is not None else classify_group(G)
-    _check_density(G, cls, c)
+    _check_density(G, classify_group(G), c)
     return c
 
 
@@ -257,16 +260,15 @@ class SemiPredictor:
     returns a bool for every class x of the field.
     """
 
-    def __init__(self, G: MatGroup, dickson: DicksonClass | None = None,
-                 commutator: MatGroup | None = None):
+    def __init__(self, G: MatGroup):
         self.G = G
         self.spec = G.spec
-        self.cls = dickson if dickson is not None else classify_group(G)
-        H = commutator if commutator is not None else commutator_subgroup(G)
-        self.com_traces = frozenset(m.trace_i() for m in H.elements)
+        self.cls = classify_group(G)
+        H = commutator_subgroup(G)
+        self.com_traces = H.trace_ints()
         self.scalar_ints = frozenset(s.as_int() for s in G.scalars())
         self.det_ints = frozenset(d.as_int() for d in G.det_image())
-        self.trace_ints = frozenset(m.trace_i() for m in G.elements)
+        self.trace_ints = G.trace_ints()
         self._H_order = H.order
         self._H_scalars = sum(1 for m in H.elements if is_scalar(m) is not None)
 
@@ -353,8 +355,7 @@ class CrosscheckReport:
     checks: tuple[str, ...]
 
 
-def theorem_crosscheck(G: MatGroup, dickson: DicksonClass | None = None,
-                       data: CosetTraces | None = None) -> CrosscheckReport:
+def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     """Verify every classification-level prediction against brute force.
 
     For the single group G this checks: the equivalence of constant-trace
@@ -366,14 +367,13 @@ def theorem_crosscheck(G: MatGroup, dickson: DicksonClass | None = None,
     projective counterpart.  Failures raise TheoremConsistencyError.
     """
     spec = G.spec
-    cls = dickson if dickson is not None else classify_group(G)
-    data = data if data is not None else coset_traces(G)
-    tsets = data.trace_sets
+    cls = classify_group(G)
+    tsets = coset_traces(G).trace_sets
     ell = spec.p
     checks = []
 
-    proper = {m.trace_i() for m in G.elements}
-    totally = is_totally_abelian(G, data, cls)
+    proper = G.trace_ints()
+    totally = is_totally_abelian(G)
     checks.append("totally-borel-equivalence")
 
     weak = {x for x in proper if _weak_i(tsets, x)}
@@ -412,10 +412,10 @@ def theorem_crosscheck(G: MatGroup, dickson: DicksonClass | None = None,
             f"dihedral image must be abelian exactly at 0, got {union}")
     checks.append("union-dichotomy")
 
-    density_c(G, cls)
+    density_c(G)
     checks.append("density-table")
 
-    pred = SemiPredictor(G, cls, data.commutator)
+    pred = SemiPredictor(G)
     for xi in range(spec.q):
         want = pred.predict(xi)
         got = _semi_i(tsets, xi)
@@ -457,7 +457,7 @@ def crosscheck_all_subgroups(ambient: MatGroup) -> int:
         if alt != ref:
             raise TheoremConsistencyError(
                 "independent coset partitions produced different trace sets")
-        theorem_crosscheck(H, data=data)
+        theorem_crosscheck(H)
         count += 1
     return count
 
@@ -513,22 +513,18 @@ def analyze_group(G: MatGroup, crosscheck: bool = True) -> AbelianReport:
     first and any failure propagates; theorem_consistent records whether
     they ran.
     """
-    cls = classify_group(G)
-    data = coset_traces(G)
     if crosscheck:
-        theorem_crosscheck(G, cls, data)
-    totally = is_totally_abelian(G, data, cls)
-    dens = density_c(G, cls)
+        theorem_crosscheck(G)
+    proper = tuple(sorted(proper_classes(G), key=FieldElement.as_int))
     per: dict[int, ClassVerdict] = {}
-    for e in sorted(proper_classes(G), key=lambda v: v.as_int()):
+    for e in proper:
         xi = e.as_int()
-        w, wit_w = is_weakly_abelian(G, xi, data)
-        s, wit_s = is_semi_abelian(G, xi, data)
-        a, _ = is_abelian_class(G, xi, data)
+        w, wit_w = is_weakly_abelian(G, xi)
+        s, wit_s = is_semi_abelian(G, xi)
+        a, _ = is_abelian_class(G, xi)
         per[xi] = ClassVerdict(e, w, s, a, wit_w if w else wit_s)
-    return AbelianReport(G, cls, tuple(sorted(proper_classes(G),
-                                              key=lambda v: v.as_int())),
-                         per, totally, dens, crosscheck)
+    return AbelianReport(G, classify_group(G), proper, per,
+                         is_totally_abelian(G), density_c(G), crosscheck)
 
 
 # ---- modulus bounds -----------------------------------------------------------
@@ -573,8 +569,8 @@ class ModulusBound:
 
 def _semisimple_exponent(G: MatGroup) -> int:
     """Exponent of the diagonal-character image of a triangularisable G."""
-    flag, witness = is_borel_conjugable(G)
-    if not flag:
+    witness = classify_group(G).witness
+    if witness is None:
         raise ValueError("group has no common eigenline over the quadratic "
                          "extension; no semisimplified diagonal image")
     ext = witness.spec

@@ -7,16 +7,20 @@ subfield group PSL2 or PGL2 over F_q', or one of the exceptional groups A4,
 S4, A5.  For tiny fields the families overlap; the classifier reports a
 single primary label under a fixed precedence plus every label that applies
 abstractly.
+
+Subfield groups are recognised by comparing projective element-order counts
+with the closed-form counts of PSL2(q') and PGL2(q') (Dickson; Huppert,
+Endliche Gruppen I, II.8), so the check holds for every q' with no
+reference group built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
-from .constructions import gl2, sl2
-from .ffield import FieldSpec, embedding_table, make_field, quadratic_extension
+from .ffield import FieldSpec, embedding_table, quadratic_extension
 from .matgrp import (
     Mat2,
     MatGroup,
@@ -37,10 +41,6 @@ class ClassificationError(ValueError):
 _A4_STATS = {1: 1, 2: 3, 3: 8}
 _S4_STATS = {1: 1, 2: 9, 3: 8, 4: 6}
 _A5_STATS = {1: 1, 2: 15, 3: 20, 5: 24}
-
-# order statistics of reference subfield groups, filled on demand
-_REF_STATS: dict[tuple[str, int], dict[int, int]] = {}
-_REF_MAX_Q = 16
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def _eigenlines(ext: FieldSpec, me: tuple[int, int, int, int]) -> list[tuple[int
     return lines
 
 
-def is_borel_conjugable(G: MatGroup, _commutator: MatGroup | None = None):
+def is_borel_conjugable(G: MatGroup):
     """Whether G is conjugate to a group of upper triangular matrices over
     the quadratic extension of its field.
 
@@ -139,7 +139,7 @@ def is_borel_conjugable(G: MatGroup, _commutator: MatGroup | None = None):
     identity) and a direct common-eigenvector search.
     """
     spec = G.spec
-    H = _commutator if _commutator is not None else commutator_subgroup(G)
+    H = commutator_subgroup(G)
     one = identity(spec)
     route_a = all(m == one or not _is_diagonalisable(spec, m) for m in H.elements)
 
@@ -181,14 +181,12 @@ def is_borel_conjugable(G: MatGroup, _commutator: MatGroup | None = None):
 
 
 def proj_order_stats(P: ProjGroup) -> dict[int, int]:
-    c = Counter(P.proj_order(m) for m in P.classes)
-    return dict(c)
+    return dict(Counter(P.class_orders().values()))
 
 
 def _cyclic_n(P: ProjGroup) -> int | None:
-    for m in P.classes:
-        if P.proj_order(m) == P.order:
-            return P.order
+    if P.order in P.class_orders().values():
+        return P.order
     return None
 
 
@@ -198,13 +196,14 @@ def _dihedral_n(P: ProjGroup) -> int | None:
     if N < 4 or N % 2:
         return None
     n = N // 2
+    orders = P.class_orders()
     for c in P.sorted_classes():
-        if P.proj_order(c) != n:
+        if orders[c] != n:
             continue
         cyc = P.subgroup_closure([c])
         if len(cyc) != n:
             continue
-        if all(P.proj_order(s) == 2 for s in P.classes - cyc):
+        if all(orders[s] == 2 for s in P.classes - cyc):
             return n
     return None
 
@@ -221,69 +220,77 @@ def _element_degree(spec: FieldSpec, x: int) -> int:
 
 def _trace_field_size(spec: FieldSpec, H: MatGroup) -> int:
     s = 1
-    for m in H.elements:
-        s = lcm(s, _element_degree(spec, m.trace_i()))
+    for t in H.trace_ints():
+        s = lcm(s, _element_degree(spec, t))
     return spec.p**s
 
 
-def _reference_stats(kind: str, qsub: int, p: int) -> dict[int, int] | None:
-    if qsub > _REF_MAX_Q:
-        return None
-    key = (kind, qsub)
-    if key not in _REF_STATS:
-        r = 1
-        while p**r < qsub:
-            r += 1
-        spec = make_field(p, r)
-        G = gl2(spec) if kind == "PGL2" else sl2(spec)
-        _REF_STATS[key] = proj_order_stats(projectivize(G))
-    return _REF_STATS[key]
+def _subfield_stats(kind: str, qsub: int, p: int) -> dict[int, int]:
+    """Projective element-order counts of PSL2(q') or PGL2(q'), q' = p^k.
+
+    PGL2(q') has the identity, q'^2 - 1 elements of order p, and
+    phi(d) q'(q' + 1)/2 resp. phi(d) q'(q' - 1)/2 elements of order d for
+    each d > 1 dividing q' - 1 (split tori) resp. q' + 1 (nonsplit tori).
+    PSL2(q') for odd q' has tori of orders (q' -+ 1)/2 instead; for even q'
+    it equals PGL2(q').
+    """
+    half = 2 if kind == "PSL2" and qsub % 2 else 1
+    stats = Counter({1: 1, p: qsub * qsub - 1})
+    for torus, count in ((qsub - 1, qsub * (qsub + 1) // 2),
+                         (qsub + 1, qsub * (qsub - 1) // 2)):
+        t = torus // half
+        for d in range(2, t + 1):
+            if t % d == 0:
+                phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+                stats[d] += phi * count
+    return dict(stats)
 
 
 def _subfield_matches(P: ProjGroup) -> list[tuple[str, int]]:
     """(kind, q') pairs with P abstractly the subfield group over F_q'."""
     p = P.spec.p
     out = []
-    own_stats = None
     qsub = p
     while qsub**3 - qsub <= 2 * P.order:
         full = qsub**3 - qsub
         half = full // 2 if qsub % 2 else full
-        if P.order in (half, full):
-            if own_stats is None:
-                own_stats = proj_order_stats(P)
-            if P.order == half:
-                stats = _reference_stats("PSL2", qsub, p)
-                if stats is None or stats == own_stats:
-                    out.append(("PSL2", qsub))
-                    if qsub % 2 == 0:
-                        out.append(("PGL2", qsub))
-            if P.order == full and qsub % 2:
-                stats = _reference_stats("PGL2", qsub, p)
-                if stats is None or stats == own_stats:
-                    out.append(("PGL2", qsub))
+        if P.order == half and proj_order_stats(P) == _subfield_stats("PSL2", qsub, p):
+            out.append(("PSL2", qsub))
+            if qsub % 2 == 0:
+                out.append(("PGL2", qsub))
+        if (P.order == full and qsub % 2
+                and proj_order_stats(P) == _subfield_stats("PGL2", qsub, p)):
+            out.append(("PGL2", qsub))
         qsub *= p
     return out
 
 
+_EXCEPTIONAL = {12: ("A4", _A4_STATS), 24: ("S4", _S4_STATS), 60: ("A5", _A5_STATS)}
+
+
 def _exceptional_match(P: ProjGroup) -> str | None:
-    stats = proj_order_stats(P)
-    if P.order == 12 and stats == _A4_STATS:
-        return "A4"
-    if P.order == 24 and stats == _S4_STATS:
-        return "S4"
-    if P.order == 60 and stats == _A5_STATS:
-        return "A5"
-    return None
+    if P.order not in _EXCEPTIONAL:
+        return None
+    label, stats = _EXCEPTIONAL[P.order]
+    return label if proj_order_stats(P) == stats else None
+
+
+def classify_group(G: MatGroup) -> DicksonClass:
+    """Primary family of the projective image of G under the precedence
+    Borel > Cyclic > Dihedral > subfield PSL2/PGL2 (only for q' > 3) >
+    exceptional, with all applicable families recorded.  Subfield groups
+    are recognised for every q' from closed-form element-order counts."""
+    return G.memo(_classify)
 
 
 def classify_projective(P: ProjGroup) -> DicksonClass:
-    """Primary family of P under the precedence Borel > Cyclic > Dihedral >
-    subfield PSL2/PGL2 (only for q' > 3) > exceptional, with all applicable
-    families recorded."""
-    G = P.base
-    H = commutator_subgroup(G)
-    borel_flag, witness = is_borel_conjugable(G, _commutator=H)
+    """classify_group of the matrix group P projectivises."""
+    return classify_group(P.base)
+
+
+def _classify(G: MatGroup) -> DicksonClass:
+    P = projectivize(G)
+    borel_flag, witness = is_borel_conjugable(G)
     cyc_n = _cyclic_n(P)
     dih_n = _dihedral_n(P)
     subfields = _subfield_matches(P)
@@ -314,7 +321,7 @@ def classify_projective(P: ProjGroup) -> DicksonClass:
     if big:
         # a PSL2 = PGL2 coincidence (even q') is reported as PSL2
         kind, qsub = min(big, key=lambda kq: (kq[1], kq[0] != "PSL2"))
-        tf = _trace_field_size(G.spec, H)
+        tf = _trace_field_size(G.spec, commutator_subgroup(G))
         if tf != qsub:
             raise ClassificationError(
                 f"commutator trace field F_{tf} does not match subfield q'={qsub}")
@@ -325,10 +332,6 @@ def classify_projective(P: ProjGroup) -> DicksonClass:
         f"projective group of order {P.order} fits no classical family")
 
 
-def classify_group(G: MatGroup) -> DicksonClass:
-    return classify_projective(projectivize(G))
-
-
 # ---- helpers used throughout the classification ----------------------------
 
 
@@ -336,33 +339,6 @@ def traceless_count(P: ProjGroup) -> int:
     return len(P.traceless_classes())
 
 
-def commutator_trace_set(G: MatGroup) -> set[int]:
+def commutator_trace_set(G: MatGroup) -> frozenset[int]:
     """Integer-encoded traces occurring on the commutator subgroup of G."""
-    H = commutator_subgroup(G)
-    return {m.trace_i() for m in H.elements}
-
-
-def expected_exceptional_traces(spec: FieldSpec, label: str) -> set[int]:
-    """Commutator trace sets forced by an exceptional projective image.
-
-    For A4 the set is {0, 2, -2}; S4 adds 1 and -1; A5 consists of 0, 1, 2,
-    the golden ratio phi (a root of x^2 - x - 1) and phi - 1, each with its
-    negative.  The A5 set does not depend on the choice of root.
-    """
-    neg = spec.neg_i
-    two = 2 % spec.p
-    if label == "A4":
-        return {0, two, neg(two)}
-    if label == "S4":
-        return {0, 1, neg(1), two, neg(two)}
-    if label == "A5":
-        phi = None
-        for x in range(spec.q):
-            if spec.sub_i(spec.sub_i(spec.mul_i(x, x), x), 1 % spec.p) == 0:
-                phi = x
-                break
-        if phi is None:
-            raise ValueError("golden ratio does not exist over this field")
-        phim1 = spec.sub_i(phi, 1)
-        return {0, 1, neg(1), two, neg(two), phi, neg(phi), phim1, neg(phim1)}
-    raise ValueError(f"unknown exceptional label {label!r}")
+    return commutator_subgroup(G).trace_ints()

@@ -142,7 +142,7 @@ def build_parser() -> _Parser:
 def _run_classify(args, out) -> int:
     G = _read_group(args.group)
     cls = classify_group(G)
-    c = density_c(G, cls)
+    c = density_c(G)
     if args.format == "json":
         _emit_json({"dickson": cls.to_json(), "order": G.order,
                     "c": f"{c.numerator}/{c.denominator}"}, out)

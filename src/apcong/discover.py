@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abelian import CosetTraces, coset_traces, density_c
+from .abelian import CosetTraces, coset_traces, density_c, radical
 from .eigendata import (
     ApDataset,
     EllipticCurve,
@@ -27,7 +27,7 @@ from .eigendata import (
     primes_upto,
     quadform_represents,
 )
-from .ffield import factorize, is_prime, kronecker, legendre
+from .ffield import is_prime, kronecker, legendre, make_field, mult_order
 from .matgrp import Mat2, MatGroup, close_group, generating_set, identity
 
 MIN_SAMPLES_PER_CLASS = 5
@@ -184,7 +184,7 @@ def best_modulus(
 def legendre_candidates(N: int, ell: int) -> list[int]:
     """Signed divisors of rad(N ell) gcd(2, N ell)^2, the symbol moduli a
     congruence of level N and characteristic ell can see."""
-    bound = math.prod(factorize(N * ell)) * math.gcd(2, N * ell) ** 2
+    bound = radical(N * ell) * math.gcd(2, N * ell) ** 2
     out = []
     for d in divisors(bound):
         out += [d, -d]
@@ -485,14 +485,6 @@ def _least_prime_mod(n: int, avoid: set[int]) -> int:
         q += n
 
 
-def _mult_order_mod(a: int, q: int) -> int:
-    n, x = 1, a % q
-    while x != 1:
-        x = (x * a) % q
-        n += 1
-    return n
-
-
 def synthetic_model(G: MatGroup) -> SyntheticModel:
     """Deterministic residue labeling of the commutator cosets of G."""
     if G.spec.r != 1:
@@ -541,8 +533,9 @@ def synthetic_model(G: MatGroup) -> SyntheticModel:
     # per-prime discrete logs onto Z/order, combined through the coset table
     logmaps = []
     for q, n in zip(qs, orders):
+        Fq = make_field(q)
         g = 2
-        while _mult_order_mod(g, q) != q - 1:
+        while mult_order(Fq.element(g)) != q - 1:
             g += 1
         dlog = {pow(g, i, q): i for i in range(q - 1)}
         logmaps.append((q, n, dlog))

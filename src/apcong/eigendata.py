@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .ffield import is_prime
+from .ffield import factorize, is_prime
 
 POINT_COUNT_GUARD = 10 ** 6
 
@@ -68,6 +68,10 @@ class QSeries:
         T = min(self.truncation, other.truncation)
         a, b = self.coeffs[: T + 1], other.coeffs[: T + 1]
         if self.m:
+            # each int64 convolution term sums up to T + 1 products < m^2
+            if (T + 1) * (self.m - 1) ** 2 >= 2 ** 63:
+                raise ValueError(
+                    f"mod-{self.m} product to q^{T} would overflow int64")
             conv = np.convolve(
                 np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
             )[: T + 1]
@@ -296,26 +300,11 @@ def build_dataset(
 # fixture ingestion
 
 
-def _support(n: int) -> set[int]:
-    n = abs(n)
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def _parse_curve(rec: dict) -> EllipticCurve:
     E = EllipticCurve(rec["label"], tuple(rec["a"]), rec["conductor"])
     # checksum: bad primes of the model are exactly the level's support, and
     # the label's numeric prefix agrees with the stated conductor
-    if _support(E.discriminant) != _support(E.conductor):
+    if set(factorize(E.discriminant)) != set(factorize(E.conductor)):
         raise ValueError(f"{E.label}: discriminant support differs from level")
     head = ""
     for ch in E.label:
@@ -328,28 +317,26 @@ def _parse_curve(rec: dict) -> EllipticCurve:
     return E
 
 
-def load_curve_file(path) -> dict[str, EllipticCurve]:
+def _parse_curve_lines(lines) -> dict[str, EllipticCurve]:
     """JSON lines {"label", "a", "conductor"} -> curves by label."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    for line in lines:
+        if line.strip():
             E = _parse_curve(json.loads(line))
             out[E.label] = E
     return out
+
+
+def load_curve_file(path) -> dict[str, EllipticCurve]:
+    """Curves by label from a JSON-lines file of {"label", "a", "conductor"}."""
+    with open(path, encoding="utf-8") as fh:
+        return _parse_curve_lines(fh)
 
 
 def curve_fixtures() -> dict[str, EllipticCurve]:
     """The packaged curve models behind the worked examples."""
     ref = resources.files(__package__) / "data" / "curves.jsonl"
-    out = {}
-    for line in ref.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            E = _parse_curve(json.loads(line))
-            out[E.label] = E
-    return out
+    return _parse_curve_lines(ref.read_text(encoding="utf-8").splitlines())
 
 
 def load_form_file(path) -> list[tuple[str, int, int, QSeries]]:

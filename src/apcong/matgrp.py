@@ -3,7 +3,11 @@
 Matrices keep their entries as integer-encoded field elements (base-p digit
 strings), which makes the breadth-first closure and the coset bookkeeping
 cheap dictionary work.  Everything here is immutable: groups are frozensets
-of matrices and may be shared freely between computations.
+of matrices and may be shared freely between computations.  Because a group
+never changes, every structure derived from it (commutator subgroup,
+projective image, classification, coset traces, attained traces) is
+memoised on the group itself: it is computed on first use and shared by
+every later caller.
 """
 
 from __future__ import annotations
@@ -129,6 +133,7 @@ class MatGroup:
         self.elements = elements
         self.generators = generators
         self._sorted = None
+        self._derived: dict = {}
         # Lagrange sanity: |G| divides |GL_2(F_q)|
         q = spec.q
         if ((q * q - 1) * (q * q - q)) % len(elements) != 0:
@@ -137,6 +142,16 @@ class MatGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def memo(self, fn):
+        """fn(self), computed on the first call for this fn and stored."""
+        if fn not in self._derived:
+            self._derived[fn] = fn(self)
+        return self._derived[fn]
+
+    def trace_ints(self) -> frozenset[int]:
+        """Integer-encoded traces attained on the group."""
+        return self.memo(_trace_ints)
 
     def sorted_elements(self) -> list[Mat2]:
         if self._sorted is None:
@@ -173,6 +188,10 @@ class MatGroup:
 
     def __repr__(self):
         return f"MatGroup(q={self.spec.q}, order={self.order})"
+
+
+def _trace_ints(G: MatGroup) -> frozenset[int]:
+    return frozenset(m.trace_i() for m in G.elements)
 
 
 def close_group(spec: FieldSpec, generators, guard: int = CLOSURE_GUARD) -> MatGroup:
@@ -230,6 +249,10 @@ def commutator_subgroup(G: MatGroup) -> MatGroup:
     which equals the full commutator subgroup; each element is verified to
     have determinant 1.
     """
+    return G.memo(_commutator_subgroup)
+
+
+def _commutator_subgroup(G: MatGroup) -> MatGroup:
     gens = generating_set(G)
     seeds = []
     seen_seed = set()
@@ -320,6 +343,7 @@ class ProjGroup:
         self.classes = frozenset(classes)
         self.scalar_kernel_size = base.order // len(classes)
         self._sorted = None
+        self._orders = None
 
     @property
     def order(self) -> int:
@@ -342,6 +366,12 @@ class ProjGroup:
             if n > self.order + 1:
                 raise RuntimeError("projective order ran away")
         return n
+
+    def class_orders(self) -> dict[Mat2, int]:
+        """Projective order of every class, computed on first use."""
+        if self._orders is None:
+            self._orders = {m: self.proj_order(m) for m in self.classes}
+        return self._orders
 
     def is_abelian(self) -> bool:
         cls = self.sorted_classes()
@@ -381,32 +411,17 @@ class ProjGroup:
     def commutator_classes(self) -> set[Mat2]:
         """Commutator subgroup of the projective group, as canonical reps.
 
-        Computed as the normal closure of the commutators of a generating
-        set, matching commutator_subgroup on the matrix level.
+        Projection is a surjective homomorphism, so [PG, PG] is the image
+        of [G, G].
         """
-        gens = [proj_canon(g) for g in generating_set(self.base)]
-        if not gens:
-            return {proj_canon(identity(self.spec))}
-        coms = [proj_canon((x * y) * (y * x).inv()) for x in gens for y in gens]
-        sub = self.subgroup_closure(coms)
-        while True:
-            extra = []
-            for g in gens:
-                gi = g.inv()
-                for h in sub:
-                    c = proj_canon((g * h) * gi)
-                    if c not in sub:
-                        extra.append(c)
-            if not extra:
-                return sub
-            sub = self.subgroup_closure(list(sub) + extra)
+        return {proj_canon(m) for m in commutator_subgroup(self.base).elements}
 
     def __repr__(self):
         return f"ProjGroup(q={self.spec.q}, order={self.order})"
 
 
 def projectivize(G: MatGroup) -> ProjGroup:
-    return ProjGroup(G)
+    return G.memo(ProjGroup)
 
 
 def trace_multiset(obj) -> Counter:
@@ -478,7 +493,7 @@ def enumerate_subgroups_pairs(G: MatGroup) -> list[MatGroup]:
 
 def group_to_json(G: MatGroup) -> dict:
     gens = []
-    for m in G.generators:
+    for m in generating_set(G):
         rows = m.entries()
         gens.append([[list(rows[0][0].coeffs), list(rows[0][1].coeffs)],
                      [list(rows[1][0].coeffs), list(rows[1][1].coeffs)]])

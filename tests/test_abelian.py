@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -77,24 +78,22 @@ SMALL_GROUPS = [
 
 @pytest.mark.parametrize("G", SMALL_GROUPS)
 def test_verdicts_match_brute_force(G):
-    data = coset_traces(G)
     for e in proper_classes(G):
         xi = e.as_int()
         bw, bs, bu = brute_verdicts(G, xi)
-        assert is_weakly_abelian(G, xi, data)[0] == bw
-        assert is_semi_abelian(G, xi, data)[0] == bs
-        assert is_abelian_class(G, xi, data)[0] == bu
+        assert is_weakly_abelian(G, xi)[0] == bw
+        assert is_semi_abelian(G, xi)[0] == bs
+        assert is_abelian_class(G, xi)[0] == bu
 
 
 def test_verdicts_over_every_subgroup_of_gl2_f3():
     for H in enumerate_subgroups(gl2(F3)):
-        data = coset_traces(H)
         for e in proper_classes(H):
             xi = e.as_int()
             bw, bs, bu = brute_verdicts(H, xi)
-            assert is_weakly_abelian(H, xi, data)[0] == bw
-            assert is_semi_abelian(H, xi, data)[0] == bs
-            assert is_abelian_class(H, xi, data)[0] == bu
+            assert is_weakly_abelian(H, xi)[0] == bw
+            assert is_semi_abelian(H, xi)[0] == bs
+            assert is_abelian_class(H, xi)[0] == bu
 
 
 def test_weakly_and_semi_do_not_imply_abelian():
@@ -106,9 +105,9 @@ def test_weakly_and_semi_do_not_imply_abelian():
         data = coset_traces(G)
         for e in proper_classes(G):
             xi = e.as_int()
-            w = is_weakly_abelian(G, xi, data)[0]
-            s = is_semi_abelian(G, xi, data)[0]
-            a = is_abelian_class(G, xi, data)[0]
+            w = is_weakly_abelian(G, xi)[0]
+            s = is_semi_abelian(G, xi)[0]
+            a = is_abelian_class(G, xi)[0]
             assert a == (w and all(
                 ts == frozenset({xi}) for ts in data.trace_sets if xi in ts))
             if w and s and not a:
@@ -197,6 +196,39 @@ def test_analyze_group_report():
     assert all(not v.abelian for v in rep.per_class.values())
     blob = json.dumps(rep.to_json(), sort_keys=True)
     assert json.dumps(analyze_group(gl2(F3)).to_json(), sort_keys=True) == blob
+
+
+def test_analyze_group_computes_each_structure_once(monkeypatch):
+    from apcong import abelian, classify, constructions, matgrp
+
+    G = gl2(F7)
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def forbidden(*args):
+        raise AssertionError("reference group built")
+
+    count(matgrp, "_commutator_subgroup")
+    count(matgrp.ProjGroup, "__init__")
+    count(matgrp.ProjGroup, "proj_order")
+    count(classify, "_classify")
+    count(abelian, "cosets")
+    for mod in (constructions, classify):
+        for name in ("gl2", "sl2"):
+            monkeypatch.setattr(mod, name, forbidden, raising=False)
+    rep = analyze_group(G)
+    assert rep.dickson.label == "PGL2" and rep.theorem_consistent
+    # one projective order per class of PGL2(F7), of order 7^3 - 7
+    assert calls == {"_commutator_subgroup": 1, "__init__": 1,
+                     "proj_order": 336, "_classify": 1, "cosets": 1}
 
 
 def test_analyze_totally_abelian_group():

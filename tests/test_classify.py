@@ -2,10 +2,12 @@ import pytest
 
 from apcong.classify import (
     ClassificationError,
+    _subfield_stats,
     classify_group,
     classify_projective,
     commutator_trace_set,
     is_borel_conjugable,
+    proj_order_stats,
     traceless_count,
 )
 from apcong.constructions import (
@@ -120,6 +122,26 @@ def test_traceless_counts_full_groups(spec, q):
     assert traceless_count(P) == TRACELESS_PGL[q]
     S = projectivize(sl2(spec))
     assert traceless_count(S) == psl_traceless(q)
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                 (3, 2), (11, 1), (13, 1)])
+def test_subfield_stats_match_reference_groups(p, r):
+    # the closed form against element orders counted on PGL2/PSL2 themselves
+    spec, q = make_field(p, r), p**r
+    assert _subfield_stats("PGL2", q, p) == proj_order_stats(projectivize(gl2(spec)))
+    assert _subfield_stats("PSL2", q, p) == proj_order_stats(projectivize(sl2(spec)))
+
+
+@pytest.mark.parametrize("q,p", [(17, 17), (19, 19), (23, 23), (25, 5)])
+def test_subfield_stats_beyond_reference_sizes(q, p):
+    pgl = _subfield_stats("PGL2", q, p)
+    psl = _subfield_stats("PSL2", q, p)
+    assert sum(pgl.values()) == q**3 - q
+    assert sum(psl.values()) == (q**3 - q) // 2
+    # in odd characteristic the involutions are exactly the traceless classes
+    assert pgl[2] == q * q
+    assert psl[2] == psl_traceless(q)
 
 
 def brute_traceless(P):

@@ -123,6 +123,11 @@ def test_dataset_requires_source(capsys):
     assert code == 1 and "no data source" in err
 
 
+def test_dataset_delta_rejects_overflowing_modulus(capsys):
+    code, out, err = run(capsys, "dataset", "--delta", "--ell", "3000000019")
+    assert code == 1 and out == "" and "overflow" in err
+
+
 def test_dataset_unknown_curve(capsys):
     code, _, err = run(capsys, "dataset", "--curve", "11a1", "--ell", "5")
     assert code == 1 and "unknown curve" in err

@@ -129,6 +129,19 @@ def test_qseries_multiplication_rules():
         QSeries(5, (0, 7))  # unreduced coefficient
 
 
+def test_qseries_mod_product_overflow_guard():
+    # four int64 products per coefficient: 4 (m - 1)^2 against 2^63
+    m = 1518500250
+    assert 4 * (m - 1) ** 2 < 2**63 <= 4 * m**2
+    top = (m - 1,) * 4
+    exact = QSeries(0, top) * QSeries(0, top)
+    assert (QSeries(m, top) * QSeries(m, top)).coeffs == tuple(
+        c % m for c in exact.coeffs)
+    over = QSeries(m + 1, (m,) * 4)
+    with pytest.raises(ValueError):
+        over * over
+
+
 def test_qseries_coefficient_requires_integral_offset():
     eta = eta_qexp(10)
     with pytest.raises(ValueError):

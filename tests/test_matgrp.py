@@ -221,6 +221,12 @@ def test_group_json_roundtrip():
     assert group_from_json(group_to_json(H)).elements == H.elements
 
 
+def test_group_json_roundtrip_without_recorded_generators():
+    G = from_elements(F3, gl2(F3).elements)
+    assert not G.generators
+    assert group_from_json(group_to_json(G)).elements == G.elements
+
+
 def test_from_elements_wraps_closed_sets():
     G = sl2(F3)
     again = from_elements(F3, G.elements)
