@@ -59,6 +59,7 @@ from .eigendata import (
     QSeries,
     ap_point_count,
     build_dataset,
+    curve_dataset,
     curve_fixtures,
     delta_coeffs,
     eta_qexp,
@@ -76,7 +77,6 @@ from .discover import (
     discover_report,
     legendre_candidates,
     legendre_fit,
-    random_subgroups,
     sample_dataset,
     synthetic_model,
     vanishing_rule_check,
@@ -93,14 +93,14 @@ __all__ = [
     "best_modulus", "build_dataset", "classify_group", "close_group",
     "closed_loop_check", "commutator_subgroup", "commutator_trace_set",
     "constructions", "coset_traces", "cosets", "crosscheck_all_subgroups",
-    "curve_fixtures", "delta_coeffs", "delta_partition_check", "density_c",
-    "discover_class", "discover_report", "enumerate_subgroups", "eta_qexp",
-    "factorize", "group_from_json", "group_to_json", "identity",
-    "is_abelian_class", "is_prime", "is_semi_abelian", "is_totally_abelian",
-    "is_weakly_abelian", "kronecker", "legendre", "legendre_candidates",
-    "legendre_fit", "load_curve_file", "load_form_file", "make_field",
-    "modulus_bound", "projectivize", "quadform_represents",
-    "quadratic_extension", "random_subgroups", "sample_dataset",
+    "curve_dataset", "curve_fixtures", "delta_coeffs",
+    "delta_partition_check", "density_c", "discover_class", "discover_report",
+    "enumerate_subgroups", "eta_qexp", "factorize", "group_from_json",
+    "group_to_json", "identity", "is_abelian_class", "is_prime",
+    "is_semi_abelian", "is_totally_abelian", "is_weakly_abelian", "kronecker",
+    "legendre", "legendre_candidates", "legendre_fit", "load_curve_file",
+    "load_form_file", "make_field", "modulus_bound", "projectivize",
+    "quadform_represents", "quadratic_extension", "sample_dataset",
     "synthetic_model", "theorem_crosscheck", "vanishing_rule_check",
     "verify_fixture_tables",
 ]

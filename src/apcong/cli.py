@@ -199,7 +199,7 @@ def _run_discover(args, out) -> int:
             out.write(rep.table() + "\n")
         return 0
     found = {}
-    for x in sorted({a for _, a in ds.samples}):
+    for x in ds.attained():
         found[x] = best_modulus(ds, x, args.bound)
     if args.format == "json":
         _emit_json({
@@ -231,9 +231,7 @@ def _run_verify(args, out) -> int:
         res = delta_partition_check(args.pmax)
         out.write(f"tau partition: {res.checked} primes checked, "
                   f"{len(res.violations)} exceptions\n")
-        series = delta_coeffs(args.pmax, 23)
-        ds = build_dataset(series, 23, args.pmax, level=1, label="delta")
-        gm = vanishing_rule_check(ds)
+        gm = vanishing_rule_check(res.dataset)
         out.write(f"vanishing rule: a_p = 0 iff p nonsquare mod 23: "
                   f"{'holds' if gm.holds else 'fails'}\n")
         failures += len(res.violations) + (0 if gm.holds else 1)

@@ -23,12 +23,12 @@ from .eigendata import (
     ApDataset,
     EllipticCurve,
     build_dataset,
+    curve_dataset,
     delta_coeffs,
-    primes_upto,
     quadform_represents,
 )
 from .ffield import is_prime, kronecker, legendre, make_field, mult_order
-from .matgrp import Mat2, MatGroup, close_group, generating_set, identity
+from .matgrp import MatGroup, generating_set, identity
 
 MIN_SAMPLES_PER_CLASS = 5
 
@@ -38,7 +38,26 @@ class InsufficientDataError(ValueError):
 
 
 def _units(M: int) -> list[int]:
-    return [r for r in range(M) if math.gcd(r, M) == 1] if M > 1 else [0]
+    # gcd(0, 1) = 1, so M = 1 has the single class 0
+    return np.flatnonzero(np.gcd(np.arange(M), M) == 1).tolist()
+
+
+def _pairs(ds: ApDataset, M: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The distinct (p mod M, a) pairs of ds, ascending, and the index of
+    each sample's pair."""
+    codes, inv = np.unique((ds.p % M) * ds.ell + ds.a, return_inverse=True)
+    return [divmod(c, ds.ell) for c in codes.tolist()], inv
+
+
+def _per_sample(ds: ApDataset, inv: np.ndarray, messages: list[list[str]]):
+    """Messages found once per distinct pair, repeated for each sample of
+    that pair in sample order and prefixed with its p."""
+    flagged = np.array([bool(m) for m in messages], dtype=bool)[inv]
+    return tuple(
+        f"p={ds.p[i]}: {msg}"
+        for i in np.flatnonzero(flagged)
+        for msg in messages[inv[i]]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -75,23 +94,19 @@ def discover_class(
     if M < 1:
         raise ValueError("modulus must be positive")
     x %= ds.ell
-    units = _units(M)
-    per = {r: [0, 0] for r in units}  # residue -> [hits on x, total]
-    for p, a in ds.samples:
-        r = p % M
-        if r not in per:
-            continue
-        per[r][1] += 1
-        if a == x:
-            per[r][0] += 1
-    missing = [r for r, (_, t) in per.items() if t == 0]
+    units = np.array(_units(M))
+    # one pass: bin 2 (p mod M) + [a_p = x] gives misses and hits per residue
+    table = np.bincount(2 * (ds.p % M) + (ds.a == x), minlength=2 * M)
+    hits = table[2 * units + 1]
+    total = table[2 * units] + hits
+    missing = int(np.count_nonzero(total == 0))
     if missing:
         raise InsufficientDataError(
-            f"no samples in {len(missing)} residue classes mod {M}"
+            f"no samples in {missing} residue classes mod {M}"
         )
-    sup = frozenset(r for r, (h, t) in per.items() if h == t)
-    nec = frozenset(r for r, (h, _) in per.items() if h > 0)
-    mn = min(t for _, t in per.values())
+    sup = frozenset(units[hits == total].tolist())
+    nec = frozenset(units[hits > 0].tolist())
+    mn = int(total.min())
     if sup == nec and nec and mn >= min_per_class:
         direction = "iff"
     elif sup:
@@ -151,8 +166,7 @@ def discover_report(
     candidates=(),
     min_per_class: int = MIN_SAMPLES_PER_CLASS,
 ) -> CongruenceReport:
-    attained = sorted({a for _, a in ds.samples})
-    per = {x: discover_class(ds, x, M, min_per_class) for x in attained}
+    per = {x: discover_class(ds, x, M, min_per_class) for x in ds.attained()}
     fits = legendre_fit(ds, 0, candidates) if candidates else ()
     return CongruenceReport(ds.label, ds.ell, M, per, fits, len(ds))
 
@@ -197,17 +211,15 @@ def legendre_fit(ds: ApDataset, x: int, candidates) -> tuple[tuple[int, str], ..
     (M/p) = -1 implies a_p = x, vacuous premises filtered; fits where the
     converse also holds are flagged iff."""
     fits = []
+    hits = ds.a == x
     for m in candidates:
         if m == 0:
             raise ValueError("candidate discriminant 0")
-        premise = [(p, a) for p, a in ds.samples if kronecker(m, p) == -1]
-        if not premise:
+        premise = np.array([kronecker(m, p) == -1 for p in ds.p.tolist()], dtype=bool)
+        if not premise.any() or not hits[premise].all():
             continue
-        if any(a != x for _, a in premise):
-            continue
-        hits = [(p, a) for p, a in ds.samples if a == x]
-        converse = all(kronecker(m, p) == -1 for p, _ in hits)
-        fits.append((m, "iff" if converse and hits else "implied_by"))
+        converse = premise[hits].all()
+        fits.append((m, "iff" if converse and hits.any() else "implied_by"))
     return tuple(fits)
 
 
@@ -223,17 +235,15 @@ class VanishingRuleResult:
 
 
 def vanishing_rule_check(ds: ApDataset) -> VanishingRuleResult:
-    fwd, bwd, zero = [], [], set()
-    for p, a in ds.samples:
-        sym = legendre(p % ds.ell, ds.ell)
-        if a == 0:
-            zero.add(p % ds.ell)
-            if sym != -1:
-                fwd.append(p)
-        elif sym == -1:
-            bwd.append(p)
+    res = ds.p % ds.ell
+    classes, inv = np.unique(res, return_inverse=True)
+    sym = np.array([legendre(r, ds.ell) for r in classes.tolist()], dtype=np.int64)[inv]
+    zero = ds.a == 0
+    fwd = ds.p[zero & (sym != -1)].tolist()
+    bwd = ds.p[~zero & (sym == -1)].tolist()
     return VanishingRuleResult(
-        ds.ell, not fwd and not bwd, tuple(fwd), tuple(bwd), frozenset(zero)
+        ds.ell, not fwd and not bwd, tuple(fwd), tuple(bwd),
+        frozenset(res[zero].tolist()),
     )
 
 
@@ -255,18 +265,18 @@ def verify_trace_menu(
 ) -> tuple[tuple[str, ...], bool]:
     """Rows keyed by p mod M list the allowed a_p values; sharp means every
     listed value must actually occur in every row."""
-    violations = []
+    pairs, inv = _pairs(ds, M)
+    messages = []
     seen: dict[int, set[int]] = {r: set() for r in menu}
-    for p, a in ds.samples:
-        r = p % M
+    for r, a in pairs:
         if r not in menu:
-            violations.append(f"p={p}: class {r} mod {M} not in table")
+            messages.append([f"class {r} mod {M} not in table"])
             continue
-        if a not in menu[r]:
-            violations.append(f"p={p}: a_p={a} not allowed in class {r} mod {M}")
+        bad = a not in menu[r]
+        messages.append([f"a_p={a} not allowed in class {r} mod {M}"] if bad else [])
         seen[r].add(a)
     complete = all(seen[r] == set(menu[r]) for r in menu) if sharp else True
-    return tuple(violations), complete
+    return _per_sample(ds, inv, messages), complete
 
 
 def verify_class_rule(
@@ -275,18 +285,26 @@ def verify_class_rule(
     """Rows keyed by a_p value list the allowed p-residues mod M.  One-way
     checks a_p = x implies p mod M in rule[x]; two-way additionally checks
     p mod M in rule[x] implies a_p = x."""
-    violations = []
-    for p, a in ds.samples:
-        r = p % M
+    pairs, inv = _pairs(ds, M)
+    messages = []
+    for r, a in pairs:
+        found = []
         if a in rule and r not in rule[a]:
-            violations.append(f"p={p}: a_p={a} but p={r} mod {M} outside row")
+            found.append(f"a_p={a} but p={r} mod {M} outside row")
         if two_way:
             for x, cls in rule.items():
                 if r in cls and a != x:
-                    violations.append(
-                        f"p={p}: p={r} mod {M} forces a_p={x}, got {a}"
-                    )
-    return tuple(violations)
+                    found.append(f"p={r} mod {M} forces a_p={x}, got {a}")
+        messages.append(found)
+    return _per_sample(ds, inv, messages)
+
+
+def _residues_by_value(ds: ApDataset, M: int) -> dict[int, set[int]]:
+    """Sample value -> the residues p mod M at which it occurs."""
+    out: dict[int, set[int]] = {}
+    for r, a in _pairs(ds, M)[0]:
+        out.setdefault(a, set()).add(r)
+    return out
 
 
 # frozen printed tables for the packaged example curves
@@ -336,9 +354,13 @@ def verify_fixture_tables(
 ) -> list[TableCheck]:
     """Re-derive every printed congruence table from point counts."""
     out = []
+    exact = {}
 
     def dataset(label, ell):
-        return build_dataset(curves[label], ell, p_max)
+        # each curve is point counted once; every ell reduces the same a_p
+        if label not in exact:
+            exact[label] = curve_dataset(curves[label], p_max)
+        return exact[label].reduce(ell)
 
     def add(label, name, violations, extra_ok=True, detail=""):
         ok = not violations and extra_ok
@@ -346,11 +368,9 @@ def verify_fixture_tables(
 
     if "338d1" in curves:
         ds2 = dataset("338d1", 2)
-        v = [
-            f"p={p}"
-            for p, a in ds2.samples
-            if legendre(-26, p) == -1 and a != 0
-        ]
+        sym = np.array([legendre(-26, p) for p in ds2.p.tolist()], dtype=np.int64)
+        odd = (sym == -1) & (ds2.a != 0)
+        v = [f"p={p}" for p in ds2.p[odd].tolist()]
         add("338d1", "disc-symbol forces even a_p", v)
         ds3 = dataset("338d1", 3)
         v = verify_class_rule(ds3, 39, {0: _s0_mod39()}, two_way=True)
@@ -358,17 +378,13 @@ def verify_fixture_tables(
         ds5 = dataset("338d1", 5)
         v = verify_class_rule(ds5, 5, ROWS_338_MOD5, two_way=False)
         add("338d1", "mod-5 one-way determinant rule", v)
-        v = [
-            f"p={p}"
-            for p, a in ds5.samples
-            if legendre(p + a * a, 5) < 0
-        ]
+        sym5 = np.array([legendre(r, 5) for r in range(5)], dtype=np.int64)
+        nonsq = sym5[(ds5.p + ds5.a * ds5.a) % 5] < 0
+        v = [f"p={p}" for p in ds5.p[nonsq].tolist()]
         add("338d1", "p + a_p^2 square mod 5", v)
         v = verify_class_rule(ds5, 65, ROWS_338_MOD65, two_way=True)
-        attain = {x: set() for x in ROWS_338_MOD65}
-        for p, a in ds5.samples:
-            attain[a].add(p % 65)
-        sharp = all(attain[x] == ROWS_338_MOD65[x] for x in attain)
+        attain = _residues_by_value(ds5, 65)
+        sharp = all(attain.get(x, set()) == r for x, r in ROWS_338_MOD65.items())
         add("338d1", "mod-65 five-row table sharp", v, sharp)
     if "2450ba1" in curves:
         ds7 = dataset("2450ba1", 7)
@@ -382,18 +398,15 @@ def verify_fixture_tables(
     if "2450a1" in curves:
         ds7 = dataset("2450a1", 7)
         v = verify_class_rule(ds7, 35, ROWS_2450A1_MOD35, two_way=False)
-        attain = {x: set() for x in ROWS_2450A1_MOD35}
-        for p, a in ds7.samples:
-            if a:
-                attain[a].add(p % 35)
-        sharp = all(attain[x] == ROWS_2450A1_MOD35[x] for x in attain)
+        attain = _residues_by_value(ds7, 35)
+        sharp = all(attain.get(x, set()) == r for x, r in ROWS_2450A1_MOD35.items())
         add("2450a1", "mod-35 six-row one-way table", v, sharp)
     if "608e1" in curves:
         ds5 = dataset("608e1", 5)
-        v = [f"p={p}" for p, a in ds5.samples if p % 4 == 3 and a != 0]
+        v = [f"p={p}" for p in ds5.p[(ds5.p % 4 == 3) & (ds5.a != 0)].tolist()]
         add("608e1", "p = 3 mod 4 forces vanishing", v)
-        mixed = [a for p, a in ds5.samples if p % 20 in (1, 9)]
-        both = 0 in mixed and any(a != 0 for a in mixed)
+        mixed = ds5.a[np.isin(ds5.p % 20, (1, 9))]
+        both = bool((mixed == 0).any() and (mixed != 0).any())
         add(
             "608e1",
             "converse fails at p = 1, 9 mod 20",
@@ -404,8 +417,8 @@ def verify_fixture_tables(
         ds5 = dataset("324b1", 5)
         rule = {1: {1, 3, 4}, 4: {1, 3, 4}, 2: {1, 2, 4}, 3: {1, 2, 4}}
         v = verify_class_rule(ds5, 5, rule, two_way=False)
-        hit14 = {p % 5 for p, a in ds5.samples if a in (1, 4)}
-        hit23 = {p % 5 for p, a in ds5.samples if a in (2, 3)}
+        hit14 = set((ds5.p[np.isin(ds5.a, (1, 4))] % 5).tolist())
+        hit23 = set((ds5.p[np.isin(ds5.a, (2, 3))] % 5).tolist())
         sharp = hit14 == {1, 3, 4} and hit23 == {1, 2, 4}
         add("324b1", "two exclusion implications mod 5 sharp", v, sharp)
     if "50700u1" in curves:
@@ -423,6 +436,7 @@ def verify_fixture_tables(
 class PartitionResult:
     checked: int
     violations: tuple[str, ...]
+    dataset: ApDataset  # the tau(p) mod 23 samples that were checked
 
     @property
     def ok(self) -> bool:
@@ -432,23 +446,18 @@ class PartitionResult:
 def delta_partition_check(p_max: int = 10_000) -> PartitionResult:
     """tau(p) mod 23 is 0 / 2 / -1 according to (-23/p) = -1, p = x^2+23y^2,
     otherwise; checked for every prime p <= p_max except 23."""
-    series = delta_coeffs(p_max, 23)
+    ds = build_dataset(delta_coeffs(p_max, 23), 23, p_max, level=1, label="delta")
     violations = []
-    checked = 0
-    for p in primes_upto(p_max):
-        if p == 23:
-            continue
+    for p, got in zip(ds.p.tolist(), ds.a.tolist()):
         if kronecker(-23, p) == -1:
             want = 0
         elif quadform_represents(p, 1, 0, 23):
             want = 2
         else:
             want = 22
-        got = series.coefficient(p)
-        checked += 1
         if got != want:
             violations.append(f"p={p}: tau={got}, expected {want}")
-    return PartitionResult(checked, tuple(violations))
+    return PartitionResult(len(ds), tuple(violations), ds)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +564,7 @@ def sample_dataset(model: SyntheticModel, n: int, seed: int) -> ApDataset:
     rng = np.random.default_rng(seed)
     units = sorted(model.assignment)
     M, ell = model.modulus, model.ell
-    coset_idx = [model.assignment[r] for r in units]
+    coset_idx = np.array([model.assignment[r] for r in units])
     hsize = model.data.cosets[0].size
     trace_table = np.array(
         [[m.trace_i() for m in sorted(c.members, key=lambda m: m.encode())]
@@ -564,23 +573,21 @@ def sample_dataset(model: SyntheticModel, n: int, seed: int) -> ApDataset:
     )
     draws = rng.integers(0, len(units), size=n)
     members = rng.integers(0, hsize, size=n)
-    values = trace_table[np.array(coset_idx)[draws], members] % ell
+    values = trace_table[coset_idx[draws], members] % ell
 
     # least representative of each residue class coprime to ell as well
-    reps = {}
+    reps = []
     for r in units:
         t = r if M > 1 else 1
         while math.gcd(t, M * ell) != 1:
             t += M
-        reps[r] = t
+        reps.append(t)
     step = M * ell
-    while step <= max(reps.values()):  # keep the p sequence strictly increasing
+    while step <= max(reps):  # keep the p sequence strictly increasing
         step += M * ell
-    samples = tuple(
-        (int(i) * step + reps[units[d]], int(v))
-        for i, (d, v) in enumerate(zip(draws, values), start=1)
-    )
-    return ApDataset(f"synthetic-{model.group.order}", M, ell, samples, synthetic=True)
+    ps = np.arange(1, n + 1, dtype=np.int64) * step + np.array(reps)[draws]
+    return ApDataset(f"synthetic-{model.group.order}", M, ell,
+                     np.column_stack((ps, values)), synthetic=True)
 
 
 @dataclass(frozen=True)
@@ -600,26 +607,6 @@ class ClosedLoopResult:
         ) <= 3 / math.sqrt(self.n)
 
 
-def random_subgroups(spec, count: int, seed: int) -> list[MatGroup]:
-    """Deterministic stream of distinct subgroups closed from random pairs."""
-    rng = np.random.default_rng(seed)
-    out, seen = [], set()
-    while len(out) < count:
-        k = 1 + int(rng.integers(0, 2))
-        gens = []
-        while len(gens) < k:
-            m = Mat2(spec, tuple(int(x) for x in rng.integers(0, spec.q, size=4)))
-            if m.det_i() != 0:
-                gens.append(m)
-        G = close_group(spec, gens)
-        key = frozenset(m.encode() for m in G.elements)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(G)
-    return out
-
-
 def closed_loop_check(G: MatGroup, n: int = 100_000, seed: int = 0) -> ClosedLoopResult:
     """Sample a synthetic stream from G and require discovery to recover the
     exact per-class residue sets plus the vanishing density."""
@@ -637,7 +624,7 @@ def closed_loop_check(G: MatGroup, n: int = 100_000, seed: int = 0) -> ClosedLoo
             )
         else:
             matched += 1
-    zeros = sum(1 for _, a in ds.samples if a == 0)
+    zeros = int(np.count_nonzero(ds.a == 0))
     return ClosedLoopResult(
         G.order,
         model.modulus,

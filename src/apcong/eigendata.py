@@ -5,13 +5,25 @@ over Z/m (eta products, in particular the discriminant form delta = eta^24),
 naive point counting on rational elliptic curves over F_p, and curve models
 ingested from a JSON-lines fixture file.  Everything here is finite and
 exact; no floating point, no external tables at runtime.
+
+delta comes from Jacobi's identity eta^3 = sum (-1)^n (2n+1) q^(n(n+1)/2 + 1/8):
+eta^24 = (eta^3)^8 is seven products of a sparse series with about sqrt(2T)
+terms into a dense one, so tau(n) for n <= T costs O(T^1.5) instead of the
+O(T^2) of dense convolution.  Every product is reduced mod m, in int64 while
+the bound allows it and in Python integers otherwise (and for m = 0).
+
+An ApDataset keeps its samples as two read-only int64 columns, p and a, so
+discovery and verification work on whole arrays.  A curve is point counted
+once per prime into an exact dataset (ell = 0), which reduce(ell) turns into
+the data mod each ell.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -125,15 +137,31 @@ def eta_qexp(T: int, m: int = 0) -> QSeries:
 
 
 def delta_coeffs(T: int, m: int = 0) -> QSeries:
-    """tau(n) for n <= T, via the squaring chain eta^24 = eta^16 * eta^8."""
+    """tau(n) for n <= T, as q * S^8 with S = sum (-1)^n (2n+1) q^(n(n+1)/2).
+
+    S is eta^3 without its q^(1/8), so q S^8 = eta^24.  Each of the seven
+    products adds about sqrt(2T) shifted copies of the dense factor.
+    """
     if T < 1:
         raise ValueError("truncation must cover tau(1)")
-    e1 = eta_qexp(T - 1, m)
-    e2 = e1 * e1
-    e4 = e2 * e2
-    e8 = e4 * e4
-    e16 = e8 * e8
-    return e16 * e8  # offset 24/24 = 1, coefficient(n) = tau(n)
+    terms = []  # (exponent, coefficient) of S below q^T
+    n = 0
+    while n * (n + 1) // 2 < T:
+        terms.append((n * (n + 1) // 2, -(2 * n + 1) if n % 2 else 2 * n + 1))
+        n += 1
+    # a product coefficient sums |c| * (m - 1) over the terms at most
+    weight = sum(abs(c) for _, c in terms)
+    dtype = np.int64 if m and weight * (m - 1) < 2 ** 63 else object
+    sparse = np.zeros(T, dtype=dtype)
+    for e, c in terms:
+        sparse[e] = c
+    dense = sparse % m if m else sparse
+    for _ in range(7):
+        out = np.zeros(T, dtype=dtype)
+        for e, c in terms:
+            out[e:] += c * dense[: T - e]
+        dense = out % m if m else out
+    return QSeries(m, tuple(dense.tolist()), 24)  # coefficient(n) = tau(n)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +189,7 @@ class EllipticCurve:
         if self.discriminant == 0:
             raise ValueError("singular model")
 
-    @property
+    @cached_property
     def b_invariants(self) -> tuple[int, int, int, int]:
         a1, a2, a3, a4, a6 = self.a
         b2 = a1 * a1 + 4 * a2
@@ -170,7 +198,7 @@ class EllipticCurve:
         b8 = b2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
         return b2, b4, b6, b8
 
-    @property
+    @cached_property
     def discriminant(self) -> int:
         b2, b4, b6, b8 = self.b_invariants
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
@@ -199,28 +227,40 @@ def ap_point_count(E: EllipticCurve, p: int) -> int:
         ap = p + 1 - (affine + 1)
     else:
         b2, b4, b6, _ = E.b_invariants
-        b2, b4, b6 = b2 % p, b4 % p, b6 % p
         xs = np.arange(p, dtype=np.int64)
-        chi = np.full(p, -1, dtype=np.int64)
-        chi[(xs * xs) % p] = 1
+        chi = np.full(p, -1, dtype=np.int8)
+        half = xs[: (p + 1) // 2]
+        chi[half * half % p] = 1
         chi[0] = 0
-        g = (4 * xs ** 3 + b2 * xs * xs + 2 * b4 * xs + b6) % p
-        ap = -int(chi[g].sum())
+        # Horner form of 4x^3 + b2 x^2 + 2 b4 x + b6 with reduced
+        # coefficients stays below 5 p^3 < 2^63 for p <= POINT_COUNT_GUARD
+        g = 4 * xs
+        g += b2 % p
+        g *= xs
+        g += 2 * b4 % p
+        g *= xs
+        g += b6 % p
+        g %= p
+        ap = -int(chi[g].sum(dtype=np.int64))
     assert ap * ap <= 4 * p, f"Hasse bound violated: a_{p} = {ap}"
     return ap
 
 
 def quadform_represents(p: int, a: int, b: int, c: int) -> bool:
     """Whether p = a x^2 + b x y + c y^2 has an integer solution; x = 0 or
-    y = 0 count.  Exhaustive over the positive-definite value bound."""
+    y = 0 count.  For each y >= 0 inside the positive-definite value bound,
+    solve the quadratic in x exactly."""
     if a <= 0 or b * b - 4 * a * c >= 0:
         raise ValueError("form is not positive definite")
-    xmax = math.isqrt(4 * c * p // (4 * a * c - b * b))
     ymax = math.isqrt(4 * a * p // (4 * a * c - b * b))
-    for x in range(-xmax, xmax + 1):
-        for y in range(ymax + 1):
-            if a * x * x + b * x * y + c * y * y == p:
-                return True
+    for y in range(ymax + 1):
+        # a x^2 + (b y) x + (c y^2 - p) = 0
+        disc = (b * y) ** 2 - 4 * a * (c * y * y - p)
+        if disc < 0:
+            continue
+        s = math.isqrt(disc)
+        if s * s == disc and any((-b * y + t) % (2 * a) == 0 for t in (s, -s)):
+            return True
     return False
 
 
@@ -228,37 +268,87 @@ def quadform_represents(p: int, a: int, b: int, c: int) -> bool:
 # datasets of reduced a_p samples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApDataset:
-    """Ordered (p, a_p mod ell) samples for the good primes of one form."""
+    """Ordered (p, a_p mod ell) samples for the good primes of one form.
+
+    The samples live in two read-only int64 columns: p, strictly increasing
+    and coprime to level * ell, and a, reduced mod ell.  ell = 0 keeps exact
+    a_p, as QSeries m = 0 does.  `pairs` is a sequence of (p, a) pairs or an
+    (n, 2) integer array.
+    """
 
     label: str
     level: int
     ell: int
-    samples: tuple[tuple[int, int], ...]
+    pairs: InitVar[object]
     synthetic: bool = False
+    p: np.ndarray = field(init=False, repr=False)
+    a: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        last = 1
-        for p, r in self.samples:
-            if p <= last:
-                raise ValueError("sample points must be strictly increasing")
-            if math.gcd(p, self.level * self.ell) != 1:
-                raise ValueError(f"sample at bad prime {p}")
-            if not 0 <= r < self.ell:
-                raise ValueError("sample value not reduced")
-            last = p
+    def __post_init__(self, pairs):
+        try:
+            cols = np.array(pairs, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("sample beyond int64") from None
+        if cols.size == 0:
+            cols = cols.reshape(0, 2)
+        if cols.ndim != 2 or cols.shape[1] != 2:
+            raise ValueError("samples must be (p, a) pairs")
+        p, a = cols[:, 0].copy(), cols[:, 1].copy()
+        if len(p) and (p[0] <= 1 or np.any(p[1:] <= p[:-1])):
+            raise ValueError("sample points must be strictly increasing")
+        n = self.level * self.ell if self.ell else self.level
+        bad = np.gcd(p if n < 2 ** 63 else p.astype(object), n) != 1
+        if bad.any():
+            raise ValueError(f"sample at bad prime {p[bad.argmax()]}")
+        if self.ell and np.any((a < 0) | (a >= self.ell)):
+            raise ValueError("sample value not reduced")
+        p.flags.writeable = a.flags.writeable = False
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "a", a)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.p)
+
+    @property
+    def samples(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.p.tolist(), self.a.tolist()))
 
     def values(self) -> dict[int, int]:
         return dict(self.samples)
+
+    def attained(self) -> list[int]:
+        """The distinct sample values, ascending."""
+        return np.unique(self.a).tolist()
 
     def csv(self) -> str:
         lines = ["p,ap_mod"]
         lines += [f"{p},{r}" for p, r in self.samples]
         return "\n".join(lines) + "\n"
+
+    def reduce(self, ell: int) -> "ApDataset":
+        """The samples mod ell, dropping the p that share a factor with ell."""
+        if not 0 < ell < 2 ** 63:
+            raise ValueError("reduction modulus must be a positive int64")
+        if self.ell and self.ell % ell:
+            raise ValueError(f"cannot reduce mod {ell} from mod {self.ell}")
+        keep = np.gcd(self.p, ell) == 1
+        cols = np.column_stack((self.p[keep], self.a[keep] % ell))
+        return ApDataset(self.label, self.level, ell, cols, self.synthetic)
+
+
+def curve_dataset(
+    E: EllipticCurve, p_max: int, *, level: int | None = None, label: str | None = None
+) -> ApDataset:
+    """Exact a_p (ell = 0) for the primes p <= p_max of good reduction not
+    dividing level, one point count each."""
+    level = E.conductor if level is None else level
+    label = E.label if label is None else label
+    disc = E.discriminant
+    ps = [p for p in primes_upto(p_max) if level % p and disc % p]
+    aps = np.fromiter((ap_point_count(E, p) for p in ps), np.int64, len(ps))
+    return ApDataset(label, level, 0, np.column_stack((ps, aps)))
 
 
 def build_dataset(
@@ -272,28 +362,21 @@ def build_dataset(
     """Samples (p, a_p mod ell) for all good primes p <= p_max."""
     if not is_prime(ell):
         raise ValueError(f"residue characteristic {ell} is not prime")
-    samples = []
     if isinstance(source, EllipticCurve):
-        level = source.conductor if level is None else level
-        label = source.label if label is None else label
-        disc = source.discriminant
-        for p in primes_upto(p_max):
-            if (level * ell) % p == 0 or disc % p == 0:
-                continue
-            samples.append((p, ap_point_count(source, p) % ell))
-    elif isinstance(source, QSeries):
-        if level is None or label is None:
-            raise ValueError("q-series sources need explicit level and label")
-        if source.m and source.m % ell:
-            raise ValueError(f"series mod {source.m} cannot produce data mod {ell}")
-        top = source.truncation + source.offset_24ths // 24
-        for p in primes_upto(min(p_max, top)):
-            if (level * ell) % p == 0:
-                continue
-            samples.append((p, source.coefficient(p) % ell))
-    else:
+        return curve_dataset(source, p_max, level=level, label=label).reduce(ell)
+    if not isinstance(source, QSeries):
         raise TypeError(f"unsupported source {type(source).__name__}")
-    return ApDataset(label, level, ell, tuple(samples))
+    if level is None or label is None:
+        raise ValueError("q-series sources need explicit level and label")
+    if source.m and source.m % ell:
+        raise ValueError(f"series mod {source.m} cannot produce data mod {ell}")
+    top = source.truncation + source.offset_24ths // 24
+    samples = [
+        (p, source.coefficient(p) % ell)
+        for p in primes_upto(min(p_max, top))
+        if (level * ell) % p
+    ]
+    return ApDataset(label, level, ell, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ every later caller.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from math import gcd
 
 from .ffield import FieldElement, FieldSpec
 
@@ -163,10 +162,6 @@ class MatGroup:
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
         return self.elements <= other.elements
-
-    def is_abelian(self) -> bool:
-        gens = self.generators or tuple(self.elements)
-        return all(x * y == y * x for x in gens for y in gens)
 
     def scalars(self) -> set[FieldElement]:
         out = set()
@@ -373,10 +368,6 @@ class ProjGroup:
             self._orders = {m: self.proj_order(m) for m in self.classes}
         return self._orders
 
-    def is_abelian(self) -> bool:
-        cls = self.sorted_classes()
-        return all(self.mul(x, y) == self.mul(y, x) for x in cls for y in cls)
-
     def subgroup_closure(self, gens) -> set[Mat2]:
         """Closure inside this projective group (canonical representatives)."""
         seen = {proj_canon(identity(self.spec))}
@@ -424,27 +415,6 @@ def projectivize(G: MatGroup) -> ProjGroup:
     return G.memo(ProjGroup)
 
 
-def trace_multiset(obj) -> Counter:
-    """Trace frequencies (keyed by integer encoding) over a MatGroup, Coset,
-    or iterable of matrices."""
-    if isinstance(obj, MatGroup):
-        items = obj.elements
-    elif isinstance(obj, Coset):
-        items = obj.members
-    else:
-        items = obj
-    return Counter(m.trace_i() for m in items)
-
-
-def group_exponent(G: MatGroup) -> int:
-    exp = 1
-    for m in G.elements:
-        o = element_order(m)
-        exp = exp * o // gcd(exp, o)
-    assert G.order % exp == 0
-    return exp
-
-
 # ---- exhaustive subgroup enumeration (small ambient groups only) ----
 
 def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
@@ -471,21 +441,6 @@ def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
                     found[K.elements] = K
                     fresh.append(K)
         frontier = fresh
-    return sorted(found.values(), key=lambda H: (H.order, [m.encode() for m in H.sorted_elements()]))
-
-
-def enumerate_subgroups_pairs(G: MatGroup) -> list[MatGroup]:
-    """Subgroups generated by at most two elements of G."""
-    found = {}
-    elems = G.sorted_elements()
-    trivial = close_group(G.spec, [identity(G.spec)])
-    found[trivial.elements] = trivial
-    for i, g in enumerate(elems):
-        H = close_group(G.spec, [g])
-        found.setdefault(H.elements, H)
-        for h in elems[i:]:
-            K = close_group(G.spec, [g, h])
-            found.setdefault(K.elements, K)
     return sorted(found.values(), key=lambda H: (H.order, [m.encode() for m in H.sorted_elements()]))
 
 

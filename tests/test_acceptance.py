@@ -20,13 +20,14 @@ from apcong.discover import (
     best_modulus,
     closed_loop_check,
     delta_partition_check,
-    random_subgroups,
     vanishing_rule_check,
     verify_fixture_tables,
 )
 from apcong.eigendata import build_dataset, curve_fixtures, delta_coeffs
 from apcong.ffield import factorize, legendre, make_field
 from apcong.matgrp import projectivize
+
+from helpers import random_subgroups
 
 EXAMPLE_CURVES = ("338d1", "324b1", "608e1", "2450ba1", "2450a1", "50700u1")
 

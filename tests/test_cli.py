@@ -5,6 +5,7 @@ import pytest
 
 from apcong.cli import main
 from apcong.constructions import gl2, nonsplit_cartan_normalizer, split_cartan
+from apcong.eigendata import delta_coeffs, primes_upto
 from apcong.ffield import make_field
 from apcong.matgrp import group_to_json
 
@@ -123,9 +124,42 @@ def test_dataset_requires_source(capsys):
     assert code == 1 and "no data source" in err
 
 
-def test_dataset_delta_rejects_overflowing_modulus(capsys):
-    code, out, err = run(capsys, "dataset", "--delta", "--ell", "3000000019")
-    assert code == 1 and out == "" and "overflow" in err
+def tau_by_product(T):
+    """tau(n) for n <= T from q prod (1 - q^k)^24, one factor at a time."""
+    poly = [1] + [0] * (T - 1)  # q^0 .. q^(T-1) of the product
+    for k in range(1, T):
+        for _ in range(24):
+            for i in range(T - 1, k - 1, -1):
+                poly[i] -= poly[i - k]
+    return {n: poly[n - 1] for n in range(1, T + 1)}
+
+
+def test_dataset_delta_at_a_modulus_past_int64_squares(capsys):
+    ell = 3_000_000_019
+    code, out, err = run(capsys, "dataset", "--delta", "--ell", str(ell),
+                         "--pmax", "200")
+    assert code == 0 and err == ""
+    tau = tau_by_product(200)
+    rows = [tuple(map(int, line.split(","))) for line in out.splitlines()[1:]]
+    assert rows == [(p, tau[p] % ell) for p in primes_upto(200)]
+
+
+def test_verify_delta_builds_delta_once(capsys, monkeypatch):
+    import apcong.cli
+    import apcong.discover
+
+    calls = []
+
+    def counted(T, m=0):
+        calls.append((T, m))
+        return delta_coeffs(T, m)
+
+    monkeypatch.setattr(apcong.cli, "delta_coeffs", counted)
+    monkeypatch.setattr(apcong.discover, "delta_coeffs", counted)
+    code, out, _ = run(capsys, "verify", "--delta", "--pmax", "500")
+    assert code == 0 and calls == [(500, 23)]
+    assert out == ("tau partition: 94 primes checked, 0 exceptions\n"
+                   "vanishing rule: a_p = 0 iff p nonsquare mod 23: holds\n")
 
 
 def test_dataset_unknown_curve(capsys):

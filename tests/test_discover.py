@@ -17,7 +17,6 @@ from apcong.discover import (
     divisors,
     legendre_candidates,
     legendre_fit,
-    random_subgroups,
     sample_dataset,
     synthetic_model,
     vanishing_rule_check,
@@ -35,6 +34,8 @@ from apcong.eigendata import (
 )
 from apcong.ffield import legendre, make_field
 from apcong.matgrp import close_group, identity
+
+from helpers import random_subgroups
 
 
 def craft(ell, assign, p_max=500, level=1):
@@ -251,6 +252,43 @@ def test_verify_class_rule():
     assert v and all("outside row" in s for s in v)
 
 
+def loop_trace_menu(ds, M, menu):
+    # per-sample reference for verify_trace_menu's violations
+    out = []
+    for p, a in ds.samples:
+        r = p % M
+        if r not in menu:
+            out.append(f"p={p}: class {r} mod {M} not in table")
+        elif a not in menu[r]:
+            out.append(f"p={p}: a_p={a} not allowed in class {r} mod {M}")
+    return tuple(out)
+
+
+def loop_class_rule(ds, M, rule, two_way):
+    # per-sample reference for verify_class_rule
+    out = []
+    for p, a in ds.samples:
+        r = p % M
+        if a in rule and r not in rule[a]:
+            out.append(f"p={p}: a_p={a} but p={r} mod {M} outside row")
+        if two_way:
+            for x, cls in rule.items():
+                if r in cls and a != x:
+                    out.append(f"p={p}: p={r} mod {M} forces a_p={x}, got {a}")
+    return tuple(out)
+
+
+def test_violations_match_per_sample_loops():
+    ds = menu_dataset()
+    for menu in ({1: {1}}, {1: {1}, 2: {2}}, {2: {3, 4}}):
+        v, _ = verify_trace_menu(ds, 3, menu)
+        assert v and v == loop_trace_menu(ds, 3, menu)
+    for rule, two_way in (({1: {1, 2}}, True), ({2: {1}, 3: {2}}, False),
+                          ({1: {2}, 2: {1, 2}}, True)):
+        v = verify_class_rule(ds, 3, rule, two_way)
+        assert v and v == loop_class_rule(ds, 3, rule, two_way)
+
+
 # ---- packaged example curves, end to end ----
 
 
@@ -270,6 +308,29 @@ def test_fixture_tables_subset_and_tamper():
     bogus = EllipticCurve("338d1", (1, 1, 0, 505, -13112), 338)
     checks = verify_fixture_tables({"338d1": bogus}, p_max=600)
     assert any(c.violations for c in checks)
+
+
+def test_fixture_tables_count_each_curve_once(monkeypatch):
+    import apcong.eigendata
+
+    counted = []
+    real = apcong.eigendata.ap_point_count
+
+    def counting(E, p):
+        counted.append((E.label, p))
+        return real(E, p)
+
+    monkeypatch.setattr(apcong.eigendata, "ap_point_count", counting)
+    checks = verify_fixture_tables(curve_fixtures(), p_max=600)
+    assert len(checks) == 12
+    assert len(counted) == len(set(counted))
+    assert {label for label, _ in counted} == set(curve_fixtures())
+
+
+def test_delta_partition_keeps_its_dataset():
+    res = delta_partition_check(300)
+    assert res.dataset.samples == delta_ds(300).samples
+    assert res.checked == len(res.dataset)
 
 
 def test_338d1_best_modulus_mod3():

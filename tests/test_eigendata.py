@@ -1,7 +1,11 @@
 import json
 import math
+from functools import cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apcong.eigendata import (
     ApDataset,
@@ -9,6 +13,7 @@ from apcong.eigendata import (
     QSeries,
     ap_point_count,
     build_dataset,
+    curve_dataset,
     curve_fixtures,
     delta_coeffs,
     eta_qexp,
@@ -90,6 +95,52 @@ def test_tau_hecke_multiplicativity():
     for p in (2, 3, 5, 7, 11):
         assert series.coefficient(p * p) == (
             series.coefficient(p) ** 2 - p ** 11)
+
+
+def squaring_chain_delta(T, m=0):
+    """The dense route: eta^24 = eta^16 * eta^8 by repeated squaring."""
+    e1 = eta_qexp(T - 1, m)
+    e2 = e1 * e1
+    e4 = e2 * e2
+    e8 = e4 * e4
+    e16 = e8 * e8
+    return e16 * e8
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7, 23, 691, 3_000_000_019])
+def test_jacobi_delta_matches_squaring_chain(m):
+    # the chain's int64 guard refuses m ~ 3e9, so reduce its exact result
+    old = (squaring_chain_delta(2000, m) if m < 10 ** 9
+           else squaring_chain_delta(2000).reduce(m))
+    new = delta_coeffs(2000, m)
+    assert new.offset_24ths == old.offset_24ths == 24
+    assert new.coeffs == old.coeffs
+
+
+def test_jacobi_delta_exact_matches_squaring_chain():
+    assert delta_coeffs(300) == squaring_chain_delta(300)
+    assert delta_coeffs(1).coeffs == (1,)
+
+
+def test_tau_ramanujan_congruence_mod_691_to_10_000():
+    N = 10_000
+    sigma11 = np.zeros(N + 1, dtype=np.int64)  # divisor sieve mod 691
+    for d in range(1, N + 1):
+        sigma11[d::d] += pow(d, 11, 691)
+    assert list(delta_coeffs(N, 691).coeffs) == (sigma11[1:] % 691).tolist()
+
+
+@cache
+def exact_delta_200():
+    return squaring_chain_delta(200)
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 200),
+       m=st.one_of(st.integers(1, 1000), st.integers(1, 2 ** 70)))
+def test_delta_mod_m_is_exact_delta_reduced(T, m):
+    exact = exact_delta_200().coeffs[:T]
+    assert delta_coeffs(T, m).coeffs == tuple(c % m for c in exact)
 
 
 def test_delta_reduction_consistency():
@@ -249,6 +300,25 @@ def test_quadform_against_brute_force():
         assert quadform_represents(p, 1, 1, 6) == brute_represents(p, 1, 1, 6)
 
 
+def grid_represents(n, a, b, c):
+    # every solution has |x|, |y| <= sqrt(4 max(a, c) n / (4ac - b^2))
+    r = math.isqrt(4 * max(a, c) * n // (4 * a * c - b * b)) + 1
+    x = np.arange(-r, r + 1, dtype=np.int64)[:, None]
+    y = np.arange(-r, r + 1, dtype=np.int64)[None, :]
+    return bool(np.any(a * x * x + b * x * y + c * y * y == n))
+
+
+def test_quadform_near_1e5_with_cross_terms():
+    forms = [(2, 1, 3), (1, 1, 6), (3, 2, 5), (2, -1, 3), (4, 3, 7), (1, 1, 1)]
+    seen = set()
+    for p in (99_989, 99_991, 100_003, 100_019, 100_043):
+        for form in forms:
+            got = quadform_represents(p, *form)
+            assert got == grid_represents(p, *form), (p, form)
+            seen.add(got)
+    assert seen == {True, False}
+
+
 def test_quadform_rejects_indefinite_forms():
     with pytest.raises(ValueError):
         quadform_represents(5, 1, 5, 1)  # positive discriminant
@@ -287,6 +357,69 @@ def test_dataset_validators():
         ApDataset("x", 1, 5, ((7, 5),))  # unreduced value
     ds = ApDataset("x", 1, 5, ((7, 4), (11, 0)))
     assert ds.csv() == "p,ap_mod\n7,4\n11,0\n"
+
+
+def test_dataset_columns_are_read_only_int64():
+    ds = ApDataset("x", 1, 5, np.array([[7, 4], [11, 0]]))
+    assert ds.p.dtype == ds.a.dtype == np.int64
+    assert ds.samples == ((7, 4), (11, 0)) and len(ds) == 2
+    assert ds.values() == {7: 4, 11: 0} and ds.attained() == [0, 4]
+    with pytest.raises(ValueError):
+        ds.p[0] = 13
+    assert len(ApDataset("x", 1, 5, ())) == 0
+    with pytest.raises(ValueError):
+        ApDataset("x", 1, 5, ((7, 4, 1),))  # not a pair
+    with pytest.raises(ValueError):
+        ApDataset("x", 1, 5, ((2 ** 64 + 1, 1),))  # beyond int64
+    level = 3 * 2 ** 70  # level * ell beyond int64
+    assert ApDataset("x", level, 5, ((7, 1),)).samples == ((7, 1),)
+    with pytest.raises(ValueError):
+        ApDataset("x", level, 5, ((3, 1),))
+
+
+def test_exact_dataset_reduces_like_a_series():
+    ds = ApDataset("x", 1, 0, ((3, -2), (5, 7), (7, 0), (11, -5)))
+    assert ds.ell == 0 and ds.csv() == "p,ap_mod\n3,-2\n5,7\n7,0\n11,-5\n"
+    d5 = ds.reduce(5)
+    assert d5.ell == 5 and d5.samples == ((3, 3), (7, 0), (11, 0))
+    d6 = ds.reduce(6)
+    assert d6.samples == ((5, 1), (7, 0), (11, 1))
+    assert d6.reduce(2).samples == ((5, 1), (7, 0), (11, 1))
+    with pytest.raises(ValueError):
+        d5.reduce(3)
+    with pytest.raises(ValueError):
+        ds.reduce(0)
+
+
+def test_curve_dataset_is_exact():
+    E = curve_fixtures()["338d1"]
+    exact = curve_dataset(E, 200)
+    assert exact.ell == 0 and exact.level == 338 and exact.label == "338d1"
+    assert exact.samples == tuple(
+        (p, brute_ap(E, p)) for p in primes_upto(200) if p not in (2, 13))
+    assert build_dataset(E, 3, 200).samples == exact.reduce(3).samples
+
+
+@st.composite
+def datasets(draw):
+    ell = draw(st.sampled_from([0, 2, 3, 7, 23, 3_000_000_019]))
+    level = draw(st.integers(1, 60))
+    ps = draw(st.lists(st.integers(2, 10 ** 9), unique=True, max_size=30))
+    ps = sorted(p for p in ps if math.gcd(p, level * (ell or 1)) == 1)
+    values = st.integers(0, ell - 1) if ell else st.integers(-10 ** 6, 10 ** 6)
+    a = draw(st.lists(values, min_size=len(ps), max_size=len(ps)))
+    return ApDataset("h", level, ell, list(zip(ps, a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets())
+def test_dataset_columns_round_trip_through_csv(ds):
+    lines = ds.csv().splitlines()
+    assert lines[0] == "p,ap_mod"
+    rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+    again = ApDataset(ds.label, ds.level, ds.ell, rows)
+    assert np.array_equal(again.p, ds.p) and np.array_equal(again.a, ds.a)
+    assert again.samples == ds.samples == tuple(rows)
 
 
 def test_build_dataset_requires_prime_ell():

@@ -23,17 +23,16 @@ from apcong.matgrp import (
     cosets,
     element_order,
     enumerate_subgroups,
-    enumerate_subgroups_pairs,
     from_elements,
     generating_set,
-    group_exponent,
     group_from_json,
     group_to_json,
     identity,
     is_scalar,
     projectivize,
-    trace_multiset,
 )
+
+from helpers import enumerate_subgroups_pairs, group_exponent, trace_multiset
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
