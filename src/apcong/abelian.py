@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .classify import DicksonClass, classify_group
 from .ffield import (
     FieldElement,
@@ -36,17 +38,17 @@ from .ffield import (
     factorize,
     is_prime,
     mult_order,
-    quadratic_extension,
 )
 from .matgrp import (
     Coset,
-    Mat2,
     MatGroup,
     commutator_subgroup,
     cosets,
     enumerate_subgroups,
-    is_scalar,
+    mat_product,
+    proj_canon,
     projectivize,
+    unique_codes,
 )
 
 
@@ -57,13 +59,15 @@ class TheoremConsistencyError(AssertionError):
 # ---- coset trace data -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetTraces:
-    """Cosets of the commutator subgroup together with their trace sets."""
+    """Cosets of the commutator subgroup together with their trace sets;
+    label is the coset index of every element of G, aligned with G.codes."""
 
     commutator: MatGroup
     cosets: tuple[Coset, ...]
     trace_sets: tuple[frozenset[int], ...]
+    label: np.ndarray
 
 
 def coset_traces(G: MatGroup) -> CosetTraces:
@@ -73,7 +77,13 @@ def coset_traces(G: MatGroup) -> CosetTraces:
 def _coset_traces(G: MatGroup) -> CosetTraces:
     H = commutator_subgroup(G)
     cs = tuple(cosets(G, H))
-    return CosetTraces(H, cs, tuple(frozenset(c.trace_ints()) for c in cs))
+    label = np.empty(G.order, dtype=np.int64)
+    label[np.searchsorted(G.codes, np.stack([c.codes for c in cs]))] = \
+        np.arange(len(cs))[:, None]
+    # distinct (coset, trace) pairs, ascending, split where the coset changes
+    coset, trace = np.divmod(unique_codes(label * G.spec.q + G.traces), G.spec.q)
+    tsets = np.split(trace, np.flatnonzero(np.diff(coset)) + 1)
+    return CosetTraces(H, cs, tuple(frozenset(t.tolist()) for t in tsets), label)
 
 
 def _trace_int(spec: FieldSpec, x) -> int:
@@ -126,10 +136,8 @@ def is_weakly_abelian(G: MatGroup, x):
     """
     xi = _require_proper(G, x)
     data = coset_traces(G)
-    for c, ts in zip(data.cosets, data.trace_sets):
-        if ts == {xi}:
-            return True, c
-    return False, None
+    c = next((c for c, ts in zip(data.cosets, data.trace_sets) if ts == {xi}), None)
+    return c is not None, c
 
 
 def is_semi_abelian(G: MatGroup, x):
@@ -140,10 +148,8 @@ def is_semi_abelian(G: MatGroup, x):
     """
     xi = _require_proper(G, x)
     data = coset_traces(G)
-    for c, ts in zip(data.cosets, data.trace_sets):
-        if xi not in ts:
-            return True, c
-    return False, None
+    c = next((c for c, ts in zip(data.cosets, data.trace_sets) if xi not in ts), None)
+    return c is not None, c
 
 
 def is_abelian_class(G: MatGroup, x):
@@ -199,7 +205,7 @@ def density_c(G: MatGroup) -> Fraction:
 
 
 def _density_c(G: MatGroup) -> Fraction:
-    c = Fraction(sum(1 for m in G.elements if m.trace_i() == 0), G.order)
+    c = Fraction(int(np.count_nonzero(G.traces == 0)), G.order)
     _check_density(G, classify_group(G), c)
     return c
 
@@ -266,11 +272,11 @@ class SemiPredictor:
         self.cls = classify_group(G)
         H = commutator_subgroup(G)
         self.com_traces = H.trace_ints()
-        self.scalar_ints = frozenset(s.as_int() for s in G.scalars())
-        self.det_ints = frozenset(d.as_int() for d in G.det_image())
+        self.scalar_ints = frozenset(G.entries[0][G.scalar_mask].tolist())
+        self.det_ints = frozenset(G.dets.tolist())
         self.trace_ints = G.trace_ints()
         self._H_order = H.order
-        self._H_scalars = sum(1 for m in H.elements if is_scalar(m) is not None)
+        self._H_scalars = int(np.count_nonzero(H.scalar_mask))
 
     def predict(self, x) -> bool:
         spec = self.spec
@@ -336,12 +342,12 @@ class SemiPredictor:
         if xi == 0:
             # every coset contains traceless elements
             return False
-        if any(spec._pow_i(d, q1 - 1) != 1 for d in self.det_ints):
+        if any(spec.pow_i(d, q1 - 1) != 1 for d in self.det_ints):
             # two cosets with trace lines meeting only at 0
             return True
-        if spec._pow_i(xi, q1) == xi:
+        if spec.pow_i(xi, q1) == xi:
             # x in k: missed exactly by a twisted trace line, if one occurs
-            return any(spec._pow_i(t, q1) != t for t in self.trace_ints)
+            return any(spec.pow_i(t, q1) != t for t in self.trace_ints)
         return True
 
 
@@ -426,9 +432,11 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     checks.append("semi-table")
 
     P = projectivize(G)
-    parts = P.coset_partition(P.commutator_classes())
-    t0 = P.traceless_classes()
-    proj_union = all(part <= t0 or not (part & t0) for part in parts)
+    # projection is a surjective homomorphism: [PG, PG] is the image of [G, G]
+    part = P.coset_partition(unique_codes(proj_canon(spec, commutator_subgroup(G).codes)))
+    sizes = np.bincount(part)
+    zeros = np.bincount(part[P.traces == 0], minlength=sizes.size)
+    proj_union = bool(((zeros == 0) | (zeros == sizes)).all())
     if proj_union != _union_i(tsets, 0):
         raise TheoremConsistencyError(
             "projective and matrix union verdicts disagree at x = 0")
@@ -575,13 +583,13 @@ def _semisimple_exponent(G: MatGroup) -> int:
                          "extension; no semisimplified diagonal image")
     ext = witness.spec
     emb = embedding_table(G.spec, ext)
-    pi = witness.inv()
+    conj = tuple(emb[x] for x in G.entries)
+    m, s = ext.mul_a, ext.add_a
+    a, _, c, d = mat_product(m, s, mat_product(m, s, witness.inv().e, conj), witness.e)
+    assert not c.any(), "conjugated element is not upper triangular"
     exp = 1
-    for g in G.elements:
-        m = pi * Mat2(ext, tuple(emb[x] for x in g.e)) * witness
-        assert m.e[2] == 0, "conjugated element is not upper triangular"
-        for enc in (m.e[0], m.e[3]):
-            exp = math.lcm(exp, mult_order(ext.from_int(enc)))
+    for enc in set(np.concatenate((a, d)).tolist()):
+        exp = math.lcm(exp, mult_order(ext.from_int(enc)))
     return exp
 
 

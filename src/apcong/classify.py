@@ -20,6 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
 
+import numpy as np
+
 from .ffield import FieldSpec, embedding_table, quadratic_extension
 from .matgrp import (
     Mat2,
@@ -27,8 +29,6 @@ from .matgrp import (
     ProjGroup,
     commutator_subgroup,
     generating_set,
-    identity,
-    is_scalar,
     projectivize,
 )
 
@@ -77,39 +77,28 @@ class DicksonClass:
         if self.subfield_q is not None:
             out["subfield_q"] = self.subfield_q
         if self.witness is not None:
-            rows = self.witness.entries()
-            out["witness"] = [[list(rows[0][0].coeffs), list(rows[0][1].coeffs)],
-                              [list(rows[1][0].coeffs), list(rows[1][1].coeffs)]]
+            out["witness"] = self.witness.rows_json()
         return out
 
 
 # ---- Borel conjugability ---------------------------------------------------
 
 
-def _is_diagonalisable(spec: FieldSpec, m: Mat2) -> bool:
-    """True when m is diagonalisable over the algebraic closure."""
-    if is_scalar(m) is not None:
-        return True
-    t = m.trace_i()
-    d = m.det_i()
-    disc = spec.sub_i(spec.mul_i(t, t), spec.mul_i(4 % spec.p, d))
-    return disc != 0
-
-
 def _eigenlines(ext: FieldSpec, me: tuple[int, int, int, int]) -> list[tuple[int, int]]:
     """Invariant lines of a non-scalar matrix with entries encoded over ext.
 
     Each line is returned as a normalised vector (first nonzero coordinate
-    scaled to 1); the characteristic polynomial splits over ext because ext
-    is a quadratic extension of the entry field.
+    scaled to 1), in increasing order of its eigenvalue's encoding; the
+    characteristic polynomial splits over ext because ext is a quadratic
+    extension of the entry field.
     """
     a, b, c, d = me
     t = ext.add_i(a, d)
     det = ext.sub_i(ext.mul_i(a, d), ext.mul_i(b, c))
+    xs = np.arange(ext.q, dtype=np.int64)
+    charpoly = ext.add_a(ext.sub_a(ext.mul_a(xs, xs), ext.mul_a(t, xs)), det)
     lines = []
-    for lam in range(ext.q):
-        if ext.add_i(ext.sub_i(ext.mul_i(lam, lam), ext.mul_i(t, lam)), det) != 0:
-            continue
+    for lam in np.flatnonzero(charpoly == 0).tolist():
         if b != 0:
             v = (b, ext.sub_i(lam, a))
         elif c != 0:
@@ -140,22 +129,23 @@ def is_borel_conjugable(G: MatGroup):
     """
     spec = G.spec
     H = commutator_subgroup(G)
-    one = identity(spec)
-    route_a = all(m == one or not _is_diagonalisable(spec, m) for m in H.elements)
+    disc = spec.sub_a(spec.mul_a(H.traces, H.traces), spec.mul_a(4 % spec.p, H.dets))
+    is_one = H.scalar_mask & (H.entries[0] == 1)
+    route_a = bool((is_one | (~H.scalar_mask & (disc == 0))).all())
 
     ext = quadratic_extension(spec)
     emb = embedding_table(spec, ext)
-    gens = generating_set(G)
-    gens_e = [tuple(emb[x] for x in g.e) for g in gens]
-    base = next((m for m in G.sorted_elements() if is_scalar(m) is None), None)
+    gens_e = [tuple(int(emb[x]) for x in g.e) for g in generating_set(G)]
+    nonscalar = np.flatnonzero(~G.scalar_mask)
     witness = None
-    if base is None:
+    if not nonscalar.size:
         # every element scalar: already upper triangular
         route_b = True
-        witness = identity(ext)
+        witness = Mat2(ext, (1, 0, 0, 1))
     else:
         route_b = False
-        for v in _eigenlines(ext, tuple(emb[x] for x in base.e)):
+        base = tuple(int(emb[x[nonscalar[0]]]) for x in G.entries)
+        for v in _eigenlines(ext, base):
             stable = True
             for a, b, c, d in gens_e:
                 w0 = ext.add_i(ext.mul_i(a, v[0]), ext.mul_i(b, v[1]))
@@ -169,7 +159,7 @@ def is_borel_conjugable(G: MatGroup):
                 witness = Mat2(ext, (v[0], u[0], v[1], u[1]))
                 break
     assert route_a == route_b, "Borel criteria disagree"
-    if route_b and witness is not None and base is not None:
+    if route_b and witness is not None and nonscalar.size:
         pi = witness.inv()
         for ge in gens_e:
             conj = pi * Mat2(ext, ge) * witness
@@ -181,40 +171,33 @@ def is_borel_conjugable(G: MatGroup):
 
 
 def proj_order_stats(P: ProjGroup) -> dict[int, int]:
-    return dict(Counter(P.class_orders().values()))
+    orders, counts = np.unique(P.class_orders, return_counts=True)
+    return dict(zip(orders.tolist(), counts.tolist()))
 
 
 def _cyclic_n(P: ProjGroup) -> int | None:
-    if P.order in P.class_orders().values():
-        return P.order
-    return None
+    return P.order if (P.class_orders == P.order).any() else None
 
 
 def _dihedral_n(P: ProjGroup) -> int | None:
-    """n >= 2 when P is abstractly dihedral of order 2n (D_2 = C2 x C2)."""
+    """n >= 2 when P is abstractly dihedral of order 2n (D_2 = C2 x C2):
+    some c has order n and the n elements outside <c> are involutions, and
+    <c> holds one involution for even n and none for odd n."""
     N = P.order
     if N < 4 or N % 2:
         return None
     n = N // 2
-    orders = P.class_orders()
-    for c in P.sorted_classes():
-        if orders[c] != n:
-            continue
-        cyc = P.subgroup_closure([c])
-        if len(cyc) != n:
-            continue
-        if all(orders[s] == 2 for s in P.classes - cyc):
-            return n
-    return None
+    stats = proj_order_stats(P)
+    return n if stats.get(n) and stats.get(2) == n + (n % 2 == 0) else None
 
 
 def _element_degree(spec: FieldSpec, x: int) -> int:
     """Degree over the prime field of the element with encoding x."""
     d = 1
-    y = spec._pow_i(x, spec.p)
+    y = spec.pow_i(x, spec.p)
     while y != x:
         d += 1
-        y = spec._pow_i(y, spec.p)
+        y = spec.pow_i(y, spec.p)
     return d
 
 
@@ -336,7 +319,8 @@ def _classify(G: MatGroup) -> DicksonClass:
 
 
 def traceless_count(P: ProjGroup) -> int:
-    return len(P.traceless_classes())
+    # scaling multiplies the trace by a unit, so tracelessness is projective
+    return int(np.count_nonzero(P.traces == 0))
 
 
 def commutator_trace_set(G: MatGroup) -> frozenset[int]:

@@ -8,8 +8,17 @@ order, so a silent generator mistake cannot propagate.
 
 from __future__ import annotations
 
-from .ffield import FieldSpec, make_field, mult_order
-from .matgrp import Mat2, MatGroup, close_group, element_order, projectivize
+import numpy as np
+
+from .ffield import (
+    FieldSpec,
+    embedding_table,
+    factorize,
+    make_field,
+    mult_order,
+    quadratic_extension,
+)
+from .matgrp import Mat2, MatGroup, close_group, projectivize
 
 
 def _primitive_int(spec: FieldSpec) -> int:
@@ -103,36 +112,33 @@ def split_cartan_normalizer(spec: FieldSpec) -> MatGroup:
 
 
 def _nonsquare_int(spec: FieldSpec) -> int:
-    squares = {spec.mul_i(x, x) for x in range(1, spec.q)}
-    for x in range(2, spec.q):
-        if x not in squares:
-            return x
-    raise ValueError("every element is a square")
+    xs = np.arange(spec.q, dtype=np.int64)
+    square = np.zeros(spec.q, dtype=bool)
+    square[spec.mul_a(xs, xs)] = True
+    if square.all():
+        raise ValueError("every element is a square")
+    return int(np.argmin(square))
 
 
 def nonsplit_cartan(spec: FieldSpec) -> MatGroup:
     """A maximal torus not diagonalisable over the base field (odd q only).
 
     Realised as matrices [[a, b*D], [b, a]] with D a fixed non-square: the
-    regular representation of the quadratic extension acting on itself.  The
-    recorded generator has full order q^2 - 1.
+    regular representation of F_q(sqrt(D)), so the matrix has the order of
+    a + b sqrt(D).  The generator is the first (a, b) of order q^2 - 1.
     """
     if spec.p == 2:
         raise ValueError("nonsplit torus in characteristic 2 is not supported")
-    q = spec.q
-    D = _nonsquare_int(spec)
-    gen = None
-    for a in range(q):
-        for b in range(q):
-            if a == 0 and b == 0:
-                continue
-            m = _mat(spec, a, spec.mul_i(b, D), b, a)
-            if element_order(m) == q * q - 1:
-                gen = m
-                break
-        if gen is not None:
-            break
-    G = close_group(spec, [gen])
+    q, D = spec.q, _nonsquare_int(spec)
+    ext = quadratic_extension(spec)
+    emb, xs = embedding_table(spec, ext), np.arange(ext.q, dtype=np.int64)
+    root = int(np.flatnonzero(ext.mul_a(xs, xs) == emb[D])[0])
+    a, b = np.divmod(np.arange(1, q * q, dtype=np.int64), q)
+    z, full = ext.add_a(emb[a], ext.mul_a(emb[b], root)), True
+    for ell in factorize(q * q - 1):
+        full = full & (ext.pow_a(z, (q * q - 1) // ell) != 1)
+    a, b = int(a[full][0]), int(b[full][0])
+    G = close_group(spec, [_mat(spec, a, spec.mul_i(b, D), b, a)])
     assert G.order == q * q - 1
     return G
 
@@ -158,7 +164,7 @@ def dihedral_lift(spec: FieldSpec, n: int) -> MatGroup:
     q = spec.q
     if (q - 1) % n == 0:
         z = _primitive_int(spec)
-        w = spec._pow_i(z, (q - 1) // n)
+        w = spec.pow_i(z, (q - 1) // n)
         G = close_group(spec, [_mat(spec, w, 0, 0, 1), _mat(spec, 0, 1, 1, 0)])
         P = projectivize(G)
         assert P.order == 2 * n
@@ -197,16 +203,11 @@ def quaternion_lift(spec: FieldSpec) -> MatGroup:
     """Quaternion group of order 8 inside GL2, via x^2 + y^2 = -1 (odd q)."""
     if spec.p == 2:
         raise ValueError("requires odd characteristic")
-    q = spec.q
-    sol = None
-    for x in range(q):
-        for y in range(q):
-            if spec.add_i(spec.mul_i(x, x), spec.mul_i(y, y)) == spec.neg_i(1):
-                sol = (x, y)
-                break
-        if sol:
-            break
-    x, y = sol
+    xs = np.arange(spec.q, dtype=np.int64)
+    squares = spec.mul_a(xs, xs)
+    # the least (x, y) in lexicographic order
+    hit = np.flatnonzero(spec.add_a(squares[:, None], squares[None, :]) == spec.neg_i(1))
+    x, y = divmod(int(hit[0]), spec.q)
     i = _mat(spec, x, y, y, spec.neg_i(x))
     j = _mat(spec, 0, 1, spec.neg_i(1), 0)
     G = close_group(spec, [i, j])

@@ -28,7 +28,7 @@ from .eigendata import (
     quadform_represents,
 )
 from .ffield import is_prime, kronecker, legendre, make_field, mult_order
-from .matgrp import MatGroup, generating_set, identity
+from .matgrp import MatGroup, generating_set, identity, mul_codes
 
 MIN_SAMPLES_PER_CLASS = 5
 
@@ -206,6 +206,15 @@ def legendre_candidates(N: int, ell: int) -> list[int]:
     return sorted(out, key=lambda m: (abs(m), m < 0))
 
 
+def kronecker_column(m: int, n: np.ndarray) -> np.ndarray:
+    """kronecker(m, k) for each k in the positive int array n: for odd k it
+    depends only on k mod 4|m|; each even k (of primes, 2) is its own class."""
+    period = 4 * abs(m)
+    key = np.where(n % 2 == 1, n % period, period + n)
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    return np.array([kronecker(m, k) for k in n[first].tolist()], dtype=np.int64)[inv]
+
+
 def legendre_fit(ds: ApDataset, x: int, candidates) -> tuple[tuple[int, str], ...]:
     """Candidate discriminants M with zero counterexamples to
     (M/p) = -1 implies a_p = x, vacuous premises filtered; fits where the
@@ -215,7 +224,7 @@ def legendre_fit(ds: ApDataset, x: int, candidates) -> tuple[tuple[int, str], ..
     for m in candidates:
         if m == 0:
             raise ValueError("candidate discriminant 0")
-        premise = np.array([kronecker(m, p) == -1 for p in ds.p.tolist()], dtype=bool)
+        premise = kronecker_column(m, ds.p) == -1
         if not premise.any() or not hits[premise].all():
             continue
         converse = premise[hits].all()
@@ -500,11 +509,14 @@ def synthetic_model(G: MatGroup) -> SyntheticModel:
         raise ValueError("synthetic sampling expects a prime-field group")
     ell = G.spec.p
     data = coset_traces(G)
-    where = {m: i for i, c in enumerate(data.cosets) for m in c.members}
     k = len(data.cosets)
-    mul = [[where[data.cosets[i].representative * data.cosets[j].representative]
-            for j in range(k)] for i in range(k)]
-    e = where[identity(G.spec)]
+
+    def where(x):
+        return data.label[np.searchsorted(G.codes, x)]
+
+    reps = np.array([c.representative.encode() for c in data.cosets], dtype=np.int64)
+    mul = where(mul_codes(G.spec, reps[:, None], reps[None, :])).tolist()
+    e = int(where(identity(G.spec).encode()))
 
     def order_of(i):
         n, j = 1, i
@@ -514,7 +526,8 @@ def synthetic_model(G: MatGroup) -> SyntheticModel:
         return n
 
     gens = list(G.generators) or generating_set(G)
-    cand = sorted({where[g] for g in gens} - {e}, key=lambda c: (-order_of(c), c))
+    cand = sorted(set(where([g.encode() for g in gens]).tolist()) - {e},
+                  key=lambda c: (-order_of(c), c))
     chosen: list[int] = []
     span = {e}
     for c in cand:
@@ -566,11 +579,9 @@ def sample_dataset(model: SyntheticModel, n: int, seed: int) -> ApDataset:
     M, ell = model.modulus, model.ell
     coset_idx = np.array([model.assignment[r] for r in units])
     hsize = model.data.cosets[0].size
-    trace_table = np.array(
-        [[m.trace_i() for m in sorted(c.members, key=lambda m: m.encode())]
-         for c in model.data.cosets],
-        dtype=np.int64,
-    )
+    # row i: traces of coset i's members in increasing code order
+    by_coset = np.argsort(model.data.label, kind="stable")
+    trace_table = model.group.traces[by_coset].reshape(-1, hsize)
     draws = rng.integers(0, len(units), size=n)
     members = rng.integers(0, hsize, size=n)
     values = trace_table[coset_idx[draws], members] % ell

@@ -1,19 +1,21 @@
-"""Arithmetic in small finite fields F_{p^r}.
+"""Arithmetic in finite fields F_{p^r}, q = p^r <= 2^20, on int encodings.
 
-Elements are polynomials over F_p reduced modulo a monic irreducible of
-degree r, stored as little-endian coefficient tuples.  Fields are meant to
-stay small (the classification work never needs more than p^r around 10^4,
-with quadratic extensions up to the hard guard of 2^20), so all algorithms
-favour clarity over asymptotics: irreducibility by trial factor search,
-square roots by scanning, element orders by factoring q - 1.
+An element is the int c_0 + c_1 p + ... of its coefficients over F_p modulo
+a monic irreducible of degree r.  Each field builds O(q) tables exp[i] = g^i
+and log[g^i] = i for a primitive g on first use: product, inverse and power
+are gathers, sum and difference base-p digit arithmetic (XOR for p = 2), on
+ints (`*_i`) and int arrays (`*_a`) alike.  FieldElement wraps one int.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
+from math import gcd
+
+import numpy as np
 
 SIZE_GUARD = 1 << 20
-_TABLE_MAX = 4096  # build int multiplication tables only for tiny fields
 
 
 def is_prime(n: int) -> bool:
@@ -48,47 +50,37 @@ def _poly_mul(f, g, p):
     return _poly_trim(out)
 
 
-def _poly_divmod(f, g, p):
+def _poly_mod(f, g, p):
     f = list(f)
     dg = len(g) - 1
     lead_inv = pow(g[-1], p - 2, p)
-    q = [0] * max(len(f) - dg, 0)
     while len(f) - 1 >= dg and f:
         shift = len(f) - 1 - dg
         c = f[-1] * lead_inv % p
-        q[shift] = c
         for i, gi in enumerate(g):
             f[shift + i] = (f[shift + i] - c * gi) % p
         _poly_trim(f)
-    return q, f
-
-
-def _poly_mod(f, g, p):
-    return _poly_divmod(f, g, p)[1]
+    return f
 
 
 def _is_irreducible(f, p) -> bool:
-    """Trial search: no root for degree <= 3, else no factor of degree <= deg/2."""
+    """Root test for degree <= 3, else no monic factor of degree <= deg/2."""
     deg = len(f) - 1
     if deg <= 0:
         return False
     if deg == 1:
         return True
     if deg <= 3:
-        return all(_poly_eval(f, x, p) != 0 for x in range(p))
+        x = np.arange(p, dtype=np.int64)
+        acc = np.zeros(p, dtype=np.int64)
+        for c in reversed(f):
+            acc = (acc * x + c) % p
+        return bool(acc.all())
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
-            g = list(tail) + [1]
-            if not _poly_mod(f, g, p):
+            if not _poly_mod(f, list(tail) + [1], p):
                 return False
     return True
-
-
-def _poly_eval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
 
 
 class FieldSpec:
@@ -110,8 +102,6 @@ class FieldSpec:
         self.r = r
         self.modulus = modulus
         self.q = p ** r
-        self._mul_table = None
-        self._inv_table = None
 
     # -- identity ---------------------------------------------------------
 
@@ -134,113 +124,136 @@ class FieldSpec:
             return value
         if isinstance(value, int):
             # integers embed through the prime field
-            return FieldElement(self, (value % self.p,) + (0,) * (self.r - 1))
-        coeffs = tuple(int(c) % self.p for c in value)
+            return FieldElement(self, value % self.p)
+        coeffs = [int(c) % self.p for c in value]
         if len(coeffs) > self.r:
             raise ValueError("too many coefficients")
-        coeffs = coeffs + (0,) * (self.r - len(coeffs))
-        return FieldElement(self, coeffs)
+        return FieldElement(self, sum(c * self.p ** i for i, c in enumerate(coeffs)))
 
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        return FieldElement(self, 0)
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return FieldElement(self, 1)
 
     def from_int(self, k: int) -> "FieldElement":
-        """Decode 0 <= k < q as base-p digits (the canonical enumeration)."""
-        k %= self.q
-        coeffs = []
-        for _ in range(self.r):
-            coeffs.append(k % self.p)
-            k //= self.p
-        return FieldElement(self, tuple(coeffs))
+        """The element with encoding k mod q (base-p digits, the canonical
+        enumeration)."""
+        return FieldElement(self, int(k) % self.q)
 
     def elements(self):
         for k in range(self.q):
-            yield self.from_int(k)
+            yield FieldElement(self, k)
 
-    # -- integer-encoded arithmetic (hot path for matrix groups) -----------
-
-    def _encode(self, coeffs) -> int:
-        k = 0
-        for c in reversed(coeffs):
-            k = k * self.p + c
-        return k
-
-    def _decode(self, k: int) -> tuple[int, ...]:
-        coeffs = []
+    def digits(self, k) -> tuple:
+        """Base-p digits (c_0, ..., c_{r-1}) of an int or an int array."""
+        out = []
         for _ in range(self.r):
-            coeffs.append(k % self.p)
-            k //= self.p
-        return tuple(coeffs)
+            k, c = divmod(k, self.p)
+            out.append(c)
+        return tuple(out)
 
-    def _build_tables(self):
-        q = self.q
-        mul = [[0] * q for _ in range(q)]
-        for i in range(q):
-            ci = list(self._decode(i))
-            for j in range(i, q):
-                prod = _poly_mod(_poly_mul(ci, list(self._decode(j)), self.p),
-                                 list(self.modulus), self.p)
-                v = self._encode(tuple(prod) + (0,) * self.r)
-                mul[i][j] = v
-                mul[j][i] = v
-        # publish the product table first so _pow_i below can use it
-        self._mul_table = mul
-        inv = [0] * q
-        for i in range(1, q):
-            inv[i] = self._pow_i(i, q - 2)
-        self._inv_table = inv
+    # -- the exp/log tables ------------------------------------------------
 
-    def add_i(self, x: int, y: int) -> int:
+    def _times(self, f, g):
+        return _poly_mod(_poly_mul(f, g, self.p), list(self.modulus), self.p)
+
+    def _is_primitive(self, g) -> bool:
+        """g^((q-1)/l) != 1 for every prime l dividing q - 1."""
+        n = self.q - 1
+        for ell in factorize(n):
+            acc, base, e = [1], g, n // ell
+            while e:
+                acc = self._times(acc, base) if e & 1 else acc
+                base, e = self._times(base, base), e >> 1
+            if acc == [1]:
+                return False
+        return True
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log) for the least-encoded primitive element g:
+        exp[i] = g^i for 0 <= i < 2(q - 1) and exp[i] = 0 beyond;
+        log[g^i] = i and log[0] = 2(q - 1), so the product of any two
+        elements is exp[log x + log y], zero included."""
+        p, r, n = self.p, self.r, self.q - 1
+        g = next(g for g in map(list, map(self.digits, range(1, self.q)))
+                 if self._is_primitive(g))
+        # rows: coefficient vectors of g^0, g^1, ...; g^k .. g^(2k-1) are
+        # g^0 .. g^(k-1) times g^k, one F_p-linear map on all rows at once
+        rows = np.zeros((1, r), dtype=np.int64)
+        rows[0, 0] = 1
+        while len(rows) < n:
+            hx = np.zeros((r, r), dtype=np.int64)
+            for j in range(r):
+                col = self._times(g, [0] * j + [1])
+                hx[j, :len(col)] = col
+            rows = np.vstack((rows, rows @ hx % p))[:n]
+            g = self._times(g, g)
+        powers = rows @ (p ** np.arange(r, dtype=np.int64))
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
+        exp[:n] = powers
+        exp[n:2 * n] = powers
+        log = np.empty(self.q, dtype=np.int64)
+        log[powers] = np.arange(n, dtype=np.int64)
+        log[0] = 2 * n
+        exp.flags.writeable = False
+        log.flags.writeable = False
+        return exp, log
+
+    # -- arithmetic on encodings: *_a on ints or int arrays, *_i on ints ----
+
+    def add_a(self, x, y, sign: int = 1):
+        """x + sign * y, digit by digit; sign -1 subtracts."""
         if self.r == 1:
-            return (x + y) % self.p
-        cx, cy = self._decode(x), self._decode(y)
-        return self._encode(tuple((a + b) % self.p for a, b in zip(cx, cy)))
+            return (x + y if sign > 0 else x - y) % self.p
+        if self.p == 2:
+            return x ^ y
+        out, pj = 0, 1
+        for _ in range(self.r):
+            out = out + (x // pj + sign * (y // pj)) % self.p * pj
+            pj *= self.p
+        return out
 
-    def sub_i(self, x: int, y: int) -> int:
-        if self.r == 1:
-            return (x - y) % self.p
-        cx, cy = self._decode(x), self._decode(y)
-        return self._encode(tuple((a - b) % self.p for a, b in zip(cx, cy)))
+    def sub_a(self, x, y):
+        return self.add_a(x, y, -1)
 
-    def neg_i(self, x: int) -> int:
-        if self.r == 1:
-            return (-x) % self.p
-        return self._encode(tuple((-a) % self.p for a in self._decode(x)))
+    def neg_a(self, x):
+        return self.add_a(0 * x, x, -1)
+
+    def mul_a(self, x, y):
+        exp, log = self._tables
+        return exp[log[x] + log[y]]
+
+    def inv_a(self, x):
+        if not np.all(x):
+            raise ZeroDivisionError("inverse of zero")
+        exp, log = self._tables
+        return exp[self.q - 1 - log[x]]
+
+    def pow_a(self, x, n: int):
+        """x^n elementwise for one integer n (0^0 = 1)."""
+        exp, log = self._tables
+        if n < 0:
+            x, n = self.inv_a(x), -n
+        # log 0 = 2(q - 1) lands on exp[0]; the where puts 0^n back
+        return np.where(x == 0, int(n == 0), exp[log[x] * (n % (self.q - 1)) % (self.q - 1)])
+
+    # digit arithmetic is the same code on ints and on arrays
+    add_i, sub_i, neg_i = add_a, sub_a, neg_a
 
     def mul_i(self, x: int, y: int) -> int:
-        if self.r == 1:
-            return (x * y) % self.p
-        if self._mul_table is None and self.q <= _TABLE_MAX:
-            self._build_tables()
-        if self._mul_table is not None:
-            return self._mul_table[x][y]
-        prod = _poly_mod(_poly_mul(list(self._decode(x)), list(self._decode(y)), self.p),
-                         list(self.modulus), self.p)
-        return self._encode(tuple(prod) + (0,) * self.r)
-
-    def _pow_i(self, x: int, n: int) -> int:
-        acc = self._encode((1,) + (0,) * (self.r - 1))
-        base = x
-        while n:
-            if n & 1:
-                acc = self.mul_i(acc, base)
-            base = self.mul_i(base, base)
-            n >>= 1
-        return acc
+        exp, log = self._tables
+        return exp.item(log.item(x) + log.item(y))
 
     def inv_i(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.r == 1:
-            return pow(x, self.p - 2, self.p)
-        if self._inv_table is None and self.q <= _TABLE_MAX:
-            self._build_tables()
-        if self._inv_table is not None:
-            return self._inv_table[x]
-        return self._pow_i(x, self.q - 2)
+        exp, log = self._tables
+        return exp.item(self.q - 1 - log.item(x))
+
+    def pow_i(self, x: int, n: int) -> int:
+        return int(self.pow_a(x, n))
 
     # -- serialization ------------------------------------------------------
 
@@ -253,81 +266,60 @@ class FieldSpec:
 
 
 class FieldElement:
-    __slots__ = ("spec", "coeffs")
+    """An element of spec, held as its int encoding k."""
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+    __slots__ = ("spec", "k")
+
+    def __init__(self, spec: FieldSpec, k: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self.k = k
 
-    def _check(self, other) -> "FieldElement":
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.spec.digits(self.k)
+
+    def _check(self, other) -> int:
         if not isinstance(other, FieldElement):
             other = self.spec.element(other)
         elif other.spec != self.spec:
             raise ValueError("field mismatch")
-        return other
+        return other.k
 
     def __add__(self, other):
-        other = self._check(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(self.spec, self.spec.add_i(self.k, self._check(other)))
 
     def __sub__(self, other):
-        other = self._check(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        return FieldElement(self.spec, self.spec.sub_i(self.k, self._check(other)))
 
     def __mul__(self, other):
-        other = self._check(other)
-        spec = self.spec
-        prod = _poly_mod(_poly_mul(list(self.coeffs), list(other.coeffs), spec.p),
-                         list(spec.modulus), spec.p)
-        return FieldElement(spec, tuple(prod) + (0,) * (spec.r - len(prod)))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return self * other.inverse()
+        return FieldElement(self.spec, self.spec.mul_i(self.k, self._check(other)))
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return FieldElement(self.spec, self.spec.pow_i(self.k, n))
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        return self ** (self.spec.q - 2)
+        return FieldElement(self.spec, self.spec.inv_i(self.k))
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.k == 0
 
     def as_int(self) -> int:
-        return self.spec._encode(self.coeffs)
+        return self.k
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             if isinstance(other, int):
                 return self == self.spec.element(other)
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return self.spec == other.spec and self.k == other.k
 
     def __hash__(self):
-        return hash((self.spec.p, self.spec.r, self.coeffs))
+        return hash((self.spec.p, self.spec.r, self.k))
 
     def __repr__(self):
         if self.spec.r == 1:
-            return str(self.coeffs[0])
+            return str(self.k)
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
@@ -336,7 +328,9 @@ def make_field(p: int, r: int = 1, modulus=None) -> FieldSpec:
 
     Candidates are enumerated in base-p order of their coefficient vector, so
     the choice is deterministic (F_9 gets x^2 + 1).  For r = 1 the modulus is
-    the convention x + 0.
+    the convention x + 0.  For r <= 3 a candidate is irreducible iff it has
+    no root, an O(p) test, so the search runs up to the size guard; higher
+    degrees use the trial factor search and stop at p^r <= 10^4.
     """
     if modulus is not None:
         return FieldSpec(p, r, tuple(modulus))
@@ -344,15 +338,12 @@ def make_field(p: int, r: int = 1, modulus=None) -> FieldSpec:
         raise ValueError(f"characteristic {p} is not prime")
     if r == 1:
         return FieldSpec(p, 1, (0, 1))
-    if p ** r > 10 ** 4:
-        raise ValueError("default-modulus search is limited to p^r <= 10^4")
+    if r > 3 and p ** r > 10 ** 4:
+        raise ValueError("default-modulus search for degree > 3 is limited to p^r <= 10^4")
+    if p ** r > SIZE_GUARD:
+        raise ValueError(f"field size {p}^{r} exceeds guard {SIZE_GUARD}")
     for k in range(p ** r):
-        tail = []
-        kk = k
-        for _ in range(r):
-            tail.append(kk % p)
-            kk //= p
-        f = tail + [1]
+        f = [k // p ** i % p for i in range(r)] + [1]
         if _is_irreducible(f, p):
             return FieldSpec(p, r, tuple(f))
     raise RuntimeError("no irreducible polynomial found")  # unreachable
@@ -417,38 +408,24 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def mult_order(a: FieldElement) -> int:
-    """Multiplicative order; divides q - 1 (Lagrange), found by descent."""
+    """Multiplicative order: (q - 1) / gcd(log a, q - 1)."""
     if a.is_zero:
         raise ValueError("order of zero is undefined")
     n = a.spec.q - 1
-    for p in factorize(n):
-        while n % p == 0 and (a ** (n // p)) == a.spec.one():
-            n //= p
-    return n
+    return n // gcd(a.spec._tables[1].item(a.k), n)
 
 
 def sqrt_in_field(a: FieldElement) -> FieldElement | None:
     """A square root of a, or None; ties broken by least coefficient tuple."""
-    spec = a.spec
-    if a.is_zero:
-        return spec.zero()
-    if spec.p == 2:
-        # squaring is the Frobenius, hence bijective
-        return a ** (spec.q // 2)
-    if a ** ((spec.q - 1) // 2) != spec.one():
-        return None
-    best = None
-    for x in spec.elements():
-        if x * x == a:
-            if best is None or x.coeffs < best.coeffs:
-                best = x
-    return best
+    xs = np.arange(a.spec.q, dtype=np.int64)
+    roots = np.flatnonzero(a.spec.mul_a(xs, xs) == a.k).tolist()
+    return min((a.spec.from_int(x) for x in roots), key=lambda x: x.coeffs, default=None)
 
 
 # ---- quadratic extensions and subfield embeddings ----
 
 _EXT_CACHE: dict[FieldSpec, FieldSpec] = {}
-_EMBED_CACHE: dict[tuple[FieldSpec, FieldSpec], FieldElement] = {}
+_EMBED_CACHE: dict[tuple[FieldSpec, FieldSpec], np.ndarray] = {}
 
 
 def quadratic_extension(spec: FieldSpec) -> FieldSpec:
@@ -458,41 +435,35 @@ def quadratic_extension(spec: FieldSpec) -> FieldSpec:
     return _EXT_CACHE[spec]
 
 
-def embed(a: FieldElement, ext: FieldSpec) -> FieldElement:
-    """Embed a in an extension field (the degree must divide ext's degree).
+def embedding_table(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
+    """Integer-encoding form of embed: table[x] is the image of encoding x.
 
     The embedding sends the generator of the base field to the least root of
     the base modulus inside ext, so it is deterministic and consistent across
-    calls.
+    calls.  The degree of base must divide the degree of ext.
     """
-    base = a.spec
     if base.p != ext.p or ext.r % base.r != 0:
         raise ValueError("no embedding: incompatible fields")
-    if base == ext:
-        return a
-    if base.r == 1:
-        return ext.element(a.coeffs[0])
     key = (base, ext)
-    theta = _EMBED_CACHE.get(key)
-    if theta is None:
-        mod = list(base.modulus)
-        for k in range(ext.q):
-            x = ext.from_int(k)
-            acc = ext.zero()
-            for c in reversed(mod):
-                acc = acc * x + ext.element(c)
-            if acc.is_zero:
-                theta = x
-                break
-        else:  # pragma: no cover - the modulus always splits in a multiple-degree ext
-            raise RuntimeError("modulus has no root in extension")
-        _EMBED_CACHE[key] = theta
-    acc = ext.zero()
-    for c in reversed(a.coeffs):
-        acc = acc * theta + ext.element(c)
-    return acc
+    table = _EMBED_CACHE.get(key)
+    if table is None:
+        if base == ext or base.r == 1:
+            # a constant polynomial has the same encoding in every degree
+            table = np.arange(base.q, dtype=np.int64)
+        else:
+            xs = np.arange(ext.q, dtype=np.int64)
+            acc = np.zeros(ext.q, dtype=np.int64)
+            for c in reversed(base.modulus):
+                acc = ext.add_a(ext.mul_a(acc, xs), c)
+            theta = int(np.flatnonzero(acc == 0)[0])
+            table = np.zeros(base.q, dtype=np.int64)
+            for c in reversed(base.digits(np.arange(base.q, dtype=np.int64))):
+                table = ext.add_a(ext.mul_a(table, theta), c)
+        table.flags.writeable = False
+        _EMBED_CACHE[key] = table
+    return table
 
 
-def embedding_table(base: FieldSpec, ext: FieldSpec) -> list[int]:
-    """Integer-encoding form of embed: table[x] is the image of encoding x."""
-    return [embed(base.from_int(k), ext).as_int() for k in range(base.q)]
+def embed(a: FieldElement, ext: FieldSpec) -> FieldElement:
+    """Embed a in an extension field along embedding_table."""
+    return ext.from_int(embedding_table(a.spec, ext)[a.k])

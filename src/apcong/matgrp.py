@@ -1,19 +1,23 @@
-"""Finite subgroups of GL_2 over a small finite field.
+"""Finite subgroups of GL_2 over a finite field, as sorted arrays of int codes.
 
-Matrices keep their entries as integer-encoded field elements (base-p digit
-strings), which makes the breadth-first closure and the coset bookkeeping
-cheap dictionary work.  Everything here is immutable: groups are frozensets
-of matrices and may be shared freely between computations.  Because a group
-never changes, every structure derived from it (commutator subgroup,
-projective image, classification, coset traces, attained traces) is
-memoised on the group itself: it is computed on first use and shared by
-every later caller.
+A matrix (a b; c d) with int-encoded entries is the int64 code
+((a q + b) q + c) q + d (`Mat2.encode`); a MatGroup holds the sorted code
+array of its elements.  Products, inverses, traces, determinants and
+projective canonical forms are array operations gathering through the
+field's exp/log tables.  Mat2 is the type at the edges (generators,
+witnesses, coset representatives, JSON); `MatGroup.elements` and
+`Coset.members` are views built on request.  Codes need q^4 < 2^63: a
+larger field raises CodeRangeError before any code is formed.  Groups are
+immutable, so each derived structure (commutator subgroup, projective
+image, classification, coset traces) is memoised on the group itself.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .ffield import FieldElement, FieldSpec
 
@@ -23,6 +27,129 @@ CLOSURE_GUARD = 10 ** 6
 class ClosureGuardError(RuntimeError):
     pass
 
+
+class CodeRangeError(ValueError):
+    """The field is too large for matrix codes to fit in int64."""
+
+
+# ---- the kernel: codes and entry 4-tuples of int arrays ----
+
+def _check_codes(spec: FieldSpec) -> None:
+    if spec.q ** 4 >= 1 << 63:
+        raise CodeRangeError(f"matrix codes over F_{spec.q} overflow int64 (q^4 >= 2^63)")
+
+
+def split_codes(spec: FieldSpec, x):
+    q = spec.q
+    x, d = np.divmod(x, q)
+    x, c = np.divmod(x, q)
+    a, b = np.divmod(x, q)
+    return a, b, c, d
+
+
+def _join(spec: FieldSpec, a, b, c, d):
+    q = spec.q
+    return ((a * q + b) * q + c) * q + d
+
+
+def mat_product(m, s, x, y):
+    """(a b; c d)(e f; g h) on entry 4-tuples, with field product m and sum
+    s: the scalar *_i methods for ints, the *_a methods for int arrays."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (s(m(a, e), m(b, g)), s(m(a, f), m(b, h)),
+            s(m(c, e), m(d, g)), s(m(c, f), m(d, h)))
+
+
+def mul_codes(spec: FieldSpec, x, y):
+    xs, ys = split_codes(spec, x), split_codes(spec, y)
+    return _join(spec, *mat_product(spec.mul_a, spec.add_a, xs, ys))
+
+
+def _det4(spec: FieldSpec, a, b, c, d):
+    return spec.sub_a(spec.mul_a(a, d), spec.mul_a(b, c))
+
+
+def _inv4(spec: FieldSpec, a, b, c, d):
+    di = spec.inv_a(_det4(spec, a, b, c, d))
+    m = spec.mul_a
+    return m(d, di), m(spec.neg_a(b), di), m(spec.neg_a(c), di), m(a, di)
+
+
+def _scalar_mask(a, b, c, d):
+    return (b == 0) & (c == 0) & (a == d)
+
+
+def proj_canon(spec: FieldSpec, x):
+    """Codes scaled so the first nonzero entry in (a, b, c, d) order is 1.
+
+    An invertible matrix has (a, b) != (0, 0), so that entry is a or b.
+    """
+    a, b, c, d = split_codes(spec, x)
+    s = spec.inv_a(np.where(a != 0, a, b))
+    m = spec.mul_a
+    return _join(spec, m(a, s), m(b, s), m(c, s), m(d, s))
+
+
+def unique_codes(x) -> np.ndarray:
+    """Sorted distinct values of an int array: np.unique, less the masked
+    array check that costs a numpy.ma import in every fresh process."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
+def _isin(sorted_codes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Membership of each x in a nonempty sorted code array."""
+    i = np.minimum(np.searchsorted(sorted_codes, x), sorted_codes.size - 1)
+    return sorted_codes[i] == x
+
+
+def _close(spec: FieldSpec, gens: np.ndarray, product=mul_codes, guard: int = CLOSURE_GUARD):
+    """Sorted codes of the subgroup generated by gens (inverses are powers):
+    each round multiplies the whole frontier by every step.  Steps start as
+    gens and, while the frontier is under 1/16 of what was seen, gain the
+    squares of the last powers added: a long cyclic chain takes O(log) rounds."""
+    one = _join(spec, 1, 0, 0, 1)
+    seen = np.array([one], dtype=np.int64)
+    frontier, steps, powers = seen, gens, gens
+    while frontier.size:
+        new = unique_codes(product(spec, frontier[:, None], steps[None, :]))
+        new = new[~_isin(seen, new)]
+        if seen.size + new.size > guard:
+            raise ClosureGuardError(f"closure exceeded guard {guard}")
+        seen = np.sort(np.concatenate((seen, new)), kind="stable")  # a merge
+        frontier = new
+        if 16 * new.size < seen.size:
+            powers = product(spec, powers, powers)
+            steps = unique_codes(np.concatenate((steps, powers)))
+    return seen
+
+
+def _coset_labels(spec: FieldSpec, g: np.ndarray, h: np.ndarray, product=mul_codes):
+    """Left cosets x.H of the sorted codes h inside the sorted codes g.
+
+    Returns the coset index of every element of g, numbered by least code:
+    each batch multiplies the least unlabelled elements by all of H, a row's
+    minimum names its coset, and that minimum lies in the batch.
+    """
+    label = np.full(g.size, -1, dtype=np.int64)
+    batch, count = max(1, 4096 // h.size), 0  # about 4096 products a batch
+    while (free := np.flatnonzero(label < 0)).size:
+        rows = product(spec, g[free[:batch], None], h[None, :])
+        members = rows[np.unique(rows.min(axis=1), return_index=True)[1]]
+        pos = np.minimum(np.searchsorted(g, members), g.size - 1)
+        if (g[pos] != members).any():
+            raise RuntimeError("cosets do not partition G")
+        label[pos] = count + np.arange(len(members))[:, None]
+        count += len(members)
+    if np.bincount(label).tolist() != [h.size] * count:
+        raise RuntimeError("cosets do not partition G")
+    return label
+
+
+# ---- matrices at the edges ----
 
 @dataclass(frozen=True)
 class Mat2:
@@ -38,59 +165,31 @@ class Mat2:
         return Mat2(spec, ents)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise ValueError("field mismatch")
-        s = self.spec
-        a, b, c, d = self.e
-        e, f, g, h = other.e
-        return Mat2(s, (
-            s.add_i(s.mul_i(a, e), s.mul_i(b, g)),
-            s.add_i(s.mul_i(a, f), s.mul_i(b, h)),
-            s.add_i(s.mul_i(c, e), s.mul_i(d, g)),
-            s.add_i(s.mul_i(c, f), s.mul_i(d, h)),
-        ))
+        return Mat2(self.spec, mat_product(self.spec.mul_i, self.spec.add_i, self.e, other.e))
 
     def det_i(self) -> int:
-        s = self.spec
-        a, b, c, d = self.e
-        return s.sub_i(s.mul_i(a, d), s.mul_i(b, c))
+        return int(_det4(self.spec, *self.e))
 
     def trace_i(self) -> int:
-        s = self.spec
-        return s.add_i(self.e[0], self.e[3])
-
-    def det(self) -> FieldElement:
-        return self.spec.from_int(self.det_i())
-
-    def trace(self) -> FieldElement:
-        return self.spec.from_int(self.trace_i())
+        return self.spec.add_i(self.e[0], self.e[3])
 
     def inv(self) -> "Mat2":
-        s = self.spec
-        det = self.det_i()
-        if det == 0:
-            raise ZeroDivisionError("singular matrix")
-        di = s.inv_i(det)
-        a, b, c, d = self.e
-        return Mat2(s, (s.mul_i(d, di), s.mul_i(s.neg_i(b), di),
-                        s.mul_i(s.neg_i(c), di), s.mul_i(a, di)))
-
-    def scale_i(self, k: int) -> "Mat2":
-        s = self.spec
-        return Mat2(s, tuple(s.mul_i(x, k) for x in self.e))
-
-    def is_identity(self) -> bool:
-        return self.e == (1, 0, 0, 1)
+        """The inverse; ZeroDivisionError when the matrix is singular."""
+        return Mat2(self.spec, tuple(int(v) for v in _inv4(self.spec, *self.e)))
 
     def encode(self) -> int:
         """Canonical integer: entries as base-q digits in (a, b, c, d) order."""
-        q = self.spec.q
-        a, b, c, d = self.e
-        return ((a * q + b) * q + c) * q + d
+        return _join(self.spec, *self.e)
 
     def entries(self) -> list[list[FieldElement]]:
         a, b, c, d = (self.spec.from_int(x) for x in self.e)
         return [[a, b], [c, d]]
+
+    def rows_json(self) -> list:
+        """Entries as coefficient lists, the form group JSON stores."""
+        return [[list(x.coeffs) for x in row] for row in self.entries()]
 
     def __repr__(self):
         a, b, c, d = (self.spec.from_int(x) for x in self.e)
@@ -101,46 +200,36 @@ def identity(spec: FieldSpec) -> Mat2:
     return Mat2(spec, (1, 0, 0, 1))
 
 
-def is_scalar(m: Mat2) -> FieldElement | None:
-    """The scalar lambda with m = lambda*id, or None."""
-    a, b, c, d = m.e
-    if b == 0 and c == 0 and a == d:
-        return m.spec.from_int(a)
-    return None
+def _codes_of(mats) -> np.ndarray:
+    return np.array([m.encode() for m in mats], dtype=np.int64)
 
 
-def element_order(m: Mat2) -> int:
-    if m.det_i() == 0:
-        raise ValueError("singular matrix has no order")
-    n = 1
-    x = m
-    ident = identity(m.spec)
-    while x != ident:
-        x = x * m
-        n += 1
-        if n > m.spec.q ** 2:  # orders in GL_2(F_q) divide q(q-1)(q^2-1)
-            raise RuntimeError("order computation ran away")
-    return n
+def _mats_of(spec: FieldSpec, codes: np.ndarray) -> list[Mat2]:
+    cols = [v.tolist() for v in split_codes(spec, codes)]
+    return [Mat2(spec, e) for e in zip(*cols)]
 
+
+# ---- groups ----
 
 class MatGroup:
-    """A finite subgroup of GL_2(spec), closed by construction."""
+    """A finite subgroup of GL_2(spec), closed by construction; codes is the
+    sorted, read-only int64 array of its elements."""
 
-    def __init__(self, spec: FieldSpec, elements: frozenset[Mat2],
+    def __init__(self, spec: FieldSpec, codes: np.ndarray,
                  generators: tuple[Mat2, ...]):
         self.spec = spec
-        self.elements = elements
+        self.codes = codes
+        codes.flags.writeable = False
         self.generators = generators
-        self._sorted = None
         self._derived: dict = {}
         # Lagrange sanity: |G| divides |GL_2(F_q)|
         q = spec.q
-        if ((q * q - 1) * (q * q - q)) % len(elements) != 0:
+        if ((q * q - 1) * (q * q - q)) % codes.size != 0:
             raise RuntimeError("order does not divide |GL_2|; closure is broken")
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return int(self.codes.size)
 
     def memo(self, fn):
         """fn(self), computed on the first call for this fn and stored."""
@@ -148,53 +237,55 @@ class MatGroup:
             self._derived[fn] = fn(self)
         return self._derived[fn]
 
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, ...]:
+        """The (a, b, c, d) entry arrays, aligned with codes."""
+        return split_codes(self.spec, self.codes)
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        a, _, _, d = self.entries
+        return self.spec.add_a(a, d)
+
+    @cached_property
+    def dets(self) -> np.ndarray:
+        return _det4(self.spec, *self.entries)
+
+    @cached_property
+    def scalar_mask(self) -> np.ndarray:
+        return _scalar_mask(*self.entries)
+
     def trace_ints(self) -> frozenset[int]:
         """Integer-encoded traces attained on the group."""
         return self.memo(_trace_ints)
 
-    def sorted_elements(self) -> list[Mat2]:
-        if self._sorted is None:
-            self._sorted = sorted(self.elements, key=Mat2.encode)
-        return self._sorted
+    @cached_property
+    def elements(self) -> frozenset[Mat2]:
+        return frozenset(self.sorted_elements())
 
-    def __contains__(self, m: Mat2) -> bool:
-        return m in self.elements
+    def sorted_elements(self) -> list[Mat2]:
+        return _mats_of(self.spec, self.codes)
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
-        return self.elements <= other.elements
-
-    def scalars(self) -> set[FieldElement]:
-        out = set()
-        for m in self.elements:
-            s = is_scalar(m)
-            if s is not None:
-                out.add(s)
-        return out
-
-    def det_image(self) -> set[FieldElement]:
-        return {m.det() for m in self.elements}
+        return self.spec == other.spec and bool(_isin(other.codes, self.codes).all())
 
     def __eq__(self, other):
         return isinstance(other, MatGroup) and self.spec == other.spec \
-            and self.elements == other.elements
+            and np.array_equal(self.codes, other.codes)
 
     def __hash__(self):
-        return hash((self.spec, self.elements))
+        return hash((self.spec, self.codes.tobytes()))
 
     def __repr__(self):
         return f"MatGroup(q={self.spec.q}, order={self.order})"
 
 
 def _trace_ints(G: MatGroup) -> frozenset[int]:
-    return frozenset(m.trace_i() for m in G.elements)
+    return frozenset(unique_codes(G.traces).tolist())
 
 
 def close_group(spec: FieldSpec, generators, guard: int = CLOSURE_GUARD) -> MatGroup:
-    """Subgroup generated by the given matrices (breadth-first closure).
-
-    In a finite group closure under right-multiplication by the generators
-    already yields the full subgroup (inverses are positive powers).
-    """
+    """Subgroup generated by the given matrices (breadth-first closure)."""
     gens = []
     for g in generators:
         m = g if isinstance(g, Mat2) else Mat2.from_entries(spec, g)
@@ -203,38 +294,25 @@ def close_group(spec: FieldSpec, generators, guard: int = CLOSURE_GUARD) -> MatG
         if m.det_i() == 0:
             raise ValueError(f"generator {m} is singular")
         gens.append(m)
-    seen = {identity(spec)}
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = x * g
-            if y not in seen:
-                if len(seen) >= guard:
-                    raise ClosureGuardError(f"closure exceeded guard {guard}")
-                seen.add(y)
-                queue.append(y)
-    return MatGroup(spec, frozenset(seen), tuple(gens))
+    _check_codes(spec)
+    return MatGroup(spec, _close(spec, _codes_of(gens), guard=guard), tuple(gens))
 
 
 def from_elements(spec: FieldSpec, elements, generators=()) -> MatGroup:
     """Wrap an already-closed element set (used by direct constructions)."""
-    return MatGroup(spec, frozenset(elements), tuple(generators))
+    _check_codes(spec)
+    return MatGroup(spec, unique_codes(_codes_of(elements)), tuple(generators))
 
 
 def generating_set(G: MatGroup) -> list[Mat2]:
-    """G's recorded generators, or a small set found greedily."""
+    """G's recorded generators, or a small set found greedily: the least
+    element outside the subgroup generated so far, until it is all of G."""
     if G.generators:
         return list(G.generators)
-    gens: list[Mat2] = []
-    have = {identity(G.spec)}
-    for g in G.sorted_elements():
-        if g not in have:
-            gens.append(g)
-            have = close_group(G.spec, gens).elements
-            if len(have) == G.order:
-                break
-    return gens or [identity(G.spec)]
+    gens = np.zeros(0, dtype=np.int64)
+    while (have := _close(G.spec, gens)).size < G.order:
+        gens = np.append(gens, G.codes[np.argmax(~_isin(have, G.codes))])
+    return _mats_of(G.spec, gens) or [identity(G.spec)]
 
 
 def commutator_subgroup(G: MatGroup) -> MatGroup:
@@ -248,167 +326,117 @@ def commutator_subgroup(G: MatGroup) -> MatGroup:
 
 
 def _commutator_subgroup(G: MatGroup) -> MatGroup:
-    gens = generating_set(G)
-    seeds = []
-    seen_seed = set()
-    for x in gens:
-        xi = x.inv()
-        for y in gens:
-            c = x * y * xi * y.inv()
-            if c not in seen_seed:
-                seen_seed.add(c)
-                seeds.append(c)
-    H = close_group(G.spec, seeds) if seeds else close_group(G.spec, [identity(G.spec)])
+    spec = G.spec
+    g = _codes_of(generating_set(G))
+    gi = _join(spec, *_inv4(spec, *split_codes(spec, g)))
+    # x y x^-1 y^-1 for every pair of generators, x the row
+    seeds = unique_codes(mul_codes(spec, mul_codes(spec, g[:, None], g[None, :]),
+                                mul_codes(spec, gi[:, None], gi[None, :])))
+    h = _close(spec, seeds)
     # normal closure: conjugate the generating commutators until stable
     while True:
-        new = []
-        for g in gens:
-            gi = g.inv()
-            for s in seeds:
-                c = g * s * gi
-                if c not in H.elements:
-                    new.append(c)
-        if not new:
+        conj = mul_codes(spec, mul_codes(spec, g[:, None], seeds[None, :]), gi[:, None])
+        new = unique_codes(conj[~_isin(h, conj)])
+        if not new.size:
             break
-        seeds.extend(new)
-        H = close_group(G.spec, seeds)
-    for m in H.elements:
-        if m.det_i() != 1:
-            raise RuntimeError("commutator subgroup contains det != 1 element")
+        seeds = np.concatenate((seeds, new))
+        h = _close(spec, seeds)
+    H = MatGroup(spec, h, tuple(_mats_of(spec, seeds)))
+    if (H.dets != 1).any():
+        raise RuntimeError("commutator subgroup contains det != 1 element")
     return H
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coset:
-    """A left coset g.H inside a parent group."""
+    """A left coset g.H inside a parent group; codes is sorted."""
 
     subgroup: MatGroup
     representative: Mat2
-    members: frozenset[Mat2]
+    codes: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return int(self.codes.size)
 
-    def traces(self) -> set[FieldElement]:
-        return {m.trace() for m in self.members}
+    @property
+    def members(self) -> frozenset[Mat2]:
+        return frozenset(_mats_of(self.subgroup.spec, self.codes))
 
     def trace_ints(self) -> set[int]:
-        return {m.trace_i() for m in self.members}
+        spec = self.subgroup.spec
+        a, _, _, d = split_codes(spec, self.codes)
+        return set(spec.add_a(a, d).tolist())
+
+    def traces(self) -> set[FieldElement]:
+        return {self.subgroup.spec.from_int(t) for t in self.trace_ints()}
 
 
 def cosets(G: MatGroup, H: MatGroup) -> list[Coset]:
     """Left cosets of H in G, sorted by their least-encoded representative."""
-    if not H.is_subgroup_of(G):
-        raise ValueError("H is not contained in G")
     if H.spec != G.spec:
         raise ValueError("field mismatch")
-    unassigned = set(G.elements)
-    out = []
-    for g in G.sorted_elements():
-        if g not in unassigned:
-            continue
-        members = frozenset(g * h for h in H.elements)
-        rep = min(members, key=Mat2.encode)
-        out.append(Coset(H, rep, members))
-        unassigned -= members
-    out.sort(key=lambda c: c.representative.encode())
-    if sum(c.size for c in out) != G.order:
-        raise RuntimeError("cosets do not partition G")
-    return out
+    if not H.is_subgroup_of(G):
+        raise ValueError("H is not contained in G")
+    label = _coset_labels(G.spec, G.codes, H.codes)
+    parts = G.codes[np.argsort(label, kind="stable")].reshape(-1, H.order)
+    reps = _mats_of(G.spec, parts[:, 0])
+    return [Coset(H, rep, part) for rep, part in zip(reps, parts)]
 
 
 # ---- projective groups ----
 
-def proj_canon(m: Mat2) -> Mat2:
-    """Scale so the first nonzero entry in (a, b, c, d) order equals 1."""
-    for x in m.e:
-        if x != 0:
-            return m.scale_i(m.spec.inv_i(x))
-    raise ValueError("zero matrix has no projective class")
-
-
 class ProjGroup:
-    """Image of a MatGroup in PGL_2, as canonical class representatives."""
+    """Image of a MatGroup in PGL_2; codes is the sorted array of canonical
+    class representatives (see proj_canon)."""
 
     def __init__(self, base: MatGroup):
         self.base = base
         self.spec = base.spec
-        classes = {proj_canon(m) for m in base.elements}
-        self.classes = frozenset(classes)
-        self.scalar_kernel_size = base.order // len(classes)
-        self._sorted = None
-        self._orders = None
+        self.codes = unique_codes(proj_canon(self.spec, base.codes))
 
     @property
     def order(self) -> int:
-        return len(self.classes)
+        return int(self.codes.size)
 
-    def sorted_classes(self) -> list[Mat2]:
-        if self._sorted is None:
-            self._sorted = sorted(self.classes, key=Mat2.encode)
-        return self._sorted
+    @cached_property
+    def classes(self) -> frozenset[Mat2]:
+        return frozenset(_mats_of(self.spec, self.codes))
 
-    def mul(self, x: Mat2, y: Mat2) -> Mat2:
-        return proj_canon(x * y)
+    @cached_property
+    def traces(self) -> np.ndarray:
+        a, _, _, d = split_codes(self.spec, self.codes)
+        return self.spec.add_a(a, d)
 
-    def proj_order(self, m: Mat2) -> int:
-        n = 1
-        x = m
-        while is_scalar(x) is None:
-            x = x * m
-            n += 1
-            if n > self.order + 1:
-                raise RuntimeError("projective order ran away")
-        return n
+    @cached_property
+    def class_orders(self) -> np.ndarray:
+        """Projective order of every class, aligned with codes."""
+        return _proj_orders(self.spec, self.codes)
 
-    def class_orders(self) -> dict[Mat2, int]:
-        """Projective order of every class, computed on first use."""
-        if self._orders is None:
-            self._orders = {m: self.proj_order(m) for m in self.classes}
-        return self._orders
-
-    def subgroup_closure(self, gens) -> set[Mat2]:
-        """Closure inside this projective group (canonical representatives)."""
-        seen = {proj_canon(identity(self.spec))}
-        queue = deque(seen)
-        gens = [proj_canon(g) for g in gens]
-        while queue:
-            x = queue.popleft()
-            for g in gens:
-                y = self.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
-    def coset_partition(self, sub: set[Mat2]) -> list[frozenset[Mat2]]:
-        """Left cosets of a projective subgroup, sorted by least representative."""
-        unassigned = set(self.classes)
-        out = []
-        for g in self.sorted_classes():
-            if g not in unassigned:
-                continue
-            mem = frozenset(self.mul(g, h) for h in sub)
-            out.append(mem)
-            unassigned -= mem
-        out.sort(key=lambda c: min(m.encode() for m in c))
-        return out
-
-    def traceless_classes(self) -> set[Mat2]:
-        # scaling multiplies the trace by a unit, so tracelessness is projective
-        return {m for m in self.classes if m.trace_i() == 0}
-
-    def commutator_classes(self) -> set[Mat2]:
-        """Commutator subgroup of the projective group, as canonical reps.
-
-        Projection is a surjective homomorphism, so [PG, PG] is the image
-        of [G, G].
-        """
-        return {proj_canon(m) for m in commutator_subgroup(self.base).elements}
+    def coset_partition(self, sub: np.ndarray) -> np.ndarray:
+        """Left coset index of every class modulo the projective subgroup
+        with sorted codes sub, cosets numbered by least representative."""
+        return _coset_labels(self.spec, self.codes, sub,
+                             lambda spec, x, y: proj_canon(spec, mul_codes(spec, x, y)))
 
     def __repr__(self):
         return f"ProjGroup(q={self.spec.q}, order={self.order})"
+
+
+def _proj_orders(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
+    """Projective orders of the codes x: powers are taken for all pending
+    classes at once; orders in PGL_2(F_q) are at most q + 1."""
+    orders = np.zeros(x.size, dtype=np.int64)
+    pending = np.arange(x.size)
+    power = x
+    for n in range(1, spec.q + 2):
+        done = _scalar_mask(*split_codes(spec, power))
+        orders[pending[done]] = n
+        pending, power = pending[~done], power[~done]
+        if not pending.size:
+            return orders
+        power = mul_codes(spec, power, x[pending])
+    raise RuntimeError("projective order ran away")
 
 
 def projectivize(G: MatGroup) -> ProjGroup:
@@ -420,44 +448,39 @@ def projectivize(G: MatGroup) -> ProjGroup:
 def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
     """All subgroups of G, by closing each known subgroup with one more element.
 
-    Any subgroup <g1,...,gk> is reached from <g1> by adding generators one at
-    a time, so the fixed point of this loop is provably the full subgroup
-    lattice.  Intended for tiny ambient groups such as GL_2(F_2), GL_2(F_3).
+    Any subgroup <g1,...,gk> is reached from the trivial group by adding
+    generators one at a time, so the fixed point of this loop is provably
+    the full subgroup lattice; <H, g> = <H, gh> for h in H, so one g per
+    coset of H suffices.
+    Intended for tiny ambient groups such as GL_2(F_2), GL_2(F_3).
     """
     trivial = close_group(G.spec, [identity(G.spec)])
-    found = {trivial.elements: trivial}
-    for g in G.sorted_elements():
-        H = close_group(G.spec, [g])
-        found.setdefault(H.elements, H)
-    frontier = list(found.values())
+    found = {trivial.codes.tobytes(): trivial}
+    elems = G.sorted_elements()
+    frontier = [trivial]
     while frontier:
         fresh = []
         for H in frontier:
-            for g in G.sorted_elements():
-                if g in H.elements:
-                    continue
+            label = _coset_labels(G.spec, G.codes, H.codes)
+            first = np.unique(label, return_index=True)[1]
+            own = label[np.searchsorted(G.codes, H.codes[0])]  # the coset H
+            for g in (elems[i] for i in np.delete(first, own)):
                 K = close_group(G.spec, list(H.generators) + [g])
-                if K.elements not in found:
-                    found[K.elements] = K
+                if K.codes.tobytes() not in found:
+                    found[K.codes.tobytes()] = K
                     fresh.append(K)
         frontier = fresh
-    return sorted(found.values(), key=lambda H: (H.order, [m.encode() for m in H.sorted_elements()]))
+    return sorted(found.values(), key=lambda H: (H.order, H.codes.tolist()))
 
 
 # ---- serialization ----
 
 def group_to_json(G: MatGroup) -> dict:
-    gens = []
-    for m in generating_set(G):
-        rows = m.entries()
-        gens.append([[list(rows[0][0].coeffs), list(rows[0][1].coeffs)],
-                     [list(rows[1][0].coeffs), list(rows[1][1].coeffs)]])
+    gens = [m.rows_json() for m in generating_set(G)]
     return {"field": G.spec.to_json(), "generators": gens}
 
 
 def group_from_json(obj: dict, guard: int = CLOSURE_GUARD) -> MatGroup:
     spec = FieldSpec.from_json(obj["field"])
-    gens = []
-    for rows in obj["generators"]:
-        gens.append(Mat2.from_entries(spec, rows))
+    gens = [Mat2.from_entries(spec, rows) for rows in obj["generators"]]
     return close_group(spec, gens, guard=guard)

@@ -7,7 +7,7 @@ from math import gcd
 
 import numpy as np
 
-from apcong.matgrp import Coset, Mat2, MatGroup, close_group, element_order, identity
+from apcong.matgrp import Coset, Mat2, MatGroup, close_group, identity
 
 
 def random_subgroups(spec, count: int, seed: int) -> list[MatGroup]:
@@ -45,6 +45,19 @@ def enumerate_subgroups_pairs(G: MatGroup) -> list[MatGroup]:
     return sorted(found.values(), key=lambda H: (H.order, [m.encode() for m in H.sorted_elements()]))
 
 
+def element_order(m: Mat2) -> int:
+    """The order of the cyclic group m generates (ValueError if singular)."""
+    return close_group(m.spec, [m]).order
+
+
+def is_scalar(m: Mat2):
+    """The scalar lambda with m = lambda*id, or None."""
+    a, b, c, d = m.e
+    if b == 0 and c == 0 and a == d:
+        return m.spec.from_int(a)
+    return None
+
+
 def group_exponent(G: MatGroup) -> int:
     exp = 1
     for m in G.elements:
@@ -64,3 +77,96 @@ def trace_multiset(obj) -> Counter:
     else:
         items = obj
     return Counter(m.trace_i() for m in items)
+
+
+# ---- oracles that share no code with apcong's field tables or matrix kernel ----
+
+class PolyField:
+    """F_{p^r} by schoolbook polynomial arithmetic on base-p digit encodings,
+    with the modulus read from a FieldSpec."""
+
+    def __init__(self, spec):
+        self.p, self.r, self.q = spec.p, spec.r, spec.q
+        self.modulus = list(spec.modulus)
+        self._inv, self._mul, self._add = {}, {}, {}
+
+    def digits(self, k):
+        out = []
+        for _ in range(self.r):
+            out.append(k % self.p)
+            k //= self.p
+        return out
+
+    def encode(self, cs):
+        return sum(c * self.p ** i for i, c in enumerate(cs))
+
+    def add(self, x, y):
+        if (x, y) not in self._add:
+            self._add[x, y] = self.encode(
+                [(a + b) % self.p for a, b in zip(self.digits(x), self.digits(y))])
+        return self._add[x, y]
+
+    def neg(self, x):
+        return self.encode([-a % self.p for a in self.digits(x)])
+
+    def mul(self, x, y):
+        if (x, y) not in self._mul:
+            self._mul[x, y] = self._poly_mul(x, y)
+        return self._mul[x, y]
+
+    def _poly_mul(self, x, y):
+        p, r = self.p, self.r
+        prod = [0] * (2 * r - 1)
+        for i, a in enumerate(self.digits(x)):
+            for j, b in enumerate(self.digits(y)):
+                prod[i + j] += a * b
+        for top in range(2 * r - 2, r - 1, -1):  # reduce by the monic modulus
+            c = prod[top] % p
+            for i in range(r + 1):
+                prod[top - r + i] -= c * self.modulus[i]
+        return self.encode([c % p for c in prod[:r]])
+
+    def inv(self, x):
+        if x not in self._inv:
+            self._inv[x] = next(y for y in range(1, self.q) if self.mul(x, y) == 1)
+        return self._inv[x]
+
+
+def oracle_mat_mul(F: PolyField, x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (F.add(F.mul(a, e), F.mul(b, g)), F.add(F.mul(a, f), F.mul(b, h)),
+            F.add(F.mul(c, e), F.mul(d, g)), F.add(F.mul(c, f), F.mul(d, h)))
+
+
+def oracle_code(F: PolyField, m) -> int:
+    a, b, c, d = m
+    return ((a * F.q + b) * F.q + c) * F.q + d
+
+
+def oracle_closure(F: PolyField, gens) -> set:
+    """Subgroup generated by gens (entry 4-tuples), by a set BFS."""
+    one = (1, 0, 0, 1)
+    seen, todo = {one}, [one]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = oracle_mat_mul(F, x, g)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def oracle_proj_canon(F: PolyField, m):
+    lead = next(x for x in m if x)
+    s = F.inv(lead)
+    return tuple(F.mul(x, s) for x in m)
+
+
+def oracle_proj_order(F: PolyField, m) -> int:
+    n, x = 1, m
+    while not (x[1] == 0 and x[2] == 0 and x[0] == x[3]):
+        x = oracle_mat_mul(F, x, m)
+        n += 1
+    return n

@@ -218,7 +218,7 @@ def test_analyze_group_computes_each_structure_once(monkeypatch):
 
     count(matgrp, "_commutator_subgroup")
     count(matgrp.ProjGroup, "__init__")
-    count(matgrp.ProjGroup, "proj_order")
+    count(matgrp, "_proj_orders")
     count(classify, "_classify")
     count(abelian, "cosets")
     for mod in (constructions, classify):
@@ -226,9 +226,9 @@ def test_analyze_group_computes_each_structure_once(monkeypatch):
             monkeypatch.setattr(mod, name, forbidden, raising=False)
     rep = analyze_group(G)
     assert rep.dickson.label == "PGL2" and rep.theorem_consistent
-    # one projective order per class of PGL2(F7), of order 7^3 - 7
+    # the projective orders of all 336 classes of PGL2(F7) in one step
     assert calls == {"_commutator_subgroup": 1, "__init__": 1,
-                     "proj_order": 336, "_classify": 1, "cosets": 1}
+                     "_proj_orders": 1, "_classify": 1, "cosets": 1}
 
 
 def test_analyze_totally_abelian_group():

@@ -191,3 +191,43 @@ def test_classify_every_subgroup_of_gl2_f3():
 def test_classification_rejects_non_groups():
     with pytest.raises((ClassificationError, ValueError, KeyError, AttributeError)):
         classify_projective(None)
+
+
+def borel_subgroup(spec):
+    """<(1 1; 0 1), diag(z, 1)>: upper triangular of order q(q - 1); the
+    full Borel group over F_101 already exceeds the closure guard."""
+    from apcong.constructions import _primitive_int
+    from apcong.matgrp import Mat2, close_group
+
+    z = _primitive_int(spec)
+    return close_group(spec, [Mat2(spec, (1, 1, 0, 1)), Mat2(spec, (z, 0, 0, 1))])
+
+
+@pytest.mark.parametrize("p", [101, 211])
+def test_classify_and_analyze_past_q_100(p):
+    from fractions import Fraction
+
+    from apcong.abelian import analyze_group
+
+    spec = make_field(p)
+    cases = [(unipotent(spec), "BorelConjugable", p, Fraction(0)),
+             (borel_dihedral(spec), "BorelConjugable", 2 * p, Fraction(1, 2)),
+             (dihedral_lift(spec, 5 if p == 101 else 7), "Dihedral", None, Fraction(1, 2)),
+             (dihedral_lift(spec, 10 if p == 101 else 6), "Dihedral", None, None)]
+    if p == 101:
+        cases.append((borel_subgroup(spec), "BorelConjugable", p * (p - 1), Fraction(1, p - 1)))
+        cases.append((dihedral_lift(spec, 17), "Dihedral", 2 * 17 * (p - 1), Fraction(1, 2)))
+    for G, label, order, c in cases:
+        cls = classify_group(G)
+        assert cls.label == label
+        if order is not None:
+            assert G.order == order
+        rep = analyze_group(G)
+        assert rep.theorem_consistent and rep.dickson == cls
+        assert rep.totally == (label == "BorelConjugable")
+        if label == "Dihedral":
+            n = cls.n
+            want = Fraction(1, 2) + (Fraction(1, 2 * n) if n % 2 == 0 else 0)
+            assert rep.density == want and (c is None or c == want)
+        else:
+            assert rep.density == c

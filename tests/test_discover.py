@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apcong.abelian import density_c
 from apcong.constructions import borel, gl2, sl2, split_cartan_normalizer
@@ -15,6 +18,7 @@ from apcong.discover import (
     discover_class,
     discover_report,
     divisors,
+    kronecker_column,
     legendre_candidates,
     legendre_fit,
     sample_dataset,
@@ -32,7 +36,7 @@ from apcong.eigendata import (
     delta_coeffs,
     primes_upto,
 )
-from apcong.ffield import legendre, make_field
+from apcong.ffield import kronecker, legendre, make_field
 from apcong.matgrp import close_group, identity
 
 from helpers import random_subgroups
@@ -168,6 +172,21 @@ def test_legendre_fit_filters_vacuous_premises():
     assert legendre_fit(ds, 0, (-1,)) == ()
     with pytest.raises(ValueError):
         legendre_fit(ds, 0, (0,))
+
+
+@settings(max_examples=80)
+@given(st.integers(-2000, 2000).filter(bool),
+       st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=300))
+def test_kronecker_column_matches_the_per_sample_loop(m, ns):
+    # any positive n: odd ones share a class mod 4|m|, even ones do not
+    n = np.array(ns + [2, 2 * abs(m), abs(m), 4 * abs(m) + 1], dtype=np.int64)
+    assert kronecker_column(m, n).tolist() == [kronecker(m, k) for k in n.tolist()]
+
+
+def test_kronecker_column_on_primes_of_every_class():
+    ps = np.array(primes_upto(30_000), dtype=np.int64)
+    for m in legendre_candidates(50700, 13) + [-23, 3, 7, 11, -1, 2, -2]:
+        assert kronecker_column(m, ps).tolist() == [kronecker(m, p) for p in ps.tolist()]
 
 
 def test_legendre_fit_one_way():

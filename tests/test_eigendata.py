@@ -135,7 +135,7 @@ def exact_delta_200():
     return squaring_chain_delta(200)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(T=st.integers(1, 200),
        m=st.one_of(st.integers(1, 1000), st.integers(1, 2 ** 70)))
 def test_delta_mod_m_is_exact_delta_reduced(T, m):
@@ -411,7 +411,7 @@ def datasets(draw):
     return ApDataset("h", level, ell, list(zip(ps, a)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(datasets())
 def test_dataset_columns_round_trip_through_csv(ds):
     lines = ds.csv().splitlines()

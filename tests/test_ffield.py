@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from apcong.ffield import (
@@ -15,6 +16,8 @@ from apcong.ffield import (
     quadratic_extension,
     sqrt_in_field,
 )
+
+from helpers import PolyField
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2)]
 
@@ -188,3 +191,80 @@ def test_field_spec_json_roundtrip():
     spec = make_field(3, 2)
     again = FieldSpec.from_json(spec.to_json())
     assert again == spec
+
+
+def prime_powers(limit):
+    return [(p, r) for p in range(2, limit + 1) if is_prime(p)
+            for r in range(1, 7) if p ** r <= limit]
+
+
+@pytest.mark.parametrize("p,r", prime_powers(64))
+def test_tables_match_polynomial_arithmetic_exhaustively(p, r):
+    spec = make_field(p, r)
+    F = PolyField(spec)
+    q = spec.q
+    x, y = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    want_mul = np.array([F.mul(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    want_add = np.array([F.add(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    assert (spec.mul_a(x, y) == want_mul).all()
+    assert (spec.add_a(x, y) == want_add).all()
+    assert (spec.sub_a(want_add, y) == x).all()
+    ks = np.arange(q, dtype=np.int64)
+    assert spec.neg_a(ks).tolist() == [F.neg(k) for k in range(q)]
+    assert spec.inv_a(ks[1:]).tolist() == [F.inv(k) for k in range(1, q)]
+    # the scalar methods read the same tables
+    for a, b in zip(x[::7].tolist(), y[::7].tolist()):
+        assert spec.mul_i(a, b) == F.mul(a, b)
+        assert spec.add_i(a, b) == F.add(a, b)
+        assert spec.sub_i(a, b) == F.add(a, F.neg(b))
+
+
+@pytest.mark.parametrize("p,r", [(101, 2), (2, 10)])
+def test_tables_match_polynomial_arithmetic_on_random_pairs(p, r):
+    spec = make_field(p, r)
+    F = PolyField(spec)
+    rng = np.random.default_rng(p * 100 + r)
+    x, y = rng.integers(0, spec.q, size=(2, 2000))
+    assert spec.mul_a(x, y).tolist() == [F.mul(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert spec.add_a(x, y).tolist() == [F.add(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    nz = x[x != 0][:50].tolist()
+    assert [spec.mul_i(a, spec.inv_i(a)) for a in nz] == [1] * len(nz)
+
+
+def test_powers_inverses_and_zero():
+    for spec in (make_field(7), make_field(3, 2), make_field(2, 3)):
+        F = PolyField(spec)
+        for x in range(spec.q):
+            want = 1
+            for n in range(2 * spec.q + 1):
+                assert spec.pow_i(x, n) == want
+                want = F.mul(want, x)
+            if x:
+                assert spec.pow_i(x, -1) == F.inv(x)
+        with pytest.raises(ZeroDivisionError):
+            spec.inv_i(0)
+        with pytest.raises(ZeroDivisionError):
+            spec.inv_a(np.arange(3))
+        with pytest.raises(ZeroDivisionError):
+            spec.pow_i(0, -2)
+
+
+def test_make_field_beyond_ten_thousand_keeps_least_modulus():
+    # degrees <= 3 have no size limit on the search but the guard; the
+    # modulus is still the least irreducible in base-p order
+    for p, r in ((101, 2), (211, 2), (23, 3), (97, 2), (5, 3)):
+        spec = make_field(p, r)
+        F = PolyField(spec)
+        mod = list(spec.modulus)
+        k = sum(c * p ** i for i, c in enumerate(mod[:-1]))
+        for smaller in range(k):
+            tail = [(smaller // p ** i) % p for i in range(r)]
+            roots = [x for x in range(p)
+                     if sum(c * x ** i for i, c in enumerate(tail + [1])) % p == 0]
+            assert roots, f"x^{r} + ... with tail {tail} is irreducible and smaller"
+        assert F.mul(F.inv(2), 2) == 1
+    assert make_field(3, 2).modulus == (1, 0, 1)
+    with pytest.raises(ValueError):
+        make_field(11, 4)  # 14641 > 10^4 needs the trial factor search
+    with pytest.raises(ValueError):
+        make_field(1031, 2)  # over the 2^20 size guard

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apcong.constructions import (
     a4_lift,
@@ -17,22 +19,33 @@ from apcong.constructions import (
 from apcong.ffield import make_field
 from apcong.matgrp import (
     ClosureGuardError,
+    CodeRangeError,
     Mat2,
     close_group,
     commutator_subgroup,
     cosets,
-    element_order,
     enumerate_subgroups,
     from_elements,
     generating_set,
     group_from_json,
     group_to_json,
     identity,
-    is_scalar,
     projectivize,
 )
 
-from helpers import enumerate_subgroups_pairs, group_exponent, trace_multiset
+from helpers import (
+    PolyField,
+    element_order,
+    enumerate_subgroups_pairs,
+    group_exponent,
+    is_scalar,
+    oracle_closure,
+    oracle_code,
+    oracle_mat_mul,
+    oracle_proj_canon,
+    oracle_proj_order,
+    trace_multiset,
+)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -236,3 +249,99 @@ def test_mat2_raw_constructor_uses_encodings():
     m = Mat2(F5, (1, 2, 3, 4))
     assert m.trace_i() == 0  # 1 + 4 = 5 = 0
     assert m.det_i() == (4 - 6) % 5
+
+
+# ---- the array kernel against pure-Python oracles (tests/helpers.py) ----
+
+KERNEL_QS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+             9: (3, 2), 25: (5, 2), 27: (3, 3)}
+
+
+@st.composite
+def random_groups(draw):
+    """A field of size in KERNEL_QS and invertible generators: one or two
+    random matrices for q <= 9; for q = 25, 27 a unipotent and a diagonal
+    matrix conjugated by a random h, which keeps |G| <= q (q - 1)."""
+    q = draw(st.sampled_from(sorted(KERNEL_QS)))
+    spec = make_field(*KERNEL_QS[q])
+    F = PolyField(spec)
+    entry = st.integers(0, q - 1)
+    unit = st.integers(1, q - 1)
+
+    def invertible():
+        m = tuple(draw(entry) for _ in range(4))
+        assume(F.add(F.mul(m[0], m[3]), F.neg(F.mul(m[1], m[2]))) != 0)
+        return m
+
+    if q <= 9:
+        gens = [invertible() for _ in range(draw(st.integers(1, 2)))]
+    else:
+        h = invertible()
+        hi = oracle_inverse(F, h)
+        tri = (1, draw(unit), 0, 1)
+        diag = (draw(unit), 0, 0, draw(unit))
+        gens = [oracle_mat_mul(F, oracle_mat_mul(F, h, g), hi) for g in (tri, diag)]
+    return spec, F, gens
+
+
+def oracle_inverse(F, m):
+    a, b, c, d = m
+    di = F.inv(F.add(F.mul(a, d), F.neg(F.mul(b, c))))
+    return (F.mul(d, di), F.mul(F.neg(b), di), F.mul(F.neg(c), di), F.mul(a, di))
+
+
+@settings(max_examples=40)
+@given(random_groups())
+def test_kernel_closure_cosets_and_projective_image(case):
+    spec, F, gens = case
+    G = close_group(spec, [Mat2(spec, g) for g in gens])
+    elems = oracle_closure(F, gens)
+    assert G.codes.tolist() == sorted(oracle_code(F, m) for m in elems)
+    # cosets of [G, G] and of <first generator>: a partition of G into g.H
+    decode = {oracle_code(F, m): m for m in elems}
+    for H in (commutator_subgroup(G), close_group(spec, [Mat2(spec, gens[0])])):
+        hs = [decode[c] for c in H.codes.tolist()]
+        cs = cosets(G, H)
+        assert sorted(c for coset in cs for c in coset.codes.tolist()) == G.codes.tolist()
+        assert [coset.representative.encode() for coset in cs] == \
+            sorted(coset.codes.min() for coset in cs)
+        for coset in cs:
+            rep = coset.representative.e
+            assert coset.codes.tolist() == sorted(
+                oracle_code(F, oracle_mat_mul(F, rep, h)) for h in hs)
+    P = projectivize(G)
+    canon = {oracle_proj_canon(F, m) for m in elems}
+    assert P.codes.tolist() == sorted(oracle_code(F, m) for m in canon)
+    assert P.class_orders.tolist() == [
+        oracle_proj_order(F, decode_proj) for decode_proj in
+        sorted(canon, key=lambda m: oracle_code(F, m))]
+
+
+def test_code_range_boundary():
+    # q^4 < 2^63 holds for q <= 55108: 55103 is the largest prime below
+    # and 55109 the least prime above
+    below = make_field(55103)
+    minus = below.neg_i(1)
+    G = close_group(below, [Mat2(below, (minus, 0, 0, minus))])
+    q = below.q
+    assert G.codes.tolist() == [q ** 3 + 1, minus * q ** 3 + minus]
+    assert projectivize(G).order == 1
+    assert commutator_subgroup(G).order == 1
+    above = make_field(55109)
+    with pytest.raises(CodeRangeError):
+        close_group(above, [identity(above)])
+    with pytest.raises(CodeRangeError):
+        from_elements(above, [identity(above)])
+    # matrices at the edges stay exact over any admitted field
+    m = Mat2(above, (above.neg_i(1), 3, 5, 7))
+    assert (m * m.inv()).e == (1, 0, 0, 1)
+
+
+def test_long_cyclic_closure():
+    # a generator of order 101^2 - 1: the closure's steps double instead of
+    # walking the chain one element per round
+    spec = make_field(101)
+    G = nonsplit_cartan(spec)
+    assert G.order == 101 * 101 - 1
+    g = G.generators[0]
+    assert element_order(g) == G.order
