@@ -43,6 +43,7 @@ from .matgrp import (
     Coset,
     MatGroup,
     commutator_subgroup,
+    coset_label,
     cosets,
     enumerate_subgroups,
     mat_product,
@@ -77,9 +78,7 @@ def coset_traces(G: MatGroup) -> CosetTraces:
 def _coset_traces(G: MatGroup) -> CosetTraces:
     H = commutator_subgroup(G)
     cs = tuple(cosets(G, H))
-    label = np.empty(G.order, dtype=np.int64)
-    label[np.searchsorted(G.codes, np.stack([c.codes for c in cs]))] = \
-        np.arange(len(cs))[:, None]
+    label = coset_label(G, H)  # computed by cosets and memoised on G
     # distinct (coset, trace) pairs, ascending, split where the coset changes
     coset, trace = np.divmod(unique_codes(label * G.spec.q + G.traces), G.spec.q)
     tsets = np.split(trace, np.flatnonzero(np.diff(coset)) + 1)

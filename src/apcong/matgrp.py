@@ -106,24 +106,16 @@ def _isin(sorted_codes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sorted_codes[i] == x
 
 
-def _close(spec: FieldSpec, gens: np.ndarray, product=mul_codes, guard: int = CLOSURE_GUARD):
-    """Sorted codes of the subgroup generated by gens (inverses are powers):
-    each round multiplies the whole frontier by every step.  Steps start as
-    gens and, while the frontier is under 1/16 of what was seen, gain the
-    squares of the last powers added: a long cyclic chain takes O(log) rounds."""
-    one = _join(spec, 1, 0, 0, 1)
-    seen = np.array([one], dtype=np.int64)
-    frontier, steps, powers = seen, gens, gens
+def _close(spec: FieldSpec, gens: np.ndarray, guard: int = CLOSURE_GUARD):
+    """Sorted codes of the subgroup generated by gens (inverses are powers)."""
+    seen = frontier = np.array([_join(spec, 1, 0, 0, 1)], dtype=np.int64)
     while frontier.size:
-        new = unique_codes(product(spec, frontier[:, None], steps[None, :]))
+        new = unique_codes(mul_codes(spec, frontier[:, None], gens[None, :]))
         new = new[~_isin(seen, new)]
         if seen.size + new.size > guard:
             raise ClosureGuardError(f"closure exceeded guard {guard}")
         seen = np.sort(np.concatenate((seen, new)), kind="stable")  # a merge
         frontier = new
-        if 16 * new.size < seen.size:
-            powers = product(spec, powers, powers)
-            steps = unique_codes(np.concatenate((steps, powers)))
     return seen
 
 
@@ -146,6 +138,7 @@ def _coset_labels(spec: FieldSpec, g: np.ndarray, h: np.ndarray, product=mul_cod
         count += len(members)
     if np.bincount(label).tolist() != [h.size] * count:
         raise RuntimeError("cosets do not partition G")
+    label.flags.writeable = False
     return label
 
 
@@ -231,11 +224,12 @@ class MatGroup:
     def order(self) -> int:
         return int(self.codes.size)
 
-    def memo(self, fn):
-        """fn(self), computed on the first call for this fn and stored."""
-        if fn not in self._derived:
-            self._derived[fn] = fn(self)
-        return self._derived[fn]
+    def memo(self, fn, *args):
+        """fn(self, *args), computed once per argument tuple and stored."""
+        key = (fn, *args)
+        if key not in self._derived:
+            self._derived[key] = fn(self, *args)
+        return self._derived[key]
 
     @cached_property
     def entries(self) -> tuple[np.ndarray, ...]:
@@ -372,13 +366,22 @@ class Coset:
         return {self.subgroup.spec.from_int(t) for t in self.trace_ints()}
 
 
-def cosets(G: MatGroup, H: MatGroup) -> list[Coset]:
-    """Left cosets of H in G, sorted by their least-encoded representative."""
+def coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:
+    """Index in cosets(G, H) of the coset holding each element of G.codes."""
     if H.spec != G.spec:
         raise ValueError("field mismatch")
     if not H.is_subgroup_of(G):
         raise ValueError("H is not contained in G")
-    label = _coset_labels(G.spec, G.codes, H.codes)
+    return G.memo(_coset_label, H)
+
+
+def _coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:
+    return _coset_labels(G.spec, G.codes, H.codes)
+
+
+def cosets(G: MatGroup, H: MatGroup) -> list[Coset]:
+    """Left cosets of H in G, sorted by their least-encoded representative."""
+    label = coset_label(G, H)
     parts = G.codes[np.argsort(label, kind="stable")].reshape(-1, H.order)
     reps = _mats_of(G.spec, parts[:, 0])
     return [Coset(H, rep, part) for rep, part in zip(reps, parts)]

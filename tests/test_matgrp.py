@@ -23,6 +23,7 @@ from apcong.matgrp import (
     Mat2,
     close_group,
     commutator_subgroup,
+    coset_label,
     cosets,
     enumerate_subgroups,
     from_elements,
@@ -166,9 +167,22 @@ def test_cosets_partition():
         assert {t.as_int() for t in c.traces()} == c.trace_ints()
 
 
+def test_coset_label_indexes_cosets():
+    G = gl2(F3)
+    H = close_group(F3, [Mat2(F3, (1, 1, 0, 1))])
+    label = coset_label(G, H)
+    for i, c in enumerate(cosets(G, H)):
+        assert G.codes[label == i].tolist() == c.codes.tolist()
+    # computed once per (G, H) and shared, so it is read-only
+    assert coset_label(G, H) is label
+    assert not label.flags.writeable
+
+
 def test_cosets_requires_subgroup():
     with pytest.raises(ValueError):
         cosets(sl2(F3), gl2(F3))
+    with pytest.raises(ValueError):
+        coset_label(sl2(F3), gl2(F3))
 
 
 def brute_commutators(G):
@@ -338,10 +352,14 @@ def test_code_range_boundary():
 
 
 def test_long_cyclic_closure():
-    # a generator of order 101^2 - 1: the closure's steps double instead of
-    # walking the chain one element per round
+    # a generator of order 101^2 - 1: its closure against its powers, built
+    # one scalar product at a time
     spec = make_field(101)
     G = nonsplit_cartan(spec)
-    assert G.order == 101 * 101 - 1
     g = G.generators[0]
-    assert element_order(g) == G.order
+    powers, x = [], identity(spec)
+    for _ in range(101 * 101 - 1):
+        powers.append(x.encode())
+        x = x * g
+    assert x.e == (1, 0, 0, 1)
+    assert G.codes.tolist() == sorted(powers)
