@@ -183,6 +183,8 @@ def test_cosets_requires_subgroup():
         cosets(sl2(F3), gl2(F3))
     with pytest.raises(ValueError):
         coset_label(sl2(F3), gl2(F3))
+    with pytest.raises(ValueError):  # a subgroup over another field
+        cosets(gl2(F3), sl2(F2))
 
 
 def brute_commutators(G):
