@@ -63,12 +63,23 @@ class TheoremConsistencyError(AssertionError):
 @dataclass(frozen=True, eq=False)
 class CosetTraces:
     """Cosets of the commutator subgroup together with their trace sets;
-    label is the coset index of every element of G, aligned with G.codes."""
+    label is the coset index of every element of G, aligned with G.codes.
+
+    The (coset, trace) incidence is summarised once, per trace x of the
+    field: const is the trace of each constant-trace coset (-1 for the
+    others), first_const[x] the first coset of constant trace x and
+    first_missing[x] the first coset that misses x (-1 if there is none),
+    and mixed[x] whether x lies in a coset with two or more traces.
+    """
 
     commutator: MatGroup
     cosets: tuple[Coset, ...]
     trace_sets: tuple[frozenset[int], ...]
     label: np.ndarray
+    const: np.ndarray
+    first_const: np.ndarray
+    first_missing: np.ndarray
+    mixed: np.ndarray
 
 
 def coset_traces(G: MatGroup) -> CosetTraces:
@@ -79,10 +90,27 @@ def _coset_traces(G: MatGroup) -> CosetTraces:
     H = commutator_subgroup(G)
     cs = tuple(cosets(G, H))
     label = coset_label(G, H)  # computed by cosets and memoised on G
+    q, n = G.spec.q, len(cs)
     # distinct (coset, trace) pairs, ascending, split where the coset changes
-    coset, trace = np.divmod(unique_codes(label * G.spec.q + G.traces), G.spec.q)
-    tsets = np.split(trace, np.flatnonzero(np.diff(coset)) + 1)
-    return CosetTraces(H, cs, tuple(frozenset(t.tolist()) for t in tsets), label)
+    coset, trace = np.divmod(unique_codes(label * q + G.traces), q)
+    starts = np.flatnonzero(np.diff(coset, prepend=-1))
+    sizes = np.diff(starts, append=coset.size)
+    const = np.where(sizes == 1, trace[starts], -1)
+    first_const = np.full(q, n)
+    np.minimum.at(first_const, const[const >= 0], np.flatnonzero(const >= 0))
+    # the cosets holding x, ascending: the first one out of step with its
+    # rank r is preceded by a gap at coset r
+    by_trace = np.argsort(trace, kind="stable")
+    count = np.bincount(trace, minlength=q)
+    rank = np.arange(trace.size) - (np.cumsum(count) - count)[trace[by_trace]]
+    gap = coset[by_trace] != rank
+    first_missing = count.copy()
+    np.minimum.at(first_missing, trace[by_trace][gap], rank[gap])
+    mixed = np.bincount(trace[sizes[coset] > 1], minlength=q) > 0
+    tsets = np.split(trace, starts[1:])
+    return CosetTraces(H, cs, tuple(frozenset(t.tolist()) for t in tsets), label,
+                       const, np.where(first_const < n, first_const, -1),
+                       np.where(first_missing < n, first_missing, -1), mixed)
 
 
 def _trace_int(spec: FieldSpec, x) -> int:
@@ -109,21 +137,6 @@ def _require_proper(G: MatGroup, x) -> int:
     return xi
 
 
-# verdicts on plain trace-set tuples; shared by the public wrappers and the
-# exhaustive cross-checks
-
-def _weak_i(tsets, xi: int) -> bool:
-    return any(ts == {xi} for ts in tsets)
-
-
-def _semi_i(tsets, xi: int) -> bool:
-    return any(xi not in ts for ts in tsets)
-
-
-def _union_i(tsets, xi: int) -> bool:
-    return all(ts == {xi} for ts in tsets if xi in ts)
-
-
 # ---- public per-class verdicts ----------------------------------------------
 
 
@@ -135,8 +148,8 @@ def is_weakly_abelian(G: MatGroup, x):
     """
     xi = _require_proper(G, x)
     data = coset_traces(G)
-    c = next((c for c, ts in zip(data.cosets, data.trace_sets) if ts == {xi}), None)
-    return c is not None, c
+    i = int(data.first_const[xi])
+    return (True, data.cosets[i]) if i >= 0 else (False, None)
 
 
 def is_semi_abelian(G: MatGroup, x):
@@ -147,8 +160,8 @@ def is_semi_abelian(G: MatGroup, x):
     """
     xi = _require_proper(G, x)
     data = coset_traces(G)
-    c = next((c for c, ts in zip(data.cosets, data.trace_sets) if xi not in ts), None)
-    return c is not None, c
+    i = int(data.first_missing[xi])
+    return (True, data.cosets[i]) if i >= 0 else (False, None)
 
 
 def is_abelian_class(G: MatGroup, x):
@@ -160,13 +173,9 @@ def is_abelian_class(G: MatGroup, x):
     """
     xi = _require_proper(G, x)
     data = coset_traces(G)
-    hit = []
-    for c, ts in zip(data.cosets, data.trace_sets):
-        if xi in ts:
-            if ts != {xi}:
-                return False, None
-            hit.append(c)
-    return True, tuple(hit)
+    if data.mixed[xi]:
+        return False, None
+    return True, tuple(data.cosets[i] for i in np.flatnonzero(data.const == xi).tolist())
 
 
 def is_totally_abelian(G: MatGroup) -> bool:
@@ -181,7 +190,7 @@ def is_totally_abelian(G: MatGroup) -> bool:
 
 
 def _totally_abelian(G: MatGroup) -> bool:
-    by_cosets = all(len(ts) == 1 for ts in coset_traces(G).trace_sets)
+    by_cosets = bool((coset_traces(G).const >= 0).all())
     by_line = classify_group(G).label in ("BorelConjugable", "Cyclic")
     if by_cosets != by_line:
         raise TheoremConsistencyError(
@@ -373,7 +382,7 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     """
     spec = G.spec
     cls = classify_group(G)
-    tsets = coset_traces(G).trace_sets
+    data = coset_traces(G)
     ell = spec.p
     checks = []
 
@@ -381,8 +390,8 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     totally = is_totally_abelian(G)
     checks.append("totally-borel-equivalence")
 
-    weak = {x for x in proper if _weak_i(tsets, x)}
-    union = {x for x in proper if _union_i(tsets, x)}
+    weak = {x for x in proper if data.first_const[x] >= 0}
+    union = {x for x in proper if not data.mixed[x]}
     borel = cls.label in ("BorelConjugable", "Cyclic")
 
     if any(x != 0 for x in weak) and not borel:
@@ -423,7 +432,7 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     pred = SemiPredictor(G)
     for xi in range(spec.q):
         want = pred.predict(xi)
-        got = _semi_i(tsets, xi)
+        got = bool(data.first_missing[xi] >= 0)
         if got != want:
             raise TheoremConsistencyError(
                 f"{cls.describe()}: semi verdict at {xi} computed {got}, "
@@ -436,7 +445,7 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     sizes = np.bincount(part)
     zeros = np.bincount(part[P.traces == 0], minlength=sizes.size)
     proj_union = bool(((zeros == 0) | (zeros == sizes)).all())
-    if proj_union != _union_i(tsets, 0):
+    if proj_union == data.mixed[0]:
         raise TheoremConsistencyError(
             "projective and matrix union verdicts disagree at x = 0")
     checks.append("projective-zero-agreement")

@@ -2,7 +2,7 @@
 
 Three sources feed the congruence machinery: truncated q-series arithmetic
 over Z/m (eta products, in particular the discriminant form delta = eta^24),
-naive point counting on rational elliptic curves over F_p, and curve models
+point counting on rational elliptic curves over F_p, and curve models
 ingested from a JSON-lines fixture file.  Everything here is finite and
 exact; no floating point, no external tables at runtime.
 
@@ -11,6 +11,11 @@ eta^24 = (eta^3)^8 is seven products of a sparse series with about sqrt(2T)
 terms into a dense one, so tau(n) for n <= T costs O(T^1.5) instead of the
 O(T^2) of dense convolution.  Every product is reduced mod m, in int64 while
 the bound allows it and in Python integers otherwise (and for m = 0).
+
+A curve's a_p come from one kernel for all its good primes at once: a
+character sum for p <= 229, and above that a baby-step giant-step search
+(Shanks-Mestre) with one numpy lane per prime, O(p^(1/4)) point operations
+each, exact by Mestre's theorem.  ap_point_count is its one-lane case.
 
 An ApDataset keeps its samples as two read-only int64 columns, p and a, so
 discovery and verification work on whole arrays.  A curve is point counted
@@ -29,6 +34,7 @@ from importlib import resources
 import numpy as np
 
 from .ffield import factorize, is_prime
+from .matgrp import unique_codes
 
 POINT_COUNT_GUARD = 10 ** 6
 
@@ -165,7 +171,7 @@ def delta_coeffs(T: int, m: int = 0) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# elliptic curves over Q and naive point counts
+# elliptic curves over Q and their point counts
 
 
 @dataclass(frozen=True)
@@ -199,6 +205,11 @@ class EllipticCurve:
         return b2, b4, b6, b8
 
     @cached_property
+    def c_invariants(self) -> tuple[int, int]:
+        b2, b4, b6, _ = self.b_invariants
+        return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+
+    @cached_property
     def discriminant(self) -> int:
         b2, b4, b6, b8 = self.b_invariants
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
@@ -208,14 +219,56 @@ class EllipticCurve:
 
 
 def ap_point_count(E: EllipticCurve, p: int) -> int:
-    """a_p = p + 1 - #E(F_p) by direct counting; quadratic character sum
-    over the completed square for p > 3."""
+    """a_p = p + 1 - #E(F_p) for one prime p of good reduction, p <= the
+    point counting guard; the one-lane case of the kernel behind
+    curve_dataset."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p > POINT_COUNT_GUARD:
         raise ValueError(f"point counting guard exceeded at {p}")
     if not E.has_good_reduction(p):
         raise ValueError(f"bad reduction at {p} for {E.label}")
+    ap = int(_ap_kernel(E, np.array([p], dtype=np.int64))[0])
+    assert ap * ap <= 4 * p, f"Hasse bound violated: a_{p} = {ap}"
+    return ap
+
+
+# Mestre: for p > 229 a point of E or of its quadratic twist has an order
+# with a single multiple in the Hasse interval (Schoof 1995, section 3)
+_MESTRE_MIN_P = 229
+# lanes x Hasse-interval cells per chunk, which bounds the kernel's arrays
+_CHUNK_CELLS = 1 << 20
+
+
+def _ap_kernel(E: EllipticCurve, ps: np.ndarray) -> np.ndarray:
+    """a_p for an ascending int64 array of good primes, as an int64 array.
+
+    Primes up to 229 take a character sum each.  Above it the primes are
+    numpy lanes of one baby-step giant-step search (Shanks-Mestre), in
+    chunks of at most _CHUNK_CELLS lanes x interval cells.
+    """
+    ps = np.asarray(ps, dtype=np.int64)
+    if len(ps) and ps[-1] > POINT_COUNT_GUARD:
+        raise ValueError(
+            f"point counting guard exceeded at {ps[ps > POINT_COUNT_GUARD][0]}")
+    ap = np.empty(len(ps), dtype=np.int64)
+    lo = int(np.searchsorted(ps, _MESTRE_MIN_P, side="right"))
+    ap[:lo] = [_ap_char_sum(E, p) for p in ps[:lo].tolist()]
+    # Hasse: |a_p| <= w = floor(2 sqrt(p))
+    w = np.fromiter((math.isqrt(4 * p) for p in ps.tolist()), np.int64, len(ps))
+    while lo < len(ps):
+        # widths grow with p, so the last lane of a chunk is its widest
+        n = np.arange(1, min(len(ps) - lo, _CHUNK_CELLS // (2 * int(w[lo]) + 1)) + 1)
+        cells = n * (2 * w[lo : lo + len(n)] + 1)
+        hi = lo + max(1, int(np.searchsorted(cells, _CHUNK_CELLS, side="right")))
+        ap[lo:hi] = _shanks_mestre(E, ps[lo:hi], w[lo:hi])
+        lo = hi
+    return ap
+
+
+def _ap_char_sum(E: EllipticCurve, p: int) -> int:
+    """a_p by direct counting: brute force for p <= 3, else the quadratic
+    character sum over the completed square."""
     if p <= 3:
         a1, a2, a3, a4, a6 = (x % p for x in E.a)
         affine = sum(
@@ -224,26 +277,171 @@ def ap_point_count(E: EllipticCurve, p: int) -> int:
             for y in range(p)
             if (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p == 0
         )
-        ap = p + 1 - (affine + 1)
-    else:
-        b2, b4, b6, _ = E.b_invariants
-        xs = np.arange(p, dtype=np.int64)
-        chi = np.full(p, -1, dtype=np.int8)
-        half = xs[: (p + 1) // 2]
-        chi[half * half % p] = 1
-        chi[0] = 0
-        # Horner form of 4x^3 + b2 x^2 + 2 b4 x + b6 with reduced
-        # coefficients stays below 5 p^3 < 2^63 for p <= POINT_COUNT_GUARD
-        g = 4 * xs
-        g += b2 % p
-        g *= xs
-        g += 2 * b4 % p
-        g *= xs
-        g += b6 % p
-        g %= p
-        ap = -int(chi[g].sum(dtype=np.int64))
-    assert ap * ap <= 4 * p, f"Hasse bound violated: a_{p} = {ap}"
+        return p + 1 - (affine + 1)
+    b2, b4, b6, _ = E.b_invariants
+    xs = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int8)
+    half = xs[: (p + 1) // 2]
+    chi[half * half % p] = 1
+    chi[0] = 0
+    # 4x^3 + b2 x^2 + 2 b4 x + b6 in Horner form with reduced coefficients
+    # stays below 5 p^3, far inside int64 for p <= 229
+    g = (((4 * xs + b2 % p) * xs + 2 * b4 % p) * xs + b6 % p) % p
+    return -int(chi[g].sum(dtype=np.int64))
+
+
+def _shanks_mestre(E: EllipticCurve, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a_p for primes p > 229 (one lane each) on the model
+    y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6, given w = floor(2 sqrt(p)).
+
+    For x0 with d = f(x0) != 0 the point (x0 d, d^2) lies on
+    y^2 = x^3 + A d^2 x + B d^3, which is E when d is a square mod p and
+    its quadratic twist otherwise, so no square root is needed.  Points are
+    projective (X : Y : Z) and every product is of two residues, below
+    p^2 < 2^62.  Each lane keeps the candidates t in [-w, w] at index
+    t + w; a point on E keeps those with (p + 1 - t) P = O, a twist point
+    those with (p + 1 + t) P = O.  A lane retires with one candidate left
+    and otherwise tries the next x0.
+    """
+    c4, c6 = E.c_invariants
+    A, B = _residues(-27 * c4, p), _residues(-54 * c6, p)
+    m = math.isqrt(int(w.max())) + 1  # baby steps 0..m, giant stride 2m + 1
+    span = 2 * m + 1
+    giants = -(-(2 * int(w.max()) + 1) // span)
+    cand = np.arange(giants * span) <= 2 * w[:, None]
+    ap = np.empty(len(p), dtype=np.int64)
+    x0 = np.zeros(len(p), dtype=np.int64)
+    live = np.arange(len(p))
+    while live.size:
+        pl, x = p[live], x0[live]
+        d = ((x * x + A[live]) % pl * x + B[live]) % pl
+        while (root := d == 0).any():  # f has at most three roots
+            x[root] += 1
+            d[root] = ((x[root] * x[root] + A[live[root]]) % pl[root] * x[root]
+                       + B[live[root]]) % pl[root]
+        if (x >= pl).any():
+            raise ArithmeticError(
+                f"point count found no decisive point at p = {pl[x >= pl][0]}")
+        dd = d * d % pl
+        a = A[live] * dd % pl
+        # E lanes (d a square) walk the interval downwards from p + 1 + w,
+        # twist lanes upwards from p + 1 - w, so the hit at interval offset
+        # i is the candidate t = i - w in both cases
+        sigma = np.where(_is_square(d, pl), -1, 1)
+        step = (x * d % pl, sigma * dd % pl, np.ones_like(pl))
+        baby = [_O(pl), step]
+        for _ in range(m - 1):
+            baby.append(_ec_add(baby[-1], step, a, pl))
+        stride = _ec_add(_ec_dbl(baby[-1], a, pl), step, a, pl)
+        BX, BY, BZ = (np.stack(c, axis=1) for c in zip(*baby))
+        # the first giant c P = sigma (c step), c = p + 1 - sigma (w - m)
+        first = _ec_mul(p[live] + 1 - sigma * (w[live] - m), (BX, BY, BZ), a, pl)
+        Q = (first[0], sigma * first[1] % pl, first[2])
+        pc = pl[:, None]
+        hits = np.zeros((live.size, giants * span), dtype=bool)
+        for k in range(giants):
+            QX, QY, QZ = Q
+            lane, j = np.nonzero((QX[:, None] * BZ - BX * QZ[:, None]) % pc == 0)
+            pj = pl[lane]
+            qy, by = QY[lane] * BZ[lane, j] % pj, BY[lane, j] * QZ[lane] % pj
+            # Q = j step: hit at offset m - j; Q = -j step: at m + j.  Both
+            # are recorded, so j step = O or of order 2 marks both offsets
+            plus, minus = qy == by, (qy + by) % pj == 0
+            hits[lane[plus], k * span + m - j[plus]] = True
+            hits[lane[minus], k * span + m + j[minus]] = True
+            if k + 1 < giants:
+                Q = _ec_add(Q, stride, a, pl)
+        c = cand[live] & hits
+        count = c.sum(axis=1)
+        if not count.all():
+            raise ArithmeticError(
+                f"point count lost every candidate at p = {pl[count == 0][0]}")
+        done = count == 1
+        ap[live[done]] = c[done].argmax(axis=1) - w[live[done]]
+        cand[live] = c
+        x0[live] = x + 1
+        live = live[~done]
     return ap
+
+
+def _residues(n: int, p: np.ndarray) -> np.ndarray:
+    """n mod each lane's prime, for an integer n of any size."""
+    return np.fromiter((n % q for q in p.tolist()), np.int64, len(p))
+
+
+def _is_square(d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Euler's criterion d^((p - 1) / 2) = 1 mod p, per lane, for d != 0."""
+    e = (p - 1) // 2
+    r, b = np.ones_like(d), d.copy()
+    while e.any():
+        r = np.where(e & 1 == 1, r * b % p, r)
+        b = b * b % p
+        e = e >> 1
+    return r == 1
+
+
+# projective points (X : Y : Z) on y^2 = x^3 + a x + b, one lane per prime;
+# b never enters the formulas
+
+
+def _O(p: np.ndarray):
+    return (np.zeros_like(p), np.ones_like(p), np.zeros_like(p))
+
+
+def _pick(mask, P, Q):
+    return tuple(np.where(mask, s, t) for s, t in zip(P, Q))
+
+
+def _ec_dbl(P, a, p):
+    X, Y, Z = P
+    w = (a * (Z * Z % p) + 3 * (X * X % p)) % p
+    s = Y * Z % p
+    B = X * Y % p * s % p
+    h = (w * w - 8 * B) % p
+    ss = s * s % p
+    R = (2 * h * s % p,
+         (w * ((4 * B - h) % p) - 8 * (Y * Y % p) * ss) % p,
+         8 * ss * s % p)
+    inf = s == 0  # 2P = O for P = O or P of order 2
+    return _pick(inf, _O(p), R) if inf.any() else R
+
+
+def _ec_add(P, Q, a, p):
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    u = (Y2 * Z1 - Y1 * Z2) % p
+    v = (X2 * Z1 - X1 * Z2) % p
+    vv = v * v % p
+    vvv = vv * v % p
+    zz = Z1 * Z2 % p
+    r = vv * (X1 * Z2 % p) % p
+    A = (u * u % p * zz - vvv - 2 * r) % p
+    R = (v * A % p, (u * (r - A) - vvv * (Y1 * Z2 % p)) % p, vvv * zz % p)
+    same_x = v == 0  # P = +-Q, or P or Q is O
+    if same_x.any():
+        R = _pick(same_x, _O(p), R)
+        tangent = same_x & (u == 0) & (Z1 != 0) & (Z2 != 0)
+        if tangent.any():
+            R = _pick(tangent, _ec_dbl(P, a, p), R)
+        R = _pick(Z2 == 0, P, _pick(Z1 == 0, Q, R))
+    return R
+
+
+def _ec_mul(c, table, a, p):
+    """c T per lane, in windows of b bits whose multiples j T, j < 2^b, are
+    read from the columns of table."""
+    b = table[0].shape[1].bit_length() - 1
+    rows = np.arange(len(p))
+    R = None
+    for shift in range(b * ((int(c.max()).bit_length() - 1) // b), -1, -b):
+        T = tuple(t[rows, (c >> shift) & ((1 << b) - 1)] for t in table)
+        if R is None:
+            R = T
+            continue
+        for _ in range(b):
+            R = _ec_dbl(R, a, p)
+        R = _ec_add(R, T, a, p)
+    return R
 
 
 def quadform_represents(p: int, a: int, b: int, c: int) -> bool:
@@ -320,7 +518,7 @@ class ApDataset:
 
     def attained(self) -> list[int]:
         """The distinct sample values, ascending."""
-        return np.unique(self.a).tolist()
+        return unique_codes(self.a).tolist()
 
     def csv(self) -> str:
         lines = ["p,ap_mod"]
@@ -346,9 +544,8 @@ def curve_dataset(
     level = E.conductor if level is None else level
     label = E.label if label is None else label
     disc = E.discriminant
-    ps = [p for p in primes_upto(p_max) if level % p and disc % p]
-    aps = np.fromiter((ap_point_count(E, p) for p in ps), np.int64, len(ps))
-    return ApDataset(label, level, 0, np.column_stack((ps, aps)))
+    ps = np.array([p for p in primes_upto(p_max) if level % p and disc % p], dtype=np.int64)
+    return ApDataset(label, level, 0, np.column_stack((ps, _ap_kernel(E, ps))))
 
 
 def build_dataset(

@@ -1,6 +1,6 @@
-"""Group helpers that only the tests use: seeded random subgroups, the
+"""Helpers that only the tests use: seeded random subgroups, the
 2-generated subgroup sweep that cross-checks `enumerate_subgroups`, the
-group exponent and trace frequencies."""
+group exponent and trace frequencies, and the oracles below."""
 
 from collections import Counter
 from math import gcd
@@ -170,3 +170,23 @@ def oracle_proj_order(F: PolyField, m) -> int:
         x = oracle_mat_mul(F, x, m)
         n += 1
     return n
+
+
+def char_sum_ap(E, p: int) -> int:
+    """a_p of E at a good prime p > 3 by one O(p) numpy pass: minus the sum
+    of the quadratic character of 4x^3 + b2 x^2 + 2 b4 x + b6 over F_p."""
+    b2, b4, b6, _ = E.b_invariants
+    xs = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int8)
+    half = xs[: (p + 1) // 2]
+    chi[half * half % p] = 1
+    chi[0] = 0
+    # Horner with reduced coefficients stays below 5 p^3 < 2^63 for p <= 10^6
+    g = 4 * xs
+    g += b2 % p
+    g *= xs
+    g += 2 * b4 % p
+    g *= xs
+    g += b6 % p
+    g %= p
+    return -int(chi[g].sum(dtype=np.int64))

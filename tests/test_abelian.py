@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -94,6 +95,36 @@ def test_verdicts_over_every_subgroup_of_gl2_f3():
             assert is_weakly_abelian(H, xi)[0] == bw
             assert is_semi_abelian(H, xi)[0] == bs
             assert is_abelian_class(H, xi)[0] == bu
+
+
+def scan_witnesses(G, xi):
+    """The three verdicts' witnesses by a scan over the coset trace sets:
+    first constant-x coset, first coset missing x, and the cosets holding x
+    when all of them are constant (else None)."""
+    data = coset_traces(G)
+    pairs = list(zip(data.cosets, data.trace_sets))
+    weak = next((c for c, ts in pairs if ts == {xi}), None)
+    semi = next((c for c, ts in pairs if xi not in ts), None)
+    holding = [(c, ts) for c, ts in pairs if xi in ts]
+    union = tuple(c for c, _ in holding) if all(ts == {xi} for _, ts in holding) else None
+    return weak, semi, union
+
+
+def test_verdict_witnesses_match_a_coset_scan():
+    F23 = make_field(23, 1)
+    groups = SMALL_GROUPS + enumerate_subgroups(gl2(F3)) + [
+        split_cartan(F23), borel(F23), split_cartan_normalizer(F7)]
+    for G in groups:
+        for xi in sorted(G.trace_ints()):
+            weak, semi, union = scan_witnesses(G, xi)
+            ok, c = is_weakly_abelian(G, xi)
+            assert ok == (weak is not None) and c is weak
+            ok, c = is_semi_abelian(G, xi)
+            assert ok == (semi is not None) and c is semi
+            ok, cs = is_abelian_class(G, xi)
+            assert ok == (union is not None)
+            assert cs is None if union is None else all(map(operator.is_, cs, union))
+            assert cs is None or len(cs) == len(union)
 
 
 def test_weakly_and_semi_do_not_imply_abelian():

@@ -333,13 +333,13 @@ def test_fixture_tables_count_each_curve_once(monkeypatch):
     import apcong.eigendata
 
     counted = []
-    real = apcong.eigendata.ap_point_count
+    real = apcong.eigendata._ap_kernel
 
-    def counting(E, p):
-        counted.append((E.label, p))
-        return real(E, p)
+    def counting(E, ps):
+        counted.extend((E.label, p) for p in ps.tolist())
+        return real(E, ps)
 
-    monkeypatch.setattr(apcong.eigendata, "ap_point_count", counting)
+    monkeypatch.setattr(apcong.eigendata, "_ap_kernel", counting)
     checks = verify_fixture_tables(curve_fixtures(), p_max=600)
     assert len(checks) == 12
     assert len(counted) == len(set(counted))

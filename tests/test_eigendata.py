@@ -4,9 +4,10 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import apcong.eigendata as eigendata
 from apcong.eigendata import (
     ApDataset,
     EllipticCurve,
@@ -22,6 +23,7 @@ from apcong.eigendata import (
     primes_upto,
     quadform_represents,
 )
+from helpers import char_sum_ap
 
 
 def test_primes_upto():
@@ -258,6 +260,82 @@ def test_point_count_guards():
         ap_point_count(E, 15)  # not prime
     with pytest.raises(ValueError):
         ap_point_count(E, 1_000_003)  # above the enumeration guard
+
+
+def test_kernel_matches_char_sum_on_fixtures():
+    # every good prime past Mestre's bound: the baby-step giant-step lanes
+    for E in curve_fixtures().values():
+        ds = curve_dataset(E, 10_000)
+        big = ds.p > 229
+        assert big.sum() > 1000
+        want = [char_sum_ap(E, p) for p in ds.p[big].tolist()]
+        assert ds.a[big].tolist() == want, E.label
+    # one chunk whose baby-step count exceeds the Hasse width of its first lane
+    E = curve_fixtures()["50700u1"]
+    ps = np.array([233, 239, 999_953, 999_983], dtype=np.int64)
+    assert eigendata._ap_kernel(E, ps).tolist() == [char_sum_ap(E, p) for p in ps.tolist()]
+
+
+# Curves with rational torsion.  At a prime p = n^2 + 1 with 4 | n (257,
+# 401, 577, 1297, ...) y^2 = x^3 - x has E(F_p) = Z/n x Z/n, so its points
+# have order at most n ~ sqrt(p) and baby steps reach O and y = 0.
+SMALL_ORDER_MODELS = [
+    (0, 0, 0, -1, 0),  # y^2 = x^3 - x, full 2-torsion
+    (0, 0, 0, -4, 0),  # its twist by 2
+    (0, 0, 0, 0, 1),  # y^2 = x^3 + 1, torsion Z/6
+    (0, -1, 0, -4, 4),  # y^2 = (x - 1)(x - 2)(x + 2)
+    (1, 0, 1, 4, -6),  # 14a1, torsion Z/6
+    (1, 1, 1, -10, -10),  # 15a1, torsion Z/4 x Z/2
+    (0, -1, 1, 0, 0),  # 11a3, torsion Z/5
+]
+
+
+def test_kernel_on_curves_with_small_torsion():
+    for a in SMALL_ORDER_MODELS:
+        E = EllipticCurve("t", a, 1)
+        ps = np.array([p for p in primes_upto(3_000)
+                       if p > 229 and E.discriminant % p], dtype=np.int64)
+        got = eigendata._ap_kernel(E, ps).tolist()
+        assert got == [char_sum_ap(E, p) for p in ps.tolist()], a
+
+
+def _nonsingular(a):
+    a1, a2, a3, a4, a6 = a
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = b2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6 != 0
+
+
+@settings(max_examples=150)
+@given(a=st.tuples(*[st.integers(-50, 50)] * 5).filter(_nonsingular),
+       p=st.sampled_from([p for p in primes_upto(5_000) if p > 229]))
+def test_kernel_matches_char_sum_on_random_models(a, p):
+    E = EllipticCurve("t", a, 1)
+    assume(E.discriminant % p)
+    assert ap_point_count(E, p) == char_sum_ap(E, p)
+
+
+def test_curve_dataset_to_200_000_at_sampled_primes():
+    E = curve_fixtures()["50700u1"]
+    ds = curve_dataset(E, 200_000)
+    assert ds.p.tolist() == [p for p in primes_upto(200_000) if p not in (2, 3, 5, 13)]
+    rng = np.random.default_rng(5)
+    for i in rng.choice(len(ds), 30, replace=False).tolist():
+        p = int(ds.p[i])
+        assert int(ds.a[i]) == char_sum_ap(E, p), p
+
+
+def test_kernel_raises_instead_of_guessing():
+    # below Mestre's bound y^2 = x^3 - x over F_29 has no decisive point
+    E = EllipticCurve("t", (0, 0, 0, -1, 0), 1)
+    with pytest.raises(ArithmeticError, match="no decisive point"):
+        eigendata._shanks_mestre(E, np.array([29]), np.array([10]))
+    # at a bad prime the nodal group and its twist contradict each other
+    nodal = EllipticCurve("t", (0, 1, 0, 0, 373), 1)
+    with pytest.raises(ArithmeticError, match="lost every candidate"):
+        eigendata._ap_kernel(nodal, np.array([373]))
+    with pytest.raises(ValueError, match="guard"):
+        curve_dataset(E, 1_000_100)
 
 
 def test_curve_invariants():
