@@ -20,12 +20,10 @@ from .ffield import (
 )
 from .matgrp import (
     ClosureGuardError,
-    Coset,
     Mat2,
     MatGroup,
     close_group,
     commutator_subgroup,
-    cosets,
     enumerate_subgroups,
     group_from_json,
     group_to_json,
@@ -87,12 +85,12 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AbelianReport", "ApDataset", "ClassCongruence", "ClassificationError",
-    "ClosureGuardError", "CongruenceReport", "Coset", "DicksonClass",
+    "ClosureGuardError", "CongruenceReport", "DicksonClass",
     "EllipticCurve", "FieldElement", "FieldSpec", "Mat2", "MatGroup",
     "QSeries", "TheoremConsistencyError", "analyze_group", "ap_point_count",
     "best_modulus", "build_dataset", "classify_group", "close_group",
     "closed_loop_check", "commutator_subgroup", "commutator_trace_set",
-    "constructions", "coset_traces", "cosets", "crosscheck_all_subgroups",
+    "constructions", "coset_traces", "crosscheck_all_subgroups",
     "curve_dataset", "curve_fixtures", "delta_coeffs",
     "delta_partition_check", "density_c", "discover_class", "discover_report",
     "enumerate_subgroups", "eta_qexp", "factorize", "group_from_json",

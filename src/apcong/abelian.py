@@ -31,20 +31,11 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import DicksonClass, classify_group
-from .ffield import (
-    FieldElement,
-    FieldSpec,
-    embedding_table,
-    factorize,
-    is_prime,
-    mult_order,
-)
+from .ffield import FieldSpec, embedding_table, factorize, is_prime, mult_order
 from .matgrp import (
-    Coset,
     MatGroup,
     commutator_subgroup,
     coset_label,
-    cosets,
     enumerate_subgroups,
     mat_product,
     proj_canon,
@@ -62,20 +53,22 @@ class TheoremConsistencyError(AssertionError):
 
 @dataclass(frozen=True, eq=False)
 class CosetTraces:
-    """Cosets of the commutator subgroup together with their trace sets;
-    label is the coset index of every element of G, aligned with G.codes.
+    """The traces on the cosets of the commutator subgroup.
 
-    The (coset, trace) incidence is summarised once, per trace x of the
-    field: const is the trace of each constant-trace coset (-1 for the
-    others), first_const[x] the first coset of constant trace x and
+    label is the coset index of every element of G, aligned with G.codes,
+    as coset_label numbers them; coset i and trace t occur together exactly
+    when (i, t) is one of the pairs (pair_coset[k], pair_trace[k]), listed
+    once each in ascending order.  Per trace x of the field the incidence is
+    summarised once: const is the trace of each constant-trace coset (-1 for
+    the others), first_const[x] the first coset of constant trace x and
     first_missing[x] the first coset that misses x (-1 if there is none),
     and mixed[x] whether x lies in a coset with two or more traces.
     """
 
     commutator: MatGroup
-    cosets: tuple[Coset, ...]
-    trace_sets: tuple[frozenset[int], ...]
     label: np.ndarray
+    pair_coset: np.ndarray
+    pair_trace: np.ndarray
     const: np.ndarray
     first_const: np.ndarray
     first_missing: np.ndarray
@@ -88,9 +81,8 @@ def coset_traces(G: MatGroup) -> CosetTraces:
 
 def _coset_traces(G: MatGroup) -> CosetTraces:
     H = commutator_subgroup(G)
-    cs = tuple(cosets(G, H))
-    label = coset_label(G, H)  # computed by cosets and memoised on G
-    q, n = G.spec.q, len(cs)
+    label = coset_label(G, H)
+    q, n = G.spec.q, G.order // H.order
     # distinct (coset, trace) pairs, ascending, split where the coset changes
     coset, trace = np.divmod(unique_codes(label * q + G.traces), q)
     starts = np.flatnonzero(np.diff(coset, prepend=-1))
@@ -107,27 +99,17 @@ def _coset_traces(G: MatGroup) -> CosetTraces:
     first_missing = count.copy()
     np.minimum.at(first_missing, trace[by_trace][gap], rank[gap])
     mixed = np.bincount(trace[sizes[coset] > 1], minlength=q) > 0
-    tsets = np.split(trace, starts[1:])
-    return CosetTraces(H, cs, tuple(frozenset(t.tolist()) for t in tsets), label,
+    return CosetTraces(H, label, coset, trace,
                        const, np.where(first_const < n, first_const, -1),
                        np.where(first_missing < n, first_missing, -1), mixed)
 
 
 def _trace_int(spec: FieldSpec, x) -> int:
-    if isinstance(x, FieldElement):
-        if x.spec != spec:
-            raise ValueError("class lives in a different field")
-        return x.as_int()
-    if isinstance(x, int):
-        if not 0 <= x < spec.q:
-            raise ValueError(f"encoding {x} out of range for q = {spec.q}")
-        return x
-    raise TypeError(f"trace class must be a FieldElement or encoding, got {x!r}")
-
-
-def proper_classes(G: MatGroup) -> set[FieldElement]:
-    """Trace values attained on G: the classes a Frobenius trace can hit."""
-    return {G.spec.from_int(t) for t in G.trace_ints()}
+    if not isinstance(x, int):
+        raise TypeError(f"trace class must be an int encoding, got {x!r}")
+    if not 0 <= x < spec.q:
+        raise ValueError(f"encoding {x} out of range for q = {spec.q}")
+    return x
 
 
 def _require_proper(G: MatGroup, x) -> int:
@@ -143,39 +125,37 @@ def _require_proper(G: MatGroup, x) -> int:
 def is_weakly_abelian(G: MatGroup, x):
     """Whether some coset of [G, G] has constant trace x.
 
-    Returns (verdict, witnessing coset or None).  Such a coset makes a
-    congruence condition on p force a_p = x.  x must be attained on G.
+    Returns (verdict, index of the first such coset or None), the index as
+    coset_label numbers the cosets.  Such a coset makes a congruence
+    condition on p force a_p = x.  x must be attained on G.
     """
-    xi = _require_proper(G, x)
-    data = coset_traces(G)
-    i = int(data.first_const[xi])
-    return (True, data.cosets[i]) if i >= 0 else (False, None)
+    i = int(coset_traces(G).first_const[_require_proper(G, x)])
+    return (True, i) if i >= 0 else (False, None)
 
 
 def is_semi_abelian(G: MatGroup, x):
     """Whether some coset of [G, G] misses the trace x.
 
-    Returns (verdict, witnessing coset or None).  Such a coset confines
-    the primes with a_p = x to a proper subset of residue classes.
+    Returns (verdict, index of the first such coset or None).  Such a
+    coset confines the primes with a_p = x to a proper subset of residue
+    classes.
     """
-    xi = _require_proper(G, x)
-    data = coset_traces(G)
-    i = int(data.first_missing[xi])
-    return (True, data.cosets[i]) if i >= 0 else (False, None)
+    i = int(coset_traces(G).first_missing[_require_proper(G, x)])
+    return (True, i) if i >= 0 else (False, None)
 
 
 def is_abelian_class(G: MatGroup, x):
     """Whether the trace-x slice of G is a union of cosets of [G, G].
 
-    Returns (verdict, tuple of the cosets forming the slice or None).
-    When true, a_p = x is equivalent to a congruence condition on p: the
-    slice is a union of fibres of the abelianisation map.
+    Returns (verdict, tuple of the indices of the cosets forming the slice
+    or None).  When true, a_p = x is equivalent to a congruence condition
+    on p: the slice is a union of fibres of the abelianisation map.
     """
     xi = _require_proper(G, x)
     data = coset_traces(G)
     if data.mixed[xi]:
         return False, None
-    return True, tuple(data.cosets[i] for i in np.flatnonzero(data.const == xi).tolist())
+    return True, tuple(np.flatnonzero(data.const == xi).tolist())
 
 
 def is_totally_abelian(G: MatGroup) -> bool:
@@ -456,23 +436,22 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
 def crosscheck_all_subgroups(ambient: MatGroup) -> int:
     """Run theorem_crosscheck over every subgroup of the ambient group.
 
-    Each subgroup's coset trace sets are also re-derived by an independent
-    grouping of elements (least product encoding per coset) and the two
-    partitions must agree.  Returns the number of subgroups checked.
+    Each subgroup's (coset, trace) pairs are also re-derived by an
+    independent grouping of elements (least product encoding per coset) and
+    must agree with the pairs the verdicts read, each coset named by its
+    least code.  Returns the number of subgroups checked.
     """
     count = 0
     for H in enumerate_subgroups(ambient):
         data = coset_traces(H)
         K = data.commutator
-        by_rep: dict[int, set[int]] = {}
-        for g in H.elements:
-            rep = min((g * k).encode() for k in K.elements)
-            by_rep.setdefault(rep, set()).add(g.trace_i())
-        alt = sorted(tuple(sorted(v)) for v in by_rep.values())
-        ref = sorted(tuple(sorted(ts)) for ts in data.trace_sets)
+        alt = sorted({(min((g * k).encode() for k in K.elements), g.trace_i())
+                      for g in H.elements})
+        reps = H.codes[np.unique(data.label, return_index=True)[1]]
+        ref = list(zip(reps[data.pair_coset].tolist(), data.pair_trace.tolist()))
         if alt != ref:
             raise TheoremConsistencyError(
-                "independent coset partitions produced different trace sets")
+                "independent coset partitions produced different (coset, trace) pairs")
         theorem_crosscheck(H)
         count += 1
     return count
@@ -483,11 +462,10 @@ def crosscheck_all_subgroups(ambient: MatGroup) -> int:
 
 @dataclass(frozen=True)
 class ClassVerdict:
-    x: FieldElement
+    x: int
     weakly: bool
     semi: bool
     abelian: bool
-    witness_coset: Coset | None
 
 
 @dataclass(frozen=True)
@@ -496,7 +474,7 @@ class AbelianReport:
 
     group: MatGroup
     dickson: DicksonClass
-    proper: tuple[FieldElement, ...]
+    proper: tuple[int, ...]
     per_class: dict[int, ClassVerdict]
     totally: bool
     density: Fraction
@@ -511,7 +489,7 @@ class AbelianReport:
             "field": {"p": spec.p, "r": spec.r},
             "order": self.group.order,
             "dickson": self.dickson.to_json(),
-            "proper": sorted(x.as_int() for x in self.proper),
+            "proper": list(self.proper),
             "per_class": {
                 str(k): {"weak": v.weakly, "semi": v.semi, "abelian": v.abelian}
                 for k, v in sorted(self.per_class.items())
@@ -531,14 +509,10 @@ def analyze_group(G: MatGroup, crosscheck: bool = True) -> AbelianReport:
     """
     if crosscheck:
         theorem_crosscheck(G)
-    proper = tuple(sorted(proper_classes(G), key=FieldElement.as_int))
-    per: dict[int, ClassVerdict] = {}
-    for e in proper:
-        xi = e.as_int()
-        w, wit_w = is_weakly_abelian(G, xi)
-        s, wit_s = is_semi_abelian(G, xi)
-        a, _ = is_abelian_class(G, xi)
-        per[xi] = ClassVerdict(e, w, s, a, wit_w if w else wit_s)
+    proper = tuple(sorted(G.trace_ints()))
+    per = {xi: ClassVerdict(xi, is_weakly_abelian(G, xi)[0], is_semi_abelian(G, xi)[0],
+                            is_abelian_class(G, xi)[0])
+           for xi in proper}
     return AbelianReport(G, classify_group(G), proper, per,
                          is_totally_abelian(G), density_c(G), crosscheck)
 
@@ -595,10 +569,7 @@ def _semisimple_exponent(G: MatGroup) -> int:
     m, s = ext.mul_a, ext.add_a
     a, _, c, d = mat_product(m, s, mat_product(m, s, witness.inv().e, conj), witness.e)
     assert not c.any(), "conjugated element is not upper triangular"
-    exp = 1
-    for enc in set(np.concatenate((a, d)).tolist()):
-        exp = math.lcm(exp, mult_order(ext.from_int(enc)))
-    return exp
+    return math.lcm(*mult_order(ext, unique_codes(np.concatenate((a, d)))).tolist())
 
 
 def modulus_bound(G: MatGroup | None, N: int, ell: int, case: str,

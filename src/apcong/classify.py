@@ -266,11 +266,6 @@ def classify_group(G: MatGroup) -> DicksonClass:
     return G.memo(_classify)
 
 
-def classify_projective(P: ProjGroup) -> DicksonClass:
-    """classify_group of the matrix group P projectivises."""
-    return classify_group(P.base)
-
-
 def _classify(G: MatGroup) -> DicksonClass:
     P = projectivize(G)
     borel_flag, witness = is_borel_conjugable(G)

@@ -52,8 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_group(path: str):
-    data = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return group_from_json(json.loads(data))
+    if path == "-":
+        return group_from_json(json.loads(sys.stdin.read()))
+    with open(path, encoding="utf-8") as fh:
+        return group_from_json(json.loads(fh.read()))
 
 
 def _emit_json(obj, out) -> None:

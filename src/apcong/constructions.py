@@ -10,23 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ffield import (
-    FieldSpec,
-    embedding_table,
-    factorize,
-    make_field,
-    mult_order,
-    quadratic_extension,
-)
+from .ffield import FieldSpec, embedding_table, factorize, make_field, quadratic_extension
 from .matgrp import Mat2, MatGroup, close_group, projectivize
-
-
-def _primitive_int(spec: FieldSpec) -> int:
-    """Integer encoding of the first multiplicative generator."""
-    for x in range(2, spec.q):
-        if mult_order(spec.from_int(x)) == spec.q - 1:
-            return x
-    raise ValueError("no primitive element found")
 
 
 def _mat(spec: FieldSpec, a: int, b: int, c: int, d: int) -> Mat2:
@@ -39,7 +24,7 @@ def gl2(spec: FieldSpec) -> MatGroup:
     q = spec.q
     gens = [_mat(spec, 1, 1, 0, 1), _mat(spec, 0, 1, 1, 0)]
     if q > 2:
-        gens.append(_mat(spec, _primitive_int(spec), 0, 0, 1))
+        gens.append(_mat(spec, spec.primitive, 0, 0, 1))
     G = close_group(spec, gens)
     assert G.order == (q * q - 1) * (q * q - q)
     return G
@@ -50,7 +35,7 @@ def sl2(spec: FieldSpec) -> MatGroup:
     q = spec.q
     gens = [_mat(spec, 1, 1, 0, 1), _mat(spec, 1, 0, 1, 1)]
     if q > 2:
-        z = _primitive_int(spec)
+        z = spec.primitive
         gens += [
             _mat(spec, 1, z, 0, 1),
             _mat(spec, 1, 0, z, 1),
@@ -66,7 +51,7 @@ def borel(spec: FieldSpec) -> MatGroup:
     q = spec.q
     gens = [_mat(spec, 1, 1, 0, 1)]
     if q > 2:
-        z = _primitive_int(spec)
+        z = spec.primitive
         gens += [
             _mat(spec, 1, z, 0, 1),
             _mat(spec, z, 0, 0, 1),
@@ -82,7 +67,7 @@ def unipotent(spec: FieldSpec) -> MatGroup:
     q = spec.q
     gens = [_mat(spec, 1, 1, 0, 1)]
     if q > 2:
-        gens.append(_mat(spec, 1, _primitive_int(spec), 0, 1))
+        gens.append(_mat(spec, 1, spec.primitive, 0, 1))
     G = close_group(spec, gens)
     assert G.order == q
     return G
@@ -93,7 +78,7 @@ def split_cartan(spec: FieldSpec) -> MatGroup:
     q = spec.q
     if q == 2:
         return close_group(spec, [])
-    z = _primitive_int(spec)
+    z = spec.primitive
     G = close_group(spec, [_mat(spec, z, 0, 0, 1), _mat(spec, 1, 0, 0, z)])
     assert G.order == (q - 1) ** 2
     return G
@@ -104,7 +89,7 @@ def split_cartan_normalizer(spec: FieldSpec) -> MatGroup:
     q = spec.q
     gens = [_mat(spec, 0, 1, 1, 0)]
     if q > 2:
-        z = _primitive_int(spec)
+        z = spec.primitive
         gens += [_mat(spec, z, 0, 0, 1), _mat(spec, 1, 0, 0, z)]
     G = close_group(spec, gens)
     assert G.order == max(2, 2 * (q - 1) ** 2)
@@ -163,7 +148,7 @@ def dihedral_lift(spec: FieldSpec, n: int) -> MatGroup:
         raise ValueError("need n >= 2")
     q = spec.q
     if (q - 1) % n == 0:
-        z = _primitive_int(spec)
+        z = spec.primitive
         w = spec.pow_i(z, (q - 1) // n)
         G = close_group(spec, [_mat(spec, w, 0, 0, 1), _mat(spec, 0, 1, 1, 0)])
         P = projectivize(G)

@@ -27,7 +27,7 @@ from .eigendata import (
     delta_coeffs,
     quadform_represents,
 )
-from .ffield import is_prime, kronecker, legendre, make_field, mult_order
+from .ffield import is_prime, kronecker, legendre, make_field
 from .matgrp import MatGroup, generating_set, identity, mul_codes
 
 MIN_SAMPLES_PER_CLASS = 5
@@ -487,11 +487,10 @@ class SyntheticModel:
 
     def predicted(self, x: int) -> tuple[frozenset[int], frozenset[int]]:
         """Exact sup/nec sets the discovery loop should recover."""
-        tsets = self.data.trace_sets
-        sup = frozenset(
-            r for r, i in self.assignment.items() if tsets[i] == frozenset({x})
-        )
-        nec = frozenset(r for r, i in self.assignment.items() if x in tsets[i])
+        const = self.data.const.tolist()
+        holding = set(self.data.pair_coset[self.data.pair_trace == x].tolist())
+        sup = frozenset(r for r, i in self.assignment.items() if const[i] == x)
+        nec = frozenset(r for r, i in self.assignment.items() if i in holding)
         return sup, nec
 
 
@@ -509,12 +508,13 @@ def synthetic_model(G: MatGroup) -> SyntheticModel:
         raise ValueError("synthetic sampling expects a prime-field group")
     ell = G.spec.p
     data = coset_traces(G)
-    k = len(data.cosets)
+    k = data.const.size
 
     def where(x):
         return data.label[np.searchsorted(G.codes, x)]
 
-    reps = np.array([c.representative.encode() for c in data.cosets], dtype=np.int64)
+    # coset i is represented by its least code, the first with label i
+    reps = G.codes[np.unique(data.label, return_index=True)[1]]
     mul = where(mul_codes(G.spec, reps[:, None], reps[None, :])).tolist()
     e = int(where(identity(G.spec).encode()))
 
@@ -555,10 +555,7 @@ def synthetic_model(G: MatGroup) -> SyntheticModel:
     # per-prime discrete logs onto Z/order, combined through the coset table
     logmaps = []
     for q, n in zip(qs, orders):
-        Fq = make_field(q)
-        g = 2
-        while mult_order(Fq.element(g)) != q - 1:
-            g += 1
+        g = make_field(q).primitive
         dlog = {pow(g, i, q): i for i in range(q - 1)}
         logmaps.append((q, n, dlog))
     assignment = {}
@@ -578,7 +575,7 @@ def sample_dataset(model: SyntheticModel, n: int, seed: int) -> ApDataset:
     units = sorted(model.assignment)
     M, ell = model.modulus, model.ell
     coset_idx = np.array([model.assignment[r] for r in units])
-    hsize = model.data.cosets[0].size
+    hsize = model.data.commutator.order
     # row i: traces of coset i's members in increasing code order
     by_coset = np.argsort(model.data.label, kind="stable")
     trace_table = model.group.traces[by_coset].reshape(-1, hsize)

@@ -4,14 +4,14 @@ An element is the int c_0 + c_1 p + ... of its coefficients over F_p modulo
 a monic irreducible of degree r.  Each field builds O(q) tables exp[i] = g^i
 and log[g^i] = i for a primitive g on first use: product, inverse and power
 are gathers, sum and difference base-p digit arithmetic (XOR for p = 2), on
-ints (`*_i`) and int arrays (`*_a`) alike.  FieldElement wraps one int.
+ints (`*_i`) and int arrays (`*_a`) alike.  FieldElement is the read-only
+display form of one encoding (its coefficients and repr) at the I/O edge.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
@@ -115,36 +115,6 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec(p={self.p}, r={self.r})"
 
-    # -- element construction ----------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.spec != self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            # integers embed through the prime field
-            return FieldElement(self, value % self.p)
-        coeffs = [int(c) % self.p for c in value]
-        if len(coeffs) > self.r:
-            raise ValueError("too many coefficients")
-        return FieldElement(self, sum(c * self.p ** i for i, c in enumerate(coeffs)))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def from_int(self, k: int) -> "FieldElement":
-        """The element with encoding k mod q (base-p digits, the canonical
-        enumeration)."""
-        return FieldElement(self, int(k) % self.q)
-
-    def elements(self):
-        for k in range(self.q):
-            yield FieldElement(self, k)
-
     def digits(self, k) -> tuple:
         """Base-p digits (c_0, ..., c_{r-1}) of an int or an int array."""
         out = []
@@ -200,6 +170,12 @@ class FieldSpec:
         exp.flags.writeable = False
         log.flags.writeable = False
         return exp, log
+
+    @property
+    def primitive(self) -> int:
+        """Encoding of the least-encoded primitive element, the base of the
+        exp/log tables."""
+        return self._tables[0].item(1)
 
     # -- arithmetic on encodings: *_a on ints or int arrays, *_i on ints ----
 
@@ -266,7 +242,8 @@ class FieldSpec:
 
 
 class FieldElement:
-    """An element of spec, held as its int encoding k."""
+    """An element of spec, held as its int encoding k: the display value of
+    Mat2.entries, with no arithmetic (that runs on ints, through spec)."""
 
     __slots__ = ("spec", "k")
 
@@ -278,39 +255,8 @@ class FieldElement:
     def coeffs(self) -> tuple[int, ...]:
         return self.spec.digits(self.k)
 
-    def _check(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            other = self.spec.element(other)
-        elif other.spec != self.spec:
-            raise ValueError("field mismatch")
-        return other.k
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add_i(self.k, self._check(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub_i(self.k, self._check(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul_i(self.k, self._check(other)))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.spec, self.spec.pow_i(self.k, n))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv_i(self.k))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.k == 0
-
-    def as_int(self) -> int:
-        return self.k
-
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
-            if isinstance(other, int):
-                return self == self.spec.element(other)
             return NotImplemented
         return self.spec == other.spec and self.k == other.k
 
@@ -407,19 +353,13 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def mult_order(a: FieldElement) -> int:
-    """Multiplicative order: (q - 1) / gcd(log a, q - 1)."""
-    if a.is_zero:
+def mult_order(spec: FieldSpec, x):
+    """Multiplicative order of each nonzero encoding in the int or int array
+    x: (q - 1) / gcd(log x, q - 1)."""
+    if not np.all(x):
         raise ValueError("order of zero is undefined")
-    n = a.spec.q - 1
-    return n // gcd(a.spec._tables[1].item(a.k), n)
-
-
-def sqrt_in_field(a: FieldElement) -> FieldElement | None:
-    """A square root of a, or None; ties broken by least coefficient tuple."""
-    xs = np.arange(a.spec.q, dtype=np.int64)
-    roots = np.flatnonzero(a.spec.mul_a(xs, xs) == a.k).tolist()
-    return min((a.spec.from_int(x) for x in roots), key=lambda x: x.coeffs, default=None)
+    n = spec.q - 1
+    return n // np.gcd(spec._tables[1][x], n)
 
 
 # ---- quadratic extensions and subfield embeddings ----
@@ -436,7 +376,7 @@ def quadratic_extension(spec: FieldSpec) -> FieldSpec:
 
 
 def embedding_table(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
-    """Integer-encoding form of embed: table[x] is the image of encoding x.
+    """The embedding of base into ext on encodings: table[x] is the image of x.
 
     The embedding sends the generator of the base field to the least root of
     the base modulus inside ext, so it is deterministic and consistent across
@@ -462,8 +402,3 @@ def embedding_table(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
         table.flags.writeable = False
         _EMBED_CACHE[key] = table
     return table
-
-
-def embed(a: FieldElement, ext: FieldSpec) -> FieldElement:
-    """Embed a in an extension field along embedding_table."""
-    return ext.from_int(embedding_table(a.spec, ext)[a.k])

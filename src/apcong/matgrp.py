@@ -4,12 +4,13 @@ A matrix (a b; c d) with int-encoded entries is the int64 code
 ((a q + b) q + c) q + d (`Mat2.encode`); a MatGroup holds the sorted code
 array of its elements.  Products, inverses, traces, determinants and
 projective canonical forms are array operations gathering through the
-field's exp/log tables.  Mat2 is the type at the edges (generators,
-witnesses, coset representatives, JSON); `MatGroup.elements` and
-`Coset.members` are views built on request.  Codes need q^4 < 2^63: a
-larger field raises CodeRangeError before any code is formed.  Groups are
-immutable, so each derived structure (commutator subgroup, projective
-image, classification, coset traces) is memoised on the group itself.
+field's exp/log tables.  A coset decomposition is one label array aligned
+with the codes (`coset_label`).  Mat2 is the type at the edges
+(generators, witnesses, JSON); `MatGroup.elements` is a view built on
+request.  Codes need q^4 < 2^63: a larger field raises CodeRangeError
+before any code is formed.  Groups are immutable, so each derived
+structure (commutator subgroup, projective image, classification, coset
+traces) is memoised on the group itself.
 """
 
 from __future__ import annotations
@@ -153,9 +154,11 @@ class Mat2:
 
     @staticmethod
     def from_entries(spec: FieldSpec, rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        ents = tuple(spec.element(x).as_int() for x in (a, b, c, d))
-        return Mat2(spec, ents)
+        """Parse [[a, b], [c, d]]; ValueError names the first bad part."""
+        if not (isinstance(rows, (list, tuple)) and len(rows) == 2 and all(
+                isinstance(row, (list, tuple)) and len(row) == 2 for row in rows)):
+            raise ValueError(f"matrix {rows!r} is not a list of two rows of two entries")
+        return Mat2(spec, tuple(_parse_entry(spec, x) for row in rows for x in row))
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         if self.spec is not other.spec and self.spec != other.spec:
@@ -177,7 +180,7 @@ class Mat2:
         return _join(self.spec, *self.e)
 
     def entries(self) -> list[list[FieldElement]]:
-        a, b, c, d = (self.spec.from_int(x) for x in self.e)
+        a, b, c, d = (FieldElement(self.spec, x) for x in self.e)
         return [[a, b], [c, d]]
 
     def rows_json(self) -> list:
@@ -185,8 +188,23 @@ class Mat2:
         return [[list(x.coeffs) for x in row] for row in self.entries()]
 
     def __repr__(self):
-        a, b, c, d = (self.spec.from_int(x) for x in self.e)
+        a, b, c, d = (FieldElement(self.spec, x) for x in self.e)
         return f"[[{a},{b}],[{c},{d}]]"
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_entry(spec: FieldSpec, x) -> int:
+    """The encoding of a matrix entry: an int is a prime-field element, a
+    list holds at most r int coefficients over F_p, lowest degree first."""
+    if _is_int(x):
+        return x % spec.p
+    if isinstance(x, (list, tuple)) and len(x) <= spec.r and all(map(_is_int, x)):
+        return sum(c % spec.p * spec.p ** i for i, c in enumerate(x))
+    raise ValueError(f"matrix entry {x!r} is not an int or a list of at most "
+                     f"{spec.r} int coefficients")
 
 
 def identity(spec: FieldSpec) -> Mat2:
@@ -341,33 +359,12 @@ def _commutator_subgroup(G: MatGroup) -> MatGroup:
     return H
 
 
-@dataclass(frozen=True, eq=False)
-class Coset:
-    """A left coset g.H inside a parent group; codes is sorted."""
-
-    subgroup: MatGroup
-    representative: Mat2
-    codes: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.codes.size)
-
-    @property
-    def members(self) -> frozenset[Mat2]:
-        return frozenset(_mats_of(self.subgroup.spec, self.codes))
-
-    def trace_ints(self) -> set[int]:
-        spec = self.subgroup.spec
-        a, _, _, d = split_codes(spec, self.codes)
-        return set(spec.add_a(a, d).tolist())
-
-    def traces(self) -> set[FieldElement]:
-        return {self.subgroup.spec.from_int(t) for t in self.trace_ints()}
-
-
 def coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:
-    """Index in cosets(G, H) of the coset holding each element of G.codes."""
+    """Index of the left coset g.H holding each element of G.codes.
+
+    Cosets are numbered by their least code, which is their representative:
+    the representative of coset i is G.codes at the first index with label i.
+    """
     if not H.is_subgroup_of(G):  # also false over another field
         raise ValueError("H is not a subgroup of G")
     return G.memo(_coset_label, H)
@@ -375,14 +372,6 @@ def coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:
 
 def _coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:
     return _coset_labels(G.spec, G.codes, H.codes)
-
-
-def cosets(G: MatGroup, H: MatGroup) -> list[Coset]:
-    """Left cosets of H in G, sorted by their least-encoded representative."""
-    label = coset_label(G, H)
-    parts = G.codes[np.argsort(label, kind="stable")].reshape(-1, H.order)
-    reps = _mats_of(G.spec, parts[:, 0])
-    return [Coset(H, rep, part) for rep, part in zip(reps, parts)]
 
 
 # ---- projective groups ----
@@ -481,7 +470,18 @@ def group_to_json(G: MatGroup) -> dict:
     return {"field": G.spec.to_json(), "generators": gens}
 
 
-def group_from_json(obj: dict, guard: int = CLOSURE_GUARD) -> MatGroup:
-    spec = FieldSpec.from_json(obj["field"])
-    gens = [Mat2.from_entries(spec, rows) for rows in obj["generators"]]
-    return close_group(spec, gens, guard=guard)
+def group_from_json(obj, guard: int = CLOSURE_GUARD) -> MatGroup:
+    """Parse {"field": {"p", "r", "modulus"}, "generators": [matrix, ...]},
+    each matrix as Mat2.from_entries reads it; malformed input raises
+    ValueError naming the part at fault."""
+    if not (isinstance(obj, dict) and "field" in obj and "generators" in obj):
+        raise ValueError("group JSON must be an object with field and generators")
+    field, gens = obj["field"], obj["generators"]
+    if not (isinstance(field, dict) and _is_int(field.get("p")) and _is_int(field.get("r"))
+            and isinstance(field.get("modulus"), list) and all(map(_is_int, field["modulus"]))):
+        raise ValueError(f"field {field!r} needs int p and r and a list of int modulus "
+                         "coefficients")
+    if not isinstance(gens, list):
+        raise ValueError(f"generators {gens!r} is not a list")
+    spec = FieldSpec.from_json(field)
+    return close_group(spec, [Mat2.from_entries(spec, rows) for rows in gens], guard=guard)

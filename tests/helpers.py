@@ -7,7 +7,7 @@ from math import gcd
 
 import numpy as np
 
-from apcong.matgrp import Coset, Mat2, MatGroup, close_group, identity
+from apcong.matgrp import Mat2, MatGroup, close_group, identity
 
 
 def random_subgroups(spec, count: int, seed: int) -> list[MatGroup]:
@@ -51,10 +51,10 @@ def element_order(m: Mat2) -> int:
 
 
 def is_scalar(m: Mat2):
-    """The scalar lambda with m = lambda*id, or None."""
+    """The encoding of the scalar lambda with m = lambda*id, or None."""
     a, b, c, d = m.e
     if b == 0 and c == 0 and a == d:
-        return m.spec.from_int(a)
+        return a
     return None
 
 
@@ -67,13 +67,14 @@ def group_exponent(G: MatGroup) -> int:
     return exp
 
 
-def trace_multiset(obj) -> Counter:
-    """Trace frequencies (keyed by integer encoding) over a MatGroup, Coset,
-    or iterable of matrices."""
+def trace_multiset(obj, label=None, i=None) -> Counter:
+    """Trace frequencies (keyed by integer encoding) over a MatGroup, over
+    its coset i when label is a coset label array of it, or over an
+    iterable of matrices."""
     if isinstance(obj, MatGroup):
-        items = obj.elements
-    elif isinstance(obj, Coset):
-        items = obj.members
+        items = obj.sorted_elements()
+        if label is not None:
+            items = [m for m, k in zip(items, label.tolist()) if k == i]
     else:
         items = obj
     return Counter(m.trace_i() for m in items)

@@ -1,6 +1,6 @@
+import dataclasses
 import itertools
 import json
-import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -18,7 +18,6 @@ from apcong.abelian import (
     is_weakly_abelian,
     modulus_bound,
     part_supported,
-    proper_classes,
     radical,
     theorem_crosscheck,
 )
@@ -47,8 +46,8 @@ F5 = make_field(5, 1)
 F7 = make_field(7, 1)
 
 
-def brute_cosets(G):
-    """Coset partition of the commutator subgroup, from first principles."""
+def brute_coset_traces(G):
+    """Trace set of each coset of the commutator subgroup, from first principles."""
     comms = {x * y * x.inv() * y.inv()
              for x, y in itertools.product(G.elements, repeat=2)}
     K = close_group(G.spec, sorted(comms, key=Mat2.encode)).elements
@@ -63,7 +62,7 @@ def brute_cosets(G):
 
 
 def brute_verdicts(G, xi):
-    tsets = brute_cosets(G)
+    tsets = brute_coset_traces(G)
     weakly = any(ts == frozenset({xi}) for ts in tsets)
     semi = any(xi not in ts for ts in tsets)
     union = all(ts == frozenset({xi}) for ts in tsets if xi in ts)
@@ -79,8 +78,7 @@ SMALL_GROUPS = [
 
 @pytest.mark.parametrize("G", SMALL_GROUPS)
 def test_verdicts_match_brute_force(G):
-    for e in proper_classes(G):
-        xi = e.as_int()
+    for xi in sorted(G.trace_ints()):
         bw, bs, bu = brute_verdicts(G, xi)
         assert is_weakly_abelian(G, xi)[0] == bw
         assert is_semi_abelian(G, xi)[0] == bs
@@ -89,24 +87,29 @@ def test_verdicts_match_brute_force(G):
 
 def test_verdicts_over_every_subgroup_of_gl2_f3():
     for H in enumerate_subgroups(gl2(F3)):
-        for e in proper_classes(H):
-            xi = e.as_int()
+        for xi in sorted(H.trace_ints()):
             bw, bs, bu = brute_verdicts(H, xi)
             assert is_weakly_abelian(H, xi)[0] == bw
             assert is_semi_abelian(H, xi)[0] == bs
             assert is_abelian_class(H, xi)[0] == bu
 
 
+def traces_per_coset(G):
+    """The trace set of each coset of [G, G], in label order, read from the
+    coset labels and the element traces."""
+    label = coset_traces(G).label
+    return [set(G.traces[label == i].tolist()) for i in range(label.max() + 1)]
+
+
 def scan_witnesses(G, xi):
     """The three verdicts' witnesses by a scan over the coset trace sets:
     first constant-x coset, first coset missing x, and the cosets holding x
-    when all of them are constant (else None)."""
-    data = coset_traces(G)
-    pairs = list(zip(data.cosets, data.trace_sets))
-    weak = next((c for c, ts in pairs if ts == {xi}), None)
-    semi = next((c for c, ts in pairs if xi not in ts), None)
-    holding = [(c, ts) for c, ts in pairs if xi in ts]
-    union = tuple(c for c, _ in holding) if all(ts == {xi} for _, ts in holding) else None
+    when all of them are constant (else None), as coset indices."""
+    tsets = list(enumerate(traces_per_coset(G)))
+    weak = next((i for i, ts in tsets if ts == {xi}), None)
+    semi = next((i for i, ts in tsets if xi not in ts), None)
+    holding = [(i, ts) for i, ts in tsets if xi in ts]
+    union = tuple(i for i, _ in holding) if all(ts == {xi} for _, ts in holding) else None
     return weak, semi, union
 
 
@@ -117,14 +120,9 @@ def test_verdict_witnesses_match_a_coset_scan():
     for G in groups:
         for xi in sorted(G.trace_ints()):
             weak, semi, union = scan_witnesses(G, xi)
-            ok, c = is_weakly_abelian(G, xi)
-            assert ok == (weak is not None) and c is weak
-            ok, c = is_semi_abelian(G, xi)
-            assert ok == (semi is not None) and c is semi
-            ok, cs = is_abelian_class(G, xi)
-            assert ok == (union is not None)
-            assert cs is None if union is None else all(map(operator.is_, cs, union))
-            assert cs is None or len(cs) == len(union)
+            assert is_weakly_abelian(G, xi) == (weak is not None, weak)
+            assert is_semi_abelian(G, xi) == (semi is not None, semi)
+            assert is_abelian_class(G, xi) == (union is not None, union)
 
 
 def test_weakly_and_semi_do_not_imply_abelian():
@@ -133,35 +131,37 @@ def test_weakly_and_semi_do_not_imply_abelian():
     sylow2 = [H for H in enumerate_subgroups(gl2(F3)) if H.order == 16][0]
     witnesses = []
     for G in (sylow2, split_cartan_normalizer(F5)):
-        data = coset_traces(G)
-        for e in proper_classes(G):
-            xi = e.as_int()
+        tsets = traces_per_coset(G)
+        for xi in sorted(G.trace_ints()):
             w = is_weakly_abelian(G, xi)[0]
             s = is_semi_abelian(G, xi)[0]
             a = is_abelian_class(G, xi)[0]
-            assert a == (w and all(
-                ts == frozenset({xi}) for ts in data.trace_sets if xi in ts))
+            assert a == (w and all(ts == {xi} for ts in tsets if xi in ts))
             if w and s and not a:
                 witnesses.append((G.order, xi))
     assert witnesses  # both groups exhibit the gap
     assert {o for o, _ in witnesses} == {16, 32}
 
 
+def coset_members(G, i):
+    return [m for m, k in zip(G.sorted_elements(), coset_traces(G).label.tolist()) if k == i]
+
+
 def test_weak_witness_is_a_constant_trace_coset():
     G = split_cartan_normalizer(F5)
-    ok, coset = is_weakly_abelian(G, 0)
+    ok, i = is_weakly_abelian(G, 0)
     assert ok
-    assert {m.trace_i() for m in coset.members} == {0}
+    assert {m.trace_i() for m in coset_members(G, i)} == {0}
 
 
 def test_semi_witness_avoids_the_class():
     G = gl2(F3)
-    ok, coset = is_semi_abelian(G, 0)
+    ok, i = is_semi_abelian(G, 0)
     if ok:
-        assert 0 not in {m.trace_i() for m in coset.members}
+        assert 0 not in {m.trace_i() for m in coset_members(G, i)}
     else:
         # GL2(F3): every coset of SL2(F3) attains every trace
-        assert all(0 in ts for ts in coset_traces(G).trace_sets)
+        assert all(0 in ts for ts in traces_per_coset(G))
 
 
 def test_verdict_requires_attained_class():
@@ -218,6 +218,21 @@ def test_crosscheck_all_subgroups_counts():
     assert crosscheck_all_subgroups(gl2(F3)) == 55
 
 
+def test_crosscheck_all_subgroups_detects_a_dropped_pair(monkeypatch):
+    from apcong import abelian
+
+    exact = abelian._coset_traces
+
+    def drop_last_pair(G):
+        data = exact(G)
+        return dataclasses.replace(data, pair_coset=data.pair_coset[:-1],
+                                   pair_trace=data.pair_trace[:-1])
+
+    monkeypatch.setattr(abelian, "_coset_traces", drop_last_pair)
+    with pytest.raises(TheoremConsistencyError, match="coset, trace"):
+        crosscheck_all_subgroups(gl2(F2))
+
+
 def test_analyze_group_report():
     rep = analyze_group(gl2(F3))
     assert rep.dickson.label == "S4"
@@ -230,7 +245,7 @@ def test_analyze_group_report():
 
 
 def test_analyze_group_computes_each_structure_once(monkeypatch):
-    from apcong import abelian, classify, constructions, matgrp
+    from apcong import classify, constructions, matgrp
 
     G = gl2(F7)
     calls = Counter()
@@ -251,7 +266,7 @@ def test_analyze_group_computes_each_structure_once(monkeypatch):
     count(matgrp.ProjGroup, "__init__")
     count(matgrp, "_proj_orders")
     count(classify, "_classify")
-    count(abelian, "cosets")
+    count(matgrp, "_coset_label")
     for mod in (constructions, classify):
         for name in ("gl2", "sl2"):
             monkeypatch.setattr(mod, name, forbidden, raising=False)
@@ -259,7 +274,7 @@ def test_analyze_group_computes_each_structure_once(monkeypatch):
     assert rep.dickson.label == "PGL2" and rep.theorem_consistent
     # the projective orders of all 336 classes of PGL2(F7) in one step
     assert calls == {"_commutator_subgroup": 1, "__init__": 1,
-                     "_proj_orders": 1, "_classify": 1, "cosets": 1}
+                     "_proj_orders": 1, "_classify": 1, "_coset_label": 1}
 
 
 def test_analyze_totally_abelian_group():

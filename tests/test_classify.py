@@ -4,7 +4,6 @@ from apcong.classify import (
     ClassificationError,
     _subfield_stats,
     classify_group,
-    classify_projective,
     commutator_trace_set,
     is_borel_conjugable,
     proj_order_stats,
@@ -190,16 +189,15 @@ def test_classify_every_subgroup_of_gl2_f3():
 
 def test_classification_rejects_non_groups():
     with pytest.raises((ClassificationError, ValueError, KeyError, AttributeError)):
-        classify_projective(None)
+        classify_group(None)
 
 
 def borel_subgroup(spec):
     """<(1 1; 0 1), diag(z, 1)>: upper triangular of order q(q - 1); the
     full Borel group over F_101 already exceeds the closure guard."""
-    from apcong.constructions import _primitive_int
     from apcong.matgrp import Mat2, close_group
 
-    z = _primitive_int(spec)
+    z = spec.primitive
     return close_group(spec, [Mat2(spec, (1, 1, 0, 1)), Mat2(spec, (z, 0, 0, 1))])
 
 

@@ -65,6 +65,27 @@ def test_classify_malformed_json(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+F5_JSON = {"p": 5, "r": 1, "modulus": [0, 1]}
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"field": F5_JSON, "generators": [[[[2.7], 0], [0, 1]]]}, "[2.7]"),
+    ({"field": F5_JSON, "generators": [[[True, 0], [0, 1]]]}, "True"),
+    ({"field": F5_JSON, "generators": [[[1.5, 0], [0, 1]]]}, "1.5"),
+    ({"field": F5_JSON, "generators": [7]}, "7"),
+    ([1], "field and generators"),
+    ({"generators": []}, "field and generators"),
+    ({"field": dict(F5_JSON, p=5.5), "generators": []}, "field"),
+    ({"field": F5_JSON, "generators": 5}, "generators 5"),
+])
+def test_classify_rejects_malformed_groups(capsys, monkeypatch, doc, named):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "classify", "--group", "-")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
+
+
 # ---- analyze ----
 
 

@@ -379,7 +379,7 @@ def test_synthetic_model_structure():
     model = synthetic_model(G)
     assert model.ell == 5
     assert set(model.assignment) == set(_units(model.modulus))
-    k = len(model.data.cosets)
+    k = model.data.const.size
     fibers = [0] * k
     for idx in model.assignment.values():
         fibers[idx] += 1
@@ -401,9 +401,10 @@ def test_sample_dataset_invariants():
     model = synthetic_model(borel(make_field(5)))
     ds = sample_dataset(model, 3000, seed=7)
     assert ds.synthetic and ds.ell == 5 and len(ds) == 3000
-    tsets = model.data.trace_sets
+    data = model.data
+    pairs = set(zip(data.pair_coset.tolist(), data.pair_trace.tolist()))
     for p, a in ds.samples:
-        assert a in tsets[model.assignment[p % model.modulus]]
+        assert (model.assignment[p % model.modulus], a) in pairs
     again = sample_dataset(model, 3000, seed=7)
     assert again.samples == ds.samples
     other = sample_dataset(model, 3000, seed=8)

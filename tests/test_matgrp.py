@@ -24,7 +24,6 @@ from apcong.matgrp import (
     close_group,
     commutator_subgroup,
     coset_label,
-    cosets,
     enumerate_subgroups,
     from_elements,
     generating_set,
@@ -153,26 +152,35 @@ def test_scalars_and_projective_order():
 def test_cosets_partition():
     G = gl2(F3)
     H = sl2(F3)
-    cs = cosets(G, H)
-    assert len(cs) == G.order // H.order
+    label = coset_label(G, H)
+    elems = G.sorted_elements()
+    assert label.max() + 1 == G.order // H.order
     seen = set()
-    for c in cs:
-        assert c.size == H.order
-        assert c.representative in c.members
-        assert not (seen & c.members)
-        seen |= c.members
+    total = trace_multiset([])
+    for i in range(G.order // H.order):
+        members = {m for m, k in zip(elems, label.tolist()) if k == i}
+        rep = min(members, key=Mat2.encode)
+        assert members == {rep * h for h in H.elements}  # the coset rep.H
+        assert not (seen & members)
+        seen |= members
+        total += trace_multiset(G, label, i)
     assert seen == G.elements
-    # trace sets in both views agree
-    for c in cs:
-        assert {t.as_int() for t in c.traces()} == c.trace_ints()
+    assert total == trace_multiset(G)
 
 
 def test_coset_label_indexes_cosets():
     G = gl2(F3)
     H = close_group(F3, [Mat2(F3, (1, 1, 0, 1))])
     label = coset_label(G, H)
-    for i, c in enumerate(cosets(G, H)):
-        assert G.codes[label == i].tolist() == c.codes.tolist()
+    elems, reps = G.sorted_elements(), []
+    for i in range(label.max() + 1):
+        first = label.tolist().index(i)
+        # the first code with label i is the least code of its coset
+        assert G.codes[first] == G.codes[label == i].min()
+        rep = elems[first]
+        assert G.codes[label == i].tolist() == sorted((rep * h).encode() for h in H.elements)
+        reps.append(rep.encode())
+    assert reps == sorted(reps)  # cosets are numbered by least code
     # computed once per (G, H) and shared, so it is read-only
     assert coset_label(G, H) is label
     assert not label.flags.writeable
@@ -180,11 +188,9 @@ def test_coset_label_indexes_cosets():
 
 def test_cosets_requires_subgroup():
     with pytest.raises(ValueError):
-        cosets(sl2(F3), gl2(F3))
-    with pytest.raises(ValueError):
         coset_label(sl2(F3), gl2(F3))
     with pytest.raises(ValueError):  # a subgroup over another field
-        cosets(gl2(F3), sl2(F2))
+        coset_label(gl2(F3), sl2(F2))
 
 
 def brute_commutators(G):
@@ -317,14 +323,18 @@ def test_kernel_closure_cosets_and_projective_image(case):
     decode = {oracle_code(F, m): m for m in elems}
     for H in (commutator_subgroup(G), close_group(spec, [Mat2(spec, gens[0])])):
         hs = [decode[c] for c in H.codes.tolist()]
-        cs = cosets(G, H)
-        assert sorted(c for coset in cs for c in coset.codes.tolist()) == G.codes.tolist()
-        assert [coset.representative.encode() for coset in cs] == \
-            sorted(coset.codes.min() for coset in cs)
-        for coset in cs:
-            rep = coset.representative.e
-            assert coset.codes.tolist() == sorted(
-                oracle_code(F, oracle_mat_mul(F, rep, h)) for h in hs)
+        label = coset_label(G, H).tolist()
+        n = G.order // H.order
+        assert sorted(set(label)) == list(range(n))
+        # the representative of coset i, the code at the first index with
+        # label i, is its least code, and the representatives ascend
+        reps = [G.codes[label.index(i)] for i in range(n)]
+        assert reps == sorted(reps)
+        for i, rep in enumerate(reps):
+            members = [c for c, k in zip(G.codes.tolist(), label) if k == i]
+            assert rep == min(members)
+            assert members == sorted(
+                oracle_code(F, oracle_mat_mul(F, decode[rep], h)) for h in hs)
     P = projectivize(G)
     canon = {oracle_proj_canon(F, m) for m in elems}
     assert P.codes.tolist() == sorted(oracle_code(F, m) for m in canon)
