@@ -18,6 +18,11 @@ import numpy as np
 SIZE_GUARD = 1 << 20
 
 
+def is_int(x) -> bool:
+    """Whether x is an int and not a bool (JSON true and false are bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -237,8 +242,14 @@ class FieldSpec:
         return {"p": self.p, "r": self.r, "modulus": list(self.modulus)}
 
     @staticmethod
-    def from_json(obj: dict) -> "FieldSpec":
-        return FieldSpec(int(obj["p"]), int(obj["r"]), tuple(obj["modulus"]))
+    def from_json(obj) -> "FieldSpec":
+        """Inverse of to_json; ValueError unless p, r and every modulus
+        coefficient are ints."""
+        if not (isinstance(obj, dict) and is_int(obj.get("p")) and is_int(obj.get("r"))
+                and isinstance(obj.get("modulus"), list) and all(map(is_int, obj["modulus"]))):
+            raise ValueError(f"field {obj!r} needs int p and r and a list of int "
+                             "modulus coefficients")
+        return FieldSpec(obj["p"], obj["r"], tuple(obj["modulus"]))
 
 
 class FieldElement:

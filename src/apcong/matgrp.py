@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ffield import FieldElement, FieldSpec
+from .ffield import FieldElement, FieldSpec, is_int
 
 CLOSURE_GUARD = 10 ** 6
 
@@ -192,16 +192,12 @@ class Mat2:
         return f"[[{a},{b}],[{c},{d}]]"
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _parse_entry(spec: FieldSpec, x) -> int:
     """The encoding of a matrix entry: an int is a prime-field element, a
     list holds at most r int coefficients over F_p, lowest degree first."""
-    if _is_int(x):
+    if is_int(x):
         return x % spec.p
-    if isinstance(x, (list, tuple)) and len(x) <= spec.r and all(map(_is_int, x)):
+    if isinstance(x, (list, tuple)) and len(x) <= spec.r and all(map(is_int, x)):
         return sum(c % spec.p * spec.p ** i for i, c in enumerate(x))
     raise ValueError(f"matrix entry {x!r} is not an int or a list of at most "
                      f"{spec.r} int coefficients")
@@ -471,17 +467,12 @@ def group_to_json(G: MatGroup) -> dict:
 
 
 def group_from_json(obj, guard: int = CLOSURE_GUARD) -> MatGroup:
-    """Parse {"field": {"p", "r", "modulus"}, "generators": [matrix, ...]},
-    each matrix as Mat2.from_entries reads it; malformed input raises
-    ValueError naming the part at fault."""
+    """Parse {"field": field, "generators": [matrix, ...]}, the field as
+    FieldSpec.from_json and each matrix as Mat2.from_entries reads it;
+    malformed input raises ValueError naming the part at fault."""
     if not (isinstance(obj, dict) and "field" in obj and "generators" in obj):
         raise ValueError("group JSON must be an object with field and generators")
-    field, gens = obj["field"], obj["generators"]
-    if not (isinstance(field, dict) and _is_int(field.get("p")) and _is_int(field.get("r"))
-            and isinstance(field.get("modulus"), list) and all(map(_is_int, field["modulus"]))):
-        raise ValueError(f"field {field!r} needs int p and r and a list of int modulus "
-                         "coefficients")
+    spec, gens = FieldSpec.from_json(obj["field"]), obj["generators"]
     if not isinstance(gens, list):
         raise ValueError(f"generators {gens!r} is not a list")
-    spec = FieldSpec.from_json(field)
     return close_group(spec, [Mat2.from_entries(spec, rows) for rows in gens], guard=guard)

@@ -170,6 +170,11 @@ def test_field_spec_json_roundtrip():
     spec = make_field(3, 2)
     again = FieldSpec.from_json(spec.to_json())
     assert again == spec
+    # no silent truncation: 5.5 is not read as 5, nor true as 1
+    for bad in ({"p": 5.5, "r": 1, "modulus": [0, 1]}, {"p": 5, "r": True, "modulus": [0, 1]},
+                {"p": 5, "r": 1, "modulus": [0, 1.0]}, {"p": 5, "r": 1}, [5, 1]):
+        with pytest.raises(ValueError, match="field"):
+            FieldSpec.from_json(bad)
 
 
 def prime_powers(limit):
