@@ -3,9 +3,9 @@
 The group-theoretic half decides, for a finite subgroup G of GL2 over a
 small finite field and each attained trace value x, whether membership of
 the trace in x is governed by a congruence condition on the underlying
-prime; the empirical half generates a_p datasets (eta products, elliptic
-curve point counts, synthetic group samples) and discovers or verifies such
-congruences on them.
+prime; the empirical half generates a_p datasets (q-expansion coefficient
+columns, elliptic curve point counts, synthetic group samples) and discovers
+or verifies such congruences on them.
 """
 
 from .ffield import (
@@ -34,7 +34,6 @@ from .classify import (
     ClassificationError,
     DicksonClass,
     classify_group,
-    commutator_trace_set,
 )
 from . import constructions
 from .abelian import (
@@ -60,7 +59,6 @@ from .eigendata import (
     curve_dataset,
     curve_fixtures,
     delta_coeffs,
-    eta_qexp,
     load_curve_file,
     load_form_file,
     quadform_represents,
@@ -89,11 +87,11 @@ __all__ = [
     "EllipticCurve", "FieldElement", "FieldSpec", "Mat2", "MatGroup",
     "QSeries", "TheoremConsistencyError", "analyze_group", "ap_point_count",
     "best_modulus", "build_dataset", "classify_group", "close_group",
-    "closed_loop_check", "commutator_subgroup", "commutator_trace_set",
+    "closed_loop_check", "commutator_subgroup",
     "constructions", "coset_traces", "crosscheck_all_subgroups",
     "curve_dataset", "curve_fixtures", "delta_coeffs",
     "delta_partition_check", "density_c", "discover_class", "discover_report",
-    "enumerate_subgroups", "eta_qexp", "factorize", "group_from_json",
+    "enumerate_subgroups", "factorize", "group_from_json",
     "group_to_json", "identity", "is_abelian_class", "is_prime",
     "is_semi_abelian", "is_totally_abelian", "is_weakly_abelian", "kronecker",
     "legendre", "legendre_candidates", "legendre_fit", "load_curve_file",

@@ -309,15 +309,3 @@ def _classify(G: MatGroup) -> DicksonClass:
     raise ClassificationError(
         f"projective group of order {P.order} fits no classical family")
 
-
-# ---- helpers used throughout the classification ----------------------------
-
-
-def traceless_count(P: ProjGroup) -> int:
-    # scaling multiplies the trace by a unit, so tracelessness is projective
-    return int(np.count_nonzero(P.traces == 0))
-
-
-def commutator_trace_set(G: MatGroup) -> frozenset[int]:
-    """Integer-encoded traces occurring on the commutator subgroup of G."""
-    return commutator_subgroup(G).trace_ints()

@@ -30,7 +30,6 @@ from .discover import (
     verify_fixture_tables,
 )
 from .eigendata import (
-    EllipticCurve,
     build_dataset,
     curve_fixtures,
     delta_coeffs,

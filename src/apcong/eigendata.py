@@ -1,16 +1,18 @@
-"""Empirical Fourier-coefficient data for weight-2 rational eigenforms.
+"""Empirical Fourier-coefficient data for rational eigenforms.
 
-Three sources feed the congruence machinery: truncated q-series arithmetic
-over Z/m (eta products, in particular the discriminant form delta = eta^24),
-point counting on rational elliptic curves over F_p, and curve models
-ingested from a JSON-lines fixture file.  Everything here is finite and
-exact; no floating point, no external tables at runtime.
+Three sources feed the congruence machinery: q-expansions (the discriminant
+form delta = eta^24, or a_n read from a JSON-lines form file), point counting
+on rational elliptic curves over F_p, and curve models ingested from a
+JSON-lines fixture file.  Everything here is finite and exact; no floating
+point, no external tables at runtime.
 
-delta comes from Jacobi's identity eta^3 = sum (-1)^n (2n+1) q^(n(n+1)/2 + 1/8):
-eta^24 = (eta^3)^8 is seven products of a sparse series with about sqrt(2T)
-terms into a dense one, so tau(n) for n <= T costs O(T^1.5) instead of the
-O(T^2) of dense convolution.  Every product is reduced mod m, in int64 while
-the bound allows it and in Python integers otherwise (and for m = 0).
+A q-expansion is one coefficient column indexed by exponent, reduced mod m
+or exact (m = 0).  delta comes from Jacobi's identity eta^3 = sum (-1)^n
+(2n+1) q^(n(n+1)/2 + 1/8): eta^24 = (eta^3)^8 is seven products of a sparse
+series with about sqrt(2T) terms into a dense one, so tau(n) for n <= T costs
+O(T^1.5) instead of the O(T^2) of dense convolution.  Every product is
+reduced mod m, in int64 while the bound allows it and in Python integers
+otherwise (and for m = 0).
 
 A curve's a_p come from one kernel for all its good primes at once: a
 character sum for p <= 229, and above that a baby-step giant-step search
@@ -33,7 +35,7 @@ from importlib import resources
 
 import numpy as np
 
-from .ffield import factorize, is_prime
+from .ffield import factorize, is_int, is_prime
 from .matgrp import unique_codes
 
 POINT_COUNT_GUARD = 10 ** 6
@@ -55,91 +57,29 @@ def primes_upto(n: int) -> list[int]:
 # truncated q-series over Z/m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QSeries:
-    """q^(offset_24ths/24) * sum coeffs[i] q^i, truncated, coefficients in Z/m.
+    """The q-expansion sum a_n q^n of a cusp form to q^T, coefficients in Z/m.
 
-    m = 0 means exact integer coefficients.  Offsets are kept in 24ths so
-    that eta carries offset 1 and eta^24 carries offset 24, a whole power.
+    coeffs is one read-only column indexed by exponent, coeffs[n] = a_n for
+    n <= T with coeffs[0] = 0: int64, or object when int64 cannot hold the
+    values.  m = 0 means exact integer coefficients.
     """
 
     m: int
-    coeffs: tuple[int, ...]
-    offset_24ths: int = 0
+    coeffs: np.ndarray
 
     def __post_init__(self):
+        c = self.coeffs
         if self.m < 0:
             raise ValueError("modulus must be nonnegative")
-        if not self.coeffs:
-            raise ValueError("empty coefficient vector")
-        if self.m:
-            if any(not 0 <= c < self.m for c in self.coeffs):
-                raise ValueError("coefficients not reduced mod m")
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        if self.m != other.m:
-            raise ValueError("modulus mismatch")
-        T = min(self.truncation, other.truncation)
-        a, b = self.coeffs[: T + 1], other.coeffs[: T + 1]
-        if self.m:
-            # each int64 convolution term sums up to T + 1 products < m^2
-            if (T + 1) * (self.m - 1) ** 2 >= 2 ** 63:
-                raise ValueError(
-                    f"mod-{self.m} product to q^{T} would overflow int64")
-            conv = np.convolve(
-                np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-            )[: T + 1]
-            prod = tuple(int(c) % self.m for c in conv)
-        else:
-            out = [0] * (T + 1)
-            for i, ai in enumerate(a):
-                if ai == 0:
-                    continue
-                for j in range(T + 1 - i):
-                    out[i + j] += ai * b[j]
-            prod = tuple(out)
-        return QSeries(self.m, prod, self.offset_24ths + other.offset_24ths)
-
-    def coefficient(self, n: int) -> int:
-        """Coefficient of q^n once the fractional offset is a whole power."""
-        if self.offset_24ths % 24:
-            raise ValueError("offset is not a whole power of q")
-        i = n - self.offset_24ths // 24
-        if not 0 <= i <= self.truncation:
-            raise ValueError(f"exponent {n} beyond truncation")
-        return self.coeffs[i]
-
-    def reduce(self, m: int) -> "QSeries":
-        if m <= 0:
-            raise ValueError("reduction modulus must be positive")
-        if self.m and self.m % m:
-            raise ValueError(f"cannot reduce mod {m} from mod {self.m}")
-        return QSeries(m, tuple(c % m for c in self.coeffs), self.offset_24ths)
-
-
-def eta_qexp(T: int, m: int = 0) -> QSeries:
-    """Euler-product expansion of eta up to q^T via pentagonal numbers."""
-    if T < 0:
-        raise ValueError("negative truncation")
-    coeffs = [0] * (T + 1)
-    k = 0
-    while True:
-        done = True
-        for kk in (k, -k) if k else (0,):
-            e = kk * (3 * kk - 1) // 2
-            if e <= T:
-                coeffs[e] += -1 if kk % 2 else 1
-                done = False
-        if done:
-            break
-        k += 1
-    if m:
-        coeffs = [c % m for c in coeffs]
-    return QSeries(m, tuple(coeffs), 1)
+        if c.ndim != 1 or c.dtype not in (np.int64, object):
+            raise ValueError("coefficients must be one int64 or object column")
+        if c.size < 2 or c[0] != 0:
+            raise ValueError("expected 0, a_1, ... with at least a_1")
+        if self.m and (c.min() < 0 or c.max() >= self.m):
+            raise ValueError("coefficients not reduced mod m")
+        c.flags.writeable = False
 
 
 def delta_coeffs(T: int, m: int = 0) -> QSeries:
@@ -158,16 +98,16 @@ def delta_coeffs(T: int, m: int = 0) -> QSeries:
     # a product coefficient sums |c| * (m - 1) over the terms at most
     weight = sum(abs(c) for _, c in terms)
     dtype = np.int64 if m and weight * (m - 1) < 2 ** 63 else object
-    sparse = np.zeros(T, dtype=dtype)
+    qs = np.zeros(T + 1, dtype=dtype)  # q S, so index n holds the q^n term
     for e, c in terms:
-        sparse[e] = c
-    dense = sparse % m if m else sparse
+        qs[e + 1] = c
+    dense = qs % m if m else qs
     for _ in range(7):
-        out = np.zeros(T, dtype=dtype)
+        out = np.zeros(T + 1, dtype=dtype)
         for e, c in terms:
-            out[e:] += c * dense[: T - e]
+            out[e:] += c * dense[: T + 1 - e]
         dense = out % m if m else out
-    return QSeries(m, tuple(dense.tolist()), 24)  # coefficient(n) = tau(n)
+    return QSeries(m, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +412,7 @@ class ApDataset:
 
     The samples live in two read-only int64 columns: p, strictly increasing
     and coprime to level * ell, and a, reduced mod ell.  ell = 0 keeps exact
-    a_p, as QSeries m = 0 does.  `pairs` is a sequence of (p, a) pairs or an
-    (n, 2) integer array.
+    a_p.  `pairs` is a sequence of (p, a) pairs or an (n, 2) integer array.
     """
 
     label: str
@@ -567,21 +506,44 @@ def build_dataset(
         raise ValueError("q-series sources need explicit level and label")
     if source.m and source.m % ell:
         raise ValueError(f"series mod {source.m} cannot produce data mod {ell}")
-    top = source.truncation + source.offset_24ths // 24
-    samples = [
-        (p, source.coefficient(p) % ell)
-        for p in primes_upto(min(p_max, top))
-        if (level * ell) % p
-    ]
-    return ApDataset(label, level, ell, samples)
+    top = len(source.coeffs) - 1
+    ps = np.array([p for p in primes_upto(min(p_max, top)) if (level * ell) % p],
+                  dtype=np.int64)
+    return ApDataset(label, level, ell, np.column_stack((ps, source.coeffs[ps] % ell)))
 
 
 # ---------------------------------------------------------------------------
 # fixture ingestion
 
 
+def _record(line: str) -> dict:
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError(f"record {line.strip()!r:.60} is not a JSON object")
+    return rec
+
+
+def _field(rec: dict, key: str, kind: type):
+    """rec[key], which must be a str, an int or a list of ints; an int is
+    never a bool or a float, so nothing is truncated or read as 1."""
+    if key not in rec:
+        raise ValueError(f"record lacks {key!r}")
+    v = rec[key]
+    if kind is str:
+        ok = isinstance(v, str)
+    elif kind is int:
+        ok = is_int(v)
+    else:
+        ok = isinstance(v, list) and all(map(is_int, v))
+    if not ok:
+        want = {str: "a string", int: "an int", list: "a list of ints"}[kind]
+        raise ValueError(f"{key!r} must be {want}, got {v!r:.60}")
+    return v
+
+
 def _parse_curve(rec: dict) -> EllipticCurve:
-    E = EllipticCurve(rec["label"], tuple(rec["a"]), rec["conductor"])
+    E = EllipticCurve(_field(rec, "label", str), tuple(_field(rec, "a", list)),
+                      _field(rec, "conductor", int))
     # checksum: bad primes of the model are exactly the level's support, and
     # the label's numeric prefix agrees with the stated conductor
     if set(factorize(E.discriminant)) != set(factorize(E.conductor)):
@@ -602,7 +564,7 @@ def _parse_curve_lines(lines) -> dict[str, EllipticCurve]:
     out = {}
     for line in lines:
         if line.strip():
-            E = _parse_curve(json.loads(line))
+            E = _parse_curve(_record(line))
             out[E.label] = E
     return out
 
@@ -620,15 +582,20 @@ def curve_fixtures() -> dict[str, EllipticCurve]:
 
 
 def load_form_file(path) -> list[tuple[str, int, int, QSeries]]:
-    """JSON lines {"label", "weight", "level", "coeffs"} -> (label, weight,
-    level, series) with coefficient(n) = a_n."""
+    """JSON lines {"label", "weight", "level", "coeffs"}, coeffs listing a_1,
+    a_2, ..., -> (label, weight, level, exact series with coeffs[n] = a_n)."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            series = QSeries(0, (0,) + tuple(rec["coeffs"]), 0)
-            out.append((rec["label"], rec["weight"], rec["level"], series))
+            rec = _record(line)
+            label = _field(rec, "label", str)
+            weight, level = _field(rec, "weight", int), _field(rec, "level", int)
+            coeffs = [0] + _field(rec, "coeffs", list)
+            try:
+                column = np.array(coeffs, dtype=np.int64)
+            except OverflowError:
+                column = np.array(coeffs, dtype=object)
+            out.append((label, weight, level, QSeries(0, column)))
     return out

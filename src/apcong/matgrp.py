@@ -306,12 +306,6 @@ def close_group(spec: FieldSpec, generators, guard: int = CLOSURE_GUARD) -> MatG
     return MatGroup(spec, _close(spec, _codes_of(gens), guard=guard), tuple(gens))
 
 
-def from_elements(spec: FieldSpec, elements, generators=()) -> MatGroup:
-    """Wrap an already-closed element set (used by direct constructions)."""
-    _check_codes(spec)
-    return MatGroup(spec, unique_codes(_codes_of(elements)), tuple(generators))
-
-
 def generating_set(G: MatGroup) -> list[Mat2]:
     """G's recorded generators, or a small set found greedily: the least
     element outside the subgroup generated so far, until it is all of G."""
@@ -384,10 +378,6 @@ class ProjGroup:
     @property
     def order(self) -> int:
         return int(self.codes.size)
-
-    @cached_property
-    def classes(self) -> frozenset[Mat2]:
-        return frozenset(_mats_of(self.spec, self.codes))
 
     @cached_property
     def traces(self) -> np.ndarray:

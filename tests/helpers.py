@@ -1,13 +1,23 @@
 """Helpers that only the tests use: seeded random subgroups, the
 2-generated subgroup sweep that cross-checks `enumerate_subgroups`, the
-group exponent and trace frequencies, and the oracles below."""
+group exponent and trace frequencies, unclosed wrapping of element sets,
+projective classes, traceless and commutator-trace counts, and the oracles
+below."""
 
 from collections import Counter
 from math import gcd
 
 import numpy as np
 
-from apcong.matgrp import Mat2, MatGroup, close_group, identity
+from apcong.matgrp import (
+    Mat2,
+    MatGroup,
+    ProjGroup,
+    close_group,
+    commutator_subgroup,
+    identity,
+    split_codes,
+)
 
 
 def random_subgroups(spec, count: int, seed: int) -> list[MatGroup]:
@@ -65,6 +75,29 @@ def group_exponent(G: MatGroup) -> int:
         exp = exp * o // gcd(exp, o)
     assert G.order % exp == 0
     return exp
+
+
+def from_elements(spec, elements, generators=()) -> MatGroup:
+    """Wrap an element set as a MatGroup without closing it: the caller
+    vouches that the set is a group."""
+    codes = np.unique(np.array([m.encode() for m in elements], dtype=np.int64))
+    return MatGroup(spec, codes, tuple(generators))
+
+
+def proj_classes(P: ProjGroup) -> frozenset[Mat2]:
+    """The canonical representatives of the projective classes, as matrices."""
+    cols = [v.tolist() for v in split_codes(P.spec, P.codes)]
+    return frozenset(Mat2(P.spec, e) for e in zip(*cols))
+
+
+def traceless_count(P: ProjGroup) -> int:
+    # scaling multiplies the trace by a unit, so tracelessness is projective
+    return int(np.count_nonzero(P.traces == 0))
+
+
+def commutator_trace_set(G: MatGroup) -> frozenset[int]:
+    """Integer-encoded traces occurring on the commutator subgroup of G."""
+    return commutator_subgroup(G).trace_ints()
 
 
 def trace_multiset(obj, label=None, i=None) -> Counter:
@@ -191,3 +224,61 @@ def char_sum_ap(E, p: int) -> int:
     g += b6 % p
     g %= p
     return -int(chi[g].sum(dtype=np.int64))
+
+
+# ---- q-expansion oracles: the Euler product of eta and dense products ----
+
+def eta_qexp(T: int, m: int = 0) -> tuple[int, ...]:
+    """prod_{n>=1} (1 - q^n) up to q^T via pentagonal numbers, that is eta
+    without its q^(1/24), with coefficients mod m (exact for m = 0)."""
+    if T < 0:
+        raise ValueError("negative truncation")
+    coeffs = [0] * (T + 1)
+    k = 0
+    while True:
+        done = True
+        for kk in (k, -k) if k else (0,):
+            e = kk * (3 * kk - 1) // 2
+            if e <= T:
+                coeffs[e] += -1 if kk % 2 else 1
+                done = False
+        if done:
+            break
+        k += 1
+    if m:
+        coeffs = [c % m for c in coeffs]
+    return tuple(coeffs)
+
+
+def series_mul(a, b, m: int = 0) -> tuple[int, ...]:
+    """The product of two coefficient tuples mod m (exact for m = 0),
+    truncated to the shorter one.  Mod m it is one int64 convolution, and a
+    bound that could overflow int64 raises instead."""
+    T = min(len(a), len(b)) - 1
+    a, b = a[: T + 1], b[: T + 1]
+    if m:
+        # each int64 convolution term sums up to T + 1 products < m^2
+        if (T + 1) * (m - 1) ** 2 >= 2 ** 63:
+            raise ValueError(f"mod-{m} product to q^{T} would overflow int64")
+        conv = np.convolve(
+            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        )[: T + 1]
+        return tuple(int(c) % m for c in conv)
+    out = [0] * (T + 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j in range(T + 1 - i):
+            out[i + j] += ai * b[j]
+    return tuple(out)
+
+
+def squaring_chain_delta(T: int, m: int = 0) -> tuple[int, ...]:
+    """tau(1), ..., tau(T) mod m by the dense route: eta^24 = eta^16 * eta^8
+    by repeated squaring of the Euler product."""
+    e1 = eta_qexp(T - 1, m)
+    e2 = series_mul(e1, e1, m)
+    e4 = series_mul(e2, e2, m)
+    e8 = series_mul(e4, e4, m)
+    e16 = series_mul(e8, e8, m)
+    return series_mul(e16, e8, m)

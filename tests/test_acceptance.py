@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from apcong.abelian import crosscheck_all_subgroups, density_c, modulus_bound
-from apcong.classify import commutator_trace_set, traceless_count
 from apcong.constructions import (
     a4_lift,
     a5_lift_f11,
@@ -27,7 +26,7 @@ from apcong.eigendata import build_dataset, curve_fixtures, delta_coeffs
 from apcong.ffield import factorize, legendre, make_field
 from apcong.matgrp import projectivize
 
-from helpers import random_subgroups
+from helpers import commutator_trace_set, random_subgroups, traceless_count
 
 EXAMPLE_CURVES = ("338d1", "324b1", "608e1", "2450ba1", "2450a1", "50700u1")
 

@@ -210,6 +210,24 @@ def test_dataset_curve_file_and_form_file(capsys, tmp_path):
     assert code == 1 and "missing" in err
 
 
+
+@pytest.mark.parametrize("flag, rec", [
+    ("--form-file", {"label": "t1", "weight": 2, "level": 1,
+                     "coeffs": [1, 2.5, 3.7, 4, 5.2, 6, 7.9]}),
+    ("--form-file", {"label": "t1", "weight": 2, "level": 1,
+                     "coeffs": [1, "2", 3, 4, 5, 6, 7]}),
+    ("--curve-file", {"label": "t1", "a": [0, 0, 0, 9, -18], "conductor": "324"}),
+    ("--curve-file", {"label": "t1", "a": [0, 0, 0, True, -18], "conductor": 324}),
+], ids=["form-float", "form-str", "curve-str-conductor", "curve-bool"])
+def test_dataset_rejects_non_int_records(capsys, tmp_path, flag, rec):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    code, out, err = run(capsys, "dataset", flag, str(path),
+                         "--label", "t1", "--ell", "5", "--pmax", "7")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
 # ---- discover ----
 
 

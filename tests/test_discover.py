@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from apcong.abelian import density_c
 from apcong.constructions import borel, gl2, sl2, split_cartan_normalizer
 from apcong.discover import (
-    ClassCongruence,
     InsufficientDataError,
     _s0_mod39,
     _units,

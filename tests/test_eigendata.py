@@ -17,13 +17,12 @@ from apcong.eigendata import (
     curve_dataset,
     curve_fixtures,
     delta_coeffs,
-    eta_qexp,
     load_curve_file,
     load_form_file,
     primes_upto,
     quadform_represents,
 )
-from helpers import char_sum_ap
+from helpers import char_sum_ap, eta_qexp, series_mul, squaring_chain_delta
 
 
 def test_primes_upto():
@@ -32,7 +31,7 @@ def test_primes_upto():
     assert len(primes_upto(10_000)) == 1229
 
 
-# ---- q-series and eta products ----
+# ---- q-series: the delta column against the Euler-product oracles ----
 
 
 def brute_eta_tail(T):
@@ -48,14 +47,12 @@ def brute_eta_tail(T):
 
 def test_eta_matches_brute_product():
     T = 80
-    eta = eta_qexp(T)
-    assert eta.offset_24ths == 1
-    assert list(eta.coeffs) == brute_eta_tail(T)
+    assert list(eta_qexp(T)) == brute_eta_tail(T)
 
 
 def test_eta_coefficients_are_pentagonal_signs():
     eta = eta_qexp(200)
-    nonzero = {k: c for k, c in enumerate(eta.coeffs) if c}
+    nonzero = {k: c for k, c in enumerate(eta) if c}
     for k, c in nonzero.items():
         assert c in (1, -1)
     # generalized pentagonal numbers
@@ -74,9 +71,10 @@ TAU = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048, 7: -16744,
 
 
 def test_tau_small_values():
-    series = delta_coeffs(12)
+    tau = delta_coeffs(12).coeffs
+    assert tau[0] == 0
     for n, want in TAU.items():
-        assert series.coefficient(n) == want
+        assert tau[n] == want
 
 
 def sigma11(n):
@@ -84,44 +82,32 @@ def sigma11(n):
 
 
 def test_tau_ramanujan_congruence_mod_691():
-    series = delta_coeffs(200)
+    tau = delta_coeffs(200).coeffs
     for n in range(1, 201):
-        assert series.coefficient(n) % 691 == sigma11(n) % 691
+        assert tau[n] % 691 == sigma11(n) % 691
 
 
 def test_tau_hecke_multiplicativity():
-    series = delta_coeffs(150)
-    assert series.coefficient(6) == series.coefficient(2) * series.coefficient(3)
-    assert series.coefficient(10) == series.coefficient(2) * series.coefficient(5)
-    assert series.coefficient(35) == series.coefficient(5) * series.coefficient(7)
+    tau = delta_coeffs(150).coeffs
+    assert tau[6] == tau[2] * tau[3]
+    assert tau[10] == tau[2] * tau[5]
+    assert tau[35] == tau[5] * tau[7]
     for p in (2, 3, 5, 7, 11):
-        assert series.coefficient(p * p) == (
-            series.coefficient(p) ** 2 - p ** 11)
-
-
-def squaring_chain_delta(T, m=0):
-    """The dense route: eta^24 = eta^16 * eta^8 by repeated squaring."""
-    e1 = eta_qexp(T - 1, m)
-    e2 = e1 * e1
-    e4 = e2 * e2
-    e8 = e4 * e4
-    e16 = e8 * e8
-    return e16 * e8
+        assert tau[p * p] == tau[p] ** 2 - p ** 11
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 23, 691, 3_000_000_019])
 def test_jacobi_delta_matches_squaring_chain(m):
     # the chain's int64 guard refuses m ~ 3e9, so reduce its exact result
     old = (squaring_chain_delta(2000, m) if m < 10 ** 9
-           else squaring_chain_delta(2000).reduce(m))
+           else tuple(c % m for c in squaring_chain_delta(2000)))
     new = delta_coeffs(2000, m)
-    assert new.offset_24ths == old.offset_24ths == 24
-    assert new.coeffs == old.coeffs
+    assert new.coeffs[1:].tolist() == list(old)
 
 
 def test_jacobi_delta_exact_matches_squaring_chain():
-    assert delta_coeffs(300) == squaring_chain_delta(300)
-    assert delta_coeffs(1).coeffs == (1,)
+    assert delta_coeffs(300).coeffs[1:].tolist() == list(squaring_chain_delta(300))
+    assert delta_coeffs(1).coeffs.tolist() == [0, 1]
 
 
 def test_tau_ramanujan_congruence_mod_691_to_10_000():
@@ -129,7 +115,7 @@ def test_tau_ramanujan_congruence_mod_691_to_10_000():
     sigma11 = np.zeros(N + 1, dtype=np.int64)  # divisor sieve mod 691
     for d in range(1, N + 1):
         sigma11[d::d] += pow(d, 11, 691)
-    assert list(delta_coeffs(N, 691).coeffs) == (sigma11[1:] % 691).tolist()
+    assert delta_coeffs(N, 691).coeffs[1:].tolist() == (sigma11[1:] % 691).tolist()
 
 
 @cache
@@ -141,45 +127,47 @@ def exact_delta_200():
 @given(T=st.integers(1, 200),
        m=st.one_of(st.integers(1, 1000), st.integers(1, 2 ** 70)))
 def test_delta_mod_m_is_exact_delta_reduced(T, m):
-    exact = exact_delta_200().coeffs[:T]
-    assert delta_coeffs(T, m).coeffs == tuple(c % m for c in exact)
+    exact = exact_delta_200()[:T]
+    assert delta_coeffs(T, m).coeffs[1:].tolist() == [c % m for c in exact]
 
 
 def test_delta_reduction_consistency():
-    exact = delta_coeffs(300)
-    red = delta_coeffs(300, 23)
-    for n in range(1, 301):
-        assert red.coefficient(n) == exact.coefficient(n) % 23
+    exact = delta_coeffs(300).coeffs
+    red = delta_coeffs(300, 23).coeffs
+    assert exact.dtype == object and red.dtype == np.int64
+    assert red.tolist() == [c % 23 for c in exact.tolist()]
 
 
 def test_eta_times_eta23_is_delta_mod_23():
-    # eta(q) eta(q^23) has integral q-expansion congruent to Delta mod 23
+    # eta(q) eta(q^23) = q (prod (1 - q^n))(prod (1 - q^(23 n))) has integral
+    # q-expansion congruent to Delta mod 23
     T = 500
     a = eta_qexp(T, 23)
-    spaced = [0] * (23 * (len(a.coeffs) - 1) + 1)
-    for k, c in enumerate(a.coeffs):
+    spaced = [0] * (23 * (len(a) - 1) + 1)
+    for k, c in enumerate(a):
         spaced[23 * k] = c
-    b = QSeries(23, tuple(spaced[: T + 1]), offset_24ths=23)
-    prod = a * b
-    delta = delta_coeffs(T, 23)
-    assert prod.offset_24ths == 24
-    for n in range(1, prod.truncation + 1):
-        assert prod.coefficient(n) == delta.coefficient(n)
+    prod = series_mul(a, tuple(spaced[: T + 1]), 23)  # prod[i]: q^(i + 1)
+    assert list(prod[:T]) == delta_coeffs(T, 23).coeffs[1:].tolist()
 
 
-def test_qseries_multiplication_rules():
-    a = QSeries(0, (1, 2, 3))
-    b = QSeries(0, (1, -1))
-    ab = a * b
-    assert ab.coeffs == (1, 1)  # truncated to the shorter series
+def test_qseries_is_one_read_only_column():
+    col = np.array([0, 1, 4, 2], dtype=np.int64)
+    series = QSeries(5, col)
+    assert series.coeffs is col
     with pytest.raises(ValueError):
-        a * QSeries(5, (1, 2))
-    c = QSeries(6, (0, 2, 4), offset_24ths=24)
-    assert c.reduce(3).coeffs == (0, 2, 1)
+        series.coeffs[1] = 3
+    assert delta_coeffs(50, 2 ** 70).coeffs.dtype == object
+    for bad in (5, 7, -1):  # unreduced coefficients
+        with pytest.raises(ValueError):
+            QSeries(5, np.array([0, bad]))
     with pytest.raises(ValueError):
-        c.reduce(4)
+        QSeries(5, np.array([1, 2]))  # nonzero constant term
     with pytest.raises(ValueError):
-        QSeries(5, (0, 7))  # unreduced coefficient
+        QSeries(0, np.array([0]))  # no a_1
+    with pytest.raises(ValueError):
+        QSeries(0, np.array([0.0, 1.5]))  # not an integer column
+    with pytest.raises(ValueError):
+        QSeries(-1, np.array([0, 1]))
 
 
 def test_qseries_mod_product_overflow_guard():
@@ -187,18 +175,10 @@ def test_qseries_mod_product_overflow_guard():
     m = 1518500250
     assert 4 * (m - 1) ** 2 < 2**63 <= 4 * m**2
     top = (m - 1,) * 4
-    exact = QSeries(0, top) * QSeries(0, top)
-    assert (QSeries(m, top) * QSeries(m, top)).coeffs == tuple(
-        c % m for c in exact.coeffs)
-    over = QSeries(m + 1, (m,) * 4)
+    exact = series_mul(top, top)
+    assert series_mul(top, top, m) == tuple(c % m for c in exact)
     with pytest.raises(ValueError):
-        over * over
-
-
-def test_qseries_coefficient_requires_integral_offset():
-    eta = eta_qexp(10)
-    with pytest.raises(ValueError):
-        eta.coefficient(1)
+        series_mul((m,) * 4, (m,) * 4, m + 1)
 
 
 # ---- elliptic curves and point counts ----
@@ -550,6 +530,83 @@ def test_load_form_file(tmp_path):
     assert len(forms) == 1
     label, weight, level, series = forms[0]
     assert (label, weight, level) == ("t1", 12, 1)
-    assert series.coefficient(2) == -24
+    assert series.m == 0 and series.coeffs.tolist() == [0, 1, -24, 252, -1472]
     ds = build_dataset(series, 5, 3, level=1, label="t1")
     assert ds.samples == ((2, (-24) % 5), (3, 252 % 5))
+
+
+GOOD_CURVE = {"label": "324b1", "a": [0, 0, 0, 9, -18], "conductor": 324}
+GOOD_FORM = {"label": "t1", "weight": 2, "level": 1, "coeffs": [1, 2, 3, 4, 5]}
+
+
+def _without(rec, key):
+    return {k: v for k, v in rec.items() if k != key}
+
+
+BAD_RECORDS = [
+    # (id, loader, record, expected message)
+    ("curve-a-float", load_curve_file, dict(GOOD_CURVE, a=[0, 0, 0, 9.0, -18]), "'a' must"),
+    ("curve-a-bool", load_curve_file, dict(GOOD_CURVE, a=[0, False, 0, 9, -18]), "'a' must"),
+    ("curve-a-str", load_curve_file, dict(GOOD_CURVE, a=[0, "0", 0, 9, -18]), "'a' must"),
+    ("curve-conductor-float", load_curve_file, dict(GOOD_CURVE, conductor=324.0),
+     "'conductor' must"),
+    ("curve-conductor-str", load_curve_file, dict(GOOD_CURVE, conductor="324"),
+     "'conductor' must"),
+    ("curve-conductor-bool", load_curve_file, dict(GOOD_CURVE, conductor=True),
+     "'conductor' must"),
+    ("curve-label-int", load_curve_file, dict(GOOD_CURVE, label=324), "'label' must"),
+    ("curve-missing-a", load_curve_file, _without(GOOD_CURVE, "a"), "lacks 'a'"),
+    ("curve-missing-conductor", load_curve_file, _without(GOOD_CURVE, "conductor"),
+     "lacks 'conductor'"),
+    ("curve-list", load_curve_file, [0, 0, 0, 9, -18], "not a JSON object"),
+    ("form-coeffs-float", load_form_file, dict(GOOD_FORM, coeffs=[1, 2.5, 3.7, 4, 5.2]),
+     "'coeffs' must"),
+    ("form-coeffs-bool", load_form_file, dict(GOOD_FORM, coeffs=[1, True, 3, 4, 5]),
+     "'coeffs' must"),
+    ("form-coeffs-str", load_form_file, dict(GOOD_FORM, coeffs=[1, "2", 3, 4, 5]),
+     "'coeffs' must"),
+    ("form-weight-float", load_form_file, dict(GOOD_FORM, weight=2.0), "'weight' must"),
+    ("form-level-bool", load_form_file, dict(GOOD_FORM, level=True), "'level' must"),
+    ("form-level-str", load_form_file, dict(GOOD_FORM, level="1"), "'level' must"),
+    ("form-missing-coeffs", load_form_file, _without(GOOD_FORM, "coeffs"), "lacks 'coeffs'"),
+    ("form-missing-weight", load_form_file, _without(GOOD_FORM, "weight"), "lacks 'weight'"),
+    ("form-missing-label", load_form_file, _without(GOOD_FORM, "label"), "lacks 'label'"),
+]
+
+
+@pytest.mark.parametrize("loader, rec, message", [r[1:] for r in BAD_RECORDS],
+                         ids=[r[0] for r in BAD_RECORDS])
+def test_record_parsing_takes_only_ints(tmp_path, loader, rec, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match=message):
+        loader(path)
+
+
+def test_form_file_keeps_big_coefficients_exact(tmp_path):
+    big = 3 ** 50
+    path = tmp_path / "forms.jsonl"
+    path.write_text(json.dumps(dict(GOOD_FORM, coeffs=[1, big, -big])) + "\n")
+    (_, _, _, series), = load_form_file(path)
+    assert series.coeffs.dtype == object
+    assert series.coeffs.tolist() == [0, 1, big, -big]
+    ds = build_dataset(series, 7, 3, level=1, label="t1")
+    assert ds.samples == ((2, big % 7), (3, -big % 7))
+
+
+def test_form_file_route_matches_delta_route(tmp_path):
+    # the exact tau column, written out as a form file and reduced on load,
+    # gives the same dataset as the series computed mod 23
+    T = 3000
+    exact = delta_coeffs(T)
+    rec = {"label": "delta", "weight": 12, "level": 1,
+           "coeffs": exact.coeffs[1:].tolist()}
+    path = tmp_path / "delta.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    (label, weight, level, series), = load_form_file(path)
+    assert series.coeffs.dtype == object  # tau(n) passes 2^63 below n = 3000
+    via_file = build_dataset(series, 23, T, level=level, label=label)
+    direct = build_dataset(delta_coeffs(T, 23), 23, T, level=1, label="delta")
+    assert len(direct) == 429  # 430 primes up to 3000, minus p = 23
+    assert np.array_equal(via_file.p, direct.p)
+    assert np.array_equal(via_file.a, direct.a)
