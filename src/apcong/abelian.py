@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -34,12 +35,14 @@ from .classify import DicksonClass, classify_group
 from .ffield import FieldSpec, embedding_table, factorize, is_prime, mult_order
 from .matgrp import (
     MatGroup,
+    _scalar_orbits,
     commutator_subgroup,
     coset_label,
+    coset_split,
     enumerate_subgroups,
     mat_product,
-    proj_canon,
     projectivize,
+    split_codes,
     unique_codes,
 )
 
@@ -55,24 +58,30 @@ class TheoremConsistencyError(AssertionError):
 class CosetTraces:
     """The traces on the cosets of the commutator subgroup.
 
-    label is the coset index of every element of G, aligned with G.codes,
-    as coset_label numbers them; coset i and trace t occur together exactly
-    when (i, t) is one of the pairs (pair_coset[k], pair_trace[k]), listed
-    once each in ascending order.  Per trace x of the field the incidence is
-    summarised once: const is the trace of each constant-trace coset (-1 for
-    the others), first_const[x] the first coset of constant trace x and
-    first_missing[x] the first coset that misses x (-1 if there is none),
-    and mixed[x] whether x lies in a coset with two or more traces.
+    Cosets are numbered as coset_split numbers them.  Coset i and trace t
+    occur together exactly when (i, t) is one of the pairs
+    (pair_coset[k], pair_trace[k]), listed once each in ascending order.
+    Per trace x of the field the incidence is summarised once: const is the
+    trace of each constant-trace coset (-1 for the others), first_const[x]
+    the first coset of constant trace x and first_missing[x] the first
+    coset that misses x (-1 if there is none), and mixed[x] whether x lies
+    in a coset with two or more traces.
     """
 
+    group: MatGroup
     commutator: MatGroup
-    label: np.ndarray
     pair_coset: np.ndarray
     pair_trace: np.ndarray
     const: np.ndarray
     first_const: np.ndarray
     first_missing: np.ndarray
     mixed: np.ndarray
+
+    @cached_property
+    def label(self) -> np.ndarray:
+        """The coset index of every element of G, aligned with G.codes;
+        built on request (small groups)."""
+        return coset_label(self.group, self.commutator)
 
 
 def coset_traces(G: MatGroup) -> CosetTraces:
@@ -81,10 +90,26 @@ def coset_traces(G: MatGroup) -> CosetTraces:
 
 def _coset_traces(G: MatGroup) -> CosetTraces:
     H = commutator_subgroup(G)
-    label = coset_label(G, H)
-    q, n = G.spec.q, G.order // H.order
-    # distinct (coset, trace) pairs, ascending, split where the coset changes
-    coset, trace = np.divmod(unique_codes(label * q + G.traces), q)
+    label, shift, m = coset_split(G, H)
+    spec = G.spec
+    q, kh, n = spec.q, H.k, (int(label.max()) + 1) * m
+    exp, log = spec._tables
+    # g^(k j).reps[i] lies in coset label[i] m + u with u = (shift[i] + j) mod m
+    # and has trace g^(k j) t_i, so its trace modulo Z ∩ H = <g^kh> has log
+    # tau_i + k u mod kh, with tau_i = log t_i - k shift[i]: the distinct
+    # (label, tau) pairs of the classes give every (coset, trace) pair
+    t = G.rep_traces
+    tau = np.where(t == 0, kh, (log[t] - G.k * shift) % kh)
+    cls, tau = np.divmod(unique_codes(label * (kh + 1) + tau), kh + 1)
+    u = np.arange(m)
+    zero = tau == kh
+    trace = exp[((tau[~zero, None] + G.k * u) % kh)[:, :, None]
+                + kh * np.arange((q - 1) // kh)]
+    coset = np.broadcast_to((cls[~zero, None] * m + u)[:, :, None], trace.shape)
+    pairs = np.sort(np.concatenate(((coset * q + trace).ravel(),
+                                    (cls[zero, None] * m + u).ravel() * q)))
+    coset, trace = np.divmod(pairs, q)
+    # split where the coset changes
     starts = np.flatnonzero(np.diff(coset, prepend=-1))
     sizes = np.diff(starts, append=coset.size)
     const = np.where(sizes == 1, trace[starts], -1)
@@ -99,7 +124,7 @@ def _coset_traces(G: MatGroup) -> CosetTraces:
     first_missing = count.copy()
     np.minimum.at(first_missing, trace[by_trace][gap], rank[gap])
     mixed = np.bincount(trace[sizes[coset] > 1], minlength=q) > 0
-    return CosetTraces(H, label, coset, trace,
+    return CosetTraces(G, H, coset, trace,
                        const, np.where(first_const < n, first_const, -1),
                        np.where(first_missing < n, first_missing, -1), mixed)
 
@@ -193,7 +218,8 @@ def density_c(G: MatGroup) -> Fraction:
 
 
 def _density_c(G: MatGroup) -> Fraction:
-    c = Fraction(int(np.count_nonzero(G.traces == 0)), G.order)
+    # tracelessness is scalar-invariant: traceless classes over |PG|
+    c = Fraction(int(np.count_nonzero(G.rep_traces == 0)), G.proj.size)
     _check_density(G, classify_group(G), c)
     return c
 
@@ -260,11 +286,13 @@ class SemiPredictor:
         self.cls = classify_group(G)
         H = commutator_subgroup(G)
         self.com_traces = H.trace_ints()
-        self.scalar_ints = frozenset(G.entries[0][G.scalar_mask].tolist())
-        self.det_ints = frozenset(G.dets.tolist())
+        self.scalar_ints = frozenset(G.scalars.tolist())
+        # det(z l) = z^2 det(l), and <z^2 : z in Z> = <g^gcd(2k, q - 1)>
+        self.det_ints = frozenset(_scalar_orbits(
+            self.spec, G.rep_dets, math.gcd(2 * G.k, self.spec.q - 1)).tolist())
         self.trace_ints = G.trace_ints()
         self._H_order = H.order
-        self._H_scalars = int(np.count_nonzero(H.scalar_mask))
+        self._H_scalars = H.z_order
 
     def predict(self, x) -> bool:
         spec = self.spec
@@ -421,7 +449,7 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
 
     P = projectivize(G)
     # projection is a surjective homomorphism: [PG, PG] is the image of [G, G]
-    part = P.coset_partition(unique_codes(proj_canon(spec, commutator_subgroup(G).codes)))
+    part = coset_split(G, data.commutator)[0]
     sizes = np.bincount(part)
     zeros = np.bincount(part[P.traces == 0], minlength=sizes.size)
     proj_union = bool(((zeros == 0) | (zeros == sizes)).all())
@@ -447,8 +475,9 @@ def crosscheck_all_subgroups(ambient: MatGroup) -> int:
         K = data.commutator
         alt = sorted({(min((g * k).encode() for k in K.elements), g.trace_i())
                       for g in H.elements})
+        # the least code of coset i is H.codes at the first index with label i
         reps = H.codes[np.unique(data.label, return_index=True)[1]]
-        ref = list(zip(reps[data.pair_coset].tolist(), data.pair_trace.tolist()))
+        ref = sorted(zip(reps[data.pair_coset].tolist(), data.pair_trace.tolist()))
         if alt != ref:
             raise TheoremConsistencyError(
                 "independent coset partitions produced different (coset, trace) pairs")
@@ -565,11 +594,14 @@ def _semisimple_exponent(G: MatGroup) -> int:
                          "extension; no semisimplified diagonal image")
     ext = witness.spec
     emb = embedding_table(G.spec, ext)
-    conj = tuple(emb[x] for x in G.entries)
+    conj = tuple(emb[x] for x in split_codes(G.spec, G.reps))
     m, s = ext.mul_a, ext.add_a
     a, _, c, d = mat_product(m, s, mat_product(m, s, witness.inv().e, conj), witness.e)
     assert not c.any(), "conjugated element is not upper triangular"
-    return math.lcm(*mult_order(ext, unique_codes(np.concatenate((a, d)))).tolist())
+    # the diagonal entries of z.l are z a and z d: with Z they generate the
+    # group generated by a, d and Z, whose order the lcm is
+    orders = mult_order(ext, unique_codes(np.concatenate((a, d)))).tolist()
+    return math.lcm(*orders, G.z_order)
 
 
 def modulus_bound(G: MatGroup | None, N: int, ell: int, case: str,

@@ -27,9 +27,12 @@ from .matgrp import (
     Mat2,
     MatGroup,
     ProjGroup,
+    _scale,
     commutator_subgroup,
     generating_set,
+    identity,
     projectivize,
+    split_codes,
 )
 
 
@@ -117,6 +120,21 @@ def _eigenlines(ext: FieldSpec, me: tuple[int, int, int, int]) -> list[tuple[int
     return lines
 
 
+def _identity_class(G: MatGroup) -> np.ndarray:
+    """Mask of the class of the scalars among G's classes."""
+    return G.proj == identity(G.spec).encode()
+
+
+def _least_nonscalar(G: MatGroup) -> int:
+    """The least code of G outside its scalars.  The least code of class i
+    is s.proj[i] for the least encoding s in g^lift[i] Z, since proj[i]
+    starts with entry 1 after any zeros."""
+    exp = G.spec._tables[0]
+    coset_min = exp[np.arange(G.k)[:, None] + G.k * np.arange(G.z_order)].min(axis=1)
+    least = _scale(G.spec, G.proj, coset_min[G.lift])
+    return int(least[~_identity_class(G)].min())
+
+
 def is_borel_conjugable(G: MatGroup):
     """Whether G is conjugate to a group of upper triangular matrices over
     the quadratic extension of its field.
@@ -129,22 +147,23 @@ def is_borel_conjugable(G: MatGroup):
     """
     spec = G.spec
     H = commutator_subgroup(G)
-    disc = spec.sub_a(spec.mul_a(H.traces, H.traces), spec.mul_a(4 % spec.p, H.dets))
-    is_one = H.scalar_mask & (H.entries[0] == 1)
-    route_a = bool((is_one | (~H.scalar_mask & (disc == 0))).all())
+    # every element of H is 1 or a non-scalar with tr^2 = 4 det: H has no
+    # scalar but 1, and disc(z l) = z^2 disc(l) is read on the lifts
+    t = H.rep_traces
+    disc = spec.sub_a(spec.mul_a(t, t), spec.mul_a(4 % spec.p, H.rep_dets))
+    route_a = H.z_order == 1 and bool((disc[~_identity_class(H)] == 0).all())
 
     ext = quadratic_extension(spec)
     emb = embedding_table(spec, ext)
     gens_e = [tuple(int(emb[x]) for x in g.e) for g in generating_set(G)]
-    nonscalar = np.flatnonzero(~G.scalar_mask)
     witness = None
-    if not nonscalar.size:
+    if G.proj.size == 1:
         # every element scalar: already upper triangular
         route_b = True
         witness = Mat2(ext, (1, 0, 0, 1))
     else:
         route_b = False
-        base = tuple(int(emb[x[nonscalar[0]]]) for x in G.entries)
+        base = tuple(int(emb[x]) for x in split_codes(spec, _least_nonscalar(G)))
         for v in _eigenlines(ext, base):
             stable = True
             for a, b, c, d in gens_e:
@@ -159,7 +178,7 @@ def is_borel_conjugable(G: MatGroup):
                 witness = Mat2(ext, (v[0], u[0], v[1], u[1]))
                 break
     assert route_a == route_b, "Borel criteria disagree"
-    if route_b and witness is not None and nonscalar.size:
+    if route_b and witness is not None and G.proj.size > 1:
         pi = witness.inv()
         for ge in gens_e:
             conj = pi * Mat2(ext, ge) * witness

@@ -63,13 +63,13 @@ def borel(spec: FieldSpec) -> MatGroup:
 
 
 def unipotent(spec: FieldSpec) -> MatGroup:
-    """Upper triangular matrices with both diagonal entries 1."""
-    q = spec.q
-    gens = [_mat(spec, 1, 1, 0, 1)]
-    if q > 2:
-        gens.append(_mat(spec, 1, spec.primitive, 0, 1))
+    """Upper triangular matrices with both diagonal entries 1, generated by
+    the upper entries 1, g, ..., g^(r-1) (a basis of F_q over F_p), and g
+    also over a prime field."""
+    top = range(1 if spec.q == 2 else max(2, spec.r))
+    gens = [_mat(spec, 1, spec.pow_i(spec.primitive, i), 0, 1) for i in top]
     G = close_group(spec, gens)
-    assert G.order == q
+    assert G.order == spec.q
     return G
 
 

@@ -560,11 +560,14 @@ def _parse_curve(rec: dict) -> EllipticCurve:
 
 
 def _parse_curve_lines(lines) -> dict[str, EllipticCurve]:
-    """JSON lines {"label", "a", "conductor"} -> curves by label."""
+    """JSON lines {"label", "a", "conductor"} -> curves by label; a label
+    given twice raises ValueError."""
     out = {}
     for line in lines:
         if line.strip():
             E = _parse_curve(_record(line))
+            if E.label in out:
+                raise ValueError(f"duplicate label {E.label!r}")
             out[E.label] = E
     return out
 
@@ -583,15 +586,22 @@ def curve_fixtures() -> dict[str, EllipticCurve]:
 
 def load_form_file(path) -> list[tuple[str, int, int, QSeries]]:
     """JSON lines {"label", "weight", "level", "coeffs"}, coeffs listing a_1,
-    a_2, ..., -> (label, weight, level, exact series with coeffs[n] = a_n)."""
-    out = []
+    a_2, ..., -> (label, weight, level, exact series with coeffs[n] = a_n).
+    A level or weight below 1, or a label given twice, raises ValueError."""
+    out, labels = [], set()
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
                 continue
             rec = _record(line)
             label = _field(rec, "label", str)
+            if label in labels:
+                raise ValueError(f"duplicate label {label!r}")
+            labels.add(label)
             weight, level = _field(rec, "weight", int), _field(rec, "level", int)
+            for key, v in (("weight", weight), ("level", level)):
+                if v < 1:
+                    raise ValueError(f"{key!r} must be at least 1, got {v}")
             coeffs = [0] + _field(rec, "coeffs", list)
             try:
                 column = np.array(coeffs, dtype=np.int64)

@@ -145,27 +145,41 @@ class FieldSpec:
                 return False
         return True
 
+    def _times_by(self, h):
+        """v -> v.h on int arrays of encodings, for the polynomial h.
+
+        v.h is F_p-linear in v's digits: one lookup in a table over the low
+        half of the digits, one over the high half, then one digit sum.  The
+        tables are products of each half's digit rows (about sqrt(q) of
+        them) with the rows of x^t.h, so no product runs over all q rows.
+        """
+        p, r, s = self.p, self.r, (self.r + 1) // 2
+        if r == 1:
+            return lambda v: v * h[0] % p
+        rows = np.zeros((r, r), dtype=np.int64)  # row t: x^t.h
+        for t in range(r):
+            rows[t, :len(h)] = h
+            h = self._times(h, [0, 1])
+        pj = p ** np.arange(r, dtype=np.int64)
+        low, high = (
+            (np.arange(p ** d)[:, None] // pj[:d] % p @ rows[lo:lo + d] % p) @ pj
+            for lo, d in ((0, s), (s, r - s)))
+        return lambda v: self.add_a(low[v % p ** s], high[v // p ** s])
+
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(exp, log) for the least-encoded primitive element g:
         exp[i] = g^i for 0 <= i < 2(q - 1) and exp[i] = 0 beyond;
         log[g^i] = i and log[0] = 2(q - 1), so the product of any two
         elements is exp[log x + log y], zero included."""
-        p, r, n = self.p, self.r, self.q - 1
+        n = self.q - 1
         g = next(g for g in map(list, map(self.digits, range(1, self.q)))
                  if self._is_primitive(g))
-        # rows: coefficient vectors of g^0, g^1, ...; g^k .. g^(2k-1) are
-        # g^0 .. g^(k-1) times g^k, one F_p-linear map on all rows at once
-        rows = np.zeros((1, r), dtype=np.int64)
-        rows[0, 0] = 1
-        while len(rows) < n:
-            hx = np.zeros((r, r), dtype=np.int64)
-            for j in range(r):
-                col = self._times(g, [0] * j + [1])
-                hx[j, :len(col)] = col
-            rows = np.vstack((rows, rows @ hx % p))[:n]
+        # g^k .. g^(2k-1) are g^0 .. g^(k-1) times g^k
+        powers = np.ones(1, dtype=np.int64)
+        while len(powers) < n:
+            powers = np.concatenate((powers, self._times_by(g)(powers)))[:n]
             g = self._times(g, g)
-        powers = rows @ (p ** np.arange(r, dtype=np.int64))
         exp = np.zeros(4 * n + 1, dtype=np.int64)
         exp[:n] = powers
         exp[n:2 * n] = powers
@@ -377,6 +391,7 @@ def mult_order(spec: FieldSpec, x):
 
 _EXT_CACHE: dict[FieldSpec, FieldSpec] = {}
 _EMBED_CACHE: dict[tuple[FieldSpec, FieldSpec], np.ndarray] = {}
+_RATIO_CACHE: dict[FieldSpec, np.ndarray] = {}
 
 
 def quadratic_extension(spec: FieldSpec) -> FieldSpec:
@@ -412,4 +427,29 @@ def embedding_table(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
                 table = ext.add_a(ext.mul_a(table, theta), c)
         table.flags.writeable = False
         _EMBED_CACHE[key] = table
+    return table
+
+
+def ratio_orders(spec: FieldSpec) -> np.ndarray:
+    """table[u] for each encoding u of spec: the multiplicative order of a
+    root r of X^2 - (u - 2) X + 1, that is of r with r + 1/r = u - 2.
+
+    Such r satisfy r^q = r or r^q = 1/r, so they are the elements of
+    F_{q^2} whose logs are multiples of q + 1 or of q - 1, about 2q of them;
+    r and 1/r give the same u and the same order.
+    """
+    table = _RATIO_CACHE.get(spec)
+    if table is None:
+        ext = quadratic_extension(spec)
+        q, n = spec.q, ext.q - 1
+        exp = ext._tables[0]
+        e = np.concatenate(((q + 1) * np.arange(q - 1), (q - 1) * np.arange(q + 1)))
+        s = ext.add_a(exp[e], exp[(n - e) % n])
+        emb = embedding_table(spec, ext)
+        by_image = np.argsort(emb)
+        s = by_image[np.searchsorted(emb, s, sorter=by_image)]
+        table = np.zeros(q, dtype=np.int64)
+        table[spec.add_a(s, 2 % spec.p)] = n // np.gcd(e, n)
+        table.flags.writeable = False
+        _RATIO_CACHE[spec] = table
     return table

@@ -1,26 +1,38 @@
-"""Finite subgroups of GL_2 over a finite field, as sorted arrays of int codes.
+"""Finite subgroups of GL_2 over a finite field, held modulo their scalars.
 
 A matrix (a b; c d) with int-encoded entries is the int64 code
-((a q + b) q + c) q + d (`Mat2.encode`); a MatGroup holds the sorted code
-array of its elements.  Products, inverses, traces, determinants and
-projective canonical forms are array operations gathering through the
-field's exp/log tables.  A coset decomposition is one label array aligned
-with the codes (`coset_label`).  Mat2 is the type at the edges
-(generators, witnesses, JSON); `MatGroup.elements` is a view built on
-request.  Codes need q^4 < 2^63: a larger field raises CodeRangeError
-before any code is formed.  Groups are immutable, so each derived
-structure (commutator subgroup, projective image, classification, coset
-traces) is memoised on the group itself.
+((a q + b) q + c) q + d (`Mat2.encode`).  Every element of a group G is
+z.l with z in the scalar subgroup Z = G ∩ F_q^x and l one lift per class
+of the projective image PG, so a MatGroup stores (L, Z) and never G:
+
+* proj, the sorted codes of PG's classes in canonical form (`proj_canon`
+  scales the first nonzero entry of (a, b) to 1);
+* lift, per class, the log mod k to the base g = spec.primitive of a
+  scalar s with s.proj[i] in G, so that reps = g^lift.proj lie in G;
+* k, with Z = <g^k>, so |Z| = (q - 1) / k and |G| = |PG| |Z|.
+
+The scalars act in closed form, tr(z l) = z tr(l) and det(z l) = z^2
+det(l), so traces, determinants, cosets and orders are read from the
+classes.  The closure is a frontier search over classes (`_close`).  The
+cosets of a subgroup H are the cosets of PH in PG plus a coordinate in
+Z/(Z ∩ H) (`coset_split`).  `MatGroup.codes`, the views aligned with it
+and `coset_label` expand G on request, for small groups only.
+CLOSURE_GUARD bounds the number of stored classes |PG|, so GL_2(F_q)
+closes up to q = 97.  Codes need q^4 < 2^63: a larger field raises
+CodeRangeError before any code is formed.  Groups are immutable, so each
+derived structure (commutator subgroup, projective image, classification,
+coset traces) is memoised on the group itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .ffield import FieldElement, FieldSpec, is_int
+from .ffield import FieldElement, FieldSpec, is_int, ratio_orders
 
 CLOSURE_GUARD = 10 ** 6
 
@@ -81,15 +93,28 @@ def _scalar_mask(a, b, c, d):
     return (b == 0) & (c == 0) & (a == d)
 
 
-def proj_canon(spec: FieldSpec, x):
-    """Codes scaled so the first nonzero entry in (a, b, c, d) order is 1.
+def _scale(spec: FieldSpec, x, s):
+    """The codes s.x of the scalar multiples, s broadcast against x."""
+    return _join(spec, *(spec.mul_a(e, s) for e in split_codes(spec, x)))
+
+
+def _canon(spec: FieldSpec, a, b, c, d):
+    """(canon, log lead) for the matrices with entries a, b, c, d: the codes
+    scaled so that the first nonzero entry in (a, b, c, d) order is 1, and
+    the log of that entry, lead, so the matrix is lead.canon.
 
     An invertible matrix has (a, b) != (0, 0), so that entry is a or b.
     """
-    a, b, c, d = split_codes(spec, x)
-    s = spec.inv_a(np.where(a != 0, a, b))
-    m = spec.mul_a
-    return _join(spec, m(a, s), m(b, s), m(c, s), m(d, s))
+    exp, log = spec._tables
+    logs = [log[x] for x in (a, b, c, d)]
+    log_lead = np.where(a != 0, logs[0], logs[1])
+    inv = spec.q - 1 - log_lead  # log 0 + inv lands on exp's zero tail
+    return _join(spec, *(exp[x + inv] for x in logs)), log_lead
+
+
+def proj_canon(spec: FieldSpec, x):
+    """_canon of the codes x."""
+    return _canon(spec, *split_codes(spec, x))
 
 
 def unique_codes(x) -> np.ndarray:
@@ -101,46 +126,51 @@ def unique_codes(x) -> np.ndarray:
     return x[keep]
 
 
-def _isin(sorted_codes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Membership of each x in a nonempty sorted code array."""
-    i = np.minimum(np.searchsorted(sorted_codes, x), sorted_codes.size - 1)
-    return sorted_codes[i] == x
-
-
 def _close(spec: FieldSpec, gens: np.ndarray, guard: int = CLOSURE_GUARD):
-    """Sorted codes of the subgroup generated by gens (inverses are powers)."""
-    seen = frontier = np.array([_join(spec, 1, 0, 0, 1)], dtype=np.int64)
-    while frontier.size:
-        new = unique_codes(mul_codes(spec, frontier[:, None], gens[None, :]))
-        new = new[~_isin(seen, new)]
-        if seen.size + new.size > guard:
-            raise ClosureGuardError(f"closure exceeded guard {guard}")
-        seen = np.sort(np.concatenate((seen, new)), kind="stable")  # a merge
-        frontier = new
-    return seen
+    """The subgroup generated by the codes gens, as (proj, lift, k).
 
-
-def _coset_labels(spec: FieldSpec, g: np.ndarray, h: np.ndarray, product=mul_codes):
-    """Left cosets x.H of the sorted codes h inside the sorted codes g.
-
-    Returns the coset index of every element of g, numbered by least code:
-    each batch multiplies the least unlabelled elements by all of H, a row's
-    minimum names its coset, and that minimum lies in the batch.
+    A search over projective classes that keeps the lift each class was
+    first reached with (inverses are powers); each step multiplies up to
+    `batch` queued classes by every generator.  Every edge
+    (class, generator) reaches a class with some lift; the ratio to that
+    class's kept lift is a scalar of G, a Schreier generator of Z, so k is
+    the gcd of q - 1 and all the lift differences.
     """
-    label = np.full(g.size, -1, dtype=np.int64)
-    batch, count = max(1, 4096 // h.size), 0  # about 4096 products a batch
-    while (free := np.flatnonzero(label < 0)).size:
-        rows = product(spec, g[free[:batch], None], h[None, :])
-        members = rows[np.unique(rows.min(axis=1), return_index=True)[1]]
-        pos = np.minimum(np.searchsorted(g, members), g.size - 1)
-        if (g[pos] != members).any():
-            raise RuntimeError("cosets do not partition G")
-        label[pos] = count + np.arange(len(members))[:, None]
-        count += len(members)
-    if np.bincount(label).tolist() != [h.size] * count:
-        raise RuntimeError("cosets do not partition G")
-    label.flags.writeable = False
-    return label
+    n = spec.q - 1
+    exp, log = spec._tables
+    # the products on logs of entries: each entry's log is read once
+    gen_logs = tuple(log[e] for e in split_codes(spec, gens[None, :]))
+    proj = queue = np.array([_join(spec, 1, 0, 0, 1)], dtype=np.int64)
+    lift = queue_lift = np.zeros(1, dtype=np.int64)
+    k = n
+    batch = max(1, 2 ** 18 // max(1, gens.size))  # bounds the products in memory
+    while queue.size and gens.size:
+        logs = tuple(log[e] for e in split_codes(spec, queue[:batch, None]))
+        canon, lead = _canon(spec, *mat_product(lambda u, v: exp[u + v], spec.add_a,
+                                                logs, gen_logs))
+        at = np.argsort(canon, axis=None)  # sorted, so the search runs in order
+        canon = canon.ravel()[at]
+        # lifts stay unreduced logs until the final mod k
+        lifts = (queue_lift[:batch, None] + lead).ravel()[at]
+        first = np.empty(canon.size, dtype=bool)
+        first[0] = True
+        np.not_equal(canon[1:], canon[:-1], out=first[1:])
+        hit = np.minimum(np.searchsorted(proj, canon), proj.size - 1)
+        known = proj[hit] == canon
+        # the lift each edge's class keeps: its known one, or that of the
+        # first edge to reach it
+        kept = np.where(known, lift[hit], lifts[first][np.cumsum(first) - 1])
+        k = math.gcd(k, int(np.gcd.reduce(lifts - kept)))
+        fresh = first & ~known
+        new, new_lift = canon[fresh], lifts[fresh]
+        if proj.size + new.size > guard:
+            raise ClosureGuardError(f"closure exceeded guard {guard}")
+        merged = np.concatenate((proj, new))
+        at = np.argsort(merged, kind="stable")  # a merge
+        proj, lift = merged[at], np.concatenate((lift, new_lift))[at]
+        queue = np.concatenate((queue[batch:], new))
+        queue_lift = np.concatenate((queue_lift[batch:], new_lift))
+    return proj, lift % k, k
 
 
 # ---- matrices at the edges ----
@@ -219,24 +249,30 @@ def _mats_of(spec: FieldSpec, codes: np.ndarray) -> list[Mat2]:
 # ---- groups ----
 
 class MatGroup:
-    """A finite subgroup of GL_2(spec), closed by construction; codes is the
-    sorted, read-only int64 array of its elements."""
+    """A finite subgroup of GL_2(spec), closed by construction and held as
+    (proj, lift, k), read-only (see the module docstring)."""
 
-    def __init__(self, spec: FieldSpec, codes: np.ndarray,
+    def __init__(self, spec: FieldSpec, proj: np.ndarray, lift: np.ndarray, k: int,
                  generators: tuple[Mat2, ...]):
         self.spec = spec
-        self.codes = codes
-        codes.flags.writeable = False
+        self.proj, self.lift, self.k = proj, lift, k
+        proj.flags.writeable = False
+        lift.flags.writeable = False
         self.generators = generators
         self._derived: dict = {}
         # Lagrange sanity: |G| divides |GL_2(F_q)|
         q = spec.q
-        if ((q * q - 1) * (q * q - q)) % codes.size != 0:
+        if ((q * q - 1) * (q * q - q)) % self.order != 0:
             raise RuntimeError("order does not divide |GL_2|; closure is broken")
 
     @property
+    def z_order(self) -> int:
+        """|Z|, the number of scalar matrices in G."""
+        return (self.spec.q - 1) // self.k
+
+    @property
     def order(self) -> int:
-        return int(self.codes.size)
+        return int(self.proj.size) * self.z_order
 
     def memo(self, fn, *args):
         """fn(self, *args), computed once per argument tuple and stored."""
@@ -246,26 +282,42 @@ class MatGroup:
         return self._derived[key]
 
     @cached_property
-    def entries(self) -> tuple[np.ndarray, ...]:
-        """The (a, b, c, d) entry arrays, aligned with codes."""
-        return split_codes(self.spec, self.codes)
+    def scalars(self) -> np.ndarray:
+        """The encodings of the scalars g^(k j) of Z, for j = 0, ..., |Z| - 1."""
+        return self.spec._tables[0][self.k * np.arange(self.z_order)]
 
     @cached_property
-    def traces(self) -> np.ndarray:
-        a, _, _, d = self.entries
+    def reps(self) -> np.ndarray:
+        """The codes of the lifts g^lift[i].proj[i], one element per class."""
+        return _scale(self.spec, self.proj, self.spec._tables[0][self.lift])
+
+    @cached_property
+    def rep_traces(self) -> np.ndarray:
+        a, _, _, d = split_codes(self.spec, self.reps)
         return self.spec.add_a(a, d)
 
     @cached_property
-    def dets(self) -> np.ndarray:
-        return _det4(self.spec, *self.entries)
-
-    @cached_property
-    def scalar_mask(self) -> np.ndarray:
-        return _scalar_mask(*self.entries)
+    def rep_dets(self) -> np.ndarray:
+        return _det4(self.spec, *split_codes(self.spec, self.reps))
 
     def trace_ints(self) -> frozenset[int]:
         """Integer-encoded traces attained on the group."""
         return self.memo(_trace_ints)
+
+    # -- G itself, expanded on request (small groups) --
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The sorted codes of all |G| elements."""
+        codes = np.sort(_expand(self), axis=None)
+        codes.flags.writeable = False
+        return codes
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """The trace of every element, aligned with codes."""
+        a, _, _, d = split_codes(self.spec, self.codes)
+        return self.spec.add_a(a, d)
 
     @cached_property
     def elements(self) -> frozenset[Mat2]:
@@ -275,25 +327,62 @@ class MatGroup:
         return _mats_of(self.spec, self.codes)
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
-        return self.spec == other.spec and bool(_isin(other.codes, self.codes).all())
+        """Whether Z lies in other's scalars and each class of self lies in
+        other with a lift in other's scalar coset."""
+        if self.spec != other.spec or self.k % other.k:
+            return False
+        i = np.minimum(np.searchsorted(other.proj, self.proj), other.proj.size - 1)
+        return bool(((other.proj[i] == self.proj)
+                     & ((self.lift - other.lift[i]) % other.k == 0)).all())
 
     def __eq__(self, other):
-        return isinstance(other, MatGroup) and self.spec == other.spec \
-            and np.array_equal(self.codes, other.codes)
+        return (isinstance(other, MatGroup) and self.spec == other.spec
+                and self.k == other.k and np.array_equal(self.proj, other.proj)
+                and np.array_equal(self.lift, other.lift))
 
     def __hash__(self):
-        return hash((self.spec, self.codes.tobytes()))
+        return hash((self.spec, self.k, self.proj.size, self.proj[-1].item(),
+                     self.lift[-1].item()))
 
     def __repr__(self):
         return f"MatGroup(q={self.spec.q}, order={self.order})"
 
 
+def _expand(G: MatGroup) -> np.ndarray:
+    """The codes of G as an array whose entry [i, j] is g^(k j).reps[i]."""
+    return _scale(G.spec, G.reps[:, None], G.scalars[None, :])
+
+
+def _in_code_order(G: MatGroup, values: np.ndarray) -> np.ndarray:
+    """values[i, j], given per element g^(k j).reps[i], aligned with G.codes."""
+    return values.ravel()[np.argsort(_expand(G), axis=None)]
+
+
+def _contains(G: MatGroup, x: np.ndarray) -> np.ndarray:
+    """Membership in G of each code in x: its class is in PG and its
+    scalar lies in g^lift Z."""
+    canon, lead = proj_canon(G.spec, x)
+    i = np.minimum(np.searchsorted(G.proj, canon), G.proj.size - 1)
+    return (G.proj[i] == canon) & ((lead - G.lift[i]) % G.k == 0)
+
+
+def _scalar_orbits(spec: FieldSpec, x: np.ndarray, e: int) -> np.ndarray:
+    """The sorted distinct values z.x for x in the int array x and z in
+    <g^e>, e dividing q - 1: the nonzero x fill whole classes of log mod e."""
+    exp, log = spec._tables
+    r = unique_codes(log[x[x != 0]] % e)
+    out = exp[(r[:, None] + e * np.arange((spec.q - 1) // e)).ravel()]
+    return unique_codes(out if x.all() else np.append(out, 0))
+
+
 def _trace_ints(G: MatGroup) -> frozenset[int]:
-    return frozenset(unique_codes(G.traces).tolist())
+    # tr(z l) = z tr(l)
+    return frozenset(_scalar_orbits(G.spec, G.rep_traces, G.k).tolist())
 
 
 def close_group(spec: FieldSpec, generators, guard: int = CLOSURE_GUARD) -> MatGroup:
-    """Subgroup generated by the given matrices (breadth-first closure)."""
+    """Subgroup generated by the given matrices (breadth-first closure on
+    projective classes); guard bounds |PG|."""
     gens = []
     for g in generators:
         m = g if isinstance(g, Mat2) else Mat2.from_entries(spec, g)
@@ -303,7 +392,7 @@ def close_group(spec: FieldSpec, generators, guard: int = CLOSURE_GUARD) -> MatG
             raise ValueError(f"generator {m} is singular")
         gens.append(m)
     _check_codes(spec)
-    return MatGroup(spec, _close(spec, _codes_of(gens), guard=guard), tuple(gens))
+    return MatGroup(spec, *_close(spec, _codes_of(gens), guard=guard), tuple(gens))
 
 
 def generating_set(G: MatGroup) -> list[Mat2]:
@@ -312,8 +401,8 @@ def generating_set(G: MatGroup) -> list[Mat2]:
     if G.generators:
         return list(G.generators)
     gens = np.zeros(0, dtype=np.int64)
-    while (have := _close(G.spec, gens)).size < G.order:
-        gens = np.append(gens, G.codes[np.argmax(~_isin(have, G.codes))])
+    while (H := MatGroup(G.spec, *_close(G.spec, gens), ())).order < G.order:
+        gens = np.append(gens, G.codes[np.argmax(~_contains(H, G.codes))])
     return _mats_of(G.spec, gens) or [identity(G.spec)]
 
 
@@ -322,7 +411,8 @@ def commutator_subgroup(G: MatGroup) -> MatGroup:
 
     Computed as the normal closure of the commutators of a generating set,
     which equals the full commutator subgroup; each element is verified to
-    have determinant 1.
+    have determinant 1.  A commutator does not depend on the lifts, since
+    [zx, z'y] = [x, y] for scalars z, z'.
     """
     return G.memo(_commutator_subgroup)
 
@@ -331,49 +421,93 @@ def _commutator_subgroup(G: MatGroup) -> MatGroup:
     spec = G.spec
     g = _codes_of(generating_set(G))
     gi = _join(spec, *_inv4(spec, *split_codes(spec, g)))
-    # x y x^-1 y^-1 for every pair of generators, x the row
-    seeds = unique_codes(mul_codes(spec, mul_codes(spec, g[:, None], g[None, :]),
-                                mul_codes(spec, gi[:, None], gi[None, :])))
-    h = _close(spec, seeds)
+    # x y x^-1 y^-1 for the pairs of generators x before y: [y, x] is the
+    # inverse of [x, y], and each seed costs |PH| products in the closure
+    x, y = np.triu_indices(g.size, 1)
+    seeds = unique_codes(mul_codes(spec, mul_codes(spec, g[x], g[y]),
+                                   mul_codes(spec, gi[x], gi[y])))
+    seeds = seeds[seeds != identity(spec).encode()]
     # normal closure: conjugate the generating commutators until stable
     while True:
+        H = MatGroup(spec, *_close(spec, seeds), tuple(_mats_of(spec, seeds)))
         conj = mul_codes(spec, mul_codes(spec, g[:, None], seeds[None, :]), gi[:, None])
-        new = unique_codes(conj[~_isin(h, conj)])
+        new = unique_codes(conj[~_contains(H, conj)])
         if not new.size:
             break
         seeds = np.concatenate((seeds, new))
-        h = _close(spec, seeds)
-    H = MatGroup(spec, h, tuple(_mats_of(spec, seeds)))
-    if (H.dets != 1).any():
+    # det(z l) = z^2 det(l): every det is 1 when the lifts have det 1 and z^2 = 1
+    if (H.rep_dets != 1).any() or (2 * H.k) % (spec.q - 1):
         raise RuntimeError("commutator subgroup contains det != 1 element")
     return H
 
 
-def coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:
-    """Index of the left coset g.H holding each element of G.codes.
+def coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
+    """The left cosets of the subgroup H in G, as (label, shift, m).
 
-    Cosets are numbered by their least code, which is their representative:
-    the representative of coset i is G.codes at the first index with label i.
+    label[i] is the coset of PH in PG that holds class i, numbered by least
+    canonical code; m = |Z : Z ∩ H|; the element g^(k j).reps[i] lies in
+    the coset label[i] m + (shift[i] + j) mod m of H.
     """
     if not H.is_subgroup_of(G):  # also false over another field
         raise ValueError("H is not a subgroup of G")
+    return G.memo(_coset_split, H)
+
+
+def _coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
+    spec = G.spec
+    label = np.full(G.proj.size, -1, dtype=np.int64)
+    shift = np.zeros(G.proj.size, dtype=np.int64)
+    batch, count = max(1, 4096 // H.proj.size), 0  # about 4096 products a batch
+    while (free := np.flatnonzero(label < 0)).size:
+        # x.PH for the least unlabelled classes x: a row's least class names
+        # its coset, and the first row of each coset is that class's own
+        canon, lead = proj_canon(spec, mul_codes(spec, G.reps[free[:batch], None],
+                                                 H.reps[None, :]))
+        first = np.unique(canon.min(axis=1), return_index=True)[1]
+        canon, lead = canon[first], lead[first]
+        rows = np.broadcast_to(count + np.arange(first.size)[:, None], canon.shape)
+        at = np.argsort(canon, axis=None)  # sorted, so the search runs in order
+        canon, lead = canon.ravel()[at], lead.ravel()[at]
+        pos = np.minimum(np.searchsorted(G.proj, canon), G.proj.size - 1)
+        if (G.proj[pos] != canon).any():
+            raise RuntimeError("cosets do not partition G")
+        label[pos] = rows.ravel()[at]
+        # reps[c] = s.x.h with s = g^(lift[c] - lead) in Z; its place in
+        # Z/(Z ∩ H), Z ∩ H = <g^(H.k)>, is the shift of class c
+        shift[pos] = (G.lift[pos] - lead) % H.k // G.k
+        count += first.size
+    if np.bincount(label).tolist() != [H.proj.size] * count:
+        raise RuntimeError("cosets do not partition G")
+    label.flags.writeable = False
+    shift.flags.writeable = False
+    return label, shift, H.k // G.k
+
+
+def coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:
+    """Index of the left coset of H holding each element of G.codes, as
+    coset_split numbers the cosets; built on request (small groups)."""
+    coset_split(G, H)  # checks that H is a subgroup
     return G.memo(_coset_label, H)
 
 
 def _coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:
-    return _coset_labels(G.spec, G.codes, H.codes)
+    label, shift, m = coset_split(G, H)
+    j = np.arange(G.z_order)
+    out = _in_code_order(G, label[:, None] * m + (shift[:, None] + j) % m)
+    out.flags.writeable = False
+    return out
 
 
 # ---- projective groups ----
 
 class ProjGroup:
-    """Image of a MatGroup in PGL_2; codes is the sorted array of canonical
-    class representatives (see proj_canon)."""
+    """Image of a MatGroup in PGL_2; codes is the base group's proj, the
+    sorted canonical codes of its classes."""
 
     def __init__(self, base: MatGroup):
         self.base = base
         self.spec = base.spec
-        self.codes = unique_codes(proj_canon(self.spec, base.codes))
+        self.codes = base.proj
 
     @property
     def order(self) -> int:
@@ -387,32 +521,26 @@ class ProjGroup:
     @cached_property
     def class_orders(self) -> np.ndarray:
         """Projective order of every class, aligned with codes."""
-        return _proj_orders(self.spec, self.codes)
-
-    def coset_partition(self, sub: np.ndarray) -> np.ndarray:
-        """Left coset index of every class modulo the projective subgroup
-        with sorted codes sub, cosets numbered by least representative."""
-        return _coset_labels(self.spec, self.codes, sub,
-                             lambda spec, x, y: proj_canon(spec, mul_codes(spec, x, y)))
+        return proj_orders(self.spec, self.codes)
 
     def __repr__(self):
         return f"ProjGroup(q={self.spec.q}, order={self.order})"
 
 
-def _proj_orders(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
-    """Projective orders of the codes x: powers are taken for all pending
-    classes at once; orders in PGL_2(F_q) are at most q + 1."""
-    orders = np.zeros(x.size, dtype=np.int64)
-    pending = np.arange(x.size)
-    power = x
-    for n in range(1, spec.q + 2):
-        done = _scalar_mask(*split_codes(spec, power))
-        orders[pending[done]] = n
-        pending, power = pending[~done], power[~done]
-        if not pending.size:
-            return orders
-        power = mul_codes(spec, power, x[pending])
-    raise RuntimeError("projective order ran away")
+def proj_orders(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
+    """Orders in PGL_2 of the classes of the codes x, in closed form.
+
+    A scalar has order 1 and a non-scalar with tr^2 = 4 det, a scalar times
+    a unipotent, has order p.  Otherwise the order is that of the ratio r
+    of the two eigenvalues, a root of X^2 - (u - 2) X + 1 with
+    u = tr^2 / det, which ratio_orders tabulates once per field.
+    """
+    a, b, c, d = split_codes(spec, x)
+    t = spec.add_a(a, d)
+    t2, det = spec.mul_a(t, t), _det4(spec, a, b, c, d)
+    out = ratio_orders(spec)[spec.mul_a(t2, spec.inv_a(det))]
+    out = np.where(t2 == spec.mul_a(4 % spec.p, det), spec.p, out)
+    return np.where(_scalar_mask(a, b, c, d), 1, out)
 
 
 def projectivize(G: MatGroup) -> ProjGroup:
@@ -420,6 +548,15 @@ def projectivize(G: MatGroup) -> ProjGroup:
 
 
 # ---- exhaustive subgroup enumeration (small ambient groups only) ----
+
+def _coset_reps(G: MatGroup, H: MatGroup) -> np.ndarray:
+    """One code from each left coset of H in G."""
+    label, shift, m = _coset_split(G, H)
+    first = np.unique(label, return_index=True)[1]
+    j = (np.arange(m) - shift[first][:, None]) % m
+    lifts = G.spec._tables[0][G.lift[first][:, None] + G.k * j]
+    return _scale(G.spec, G.proj[first][:, None], lifts).ravel()
+
 
 def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
     """All subgroups of G, by closing each known subgroup with one more element.
@@ -431,22 +568,19 @@ def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
     Intended for tiny ambient groups such as GL_2(F_2), GL_2(F_3).
     """
     trivial = close_group(G.spec, [identity(G.spec)])
-    found = {trivial.codes.tobytes(): trivial}
-    elems = G.sorted_elements()
+    found = {trivial}
     frontier = [trivial]
     while frontier:
         fresh = []
         for H in frontier:
-            label = _coset_labels(G.spec, G.codes, H.codes)
-            first = np.unique(label, return_index=True)[1]
-            own = label[np.searchsorted(G.codes, H.codes[0])]  # the coset H
-            for g in (elems[i] for i in np.delete(first, own)):
+            reps = _coset_reps(G, H)
+            for g in _mats_of(G.spec, reps[~_contains(H, reps)]):
                 K = close_group(G.spec, list(H.generators) + [g])
-                if K.codes.tobytes() not in found:
-                    found[K.codes.tobytes()] = K
+                if K not in found:
+                    found.add(K)
                     fresh.append(K)
         frontier = fresh
-    return sorted(found.values(), key=lambda H: (H.order, H.codes.tolist()))
+    return sorted(found, key=lambda H: (H.order, H.codes.tolist()))
 
 
 # ---- serialization ----

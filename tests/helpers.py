@@ -1,8 +1,8 @@
 """Helpers that only the tests use: seeded random subgroups, the
 2-generated subgroup sweep that cross-checks `enumerate_subgroups`, the
 group exponent and trace frequencies, unclosed wrapping of element sets,
-projective classes, traceless and commutator-trace counts, and the oracles
-below."""
+projective classes, projective orders by powers, traceless and
+commutator-trace counts, and the oracles below."""
 
 from collections import Counter
 from math import gcd
@@ -13,9 +13,12 @@ from apcong.matgrp import (
     Mat2,
     MatGroup,
     ProjGroup,
+    _scalar_mask,
     close_group,
     commutator_subgroup,
     identity,
+    mul_codes,
+    proj_canon,
     split_codes,
 )
 
@@ -79,15 +82,36 @@ def group_exponent(G: MatGroup) -> int:
 
 def from_elements(spec, elements, generators=()) -> MatGroup:
     """Wrap an element set as a MatGroup without closing it: the caller
-    vouches that the set is a group."""
+    vouches that the set is a group.  Its scalars Z = <g^k> are the leads
+    over the identity class, and each class keeps the log of its first
+    element's lead, mod k."""
     codes = np.unique(np.array([m.encode() for m in elements], dtype=np.int64))
-    return MatGroup(spec, codes, tuple(generators))
+    canon, log_lead = proj_canon(spec, codes)
+    k = (spec.q - 1) // int(np.count_nonzero(canon == identity(spec).encode()))
+    proj, first = np.unique(canon, return_index=True)
+    return MatGroup(spec, proj, log_lead[first] % k, k, tuple(generators))
 
 
 def proj_classes(P: ProjGroup) -> frozenset[Mat2]:
     """The canonical representatives of the projective classes, as matrices."""
     cols = [v.tolist() for v in split_codes(P.spec, P.codes)]
     return frozenset(Mat2(P.spec, e) for e in zip(*cols))
+
+
+def proj_orders_by_powers(spec, x: np.ndarray) -> np.ndarray:
+    """Projective orders of the codes x by powers: taken for all pending
+    classes at once; orders in PGL_2(F_q) are at most q + 1."""
+    orders = np.zeros(x.size, dtype=np.int64)
+    pending = np.arange(x.size)
+    power = x
+    for n in range(1, spec.q + 2):
+        done = _scalar_mask(*split_codes(spec, power))
+        orders[pending[done]] = n
+        pending, power = pending[~done], power[~done]
+        if not pending.size:
+            return orders
+        power = mul_codes(spec, power, x[pending])
+    raise RuntimeError("projective order ran away")
 
 
 def traceless_count(P: ProjGroup) -> int:

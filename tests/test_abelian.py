@@ -264,9 +264,9 @@ def test_analyze_group_computes_each_structure_once(monkeypatch):
 
     count(matgrp, "_commutator_subgroup")
     count(matgrp.ProjGroup, "__init__")
-    count(matgrp, "_proj_orders")
+    count(matgrp, "proj_orders")
     count(classify, "_classify")
-    count(matgrp, "_coset_label")
+    count(matgrp, "_coset_split")
     for mod in (constructions, classify):
         for name in ("gl2", "sl2"):
             monkeypatch.setattr(mod, name, forbidden, raising=False)
@@ -274,7 +274,7 @@ def test_analyze_group_computes_each_structure_once(monkeypatch):
     assert rep.dickson.label == "PGL2" and rep.theorem_consistent
     # the projective orders of all 336 classes of PGL2(F7) in one step
     assert calls == {"_commutator_subgroup": 1, "__init__": 1,
-                     "_proj_orders": 1, "_classify": 1, "_coset_label": 1}
+                     "proj_orders": 1, "_classify": 1, "_coset_split": 1}
 
 
 def test_analyze_totally_abelian_group():

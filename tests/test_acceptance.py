@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from apcong.abelian import crosscheck_all_subgroups, density_c, modulus_bound
+from apcong.abelian import analyze_group, crosscheck_all_subgroups, density_c, modulus_bound
 from apcong.constructions import (
     a4_lift,
     a5_lift_f11,
@@ -24,7 +24,7 @@ from apcong.discover import (
 )
 from apcong.eigendata import build_dataset, curve_fixtures, delta_coeffs
 from apcong.ffield import factorize, legendre, make_field
-from apcong.matgrp import projectivize
+from apcong.matgrp import ClosureGuardError, projectivize
 
 from helpers import commutator_trace_set, random_subgroups, traceless_count
 
@@ -131,3 +131,16 @@ def test_criterion_9_closed_loop_synthetic_discovery():
         assert res.matched_classes == G.spec.p
         tol = 3 / res.n ** 0.5
         assert abs(float(res.empirical_zero - res.predicted_zero)) <= tol
+
+
+def test_criterion_10_gl2_and_sl2_up_to_q_97():
+    # held modulo scalars, GL2(F_97) stores |PGL2(F_97)| = 912 576 classes
+    # under the closure guard of 10^6 instead of 87 607 296 elements
+    spec = make_field(97)
+    for G, label, c in ((gl2(spec), "PGL2(97)", Fraction(97, 97 ** 2 - 1)),
+                        (sl2(spec), "PSL2(97)", Fraction(1, 96))):
+        rep = analyze_group(G)
+        assert rep.dickson.describe() == label and rep.theorem_consistent
+        assert rep.density == c and len(rep.proper) == 97
+    with pytest.raises(ClosureGuardError):  # |PGL2(F_101)| = 1 030 200
+        gl2(make_field(101))

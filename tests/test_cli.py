@@ -211,6 +211,27 @@ def test_dataset_curve_file_and_form_file(capsys, tmp_path):
 
 
 
+@pytest.mark.parametrize("field, value", [("level", 0), ("weight", 0), ("level", -7)])
+def test_dataset_rejects_nonpositive_level_and_weight(capsys, tmp_path, field, value):
+    path = tmp_path / "f.jsonl"
+    rec = {"label": "t1", "weight": 12, "level": 1, "coeffs": [1, -24, 252, -1472]}
+    path.write_text(json.dumps(dict(rec, **{field: value})) + "\n")
+    code, out, err = run(capsys, "dataset", "--form-file", str(path),
+                         "--label", "t1", "--ell", "5", "--pmax", "7")
+    assert code == 1 and out == ""
+    assert err == f"error: '{field}' must be at least 1, got {value}\n"
+
+
+def test_dataset_rejects_duplicate_form_labels(capsys, tmp_path):
+    path = tmp_path / "f.jsonl"
+    rec = {"label": "t1", "weight": 12, "level": 1, "coeffs": [1, -24, 252, -1472]}
+    path.write_text(json.dumps(rec) + "\n" + json.dumps(dict(rec, coeffs=[1, 0, 0, 0])) + "\n")
+    code, out, err = run(capsys, "dataset", "--form-file", str(path),
+                         "--label", "t1", "--ell", "5", "--pmax", "7")
+    assert code == 1 and out == ""
+    assert err == "error: duplicate label 't1'\n"
+
+
 @pytest.mark.parametrize("flag, rec", [
     ("--form-file", {"label": "t1", "weight": 2, "level": 1,
                      "coeffs": [1, 2.5, 3.7, 4, 5.2, 6, 7.9]}),

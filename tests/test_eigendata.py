@@ -12,6 +12,7 @@ from apcong.eigendata import (
     ApDataset,
     EllipticCurve,
     QSeries,
+    _parse_curve_lines,
     ap_point_count,
     build_dataset,
     curve_dataset,
@@ -571,6 +572,13 @@ BAD_RECORDS = [
     ("form-missing-coeffs", load_form_file, _without(GOOD_FORM, "coeffs"), "lacks 'coeffs'"),
     ("form-missing-weight", load_form_file, _without(GOOD_FORM, "weight"), "lacks 'weight'"),
     ("form-missing-label", load_form_file, _without(GOOD_FORM, "label"), "lacks 'label'"),
+    ("form-level-zero", load_form_file, dict(GOOD_FORM, level=0), "'level' must be at least 1"),
+    ("form-level-negative", load_form_file, dict(GOOD_FORM, level=-7),
+     "'level' must be at least 1"),
+    ("form-weight-zero", load_form_file, dict(GOOD_FORM, weight=0),
+     "'weight' must be at least 1"),
+    ("form-weight-negative", load_form_file, dict(GOOD_FORM, weight=-3),
+     "'weight' must be at least 1"),
 ]
 
 
@@ -581,6 +589,24 @@ def test_record_parsing_takes_only_ints(tmp_path, loader, rec, message):
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(ValueError, match=message):
         loader(path)
+
+
+def test_duplicate_labels_are_rejected(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(GOOD_CURVE) + "\n" + json.dumps(GOOD_CURVE) + "\n")
+    with pytest.raises(ValueError, match="duplicate label '324b1'"):
+        load_curve_file(path)
+    twice = [json.dumps(GOOD_FORM), json.dumps(dict(GOOD_FORM, coeffs=[1, 0, 0]))]
+    path.write_text("\n".join(twice) + "\n")
+    with pytest.raises(ValueError, match="duplicate label 't1'"):
+        load_form_file(path)
+
+
+def test_fixture_parser_rejects_duplicate_labels():
+    line = json.dumps(GOOD_CURVE)
+    assert list(_parse_curve_lines([line, ""])) == ["324b1"]
+    with pytest.raises(ValueError, match="duplicate label"):
+        _parse_curve_lines([line, line])
 
 
 def test_form_file_keeps_big_coefficients_exact(tmp_path):

@@ -230,6 +230,38 @@ def test_tables_match_polynomial_arithmetic_on_random_pairs(p, r):
     assert [spec.mul_i(a, spec.inv_i(a)) for a in nz] == [1] * len(nz)
 
 
+def test_exp_table_lists_the_powers_of_the_primitive_element():
+    # against the schoolbook powers, for every field of at most 343 elements
+    for p, r in prime_powers(343):
+        spec = make_field(p, r)
+        F = PolyField(spec)
+        exp, log = spec._tables
+        n, g, want = spec.q - 1, spec.primitive, [1]
+        while len(want) < n:
+            want.append(F.mul(want[-1], g))
+        assert exp[:n].tolist() == want and exp[n:2 * n].tolist() == want
+        assert not exp[2 * n:].any()
+        assert log[want].tolist() == list(range(n)) and log[0] == 2 * n
+
+
+def test_tables_of_a_field_of_two_to_the_twentieth():
+    # x^20 + x^3 + 1 is irreducible over F_2
+    spec = FieldSpec(2, 20, (1, 0, 0, 1) + (0,) * 16 + (1,))
+    exp, log = spec._tables
+    n = spec.q - 1
+    # exp is a bijection onto the units and log its inverse
+    assert np.array_equal(np.sort(exp[:n]), np.arange(1, spec.q))
+    assert np.array_equal(log[exp[:n]], np.arange(n))
+    # exp[i + 1] = exp[i] * g, by carry-less products reduced bit by bit
+    v, prod = exp[:n].copy(), np.zeros(n, dtype=np.int64)
+    for bit in range(20):  # v = exp[:n] * x^bit
+        if spec.primitive >> bit & 1:
+            prod ^= v
+        v <<= 1
+        v ^= (v >> 20) * 0x100009  # x^20 = x^3 + 1
+    assert np.array_equal(prod, exp[1:n + 1])
+
+
 def test_powers_inverses_and_zero():
     for spec in (make_field(7), make_field(3, 2), make_field(2, 3)):
         F = PolyField(spec)
