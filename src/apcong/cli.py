@@ -4,13 +4,23 @@ Verbs: classify, analyze, dataset, discover, verify, oracle.  All output is
 deterministic for fixed inputs; JSON mode emits sorted keys.  Exit status is
 0 on success, 1 on usage or input errors, 2 when a theorem-level consistency
 check fails.
+
+The command line is `apcong <verb> [flags]`, read against one table,
+`VERBS`.  A flag is written `--flag value` or `--flag=value`, in full: a
+prefix such as `--pm` is an unknown flag.  When a flag repeats, the last
+value wins.  Int flags with a lower bound reject smaller values: `--pmax`
+at least 2, `--bound` and `--modulus` at least 1.  `apcong --help` lists the
+verbs and `apcong <verb> --help` the flags of one verb, on stdout with exit
+0.  Every usage error prints one `error: ...` line on stderr naming the verb
+or flag and exits 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .abelian import (
     TheoremConsistencyError,
@@ -40,14 +50,6 @@ from .ffield import make_field
 from .matgrp import ClosureGuardError, group_from_json
 
 USAGE_ERROR, CONSISTENCY_ERROR = 1, 2
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the contract reserves 2 for
-    # consistency failures, so force 1 here
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit((USAGE_ERROR, f"error: {message}"))
 
 
 def _read_group(path: str):
@@ -86,58 +88,6 @@ def _load_dataset(args):
             series, args.ell, args.pmax, level=level, label=args.label
         )
     raise ValueError("no data source given (--delta, --curve, --curve-file, --form-file)")
-
-
-def _add_source_flags(sub) -> None:
-    sub.add_argument("--delta", action="store_true",
-                     help="weight-12 level-1 cusp form dataset")
-    sub.add_argument("--curve", help="packaged curve label")
-    sub.add_argument("--curve-file", help="JSON-lines curve file")
-    sub.add_argument("--form-file", help="JSON-lines q-expansion file")
-    sub.add_argument("--label", help="label inside --curve-file/--form-file")
-    sub.add_argument("--ell", type=int, required=True, help="residue characteristic")
-    sub.add_argument("--pmax", type=int, default=10_000, help="prime bound")
-
-
-def build_parser() -> _Parser:
-    top = _Parser(prog="apcong", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("classify", help="projective classification of a matrix group")
-    p.add_argument("--group", required=True, help="group JSON file, or - for stdin")
-    p.add_argument("--format", choices=("json", "table"), default="table")
-
-    p = sub.add_parser("analyze", help="full per-class congruence verdicts")
-    p.add_argument("--group", required=True, help="group JSON file, or - for stdin")
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("--no-crosscheck", action="store_true",
-                   help="skip the theorem consistency suite")
-
-    p = sub.add_parser("dataset", help="emit (p, a_p mod ell) samples as CSV")
-    _add_source_flags(p)
-    p.add_argument("--out", help="output path (default stdout)")
-
-    p = sub.add_parser("discover", help="empirical congruence discovery")
-    _add_source_flags(p)
-    p.add_argument("--modulus", type=int, help="report at this fixed modulus")
-    p.add_argument("--bound", type=int,
-                   help="search the divisors of this bound per class")
-    p.add_argument("--legendre", action="store_true",
-                   help="also fit quadratic-symbol criteria")
-    p.add_argument("--format", choices=("json", "table"), default="table")
-
-    p = sub.add_parser("verify", help="check the packaged congruence statements")
-    p.add_argument("--delta", action="store_true",
-                   help="tau partition and vanishing rule")
-    p.add_argument("--tables", action="store_true",
-                   help="printed tables for the packaged curves")
-    p.add_argument("--ell", type=int, default=23)
-    p.add_argument("--pmax", type=int, default=10_000)
-
-    p = sub.add_parser("oracle", help="exhaustive subgroup consistency sweep")
-    p.add_argument("--field", type=int, required=True, choices=(2, 3),
-                   help="run over every subgroup of GL_2(F_q)")
-    return top
 
 
 def _run_classify(args, out) -> int:
@@ -254,24 +204,188 @@ def _run_oracle(args, out) -> int:
     return 0
 
 
+class Flag(NamedTuple):
+    """One flag of a verb.
+
+    `kind` is bool (a switch that takes no value), int, str, or a tuple of
+    the allowed values (ints or strs); `default` is the value when the flag
+    is absent, or REQUIRED; `minimum` bounds an int from below.
+    """
+
+    kind: object
+    default: object
+    help: str
+    minimum: int | None = None
+
+
+class Verb(NamedTuple):
+    run: Callable
+    help: str
+    flags: dict[str, Flag]
+
+
+REQUIRED = object()
+
+_GROUP = Flag(str, REQUIRED, "group JSON file, or - for stdin")
+_FORMAT = Flag(("json", "table"), "table", "output format")
+_PMAX = Flag(int, 10_000, "prime bound", minimum=2)
+_SOURCE = {
+    "--delta": Flag(bool, False, "weight-12 level-1 cusp form dataset"),
+    "--curve": Flag(str, None, "packaged curve label"),
+    "--curve-file": Flag(str, None, "JSON-lines curve file"),
+    "--form-file": Flag(str, None, "JSON-lines q-expansion file"),
+    "--label": Flag(str, None, "label inside --curve-file/--form-file"),
+    "--ell": Flag(int, REQUIRED, "residue characteristic"),
+    "--pmax": _PMAX,
+}
+
+# the whole command line: each verb, its runner, its help and its flags; a
+# flag --foo-bar is read into the attribute foo_bar
+VERBS = {
+    "classify": Verb(_run_classify, "projective classification of a matrix group", {
+        "--group": _GROUP,
+        "--format": _FORMAT,
+    }),
+    "analyze": Verb(_run_analyze, "full per-class congruence verdicts", {
+        "--group": _GROUP,
+        "--format": _FORMAT,
+        "--no-crosscheck": Flag(bool, False, "skip the theorem consistency suite"),
+    }),
+    "dataset": Verb(_run_dataset, "emit (p, a_p mod ell) samples as CSV", {
+        **_SOURCE,
+        "--out": Flag(str, None, "output path (default stdout)"),
+    }),
+    "discover": Verb(_run_discover, "empirical congruence discovery", {
+        **_SOURCE,
+        "--modulus": Flag(int, None, "report at this fixed modulus", minimum=1),
+        "--bound": Flag(int, None, "search the divisors of this bound per class",
+                        minimum=1),
+        "--legendre": Flag(bool, False, "also fit quadratic-symbol criteria"),
+        "--format": _FORMAT,
+    }),
+    "verify": Verb(_run_verify, "check the packaged congruence statements", {
+        "--delta": Flag(bool, False, "tau partition and vanishing rule"),
+        "--tables": Flag(bool, False, "printed tables for the packaged curves"),
+        "--ell": Flag(int, 23, "residue characteristic"),
+        "--pmax": _PMAX,
+    }),
+    "oracle": Verb(_run_oracle, "exhaustive subgroup consistency sweep", {
+        "--field": Flag((2, 3), REQUIRED, "run over every subgroup of GL_2(F_q)"),
+    }),
+}
+
+_HELP_FLAGS = ("-h", "--help")
+
+
+class _HelpRequest(Exception):
+    """-h/--help was given; the message is the help text for stdout."""
+
+
+def _help_text(verb: str | None) -> str:
+    if verb is None:
+        width = max(map(len, VERBS))
+        rows = [f"  {name:<{width}}  {v.help}" for name, v in VERBS.items()]
+        return ("usage: apcong <verb> [flags]\n\n"
+                "Congruence structure of Frobenius traces for finite subgroups "
+                "of GL2.\n\nverbs:\n" + "\n".join(rows) +
+                "\n\nA flag is --flag value or --flag=value.\n"
+                "apcong <verb> --help lists the flags of one verb.\n")
+    heads, notes = [], []
+    for name, flag in VERBS[verb].flags.items():
+        kind = flag.kind
+        if isinstance(kind, tuple):
+            heads.append(f"{name} {'|'.join(map(str, kind))}")
+        else:
+            heads.append(name + {bool: "", int: " INT", str: " TEXT"}[kind])
+        extra = []
+        if flag.default is REQUIRED:
+            extra.append("required")
+        elif kind is not bool and flag.default is not None:
+            extra.append(f"default {flag.default}")
+        if flag.minimum is not None:
+            extra.append(f"at least {flag.minimum}")
+        notes.append(flag.help + (f" ({', '.join(extra)})" if extra else ""))
+    width = max(map(len, heads))
+    rows = [f"  {h:<{width}}  {n}" for h, n in zip(heads, notes)]
+    return (f"usage: apcong {verb} [flags]\n\n{VERBS[verb].help}\n\nflags:\n"
+            + "\n".join(rows) + "\n")
+
+
+def _flag_value(verb: str, name: str, flag: Flag, text: str):
+    choices = flag.kind if isinstance(flag.kind, tuple) else None
+    value = text
+    if (type(choices[0]) if choices else flag.kind) is int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"{verb}: {name} takes an int, got {text!r}") from None
+    if choices and value not in choices:
+        raise ValueError(f"{verb}: {name} must be one of "
+                         f"{', '.join(map(str, choices))}, got {text!r}")
+    if flag.minimum is not None and value < flag.minimum:
+        raise ValueError(f"{verb}: {name} must be at least {flag.minimum}, got {value}")
+    return value
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read `<verb> [flags]` against VERBS into a namespace holding `verb`
+    and one attribute per flag of that verb.
+
+    Raises ValueError naming the verb or flag on a usage error, and
+    _HelpRequest for -h/--help.
+    """
+    if not argv:
+        raise ValueError(f"no verb given; choose from {', '.join(VERBS)}")
+    verb, tokens = argv[0], argv[1:]
+    if verb in _HELP_FLAGS:
+        raise _HelpRequest(_help_text(None))
+    if verb not in VERBS:
+        raise ValueError(f"unknown verb {verb!r}; choose from {', '.join(VERBS)}")
+    flags = VERBS[verb].flags
+    given = {}
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token in _HELP_FLAGS:
+            raise _HelpRequest(_help_text(verb))
+        if not token.startswith("-"):
+            raise ValueError(f"{verb}: unexpected argument {token!r}")
+        name, eq, text = token.partition("=")
+        flag = flags.get(name)
+        if flag is None:
+            raise ValueError(f"{verb}: unknown flag {name}")
+        if flag.kind is bool:
+            if eq:
+                raise ValueError(f"{verb}: {name} takes no value")
+            given[name] = True
+            continue
+        if not eq:
+            # a value may be "-" (stdin) or a negative int, never a flag
+            if i == len(tokens) or tokens[i].startswith("--") or tokens[i] == "-h":
+                raise ValueError(f"{verb}: {name} needs a value")
+            text = tokens[i]
+            i += 1
+        given[name] = _flag_value(verb, name, flag, text)
+    args = SimpleNamespace(verb=verb)
+    for name, flag in flags.items():
+        if name in given:
+            value = given[name]
+        elif flag.default is REQUIRED:
+            raise ValueError(f"{verb}: {name} is required")
+        else:
+            value = flag.default
+        setattr(args, name[2:].replace("-", "_"), value)
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, tuple):
-            print(exc.code[1], file=sys.stderr)
-            return exc.code[0]
-        return 0 if not exc.code else USAGE_ERROR
-    runner = {
-        "classify": _run_classify,
-        "analyze": _run_analyze,
-        "dataset": _run_dataset,
-        "discover": _run_discover,
-        "verify": _run_verify,
-        "oracle": _run_oracle,
-    }[args.verb]
-    try:
-        return runner(args, sys.stdout)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return VERBS[args.verb].run(args, sys.stdout)
+    except _HelpRequest as exc:
+        sys.stdout.write(str(exc))
+        return 0
     except TheoremConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return CONSISTENCY_ERROR

@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from apcong.cli import main
+from apcong.cli import VERBS, main, parse_args
 from apcong.constructions import gl2, nonsplit_cartan_normalizer, split_cartan
-from apcong.eigendata import delta_coeffs, primes_upto
+from apcong.discover import verify_fixture_tables
+from apcong.eigendata import curve_fixtures, delta_coeffs, primes_upto
 from apcong.ffield import make_field
 from apcong.matgrp import group_to_json
 
@@ -342,3 +347,151 @@ def test_usage_errors_exit_one(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "classify" in out and "oracle" in out
+
+
+# ---- parsing ----
+
+# the attributes argparse gave for each command line before the CLI moved to
+# one flag table: every README command line, each verb's defaults, the
+# --flag=value form and a repeated flag (the last one wins)
+_DATASET_NONE = dict(curve=None, curve_file=None, delta=False, form_file=None,
+                     label=None, out=None, pmax=10000)
+_DISCOVER_NONE = dict(bound=None, curve=None, curve_file=None, delta=False,
+                      form_file=None, format="table", label=None, legendre=False,
+                      modulus=None, pmax=10000)
+
+PARSED = [
+    ("classify --group gl2f3.json",
+     dict(verb="classify", group="gl2f3.json", format="table")),
+    ("analyze --group gl2f3.json --format json",
+     dict(verb="analyze", group="gl2f3.json", format="json", no_crosscheck=False)),
+    ("dataset --delta --ell 23 --pmax 10000",
+     dict(_DATASET_NONE, verb="dataset", delta=True, ell=23)),
+    ("dataset --curve 338d1 --ell 5 --pmax 10000 --out ds.csv",
+     dict(_DATASET_NONE, verb="dataset", curve="338d1", ell=5, out="ds.csv")),
+    ("dataset --form-file forms.jsonl --label t1 --ell 5 --pmax 7",
+     dict(_DATASET_NONE, verb="dataset", form_file="forms.jsonl", label="t1",
+          ell=5, pmax=7)),
+    ("discover --delta --ell 23 --modulus 23 --legendre",
+     dict(_DISCOVER_NONE, verb="discover", delta=True, ell=23, modulus=23,
+          legendre=True)),
+    ("discover --curve 338d1 --ell 3 --bound 312",
+     dict(_DISCOVER_NONE, verb="discover", curve="338d1", ell=3, bound=312)),
+    ("verify --delta --ell 23 --pmax 10000",
+     dict(verb="verify", delta=True, tables=False, ell=23, pmax=10000)),
+    ("verify --tables",
+     dict(verb="verify", delta=False, tables=True, ell=23, pmax=10000)),
+    ("oracle --field 3", dict(verb="oracle", field=3)),
+    ("analyze --group -",
+     dict(verb="analyze", group="-", format="table", no_crosscheck=False)),
+    ("dataset --ell 5", dict(_DATASET_NONE, verb="dataset", ell=5)),
+    ("discover --ell 5", dict(_DISCOVER_NONE, verb="discover", ell=5)),
+    ("verify", dict(verb="verify", delta=False, tables=False, ell=23, pmax=10000)),
+    ("oracle --field 2", dict(verb="oracle", field=2)),
+    ("dataset --curve-file c.jsonl --label 324b1 --ell=5 --pmax 100 --pmax=200",
+     dict(_DATASET_NONE, verb="dataset", curve_file="c.jsonl", label="324b1",
+          ell=5, pmax=200)),
+    ("analyze --group=- --no-crosscheck --format table --format=json",
+     dict(verb="analyze", group="-", format="json", no_crosscheck=True)),
+    ("discover --delta --ell -3 --modulus 23 --format json",
+     dict(_DISCOVER_NONE, verb="discover", delta=True, ell=-3, modulus=23,
+          format="json")),
+]
+
+
+@pytest.mark.parametrize("line, attrs", PARSED, ids=[line for line, _ in PARSED])
+def test_parse_matches_the_argparse_namespace(line, attrs):
+    assert vars(parse_args(line.split())) == attrs
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "no verb"),
+    (["frobnicate"], "'frobnicate'"),
+    (["--ell=5"], "'--ell=5'"),
+    (["classify", "--pmax", "5"], "classify: unknown flag --pmax"),
+    (["classify", "--group", "-", "--ell=5"], "classify: unknown flag --ell"),
+    (["dataset", "--delta", "--ell", "23", "--pm", "100"], "unknown flag --pm"),
+    (["classify", "--group", "-", "extra"], "classify: unexpected argument 'extra'"),
+    (["dataset", "--delta", "--ell"], "dataset: --ell needs a value"),
+    (["dataset", "--curve", "--ell", "5"], "dataset: --curve needs a value"),
+    (["verify", "--delta=yes"], "verify: --delta takes no value"),
+    (["dataset", "--delta", "--ell", "x"], "dataset: --ell takes an int, got 'x'"),
+    (["dataset", "--delta", "--ell=5.0"], "--ell takes an int"),
+    (["oracle", "--field", "5"], "oracle: --field must be one of 2, 3"),
+    (["classify", "--group", "-", "--format", "xml"], "--format must be one of"),
+    (["classify"], "classify: --group is required"),
+    (["dataset", "--delta", "--pmax", "50"], "dataset: --ell is required"),
+    (["oracle"], "oracle: --field is required"),
+    (["dataset", "--curve", "338d1", "--ell", "5", "--pmax", "-3"],
+     "dataset: --pmax must be at least 2, got -3"),
+    (["verify", "--tables", "--pmax", "1"], "verify: --pmax must be at least 2"),
+    (["discover", "--curve", "338d1", "--ell", "5", "--bound", "0"],
+     "discover: --bound must be at least 1, got 0"),
+    (["discover", "--curve", "338d1", "--ell", "5", "--bound", "-12"],
+     "discover: --bound must be at least 1, got -12"),
+    (["discover", "--delta", "--ell", "23", "--modulus=0"],
+     "discover: --modulus must be at least 1, got 0"),
+])
+def test_usage_error_is_one_line_on_stderr(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dataset", "--curve", "338d1", "--ell", "5", "--pmax", "2"],
+    ["discover", "--curve", "338d1", "--ell", "5", "--pmax", "100", "--bound", "1"],
+    ["discover", "--curve", "338d1", "--ell", "5", "--pmax", "100", "--modulus", "1"],
+])
+def test_int_flags_accept_their_minimum(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out
+
+
+@pytest.mark.parametrize("verb", list(VERBS))
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_verb_help_lists_its_flags(capsys, verb, flag):
+    code, out, err = run(capsys, verb, flag)
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: apcong {verb} ")
+    for name in VERBS[verb].flags:
+        assert f"  {name}" in out
+    others = {name for v in VERBS.values() for name in v.flags} - set(VERBS[verb].flags)
+    assert not any(f"  {name} " in out for name in others)
+
+
+def test_top_level_help_lists_every_verb(capsys):
+    code, out, err = run(capsys, "-h")
+    assert code == 0 and err == ""
+    for verb, spec in VERBS.items():
+        assert f"  {verb}" in out and spec.help in out
+
+
+def test_verify_tables_without_samples_is_not_a_pass(capsys):
+    checks = verify_fixture_tables(curve_fixtures(), p_max=2)
+    assert checks and all(not c.ok and c.detail == "no samples" for c in checks)
+    # 3 is the only good prime of 338d1 below 4, and the mod-3 dataset drops it
+    by_name = {c.name: c for c in verify_fixture_tables(curve_fixtures(), p_max=3)}
+    assert by_name["disc-symbol forces even a_p"].ok
+    assert not by_name["mod-3 vanishing iff p mod 39"].ok
+    assert by_name["mod-3 vanishing iff p mod 39"].detail == "no samples"
+    code, out, err = run(capsys, "verify", "--tables", "--pmax", "2")
+    assert code == 2 and "PASS" not in out
+    assert out.count("FAIL") == len(checks)
+    assert err == f"consistency failure: {len(checks)} verification failures\n"
+
+
+def test_cli_imports_no_argparse():
+    # pytest itself imports argparse, so this needs a fresh interpreter
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "import apcong.cli\n"
+            "rc = apcong.cli.main(['oracle', '--field', '2'])\n"
+            "loaded = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+            "print(rc, loaded)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "checked 6 subgroups of GL_2(F_2): consistent\n0 []\n"
