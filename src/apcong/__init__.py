@@ -28,7 +28,6 @@ from .matgrp import (
     group_from_json,
     group_to_json,
     identity,
-    projectivize,
 )
 from .classify import (
     ClassificationError,
@@ -95,7 +94,7 @@ __all__ = [
     "group_to_json", "identity", "is_abelian_class", "is_prime",
     "is_semi_abelian", "is_totally_abelian", "is_weakly_abelian", "kronecker",
     "legendre", "legendre_candidates", "legendre_fit", "load_curve_file",
-    "load_form_file", "make_field", "modulus_bound", "projectivize",
+    "load_form_file", "make_field", "modulus_bound",
     "quadform_represents", "quadratic_extension", "sample_dataset",
     "synthetic_model", "theorem_crosscheck", "vanishing_rule_check",
     "verify_fixture_tables",

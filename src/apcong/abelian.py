@@ -41,7 +41,6 @@ from .matgrp import (
     coset_split,
     enumerate_subgroups,
     mat_product,
-    projectivize,
     split_codes,
     unique_codes,
 )
@@ -447,11 +446,11 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
                 f"family table says {want}")
     checks.append("semi-table")
 
-    P = projectivize(G)
-    # projection is a surjective homomorphism: [PG, PG] is the image of [G, G]
+    # projection is a surjective homomorphism: [PG, PG] is the image of [G, G];
+    # a class is traceless iff its lift is, since scaling keeps a zero trace
     part = coset_split(G, data.commutator)[0]
     sizes = np.bincount(part)
-    zeros = np.bincount(part[P.traces == 0], minlength=sizes.size)
+    zeros = np.bincount(part[G.rep_traces == 0], minlength=sizes.size)
     proj_union = bool(((zeros == 0) | (zeros == sizes)).all())
     if proj_union == data.mixed[0]:
         raise TheoremConsistencyError(

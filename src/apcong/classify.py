@@ -8,10 +8,11 @@ S4, A5.  For tiny fields the families overlap; the classifier reports a
 single primary label under a fixed precedence plus every label that applies
 abstractly.
 
-Subfield groups are recognised by comparing projective element-order counts
-with the closed-form counts of PSL2(q') and PGL2(q') (Dickson; Huppert,
-Endliche Gruppen I, II.8), so the check holds for every q' with no
-reference group built.
+The family tests read the projective image off the group itself: its
+classes G.proj and their orders G.class_orders.  Subfield groups are
+recognised by comparing those order counts with the closed-form counts of
+PSL2(q') and PGL2(q') (Dickson; Huppert, Endliche Gruppen I, II.8), so the
+check holds for every q' with no reference group built.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ from .ffield import FieldSpec, embedding_table, quadratic_extension
 from .matgrp import (
     Mat2,
     MatGroup,
-    ProjGroup,
     _scale,
     commutator_subgroup,
     generating_set,
     identity,
-    projectivize,
     split_codes,
 )
 
@@ -189,24 +188,24 @@ def is_borel_conjugable(G: MatGroup):
 # ---- abstract family tests -------------------------------------------------
 
 
-def proj_order_stats(P: ProjGroup) -> dict[int, int]:
-    orders, counts = np.unique(P.class_orders, return_counts=True)
+def proj_order_stats(G: MatGroup) -> dict[int, int]:
+    orders, counts = np.unique(G.class_orders, return_counts=True)
     return dict(zip(orders.tolist(), counts.tolist()))
 
 
-def _cyclic_n(P: ProjGroup) -> int | None:
-    return P.order if (P.class_orders == P.order).any() else None
+def _cyclic_n(G: MatGroup) -> int | None:
+    return G.proj.size if (G.class_orders == G.proj.size).any() else None
 
 
-def _dihedral_n(P: ProjGroup) -> int | None:
-    """n >= 2 when P is abstractly dihedral of order 2n (D_2 = C2 x C2):
+def _dihedral_n(G: MatGroup) -> int | None:
+    """n >= 2 when PG is abstractly dihedral of order 2n (D_2 = C2 x C2):
     some c has order n and the n elements outside <c> are involutions, and
     <c> holds one involution for even n and none for odd n."""
-    N = P.order
+    N = G.proj.size
     if N < 4 or N % 2:
         return None
     n = N // 2
-    stats = proj_order_stats(P)
+    stats = proj_order_stats(G)
     return n if stats.get(n) and stats.get(2) == n + (n % 2 == 0) else None
 
 
@@ -248,20 +247,20 @@ def _subfield_stats(kind: str, qsub: int, p: int) -> dict[int, int]:
     return dict(stats)
 
 
-def _subfield_matches(P: ProjGroup) -> list[tuple[str, int]]:
-    """(kind, q') pairs with P abstractly the subfield group over F_q'."""
-    p = P.spec.p
+def _subfield_matches(G: MatGroup) -> list[tuple[str, int]]:
+    """(kind, q') pairs with PG abstractly the subfield group over F_q'."""
+    p, N = G.spec.p, G.proj.size
     out = []
     qsub = p
-    while qsub**3 - qsub <= 2 * P.order:
+    while qsub**3 - qsub <= 2 * N:
         full = qsub**3 - qsub
         half = full // 2 if qsub % 2 else full
-        if P.order == half and proj_order_stats(P) == _subfield_stats("PSL2", qsub, p):
+        if N == half and proj_order_stats(G) == _subfield_stats("PSL2", qsub, p):
             out.append(("PSL2", qsub))
             if qsub % 2 == 0:
                 out.append(("PGL2", qsub))
-        if (P.order == full and qsub % 2
-                and proj_order_stats(P) == _subfield_stats("PGL2", qsub, p)):
+        if (N == full and qsub % 2
+                and proj_order_stats(G) == _subfield_stats("PGL2", qsub, p)):
             out.append(("PGL2", qsub))
         qsub *= p
     return out
@@ -270,11 +269,11 @@ def _subfield_matches(P: ProjGroup) -> list[tuple[str, int]]:
 _EXCEPTIONAL = {12: ("A4", _A4_STATS), 24: ("S4", _S4_STATS), 60: ("A5", _A5_STATS)}
 
 
-def _exceptional_match(P: ProjGroup) -> str | None:
-    if P.order not in _EXCEPTIONAL:
+def _exceptional_match(G: MatGroup) -> str | None:
+    if G.proj.size not in _EXCEPTIONAL:
         return None
-    label, stats = _EXCEPTIONAL[P.order]
-    return label if proj_order_stats(P) == stats else None
+    label, stats = _EXCEPTIONAL[G.proj.size]
+    return label if proj_order_stats(G) == stats else None
 
 
 def classify_group(G: MatGroup) -> DicksonClass:
@@ -286,12 +285,11 @@ def classify_group(G: MatGroup) -> DicksonClass:
 
 
 def _classify(G: MatGroup) -> DicksonClass:
-    P = projectivize(G)
     borel_flag, witness = is_borel_conjugable(G)
-    cyc_n = _cyclic_n(P)
-    dih_n = _dihedral_n(P)
-    subfields = _subfield_matches(P)
-    exc = _exceptional_match(P)
+    cyc_n = _cyclic_n(G)
+    dih_n = _dihedral_n(G)
+    subfields = _subfield_matches(G)
+    exc = _exceptional_match(G)
 
     applicable = []
     if borel_flag:
@@ -326,5 +324,5 @@ def _classify(G: MatGroup) -> DicksonClass:
     if exc is not None:
         return DicksonClass(exc, all_applicable=tuple(applicable))
     raise ClassificationError(
-        f"projective group of order {P.order} fits no classical family")
+        f"projective group of order {G.proj.size} fits no classical family")
 

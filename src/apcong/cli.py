@@ -8,11 +8,11 @@ check fails.
 The command line is `apcong <verb> [flags]`, read against one table,
 `VERBS`.  A flag is written `--flag value` or `--flag=value`, in full: a
 prefix such as `--pm` is an unknown flag.  When a flag repeats, the last
-value wins.  Int flags with a lower bound reject smaller values: `--pmax`
-at least 2, `--bound` and `--modulus` at least 1.  `apcong --help` lists the
-verbs and `apcong <verb> --help` the flags of one verb, on stdout with exit
-0.  Every usage error prints one `error: ...` line on stderr naming the verb
-or flag and exits 1.
+value wins.  Int flags with a lower bound reject smaller values: `--ell`
+and `--pmax` at least 2, `--bound` and `--modulus` at least 1.
+`apcong --help` lists the verbs and `apcong <verb> --help` the flags of one
+verb, on stdout with exit 0.  Every usage error prints one `error: ...`
+line on stderr naming the verb or flag and exits 1.
 """
 
 from __future__ import annotations
@@ -183,8 +183,9 @@ def _run_verify(args, out) -> int:
         out.write(f"tau partition: {res.checked} primes checked, "
                   f"{len(res.violations)} exceptions\n")
         gm = vanishing_rule_check(res.dataset)
-        out.write(f"vanishing rule: a_p = 0 iff p nonsquare mod 23: "
-                  f"{'holds' if gm.holds else 'fails'}\n")
+        verdict = ("holds" if gm.holds else "fails" if gm.nonsquares
+                   else "unverified (no nonsquare prime checked)")
+        out.write(f"vanishing rule: a_p = 0 iff p nonsquare mod 23: {verdict}\n")
         failures += len(res.violations) + (0 if gm.holds else 1)
     if args.tables:
         checks = verify_fixture_tables(curve_fixtures(), args.pmax)
@@ -235,7 +236,7 @@ _SOURCE = {
     "--curve-file": Flag(str, None, "JSON-lines curve file"),
     "--form-file": Flag(str, None, "JSON-lines q-expansion file"),
     "--label": Flag(str, None, "label inside --curve-file/--form-file"),
-    "--ell": Flag(int, REQUIRED, "residue characteristic"),
+    "--ell": Flag(int, REQUIRED, "residue characteristic", minimum=2),
     "--pmax": _PMAX,
 }
 
@@ -266,7 +267,7 @@ VERBS = {
     "verify": Verb(_run_verify, "check the packaged congruence statements", {
         "--delta": Flag(bool, False, "tau partition and vanishing rule"),
         "--tables": Flag(bool, False, "printed tables for the packaged curves"),
-        "--ell": Flag(int, 23, "residue characteristic"),
+        "--ell": Flag(int, 23, "residue characteristic", minimum=2),
         "--pmax": _PMAX,
     }),
     "oracle": Verb(_run_oracle, "exhaustive subgroup consistency sweep", {

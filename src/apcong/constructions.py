@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ffield import FieldSpec, embedding_table, factorize, make_field, quadratic_extension
-from .matgrp import Mat2, MatGroup, close_group, projectivize
+from .matgrp import Mat2, MatGroup, close_group
 
 
 def _mat(spec: FieldSpec, a: int, b: int, c: int, d: int) -> Mat2:
@@ -151,8 +151,7 @@ def dihedral_lift(spec: FieldSpec, n: int) -> MatGroup:
         z = spec.primitive
         w = spec.pow_i(z, (q - 1) // n)
         G = close_group(spec, [_mat(spec, w, 0, 0, 1), _mat(spec, 0, 1, 1, 0)])
-        P = projectivize(G)
-        assert P.order == 2 * n
+        assert G.proj.size == 2 * n
         return G
     if spec.p != 2 and (q + 1) % n == 0:
         # the nonsplit torus maps onto a cyclic group of order q+1 in PGL2,
@@ -164,8 +163,7 @@ def dihedral_lift(spec: FieldSpec, n: int) -> MatGroup:
             w = w * g
         flip = _mat(spec, 1, 0, 0, spec.neg_i(1))
         G = close_group(spec, [w, flip])
-        P = projectivize(G)
-        assert P.order == 2 * n
+        assert G.proj.size == 2 * n
         return G
     raise ValueError(f"no dihedral group of order {2 * n} available over q={q}")
 
@@ -179,8 +177,7 @@ def borel_dihedral(spec: FieldSpec) -> MatGroup:
     if spec.p == 2:
         raise ValueError("requires odd characteristic")
     G = close_group(spec, [_mat(spec, 1, 1, 0, 1), _mat(spec, 1, 0, 0, spec.neg_i(1))])
-    P = projectivize(G)
-    assert P.order == 2 * spec.p
+    assert G.proj.size == 2 * spec.p
     return G
 
 
@@ -219,7 +216,7 @@ def a4_lift(spec: FieldSpec) -> MatGroup:
     omega = Mat2(spec, entries)
     G = close_group(spec, [i, j, omega])
     assert G.order == 24
-    assert projectivize(G).order == 12
+    assert G.proj.size == 12
     return G
 
 
@@ -233,8 +230,7 @@ def s4_lift_f13() -> MatGroup:
         _mat(spec, 6, 0, 0, 9),
     ]
     G = close_group(spec, gens)
-    P = projectivize(G)
-    assert P.order == 24
+    assert G.proj.size == 24
     return G
 
 
@@ -242,6 +238,5 @@ def a5_lift_f11() -> MatGroup:
     """A fixed group over F_11 whose projective image is A5."""
     spec = make_field(11)
     G = close_group(spec, [_mat(spec, 2, 0, 0, 6), _mat(spec, 7, 2, 7, 4)])
-    P = projectivize(G)
-    assert P.order == 60
+    assert G.proj.size == 60
     return G

@@ -87,10 +87,9 @@ class ClassCongruence:
         return self.sup if self.direction in ("iff", "implied_by") else self.nec
 
 
-def discover_class(
-    ds: ApDataset, x: int, M: int, min_per_class: int = MIN_SAMPLES_PER_CLASS
-) -> ClassCongruence:
-    """Candidate S_x sets mod M for the class a_p = x."""
+def discover_class(ds: ApDataset, x: int, M: int) -> ClassCongruence:
+    """Candidate S_x sets mod M for the class a_p = x; iff needs at least
+    MIN_SAMPLES_PER_CLASS samples in every residue class."""
     if M < 1:
         raise ValueError("modulus must be positive")
     x %= ds.ell
@@ -107,7 +106,7 @@ def discover_class(
     sup = frozenset(units[hits == total].tolist())
     nec = frozenset(units[hits > 0].tolist())
     mn = int(total.min())
-    if sup == nec and nec and mn >= min_per_class:
+    if sup == nec and nec and mn >= MIN_SAMPLES_PER_CLASS:
         direction = "iff"
     elif sup:
         direction = "implied_by"
@@ -160,14 +159,9 @@ class CongruenceReport:
         return "\n".join(lines)
 
 
-def discover_report(
-    ds: ApDataset,
-    M: int,
-    candidates=(),
-    min_per_class: int = MIN_SAMPLES_PER_CLASS,
-) -> CongruenceReport:
-    per = {x: discover_class(ds, x, M, min_per_class) for x in ds.attained()}
-    fits = legendre_fit(ds, 0, candidates) if candidates else ()
+def discover_report(ds: ApDataset, M: int, candidates=()) -> CongruenceReport:
+    per = {x: discover_class(ds, x, M) for x in ds.attained()}
+    fits = legendre_fit(ds, candidates) if candidates else ()
     return CongruenceReport(ds.label, ds.ell, M, per, fits, len(ds))
 
 
@@ -177,13 +171,11 @@ def divisors(n: int) -> list[int]:
     return out
 
 
-def best_modulus(
-    ds: ApDataset, x: int, bound: int, min_per_class: int = MIN_SAMPLES_PER_CLASS
-) -> ClassCongruence | None:
+def best_modulus(ds: ApDataset, x: int, bound: int) -> ClassCongruence | None:
     """Least divisor of bound that upgrades the class to an iff statement."""
     for M in divisors(bound):
         try:
-            entry = discover_class(ds, x, M, min_per_class)
+            entry = discover_class(ds, x, M)
         except InsufficientDataError:
             continue
         if entry.direction == "iff":
@@ -215,12 +207,12 @@ def kronecker_column(m: int, n: np.ndarray) -> np.ndarray:
     return np.array([kronecker(m, k) for k in n[first].tolist()], dtype=np.int64)[inv]
 
 
-def legendre_fit(ds: ApDataset, x: int, candidates) -> tuple[tuple[int, str], ...]:
+def legendre_fit(ds: ApDataset, candidates) -> tuple[tuple[int, str], ...]:
     """Candidate discriminants M with zero counterexamples to
-    (M/p) = -1 implies a_p = x, vacuous premises filtered; fits where the
+    (M/p) = -1 implies a_p = 0, vacuous premises filtered; fits where the
     converse also holds are flagged iff."""
     fits = []
-    hits = ds.a == x
+    hits = ds.a == 0
     for m in candidates:
         if m == 0:
             raise ValueError("candidate discriminant 0")
@@ -234,10 +226,12 @@ def legendre_fit(ds: ApDataset, x: int, candidates) -> tuple[tuple[int, str], ..
 
 @dataclass(frozen=True)
 class VanishingRuleResult:
-    """a_p = 0 mod ell vs (p/ell) = -1, counted in both directions."""
+    """a_p = 0 mod ell vs (p/ell) = -1, counted in both directions; the
+    rule holds only when some nonsquare p was checked."""
 
     ell: int
     holds: bool
+    nonsquares: int  # the nonsquare p checked
     forward_violations: tuple[int, ...]  # a_p = 0 but p a square mod ell
     backward_violations: tuple[int, ...]  # p nonsquare but a_p != 0
     zero_classes: frozenset[int]  # p mod ell residues with a_p = 0 seen
@@ -250,9 +244,10 @@ def vanishing_rule_check(ds: ApDataset) -> VanishingRuleResult:
     zero = ds.a == 0
     fwd = ds.p[zero & (sym != -1)].tolist()
     bwd = ds.p[~zero & (sym == -1)].tolist()
+    nonsquares = int(np.count_nonzero(sym == -1))
     return VanishingRuleResult(
-        ds.ell, not fwd and not bwd, tuple(fwd), tuple(bwd),
-        frozenset(res[zero].tolist()),
+        ds.ell, nonsquares > 0 and not fwd and not bwd, nonsquares, tuple(fwd),
+        tuple(bwd), frozenset(res[zero].tolist()),
     )
 
 
@@ -270,10 +265,10 @@ class TableCheck:
 
 
 def verify_trace_menu(
-    ds: ApDataset, M: int, menu: dict[int, frozenset[int] | set[int]], sharp: bool = True
+    ds: ApDataset, M: int, menu: dict[int, frozenset[int] | set[int]]
 ) -> tuple[tuple[str, ...], bool]:
-    """Rows keyed by p mod M list the allowed a_p values; sharp means every
-    listed value must actually occur in every row."""
+    """Rows keyed by p mod M list the allowed a_p values; the flag returned
+    says whether every listed value actually occurs in every row."""
     pairs, inv = _pairs(ds, M)
     messages = []
     seen: dict[int, set[int]] = {r: set() for r in menu}
@@ -284,7 +279,7 @@ def verify_trace_menu(
         bad = a not in menu[r]
         messages.append([f"a_p={a} not allowed in class {r} mod {M}"] if bad else [])
         seen[r].add(a)
-    complete = all(seen[r] == set(menu[r]) for r in menu) if sharp else True
+    complete = all(seen[r] == set(menu[r]) for r in menu)
     return _per_sample(ds, inv, messages), complete
 
 
@@ -601,7 +596,7 @@ def sample_dataset(model: SyntheticModel, n: int, seed: int) -> ApDataset:
         step += M * ell
     ps = np.arange(1, n + 1, dtype=np.int64) * step + np.array(reps)[draws]
     return ApDataset(f"synthetic-{model.group.order}", M, ell,
-                     np.column_stack((ps, values)), synthetic=True)
+                     np.column_stack((ps, values)))
 
 
 @dataclass(frozen=True)

@@ -419,7 +419,6 @@ class ApDataset:
     level: int
     ell: int
     pairs: InitVar[object]
-    synthetic: bool = False
     p: np.ndarray = field(init=False, repr=False)
     a: np.ndarray = field(init=False, repr=False)
 
@@ -472,19 +471,15 @@ class ApDataset:
             raise ValueError(f"cannot reduce mod {ell} from mod {self.ell}")
         keep = np.gcd(self.p, ell) == 1
         cols = np.column_stack((self.p[keep], self.a[keep] % ell))
-        return ApDataset(self.label, self.level, ell, cols, self.synthetic)
+        return ApDataset(self.label, self.level, ell, cols)
 
 
-def curve_dataset(
-    E: EllipticCurve, p_max: int, *, level: int | None = None, label: str | None = None
-) -> ApDataset:
-    """Exact a_p (ell = 0) for the primes p <= p_max of good reduction not
-    dividing level, one point count each."""
-    level = E.conductor if level is None else level
-    label = E.label if label is None else label
-    disc = E.discriminant
+def curve_dataset(E: EllipticCurve, p_max: int) -> ApDataset:
+    """Exact a_p (ell = 0) for the primes p <= p_max of good reduction,
+    one point count each, labelled by the curve at its conductor."""
+    level, disc = E.conductor, E.discriminant
     ps = np.array([p for p in primes_upto(p_max) if level % p and disc % p], dtype=np.int64)
-    return ApDataset(label, level, 0, np.column_stack((ps, _ap_kernel(E, ps))))
+    return ApDataset(E.label, level, 0, np.column_stack((ps, _ap_kernel(E, ps))))
 
 
 def build_dataset(
@@ -495,11 +490,14 @@ def build_dataset(
     level: int | None = None,
     label: str | None = None,
 ) -> ApDataset:
-    """Samples (p, a_p mod ell) for all good primes p <= p_max."""
+    """Samples (p, a_p mod ell) for all good primes p <= p_max.  A curve
+    gives its own conductor and label; a q-series needs both."""
     if not is_prime(ell):
         raise ValueError(f"residue characteristic {ell} is not prime")
     if isinstance(source, EllipticCurve):
-        return curve_dataset(source, p_max, level=level, label=label).reduce(ell)
+        if level is not None or label is not None:
+            raise ValueError("a curve source takes its level and label from the curve")
+        return curve_dataset(source, p_max).reduce(ell)
     if not isinstance(source, QSeries):
         raise TypeError(f"unsupported source {type(source).__name__}")
     if level is None or label is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import index
 
 import numpy as np
 
@@ -23,18 +24,30 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# Miller-Rabin on the first twelve primes is exact below PRIME_BOUND
+# (Sorenson and Webster, 2015), which is past every int64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; ValueError at n >= PRIME_BOUND."""
+    n = index(n)  # numpy ints too, never a float
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality of {n} is decided only below {PRIME_BOUND}")
+    if n < 2 or any(n % b == 0 for b in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    for b in _WITNESSES:
+        x = pow(b, (n - 1) >> s, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -92,12 +105,7 @@ class FieldSpec:
     """A concrete model of F_{p^r}: characteristic, degree and modulus."""
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...]):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if r < 1:
-            raise ValueError("degree must be >= 1")
-        if p ** r > SIZE_GUARD:
-            raise ValueError(f"field size {p}^{r} exceeds guard {SIZE_GUARD}")
+        _check_field(p, r)
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != r + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree r")
@@ -294,8 +302,20 @@ class FieldElement:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
-def make_field(p: int, r: int = 1, modulus=None) -> FieldSpec:
-    """Build F_{p^r}; when no modulus is given pick the least monic irreducible.
+def _check_field(p: int, r: int) -> None:
+    """ValueError unless r >= 1, p^r <= SIZE_GUARD and p is prime; the size
+    is checked first, so a huge p or r costs no power and no primality test."""
+    if r < 1:
+        raise ValueError("degree must be >= 1")
+    if p ** min(r, SIZE_GUARD.bit_length()) > SIZE_GUARD:
+        raise ValueError(f"field size {p}^{r} exceeds guard {SIZE_GUARD}")
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+
+
+def make_field(p: int, r: int = 1) -> FieldSpec:
+    """Build F_{p^r} with the least monic irreducible as its modulus; a
+    given modulus goes through FieldSpec(p, r, modulus).
 
     Candidates are enumerated in base-p order of their coefficient vector, so
     the choice is deterministic (F_9 gets x^2 + 1).  For r = 1 the modulus is
@@ -303,16 +323,11 @@ def make_field(p: int, r: int = 1, modulus=None) -> FieldSpec:
     no root, an O(p) test, so the search runs up to the size guard; higher
     degrees use the trial factor search and stop at p^r <= 10^4.
     """
-    if modulus is not None:
-        return FieldSpec(p, r, tuple(modulus))
-    if not is_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
     if r == 1:
         return FieldSpec(p, 1, (0, 1))
+    _check_field(p, r)
     if r > 3 and p ** r > 10 ** 4:
         raise ValueError("default-modulus search for degree > 3 is limited to p^r <= 10^4")
-    if p ** r > SIZE_GUARD:
-        raise ValueError(f"field size {p}^{r} exceeds guard {SIZE_GUARD}")
     for k in range(p ** r):
         f = [k // p ** i % p for i in range(r)] + [1]
         if _is_irreducible(f, p):

@@ -17,10 +17,11 @@ classes.  The closure is a frontier search over classes (`_close`).  The
 cosets of a subgroup H are the cosets of PH in PG plus a coordinate in
 Z/(Z ∩ H) (`coset_split`).  `MatGroup.codes`, the views aligned with it
 and `coset_label` expand G on request, for small groups only.
-CLOSURE_GUARD bounds the number of stored classes |PG|, so GL_2(F_q)
-closes up to q = 97.  Codes need q^4 < 2^63: a larger field raises
-CodeRangeError before any code is formed.  Groups are immutable, so each
-derived structure (commutator subgroup, projective image, classification,
+The projective image PG is read off the group: proj and class_orders.
+The module constant CLOSURE_GUARD bounds the number of stored classes
+|PG|, so GL_2(F_q) closes up to q = 97.  Codes need q^4 < 2^63: a larger
+field raises CodeRangeError before any code is formed.  Groups are
+immutable, so each derived structure (commutator subgroup, classification,
 coset traces) is memoised on the group itself.
 """
 
@@ -126,8 +127,9 @@ def unique_codes(x) -> np.ndarray:
     return x[keep]
 
 
-def _close(spec: FieldSpec, gens: np.ndarray, guard: int = CLOSURE_GUARD):
-    """The subgroup generated by the codes gens, as (proj, lift, k).
+def _close(spec: FieldSpec, gens: np.ndarray):
+    """The subgroup generated by the codes gens, as (proj, lift, k); more
+    than CLOSURE_GUARD classes raise ClosureGuardError.
 
     A search over projective classes that keeps the lift each class was
     first reached with (inverses are powers); each step multiplies up to
@@ -163,8 +165,8 @@ def _close(spec: FieldSpec, gens: np.ndarray, guard: int = CLOSURE_GUARD):
         k = math.gcd(k, int(np.gcd.reduce(lifts - kept)))
         fresh = first & ~known
         new, new_lift = canon[fresh], lifts[fresh]
-        if proj.size + new.size > guard:
-            raise ClosureGuardError(f"closure exceeded guard {guard}")
+        if proj.size + new.size > CLOSURE_GUARD:
+            raise ClosureGuardError(f"closure exceeded guard {CLOSURE_GUARD}")
         merged = np.concatenate((proj, new))
         at = np.argsort(merged, kind="stable")  # a merge
         proj, lift = merged[at], np.concatenate((lift, new_lift))[at]
@@ -300,6 +302,11 @@ class MatGroup:
     def rep_dets(self) -> np.ndarray:
         return _det4(self.spec, *split_codes(self.spec, self.reps))
 
+    @cached_property
+    def class_orders(self) -> np.ndarray:
+        """The order in PGL_2 of every class, aligned with proj."""
+        return proj_orders(self.spec, self.proj)
+
     def trace_ints(self) -> frozenset[int]:
         """Integer-encoded traces attained on the group."""
         return self.memo(_trace_ints)
@@ -380,9 +387,9 @@ def _trace_ints(G: MatGroup) -> frozenset[int]:
     return frozenset(_scalar_orbits(G.spec, G.rep_traces, G.k).tolist())
 
 
-def close_group(spec: FieldSpec, generators, guard: int = CLOSURE_GUARD) -> MatGroup:
+def close_group(spec: FieldSpec, generators) -> MatGroup:
     """Subgroup generated by the given matrices (breadth-first closure on
-    projective classes); guard bounds |PG|."""
+    projective classes); CLOSURE_GUARD bounds |PG|."""
     gens = []
     for g in generators:
         m = g if isinstance(g, Mat2) else Mat2.from_entries(spec, g)
@@ -392,7 +399,7 @@ def close_group(spec: FieldSpec, generators, guard: int = CLOSURE_GUARD) -> MatG
             raise ValueError(f"generator {m} is singular")
         gens.append(m)
     _check_codes(spec)
-    return MatGroup(spec, *_close(spec, _codes_of(gens), guard=guard), tuple(gens))
+    return MatGroup(spec, *_close(spec, _codes_of(gens)), tuple(gens))
 
 
 def generating_set(G: MatGroup) -> list[Mat2]:
@@ -498,35 +505,6 @@ def _coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:
     return out
 
 
-# ---- projective groups ----
-
-class ProjGroup:
-    """Image of a MatGroup in PGL_2; codes is the base group's proj, the
-    sorted canonical codes of its classes."""
-
-    def __init__(self, base: MatGroup):
-        self.base = base
-        self.spec = base.spec
-        self.codes = base.proj
-
-    @property
-    def order(self) -> int:
-        return int(self.codes.size)
-
-    @cached_property
-    def traces(self) -> np.ndarray:
-        a, _, _, d = split_codes(self.spec, self.codes)
-        return self.spec.add_a(a, d)
-
-    @cached_property
-    def class_orders(self) -> np.ndarray:
-        """Projective order of every class, aligned with codes."""
-        return proj_orders(self.spec, self.codes)
-
-    def __repr__(self):
-        return f"ProjGroup(q={self.spec.q}, order={self.order})"
-
-
 def proj_orders(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
     """Orders in PGL_2 of the classes of the codes x, in closed form.
 
@@ -541,10 +519,6 @@ def proj_orders(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
     out = ratio_orders(spec)[spec.mul_a(t2, spec.inv_a(det))]
     out = np.where(t2 == spec.mul_a(4 % spec.p, det), spec.p, out)
     return np.where(_scalar_mask(a, b, c, d), 1, out)
-
-
-def projectivize(G: MatGroup) -> ProjGroup:
-    return G.memo(ProjGroup)
 
 
 # ---- exhaustive subgroup enumeration (small ambient groups only) ----
@@ -590,7 +564,7 @@ def group_to_json(G: MatGroup) -> dict:
     return {"field": G.spec.to_json(), "generators": gens}
 
 
-def group_from_json(obj, guard: int = CLOSURE_GUARD) -> MatGroup:
+def group_from_json(obj) -> MatGroup:
     """Parse {"field": field, "generators": [matrix, ...]}, the field as
     FieldSpec.from_json and each matrix as Mat2.from_entries reads it;
     malformed input raises ValueError naming the part at fault."""
@@ -599,4 +573,4 @@ def group_from_json(obj, guard: int = CLOSURE_GUARD) -> MatGroup:
     spec, gens = FieldSpec.from_json(obj["field"]), obj["generators"]
     if not isinstance(gens, list):
         raise ValueError(f"generators {gens!r} is not a list")
-    return close_group(spec, [Mat2.from_entries(spec, rows) for rows in gens], guard=guard)
+    return close_group(spec, [Mat2.from_entries(spec, rows) for rows in gens])

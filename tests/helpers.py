@@ -2,7 +2,8 @@
 2-generated subgroup sweep that cross-checks `enumerate_subgroups`, the
 group exponent and trace frequencies, unclosed wrapping of element sets,
 projective classes, projective orders by powers, traceless and
-commutator-trace counts, and the oracles below."""
+commutator-trace counts, and the oracles below (primality by trial
+division among them)."""
 
 from collections import Counter
 from math import gcd
@@ -12,7 +13,6 @@ import numpy as np
 from apcong.matgrp import (
     Mat2,
     MatGroup,
-    ProjGroup,
     _scalar_mask,
     close_group,
     commutator_subgroup,
@@ -92,10 +92,10 @@ def from_elements(spec, elements, generators=()) -> MatGroup:
     return MatGroup(spec, proj, log_lead[first] % k, k, tuple(generators))
 
 
-def proj_classes(P: ProjGroup) -> frozenset[Mat2]:
-    """The canonical representatives of the projective classes, as matrices."""
-    cols = [v.tolist() for v in split_codes(P.spec, P.codes)]
-    return frozenset(Mat2(P.spec, e) for e in zip(*cols))
+def proj_classes(G: MatGroup) -> frozenset[Mat2]:
+    """The canonical representatives of G's projective classes, as matrices."""
+    cols = [v.tolist() for v in split_codes(G.spec, G.proj)]
+    return frozenset(Mat2(G.spec, e) for e in zip(*cols))
 
 
 def proj_orders_by_powers(spec, x: np.ndarray) -> np.ndarray:
@@ -114,9 +114,10 @@ def proj_orders_by_powers(spec, x: np.ndarray) -> np.ndarray:
     raise RuntimeError("projective order ran away")
 
 
-def traceless_count(P: ProjGroup) -> int:
-    # scaling multiplies the trace by a unit, so tracelessness is projective
-    return int(np.count_nonzero(P.traces == 0))
+def traceless_count(G: MatGroup) -> int:
+    """The number of traceless classes of PG, read on G's lifts: scaling
+    multiplies the trace by a unit, so tracelessness is projective."""
+    return int(np.count_nonzero(G.rep_traces == 0))
 
 
 def commutator_trace_set(G: MatGroup) -> frozenset[int]:
@@ -138,6 +139,20 @@ def trace_multiset(obj, label=None, i=None) -> Counter:
 
 
 # ---- oracles that share no code with apcong's field tables or matrix kernel ----
+
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division over the odd d <= sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
 
 class PolyField:
     """F_{p^r} by schoolbook polynomial arithmetic on base-p digit encodings,

@@ -24,7 +24,7 @@ from apcong.discover import (
 )
 from apcong.eigendata import build_dataset, curve_fixtures, delta_coeffs
 from apcong.ffield import factorize, legendre, make_field
-from apcong.matgrp import ClosureGuardError, projectivize
+from apcong.matgrp import ClosureGuardError
 
 from helpers import commutator_trace_set, random_subgroups, traceless_count
 
@@ -63,9 +63,9 @@ def test_criterion_2_delta_vanishing_iff_nonsquare():
 def test_criterion_3_traceless_counts():
     for q, spec in ((3, make_field(3)), (5, make_field(5)), (7, make_field(7)),
                     (9, make_field(3, 2)), (13, make_field(13))):
-        assert traceless_count(projectivize(gl2(spec))) == q * q
+        assert traceless_count(gl2(spec)) == q * q
         psl = q * (q + 1) // 2 if q % 4 == 1 else q * (q - 1) // 2
-        assert traceless_count(projectivize(sl2(spec))) == psl
+        assert traceless_count(sl2(spec)) == psl
 
 
 def test_criterion_4_density_formulas():

@@ -24,7 +24,7 @@ from apcong.constructions import (
     unipotent,
 )
 from apcong.ffield import make_field
-from apcong.matgrp import enumerate_subgroups, projectivize
+from apcong.matgrp import enumerate_subgroups
 
 from helpers import commutator_trace_set, proj_classes, traceless_count
 
@@ -117,10 +117,8 @@ def psl_traceless(q):
 
 @pytest.mark.parametrize("spec,q", [(F3, 3), (F5, 5), (F7, 7), (F9, 9), (F13, 13)])
 def test_traceless_counts_full_groups(spec, q):
-    P = projectivize(gl2(spec))
-    assert traceless_count(P) == TRACELESS_PGL[q]
-    S = projectivize(sl2(spec))
-    assert traceless_count(S) == psl_traceless(q)
+    assert traceless_count(gl2(spec)) == TRACELESS_PGL[q]
+    assert traceless_count(sl2(spec)) == psl_traceless(q)
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
@@ -128,8 +126,8 @@ def test_traceless_counts_full_groups(spec, q):
 def test_subfield_stats_match_reference_groups(p, r):
     # the closed form against element orders counted on PGL2/PSL2 themselves
     spec, q = make_field(p, r), p**r
-    assert _subfield_stats("PGL2", q, p) == proj_order_stats(projectivize(gl2(spec)))
-    assert _subfield_stats("PSL2", q, p) == proj_order_stats(projectivize(sl2(spec)))
+    assert _subfield_stats("PGL2", q, p) == proj_order_stats(gl2(spec))
+    assert _subfield_stats("PSL2", q, p) == proj_order_stats(sl2(spec))
 
 
 @pytest.mark.parametrize("q,p", [(17, 17), (19, 19), (23, 23), (25, 5)])
@@ -143,16 +141,15 @@ def test_subfield_stats_beyond_reference_sizes(q, p):
     assert psl[2] == psl_traceless(q)
 
 
-def brute_traceless(P):
-    return sum(1 for m in proj_classes(P) if m.trace_i() == 0)
+def brute_traceless(G):
+    return sum(1 for m in proj_classes(G) if m.trace_i() == 0)
 
 
 def test_traceless_count_is_well_defined_on_classes():
     # scaling multiplies the trace by a unit, so the count over canonical
     # representatives equals the count over any representatives
     for G in (gl2(F5), sl2(F7), split_cartan_normalizer(F5)):
-        P = projectivize(G)
-        assert traceless_count(P) == brute_traceless(P)
+        assert traceless_count(G) == brute_traceless(G)
 
 
 def phi_mod(p):

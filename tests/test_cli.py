@@ -304,6 +304,16 @@ def test_verify_delta(capsys):
     assert "vanishing rule: a_p = 0 iff p nonsquare mod 23: holds" in out
 
 
+def test_verify_delta_without_a_nonsquare_prime_is_unverified(capsys):
+    # every prime below 5 is a square mod 23
+    code, out, err = run(capsys, "verify", "--delta", "--pmax", "2")
+    assert code == 2
+    assert "tau partition: 1 primes checked, 0 exceptions" in out
+    assert ("vanishing rule: a_p = 0 iff p nonsquare mod 23: "
+            "unverified (no nonsquare prime checked)\n") in out
+    assert err == "consistency failure: 1 verification failures\n"
+
+
 def test_verify_delta_rejects_other_ell(capsys):
     code, _, err = run(capsys, "verify", "--delta", "--ell", "5")
     assert code == 1 and "specific to ell = 23" in err
@@ -393,9 +403,6 @@ PARSED = [
           ell=5, pmax=200)),
     ("analyze --group=- --no-crosscheck --format table --format=json",
      dict(verb="analyze", group="-", format="json", no_crosscheck=True)),
-    ("discover --delta --ell -3 --modulus 23 --format json",
-     dict(_DISCOVER_NONE, verb="discover", delta=True, ell=-3, modulus=23,
-          format="json")),
 ]
 
 
@@ -431,6 +438,12 @@ def test_parse_matches_the_argparse_namespace(line, attrs):
      "discover: --bound must be at least 1, got -12"),
     (["discover", "--delta", "--ell", "23", "--modulus=0"],
      "discover: --modulus must be at least 1, got 0"),
+    # -3 is read as the value of --ell, not as a flag, and is below its bound
+    (["discover", "--delta", "--ell", "-3", "--modulus", "23", "--format", "json"],
+     "discover: --ell must be at least 2, got -3"),
+    (["dataset", "--delta", "--ell", "-3", "--pmax", "20"],
+     "dataset: --ell must be at least 2, got -3"),
+    (["verify", "--delta", "--ell", "1"], "verify: --ell must be at least 2, got 1"),
 ])
 def test_usage_error_is_one_line_on_stderr(capsys, argv, named):
     code, out, err = run(capsys, *argv)

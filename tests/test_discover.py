@@ -63,9 +63,9 @@ def test_units_and_divisors():
 # ---- per-class discovery on handcrafted data ----
 
 
-def iff_dataset():
+def iff_dataset(p_max=500):
     # a_p = 0 exactly when p = 1 mod 4; classes 1 and 2 split the rest
-    return craft(3, lambda p: 0 if p % 4 == 1 else (1 if p % 8 == 3 else 2))
+    return craft(3, lambda p: 0 if p % 4 == 1 else (1 if p % 8 == 3 else 2), p_max)
 
 
 def mixed_dataset():
@@ -98,8 +98,12 @@ def test_discover_class_implied_by():
 
 
 def test_min_per_class_downgrades_iff():
-    e = discover_class(iff_dataset(), 0, 4, min_per_class=10 ** 6)
+    # iff needs 5 samples in every class: p <= 36 has four p = 1 mod 4
+    # (5, 13, 17, 29) and p <= 40 five
+    e = discover_class(iff_dataset(36), 0, 4)
+    assert e.sup == e.nec == frozenset({1}) and e.min_class_count == 4
     assert e.direction == "implied_by"  # same sets, too few samples per class
+    assert discover_class(iff_dataset(40), 0, 4).direction == "iff"
 
 
 def test_discover_class_reduces_x():
@@ -162,15 +166,15 @@ def test_legendre_candidates():
 
 def test_legendre_fit_on_delta():
     ds = delta_ds()
-    assert legendre_fit(ds, 0, legendre_candidates(1, 23)) == ((-23, "iff"),)
+    assert legendre_fit(ds, legendre_candidates(1, 23)) == ((-23, "iff"),)
 
 
 def test_legendre_fit_filters_vacuous_premises():
     # every sample has p = 1 mod 4, so (-1/p) = -1 never fires
     ds = craft(3, lambda p: 0 if p % 4 == 1 else None)
-    assert legendre_fit(ds, 0, (-1,)) == ()
+    assert legendre_fit(ds, (-1,)) == ()
     with pytest.raises(ValueError):
-        legendre_fit(ds, 0, (0,))
+        legendre_fit(ds, (0,))
 
 
 @settings(max_examples=80)
@@ -191,7 +195,7 @@ def test_kronecker_column_on_primes_of_every_class():
 def test_legendre_fit_one_way():
     # (-1/p) = -1 forces a_p = 0 but zeros also occur at p = 1 mod 4
     ds = craft(3, lambda p: 0 if p % 4 == 3 or p % 8 == 1 else 1)
-    assert legendre_fit(ds, 0, (-1,)) == ((-1, "implied_by"),)
+    assert legendre_fit(ds, (-1,)) == ((-1, "implied_by"),)
 
 
 # ---- reports ----
@@ -219,11 +223,23 @@ def test_discover_report_deterministic():
 
 
 def test_vanishing_rule_delta_holds():
-    res = vanishing_rule_check(delta_ds())
+    ds = delta_ds()
+    res = vanishing_rule_check(ds)
     assert res.holds
+    assert res.nonsquares == sum(legendre(p, 23) == -1 for p in ds.p.tolist())
     assert res.forward_violations == () and res.backward_violations == ()
     assert res.zero_classes == frozenset(
         r for r in range(1, 23) if legendre(r, 23) == -1)
+
+
+def test_vanishing_rule_needs_a_nonsquare_prime():
+    # 2 and 3 are squares mod 23: no violation, but nothing to hold on
+    res = vanishing_rule_check(delta_ds(4))
+    assert res.nonsquares == 0 and not res.holds
+    assert res.forward_violations == () and res.backward_violations == ()
+    # 5 is the least nonsquare prime
+    res = vanishing_rule_check(delta_ds(5))
+    assert res.nonsquares == 1 and res.holds
 
 
 def test_vanishing_rule_608e1_mod5_fails():
@@ -253,8 +269,6 @@ def test_verify_trace_menu():
     assert v == () and complete
     v, complete = verify_trace_menu(ds, 3, {1: {1}, 2: {2, 3, 4}})
     assert v == () and not complete  # 4 never attained
-    v, complete = verify_trace_menu(ds, 3, {1: {1}, 2: {2, 3, 4}}, sharp=False)
-    assert v == () and complete
     v, _ = verify_trace_menu(ds, 3, {1: {1}})
     assert v and all("not in table" in s for s in v)
     v, _ = verify_trace_menu(ds, 3, {1: {1}, 2: {2}})
@@ -399,7 +413,7 @@ def test_synthetic_model_rejects_extension_fields():
 def test_sample_dataset_invariants():
     model = synthetic_model(borel(make_field(5)))
     ds = sample_dataset(model, 3000, seed=7)
-    assert ds.synthetic and ds.ell == 5 and len(ds) == 3000
+    assert ds.ell == 5 and len(ds) == 3000
     data = model.data
     pairs = set(zip(data.pair_coset.tolist(), data.pair_trace.tolist()))
     for p, a in ds.samples:

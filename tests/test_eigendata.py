@@ -394,7 +394,7 @@ def test_delta_dataset_small():
     ds = build_dataset(delta_coeffs(100, 23), 23, 100, level=1, label="delta")
     assert len(ds) == 24  # 25 primes up to 100, minus p = 23
     assert ds.values()[5] == 4830 % 23
-    assert ds.label == "delta" and ds.ell == 23 and not ds.synthetic
+    assert ds.label == "delta" and ds.ell == 23
 
 
 def test_curve_dataset_skips_bad_primes():
@@ -405,6 +405,16 @@ def test_curve_dataset_skips_bad_primes():
     assert ps == [p for p in primes_upto(100) if p not in (2, 5, 13)]
     for p, r in ds.samples:
         assert r == ap_point_count(E, p) % 5
+    assert (ds.label, ds.level) == ("338d1", 338)
+
+
+def test_curve_source_takes_level_and_label_from_the_curve():
+    E = curve_fixtures()["338d1"]
+    for extra in (dict(level=338), dict(label="338d1"), dict(level=1, label="x")):
+        with pytest.raises(ValueError, match="from the curve"):
+            build_dataset(E, 5, 100, **extra)
+    with pytest.raises(ValueError, match="explicit level and label"):
+        build_dataset(delta_coeffs(100, 23), 23, 100, level=1)
 
 
 def test_dataset_validators():

@@ -1,9 +1,11 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from apcong.ffield import (
+    PRIME_BOUND,
     FieldSpec,
     embedding_table,
     factorize,
@@ -15,7 +17,7 @@ from apcong.ffield import (
     quadratic_extension,
 )
 
-from helpers import PolyField
+from helpers import PolyField, trial_division_is_prime
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2)]
 
@@ -34,6 +36,42 @@ def test_is_prime_matches_sieve():
     primes = sieve(2000)
     for n in range(2001):
         assert is_prime(n) == (n in primes), n
+
+
+def test_is_prime_matches_trial_division():
+    assert ([is_prime(n) for n in range(-3, 10 ** 5)]
+            == [trial_division_is_prime(n) for n in range(-3, 10 ** 5)])
+    # strong pseudoprimes to the first 1, 2, 3, 4, 5, 6 and 9 prime bases,
+    # and Carmichael numbers
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              3825123056546413051, 561, 41041, 825265):
+        assert not is_prime(n) and not trial_division_is_prime(n), n
+
+
+def test_is_prime_is_fast_on_int64_and_bounded():
+    # one Miller-Rabin pass each, where trial division would take seconds
+    t0 = time.monotonic()
+    for n in (2 ** 61 - 1, 10 ** 16 + 61, 2 ** 63 - 25):
+        assert is_prime(n), n
+    assert not is_prime((2 ** 31 - 1) * (2 ** 32 - 5))
+    assert time.monotonic() - t0 < 1
+    assert not is_prime(PRIME_BOUND - 1)
+    with pytest.raises(ValueError, match="primality"):
+        is_prime(PRIME_BOUND)
+
+
+def test_field_size_is_checked_before_primality():
+    # p near 10^18 (prime or not) and a huge degree are refused without a
+    # primality test or a huge power
+    t0 = time.monotonic()
+    for p, r in ((10 ** 18 + 9, 1), (10 ** 18, 1), (3, 10 ** 9), (2, 21)):
+        with pytest.raises(ValueError, match="exceeds guard"):
+            FieldSpec.from_json({"p": p, "r": r, "modulus": [0, 1]})
+    with pytest.raises(ValueError, match="exceeds guard"):
+        make_field(10 ** 18 + 9, 2)
+    assert time.monotonic() - t0 < 1
+    with pytest.raises(ValueError, match="not prime"):
+        FieldSpec(4, 1, (0, 1))
 
 
 def test_factorize_recomposes():

@@ -1,8 +1,11 @@
-"""Every import in the package and its tests is used.
+"""Every import in the package and its tests is used, and every parameter
+of a package function is read.
 
 A name bound by an import counts as used when it is read anywhere in the
 module, listed in its __all__, or named inside a string (a quoted
-annotation); imports from __future__ are exempt.
+annotation); imports from __future__ are exempt.  A parameter counts as
+read when its name is loaded somewhere in the function's body, nested
+functions included, so an option that the body has stopped reading fails.
 """
 
 import ast
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(ROOT.glob("src/apcong/*.py")) + sorted(ROOT.glob("tests/*.py"))
+SRC = sorted(ROOT.glob("src/apcong/*.py"))
+FILES = SRC + sorted(ROOT.glob("tests/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +49,31 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"line {node.lineno}: {node.name}({v.arg})" for v in params
+                if v.arg not in read]
+    return out
+
+
+def test_scan_finds_an_unread_parameter():
+    src = ("def f(x, guard=10, *rest, **kw):\n"
+           "    def g():\n"
+           "        return kw\n"
+           "    guard = 5\n"
+           "    return x + g()\n")
+    assert unread_parameters(src) == ["line 1: f(guard)", "line 1: f(rest)"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []

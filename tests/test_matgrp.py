@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from apcong import matgrp
 from apcong.constructions import (
     a4_lift,
     borel,
@@ -29,7 +30,6 @@ from apcong.matgrp import (
     group_from_json,
     group_to_json,
     identity,
-    projectivize,
 )
 
 from helpers import (
@@ -107,9 +107,10 @@ def test_closure_reaches_known_generated_groups():
         assert G.elements == sl2(spec).elements
 
 
-def test_closure_guard_trips():
+def test_closure_guard_trips(monkeypatch):
+    monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 100)
     with pytest.raises(ClosureGuardError):
-        close_group(F7, list(gl2(F7).generators), guard=100)
+        close_group(F7, list(gl2(F7).generators))
 
 
 def test_singular_generator_rejected():
@@ -146,8 +147,7 @@ def test_group_exponent():
 def test_scalars_and_projective_order():
     for G in (gl2(F3), gl2(F5), sl2(F5), split_cartan_normalizer(F5)):
         scal = {m for m in G.elements if is_scalar(m) is not None}
-        P = projectivize(G)
-        assert len(proj_classes(P)) == G.order // len(scal)
+        assert len(proj_classes(G)) == G.order // len(scal)
 
 
 def test_cosets_partition():
@@ -358,10 +358,9 @@ def test_kernel_closure_cosets_and_projective_image(case):
             assert rep == min(members)
             assert members == sorted(
                 oracle_code(F, oracle_mat_mul(F, decode[rep], h)) for h in hs)
-    P = projectivize(G)
     canon = {oracle_proj_canon(F, m) for m in elems}
-    assert P.codes.tolist() == sorted(oracle_code(F, m) for m in canon)
-    assert P.class_orders.tolist() == [
+    assert G.proj.tolist() == sorted(oracle_code(F, m) for m in canon)
+    assert G.class_orders.tolist() == [
         oracle_proj_order(F, decode_proj) for decode_proj in
         sorted(canon, key=lambda m: oracle_code(F, m))]
 
@@ -374,7 +373,7 @@ def test_code_range_boundary():
     G = close_group(below, [Mat2(below, (minus, 0, 0, minus))])
     q = below.q
     assert G.codes.tolist() == [q ** 3 + 1, minus * q ** 3 + minus]
-    assert projectivize(G).order == 1
+    assert G.proj.size == 1
     assert commutator_subgroup(G).order == 1
     above = make_field(55109)
     with pytest.raises(CodeRangeError):

@@ -10,10 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from apcong import cli, constructions
+from apcong import cli, constructions, matgrp
 from apcong.abelian import analyze_group, coset_traces, density_c
 from apcong.ffield import make_field
-from apcong.matgrp import ClosureGuardError, Mat2, close_group, projectivize
+from apcong.matgrp import ClosureGuardError, Mat2, close_group
 
 from helpers import (
     PolyField,
@@ -72,18 +72,20 @@ def test_expanded_groups_match_the_set_closure(p, r):
 @pytest.mark.parametrize("p, r", FIELDS_31, ids=[f"F{p ** r}" for p, r in FIELDS_31])
 def test_closed_form_projective_orders_match_powers(p, r):
     spec = make_field(p, r)
-    P = projectivize(constructions.gl2(spec))
-    assert P.order == spec.q * (spec.q ** 2 - 1)
-    assert np.array_equal(P.class_orders, proj_orders_by_powers(spec, P.codes))
+    G = constructions.gl2(spec)
+    assert G.proj.size == spec.q * (spec.q ** 2 - 1)
+    assert np.array_equal(G.class_orders, proj_orders_by_powers(spec, G.proj))
 
 
-def test_guard_bounds_the_projective_classes():
+def test_guard_bounds_the_projective_classes(monkeypatch):
     F7 = make_field(7)
     gens = constructions.gl2(F7).generators
-    G = close_group(F7, gens, guard=336)  # |PGL2(F7)| = 336 < |GL2(F7)| = 2016
+    monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 336)  # |PGL2(F7)| = 336 < 2016
+    G = close_group(F7, gens)
     assert G.order == 2016 and G.proj.size == 336
+    monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 335)
     with pytest.raises(ClosureGuardError):
-        close_group(F7, gens, guard=335)
+        close_group(F7, gens)
 
 
 def test_analysis_never_expands_the_group():
