@@ -46,7 +46,7 @@ from .eigendata import (
     load_curve_file,
     load_form_file,
 )
-from .ffield import make_field
+from .ffield import factorize, make_field
 from .matgrp import ClosureGuardError, group_from_json
 
 USAGE_ERROR, CONSISTENCY_ERROR = 1, 2
@@ -199,8 +199,8 @@ def _run_verify(args, out) -> int:
 
 
 def _run_oracle(args, out) -> int:
-    spec = make_field(args.field, 1)
-    count = crosscheck_all_subgroups(gl2(spec))
+    (p, r), = factorize(args.field).items()  # each choice is a prime power
+    count = crosscheck_all_subgroups(gl2(make_field(p, r)))
     out.write(f"checked {count} subgroups of GL_2(F_{args.field}): consistent\n")
     return 0
 
@@ -271,7 +271,8 @@ VERBS = {
         "--pmax": _PMAX,
     }),
     "oracle": Verb(_run_oracle, "exhaustive subgroup consistency sweep", {
-        "--field": Flag((2, 3), REQUIRED, "run over every subgroup of GL_2(F_q)"),
+        "--field": Flag((2, 3, 4, 5), REQUIRED,
+                        "run over every subgroup of GL_2(F_q)"),
     }),
 }
 

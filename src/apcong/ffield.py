@@ -181,7 +181,10 @@ class FieldSpec:
         log[g^i] = i and log[0] = 2(q - 1), so the product of any two
         elements is exp[log x + log y], zero included."""
         n = self.q - 1
-        g = next(g for g in map(list, map(self.digits, range(1, self.q)))
+        # for r > 1 the elements of F_p, the encodings below p, have orders
+        # dividing p - 1 < q - 1, so the search starts past them
+        start = self.p if self.r > 1 else 1
+        g = next(g for g in map(list, map(self.digits, range(start, self.q)))
                  if self._is_primitive(g))
         # g^k .. g^(2k-1) are g^0 .. g^(k-1) times g^k
         powers = np.ones(1, dtype=np.int64)

@@ -523,38 +523,96 @@ def proj_orders(spec: FieldSpec, x: np.ndarray) -> np.ndarray:
 
 # ---- exhaustive subgroup enumeration (small ambient groups only) ----
 
-def _coset_reps(G: MatGroup, H: MatGroup) -> np.ndarray:
-    """One code from each left coset of H in G."""
-    label, shift, m = _coset_split(G, H)
-    first = np.unique(label, return_index=True)[1]
-    j = (np.arange(m) - shift[first][:, None]) % m
-    lifts = G.spec._tables[0][G.lift[first][:, None] + G.k * j]
-    return _scale(G.spec, G.proj[first][:, None], lifts).ravel()
+def _grouped_min(x: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """out[i], the least x[j] over the j with group[j] == group[i]; the
+    values of x and group are indices below x.size."""
+    out = np.full(x.size, x.size)
+    np.minimum.at(out, group, x)
+    return out[group]
+
+
+def _cyclic_labels(T: np.ndarray, e: int) -> np.ndarray:
+    """For each index g of the Cayley table T with identity e, the least
+    index among the generators g^j (j prime to ord g) of <g>."""
+    g = x = np.arange(T.shape[0])
+    powers, done = [g], g == e
+    while not done.all():
+        x = T[x, g]
+        powers.append(x)
+        done |= x == e
+    P = np.stack(powers, axis=1)  # P[g, j - 1] = g^j
+    j = np.arange(1, P.shape[1] + 1)
+    order = np.argmax(P == e, axis=1)[:, None] + 1
+    return np.where((j <= order) & (np.gcd(j, order) == 1), P, g.size).min(axis=1)
+
+
+def _table_join(T: np.ndarray, H: np.ndarray, gens: list[int], g: int) -> np.ndarray:
+    """The mask of <H, g>, for the subgroup mask H generated by the indices
+    gens: the coset Hg, then every new element times gens and g, until
+    nothing new appears (inverses are powers)."""
+    K = H.copy()
+    step = np.array(gens + [g])
+    new = T[np.flatnonzero(H), g]
+    K[new] = True
+    while new.size:
+        x = T[new[:, None], step].ravel()
+        new = unique_codes(x[~K[x]])
+        K[new] = True
+    return K
 
 
 def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
-    """All subgroups of G, by closing each known subgroup with one more element.
+    """All subgroups of G, sorted by (order, codes), found on G's Cayley table.
 
-    Any subgroup <g1,...,gk> is reached from the trivial group by adding
-    generators one at a time, so the fixed point of this loop is provably
-    the full subgroup lattice; <H, g> = <H, gh> for h in H, so one g per
-    coset of H suffices.
-    Intended for tiny ambient groups such as GL_2(F_2), GL_2(F_3).
+    T[i, j] is the index in G.codes of the product of the i-th and j-th
+    elements, and a subgroup is a boolean mask over those indices.  From
+    the trivial group, each subgroup H found is joined with one element g
+    per class outside H, and the fixed point is the whole lattice: any
+    subgroup <g1, ..., gk> is reached by adding its generators one at a
+    time.  <H, g> is the same group for every g in the double coset HgH
+    and for every generator of <g>, so a class is an equivalence class of
+    the relation these two generate.  Only the distinct subgroups become
+    MatGroups, through one close_group each, checked against their mask.
+
+    T holds |G|^2 int64 (1.8 MB for GL_2(F_5), |G| = 480; 32 MB for
+    GL_2(F_7)), and building it takes about seven times that at its peak;
+    the number of joins grows with the lattice.  Meant for ambient groups
+    of order up to about 10^3, such as GL_2(F_q), q <= 5.
     """
-    trivial = close_group(G.spec, [identity(G.spec)])
-    found = {trivial}
-    frontier = [trivial]
+    spec, codes, n = G.spec, G.codes, G.order
+    prod = mul_codes(spec, codes[:, None], codes[None, :])
+    T = np.minimum(np.searchsorted(codes, prod), n - 1)
+    if (codes[T] != prod).any():
+        raise RuntimeError("the Cayley table leaves G; closure is broken")
+    e = int(np.searchsorted(codes, identity(spec).encode()))
+    cyclic = _cyclic_labels(T, e)
+    trivial = np.arange(n) == e
+    found = {trivial.tobytes(): (trivial, [])}
+    frontier = [(trivial, [])]
     while frontier:
         fresh = []
-        for H in frontier:
-            reps = _coset_reps(G, H)
-            for g in _mats_of(G.spec, reps[~_contains(H, reps)]):
-                K = close_group(G.spec, list(H.generators) + [g])
-                if K not in found:
-                    found.add(K)
-                    fresh.append(K)
+        for H, gens in frontier:
+            at = np.flatnonzero(H)
+            # the least index of each double coset HgH: of the cosets hgH
+            double = label = T[:, at].min(axis=1)[T[at]].min(axis=0)
+            # merge across cyclic groups and double cosets until stable
+            while not np.array_equal(label, merged := _grouped_min(
+                    _grouped_min(label, cyclic), double)):
+                label = merged
+            for g in unique_codes(label[~H]).tolist():
+                K = _table_join(T, H, gens, g)
+                if (key := K.tobytes()) not in found:
+                    found[key] = (K, gens + [g])
+                    fresh.append(found[key])
         frontier = fresh
-    return sorted(found, key=lambda H: (H.order, H.codes.tolist()))
+    out = []
+    for K, gens in sorted(found.values(),
+                          key=lambda t: (np.count_nonzero(t[0]), np.flatnonzero(t[0]).tolist())):
+        H = close_group(spec, _mats_of(spec, codes[gens]) or [identity(spec)])
+        if not np.array_equal(H.codes, codes[K]):
+            raise RuntimeError("table and closure disagree on a subgroup")
+        out.append(H)
+    return out
 
 
 # ---- serialization ----

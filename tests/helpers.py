@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: seeded random subgroups, the
-2-generated subgroup sweep that cross-checks `enumerate_subgroups`, the
+"""Helpers that only the tests use: seeded random subgroups, two routes
+that cross-check `enumerate_subgroups` (closures of a subgroup with one
+more element, and the 2-generated subgroup sweep), the
 group exponent and trace frequencies, unclosed wrapping of element sets,
 projective classes, projective orders by powers, traceless and
 commutator-trace counts, and the oracles below (primality by trial
@@ -13,7 +14,11 @@ import numpy as np
 from apcong.matgrp import (
     Mat2,
     MatGroup,
+    _contains,
+    _coset_split,
+    _mats_of,
     _scalar_mask,
+    _scale,
     close_group,
     commutator_subgroup,
     identity,
@@ -41,6 +46,31 @@ def random_subgroups(spec, count: int, seed: int) -> list[MatGroup]:
         seen.add(key)
         out.append(G)
     return out
+
+
+def enumerate_subgroups_closure(G: MatGroup) -> list[MatGroup]:
+    """All subgroups of G, by closing each known subgroup with one more
+    element, through close_group: one element per left coset of H outside H
+    suffices, since <H, g> = <H, gh> for h in H."""
+    trivial = close_group(G.spec, [identity(G.spec)])
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        fresh = []
+        for H in frontier:
+            # one code from each left coset of H in G
+            label, shift, m = _coset_split(G, H)
+            first = np.unique(label, return_index=True)[1]
+            j = (np.arange(m) - shift[first][:, None]) % m
+            lifts = G.spec._tables[0][G.lift[first][:, None] + G.k * j]
+            reps = _scale(G.spec, G.proj[first][:, None], lifts).ravel()
+            for g in _mats_of(G.spec, reps[~_contains(H, reps)]):
+                K = close_group(G.spec, list(H.generators) + [g])
+                if K not in found:
+                    found.add(K)
+                    fresh.append(K)
+        frontier = fresh
+    return sorted(found, key=lambda H: (H.order, H.codes.tolist()))
 
 
 def enumerate_subgroups_pairs(G: MatGroup) -> list[MatGroup]:
@@ -203,6 +233,19 @@ class PolyField:
         if x not in self._inv:
             self._inv[x] = next(y for y in range(1, self.q) if self.mul(x, y) == 1)
         return self._inv[x]
+
+
+def least_primitive(spec) -> int:
+    """The least encoding whose schoolbook powers first return to 1 after
+    q - 1 steps: a generator of F_q^x by brute-force orders."""
+    F = PolyField(spec)
+    for x in range(1, spec.q):
+        n, y = 1, x
+        while y != 1:
+            y, n = F._poly_mul(y, x), n + 1
+        if n == spec.q - 1:
+            return x
+    raise RuntimeError("no generator of the multiplicative group")
 
 
 def oracle_mat_mul(F: PolyField, x, y):

@@ -340,9 +340,17 @@ def test_oracle_f2(capsys):
     assert out == "checked 6 subgroups of GL_2(F_2): consistent\n"
 
 
+def test_oracle_f4(capsys):
+    # 4 is the field F_{2^2}, not the integers mod 4
+    code, out, _ = run(capsys, "oracle", "--field", "4")
+    assert code == 0
+    assert out == "checked 148 subgroups of GL_2(F_4): consistent\n"
+
+
 def test_oracle_rejects_large_fields(capsys):
-    code, _, err = run(capsys, "oracle", "--field", "5")
-    assert code == 1 and "error" in err
+    for field in ("6", "7"):
+        code, _, err = run(capsys, "oracle", "--field", field)
+        assert code == 1 and "error" in err
 
 
 # ---- top level ----
@@ -424,7 +432,7 @@ def test_parse_matches_the_argparse_namespace(line, attrs):
     (["verify", "--delta=yes"], "verify: --delta takes no value"),
     (["dataset", "--delta", "--ell", "x"], "dataset: --ell takes an int, got 'x'"),
     (["dataset", "--delta", "--ell=5.0"], "--ell takes an int"),
-    (["oracle", "--field", "5"], "oracle: --field must be one of 2, 3"),
+    (["oracle", "--field", "6"], "--field must be one of 2, 3, 4, 5"),
     (["classify", "--group", "-", "--format", "xml"], "--format must be one of"),
     (["classify"], "classify: --group is required"),
     (["dataset", "--delta", "--pmax", "50"], "dataset: --ell is required"),

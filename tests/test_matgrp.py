@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,6 +37,7 @@ from apcong.matgrp import (
 from helpers import (
     PolyField,
     element_order,
+    enumerate_subgroups_closure,
     enumerate_subgroups_pairs,
     from_elements,
     group_exponent,
@@ -50,6 +53,7 @@ from helpers import (
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
+F4 = make_field(2, 2)
 F5 = make_field(5, 1)
 F7 = make_field(7, 1)
 
@@ -254,6 +258,47 @@ def test_enumerate_subgroups_gl2_f3():
     assert {H.elements for H in subs} == {H.elements for H in pairs}
     for H in subs:
         assert gl2_order(3) % H.order == 0
+
+
+@pytest.mark.parametrize("spec", [F2, F3], ids=["F2", "F3"])
+def test_enumerate_subgroups_matches_the_closure_route(spec):
+    # the Cayley-table route and the close_group route, in the same order
+    G = gl2(spec)
+    want = [H.codes.tolist() for H in enumerate_subgroups_closure(G)]
+    assert [H.codes.tolist() for H in enumerate_subgroups(G)] == want
+
+
+@pytest.mark.parametrize("spec, count", [(F2, 6), (F3, 55), (F4, 148)],
+                         ids=["F2", "F3", "F4"])
+def test_cyclic_subgroups_found_match_the_closed_form(spec, count):
+    # <g> has phi(ord g) generators, so there are sum 1/phi(ord g) cyclic
+    # subgroups; a subgroup is cyclic when one of its elements has its order
+    G = gl2(spec)
+    subs = enumerate_subgroups(G)
+    assert len(subs) == count
+    order = {m.encode(): element_order(m) for m in G.sorted_elements()}
+
+    def phi(n):
+        return sum(gcd(j, n) == 1 for j in range(1, n + 1))
+
+    cyclic = sum(Fraction(1, phi(o)) for o in order.values())
+    assert cyclic.denominator == 1
+    assert sum(max(order[c] for c in H.codes.tolist()) == H.order for H in subs) == cyclic
+
+
+def test_enumerate_subgroups_closes_once_per_subgroup(monkeypatch):
+    # the joins run on the Cayley table; close_group runs once per subgroup
+    G = gl2(F3)
+    calls = []
+    close = matgrp._close
+
+    def counted(*args):
+        calls.append(1)
+        return close(*args)
+
+    monkeypatch.setattr(matgrp, "_close", counted)
+    assert len(enumerate_subgroups(G)) == 55
+    assert len(calls) == 55
 
 
 def test_generating_set_regenerates():
