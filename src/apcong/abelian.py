@@ -41,6 +41,7 @@ from .matgrp import (
     coset_split,
     enumerate_subgroups,
     mat_product,
+    mul_codes,
     split_codes,
     unique_codes,
 )
@@ -472,8 +473,8 @@ def crosscheck_all_subgroups(ambient: MatGroup) -> int:
     for H in enumerate_subgroups(ambient):
         data = coset_traces(H)
         K = data.commutator
-        alt = sorted({(min((g * k).encode() for k in K.elements), g.trace_i())
-                      for g in H.elements})
+        least = mul_codes(H.spec, H.codes[:, None], K.codes[None, :]).min(axis=1)
+        alt = sorted(set(zip(least.tolist(), H.traces.tolist())))
         # the least code of coset i is H.codes at the first index with label i
         reps = H.codes[np.unique(data.label, return_index=True)[1]]
         ref = sorted(zip(reps[data.pair_coset].tolist(), data.pair_trace.tolist()))

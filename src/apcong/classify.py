@@ -12,14 +12,16 @@ The family tests read the projective image off the group itself: its
 classes G.proj and their orders G.class_orders.  Subfield groups are
 recognised by comparing those order counts with the closed-form counts of
 PSL2(q') and PGL2(q') (Dickson; Huppert, Endliche Gruppen I, II.8), so the
-check holds for every q' with no reference group built.
+check holds for every q' with no reference group built.  A Borel-conjugable
+G fixes a line of P^1(F_{q^2}), and all q^2 + 1 lines are tested against
+every generator in one array.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -86,39 +88,6 @@ class DicksonClass:
 # ---- Borel conjugability ---------------------------------------------------
 
 
-def _eigenlines(ext: FieldSpec, me: tuple[int, int, int, int]) -> list[tuple[int, int]]:
-    """Invariant lines of a non-scalar matrix with entries encoded over ext.
-
-    Each line is returned as a normalised vector (first nonzero coordinate
-    scaled to 1), in increasing order of its eigenvalue's encoding; the
-    characteristic polynomial splits over ext because ext is a quadratic
-    extension of the entry field.
-    """
-    a, b, c, d = me
-    t = ext.add_i(a, d)
-    det = ext.sub_i(ext.mul_i(a, d), ext.mul_i(b, c))
-    xs = np.arange(ext.q, dtype=np.int64)
-    charpoly = ext.add_a(ext.sub_a(ext.mul_a(xs, xs), ext.mul_a(t, xs)), det)
-    lines = []
-    for lam in np.flatnonzero(charpoly == 0).tolist():
-        if b != 0:
-            v = (b, ext.sub_i(lam, a))
-        elif c != 0:
-            v = (ext.sub_i(lam, d), c)
-        elif a == lam:
-            v = (1, 0)
-        else:
-            v = (0, 1)
-        if v[0] != 0:
-            s = ext.inv_i(v[0])
-            v = (1, ext.mul_i(v[1], s))
-        else:
-            v = (0, 1)
-        if v not in lines:
-            lines.append(v)
-    return lines
-
-
 def _identity_class(G: MatGroup) -> np.ndarray:
     """Mask of the class of the scalars among G's classes."""
     return G.proj == identity(G.spec).encode()
@@ -142,7 +111,9 @@ def is_borel_conjugable(G: MatGroup):
     change P over the extension with P^-1 G P upper triangular.  Two
     independent routes are computed and compared: the structural criterion
     (the commutator subgroup contains no diagonalisable matrix besides the
-    identity) and a direct common-eigenvector search.
+    identity) and a search for a line of P^1(F_{q^2}) that every generator
+    fixes.  Of the fixed lines, the one with the least eigenvalue under the
+    least non-scalar element of G is the first column of P.
     """
     spec = G.spec
     H = commutator_subgroup(G)
@@ -155,29 +126,28 @@ def is_borel_conjugable(G: MatGroup):
     ext = quadratic_extension(spec)
     emb = embedding_table(spec, ext)
     gens_e = [tuple(int(emb[x]) for x in g.e) for g in generating_set(G)]
-    witness = None
     if G.proj.size == 1:
         # every element scalar: already upper triangular
-        route_b = True
-        witness = Mat2(ext, (1, 0, 0, 1))
+        route_b, witness = True, Mat2(ext, (1, 0, 0, 1))
     else:
-        route_b = False
-        base = tuple(int(emb[x]) for x in split_codes(spec, _least_nonscalar(G)))
-        for v in _eigenlines(ext, base):
-            stable = True
-            for a, b, c, d in gens_e:
-                w0 = ext.add_i(ext.mul_i(a, v[0]), ext.mul_i(b, v[1]))
-                w1 = ext.add_i(ext.mul_i(c, v[0]), ext.mul_i(d, v[1]))
-                if ext.sub_i(ext.mul_i(w0, v[1]), ext.mul_i(w1, v[0])) != 0:
-                    stable = False
-                    break
-            if stable:
-                route_b = True
-                u = (0, 1) if v[0] != 0 else (1, 0)
-                witness = Mat2(ext, (v[0], u[0], v[1], u[1]))
-                break
+        # (a b; c d) fixes the line (1, t) iff b t^2 + (a - d) t - c = 0,
+        # and the line (0, 1) iff b = 0: one row per generator, one column
+        # per line, (0, 1) last
+        a, b, c, d = (np.array(e)[:, None] for e in zip(*gens_e))
+        t = np.arange(ext.q, dtype=np.int64)
+        f = ext.sub_a(ext.add_a(ext.mul_a(b, ext.mul_a(t, t)),
+                                ext.mul_a(ext.sub_a(a, d), t)), c)
+        fixed = np.flatnonzero(np.append(~f.any(axis=0), not b.any()))
+        # a non-scalar element has distinct eigenvalues on distinct fixed
+        # lines, a0 + b0 t on (1, t) and d0 on (0, 1): the least one wins
+        a0, b0, _, d0 = (emb[x] for x in split_codes(spec, _least_nonscalar(G)))
+        lam = np.append(ext.add_a(a0, ext.mul_a(b0, t)), d0)[fixed]
+        route_b, witness = fixed.size > 0, None
+        if route_b:
+            s = int(fixed[np.argmin(lam)])
+            witness = Mat2(ext, (1, 0, s, 1) if s < ext.q else (0, 1, 1, 0))
     assert route_a == route_b, "Borel criteria disagree"
-    if route_b and witness is not None and G.proj.size > 1:
+    if route_b and G.proj.size > 1:
         pi = witness.inv()
         for ge in gens_e:
             conj = pi * Mat2(ext, ge) * witness
@@ -209,21 +179,13 @@ def _dihedral_n(G: MatGroup) -> int | None:
     return n if stats.get(n) and stats.get(2) == n + (n % 2 == 0) else None
 
 
-def _element_degree(spec: FieldSpec, x: int) -> int:
-    """Degree over the prime field of the element with encoding x."""
-    d = 1
-    y = spec.pow_i(x, spec.p)
-    while y != x:
-        d += 1
-        y = spec.pow_i(y, spec.p)
-    return d
-
-
-def _trace_field_size(spec: FieldSpec, H: MatGroup) -> int:
-    s = 1
-    for t in H.trace_ints():
-        s = lcm(s, _element_degree(spec, t))
-    return spec.p**s
+def _trace_field_size(spec: FieldSpec, traces) -> int:
+    """The least p^d, d | r, whose field holds every encoding in traces:
+    x lies in F_{p^d} iff (q - 1)/(p^d - 1) divides log x, and log 0 =
+    2(q - 1) is divisible by each."""
+    logs = spec._tables[1][np.fromiter(traces, dtype=np.int64)]
+    return next(spec.p**d for d in range(1, spec.r + 1) if spec.r % d == 0
+                and not (logs % ((spec.q - 1) // (spec.p**d - 1))).any())
 
 
 def _subfield_stats(kind: str, qsub: int, p: int) -> dict[int, int]:
@@ -316,7 +278,7 @@ def _classify(G: MatGroup) -> DicksonClass:
     if big:
         # a PSL2 = PGL2 coincidence (even q') is reported as PSL2
         kind, qsub = min(big, key=lambda kq: (kq[1], kq[0] != "PSL2"))
-        tf = _trace_field_size(G.spec, commutator_subgroup(G))
+        tf = _trace_field_size(G.spec, commutator_subgroup(G).trace_ints())
         if tf != qsub:
             raise ClassificationError(
                 f"commutator trace field F_{tf} does not match subfield q'={qsub}")

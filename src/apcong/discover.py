@@ -92,6 +92,9 @@ def discover_class(ds: ApDataset, x: int, M: int) -> ClassCongruence:
     MIN_SAMPLES_PER_CLASS samples in every residue class."""
     if M < 1:
         raise ValueError("modulus must be positive")
+    if M >= int(ds.p.max(initial=1)) + 2:
+        # every sample p is below the unit class M - 1, so it holds none
+        raise InsufficientDataError(f"no samples in residue class {M - 1} mod {M}")
     x %= ds.ell
     units = np.array(_units(M))
     # one pass: bin 2 (p mod M) + [a_p = x] gives misses and hits per residue
@@ -172,8 +175,11 @@ def divisors(n: int) -> list[int]:
 
 
 def best_modulus(ds: ApDataset, x: int, bound: int) -> ClassCongruence | None:
-    """Least divisor of bound that upgrades the class to an iff statement."""
-    for M in divisors(bound):
+    """Least divisor of bound that upgrades the class to an iff statement.
+    A modulus past max p + 1 has a unit class with no sample (see
+    discover_class), so only the divisors up to there are tried."""
+    top = min(bound, int(ds.p.max(initial=1)) + 1)
+    for M in (d for d in range(1, top + 1) if bound % d == 0):
         try:
             entry = discover_class(ds, x, M)
         except InsufficientDataError:

@@ -11,7 +11,7 @@ display form of one encoding (its coefficients and repr) at the I/O edge.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 from operator import index
 
 import numpy as np
@@ -407,18 +407,13 @@ def mult_order(spec: FieldSpec, x):
 
 # ---- quadratic extensions and subfield embeddings ----
 
-_EXT_CACHE: dict[FieldSpec, FieldSpec] = {}
-_EMBED_CACHE: dict[tuple[FieldSpec, FieldSpec], np.ndarray] = {}
-_RATIO_CACHE: dict[FieldSpec, np.ndarray] = {}
-
-
+@cache
 def quadratic_extension(spec: FieldSpec) -> FieldSpec:
     """The model of F_{q^2} used for eigenvalue computations over spec."""
-    if spec not in _EXT_CACHE:
-        _EXT_CACHE[spec] = make_field(spec.p, 2 * spec.r)
-    return _EXT_CACHE[spec]
+    return make_field(spec.p, 2 * spec.r)
 
 
+@cache
 def embedding_table(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
     """The embedding of base into ext on encodings: table[x] is the image of x.
 
@@ -428,26 +423,23 @@ def embedding_table(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
     """
     if base.p != ext.p or ext.r % base.r != 0:
         raise ValueError("no embedding: incompatible fields")
-    key = (base, ext)
-    table = _EMBED_CACHE.get(key)
-    if table is None:
-        if base == ext or base.r == 1:
-            # a constant polynomial has the same encoding in every degree
-            table = np.arange(base.q, dtype=np.int64)
-        else:
-            xs = np.arange(ext.q, dtype=np.int64)
-            acc = np.zeros(ext.q, dtype=np.int64)
-            for c in reversed(base.modulus):
-                acc = ext.add_a(ext.mul_a(acc, xs), c)
-            theta = int(np.flatnonzero(acc == 0)[0])
-            table = np.zeros(base.q, dtype=np.int64)
-            for c in reversed(base.digits(np.arange(base.q, dtype=np.int64))):
-                table = ext.add_a(ext.mul_a(table, theta), c)
-        table.flags.writeable = False
-        _EMBED_CACHE[key] = table
+    if base == ext or base.r == 1:
+        # a constant polynomial has the same encoding in every degree
+        table = np.arange(base.q, dtype=np.int64)
+    else:
+        xs = np.arange(ext.q, dtype=np.int64)
+        acc = np.zeros(ext.q, dtype=np.int64)
+        for c in reversed(base.modulus):
+            acc = ext.add_a(ext.mul_a(acc, xs), c)
+        theta = int(np.flatnonzero(acc == 0)[0])
+        table = np.zeros(base.q, dtype=np.int64)
+        for c in reversed(base.digits(np.arange(base.q, dtype=np.int64))):
+            table = ext.add_a(ext.mul_a(table, theta), c)
+    table.flags.writeable = False
     return table
 
 
+@cache
 def ratio_orders(spec: FieldSpec) -> np.ndarray:
     """table[u] for each encoding u of spec: the multiplicative order of a
     root r of X^2 - (u - 2) X + 1, that is of r with r + 1/r = u - 2.
@@ -456,18 +448,15 @@ def ratio_orders(spec: FieldSpec) -> np.ndarray:
     F_{q^2} whose logs are multiples of q + 1 or of q - 1, about 2q of them;
     r and 1/r give the same u and the same order.
     """
-    table = _RATIO_CACHE.get(spec)
-    if table is None:
-        ext = quadratic_extension(spec)
-        q, n = spec.q, ext.q - 1
-        exp = ext._tables[0]
-        e = np.concatenate(((q + 1) * np.arange(q - 1), (q - 1) * np.arange(q + 1)))
-        s = ext.add_a(exp[e], exp[(n - e) % n])
-        emb = embedding_table(spec, ext)
-        by_image = np.argsort(emb)
-        s = by_image[np.searchsorted(emb, s, sorter=by_image)]
-        table = np.zeros(q, dtype=np.int64)
-        table[spec.add_a(s, 2 % spec.p)] = n // np.gcd(e, n)
-        table.flags.writeable = False
-        _RATIO_CACHE[spec] = table
+    ext = quadratic_extension(spec)
+    q, n = spec.q, ext.q - 1
+    exp = ext._tables[0]
+    e = np.concatenate(((q + 1) * np.arange(q - 1), (q - 1) * np.arange(q + 1)))
+    s = ext.add_a(exp[e], exp[(n - e) % n])
+    emb = embedding_table(spec, ext)
+    by_image = np.argsort(emb)
+    s = by_image[np.searchsorted(emb, s, sorter=by_image)]
+    table = np.zeros(q, dtype=np.int64)
+    table[spec.add_a(s, 2 % spec.p)] = n // np.gcd(e, n)
+    table.flags.writeable = False
     return table

@@ -1,16 +1,19 @@
 """Helpers that only the tests use: seeded random subgroups, two routes
 that cross-check `enumerate_subgroups` (closures of a subgroup with one
-more element, and the 2-generated subgroup sweep), the
-group exponent and trace frequencies, unclosed wrapping of element sets,
-projective classes, projective orders by powers, traceless and
-commutator-trace counts, and the oracles below (primality by trial
-division among them)."""
+more element, and the 2-generated subgroup sweep), every constructions
+family over a field, the group exponent and trace frequencies, unclosed
+wrapping of element sets, projective classes, projective orders by powers,
+traceless and commutator-trace counts, the eigenline route to the Borel
+witness and element degrees by Frobenius powers, and the oracles below
+(primality by trial division among them)."""
 
 from collections import Counter
 from math import gcd
 
 import numpy as np
 
+from apcong import constructions
+from apcong.ffield import embedding_table, quadratic_extension
 from apcong.matgrp import (
     Mat2,
     MatGroup,
@@ -166,6 +169,93 @@ def trace_multiset(obj, label=None, i=None) -> Counter:
     else:
         items = obj
     return Counter(m.trace_i() for m in items)
+
+
+def family_groups(spec) -> list[tuple[str, MatGroup]]:
+    """Every constructions family that exists over spec, with its name."""
+    q, odd = spec.q, spec.p != 2
+    fams = ["gl2", "sl2", "borel", "unipotent", "split_cartan", "split_cartan_normalizer"]
+    if odd:
+        fams += ["nonsplit_cartan", "nonsplit_cartan_normalizer", "borel_dihedral",
+                 "quaternion_lift", "a4_lift"]
+    out = [(fam, getattr(constructions, fam)(spec)) for fam in fams]
+    for n in range(2, q + 2):
+        if (q - 1) % n == 0 or (odd and (q + 1) % n == 0):
+            out.append((f"dihedral_lift({n})", constructions.dihedral_lift(spec, n)))
+    if q == 11:
+        out.append(("a5_lift_f11", constructions.a5_lift_f11()))
+    if q == 13:
+        out.append(("s4_lift_f13", constructions.s4_lift_f13()))
+    return out
+
+
+# ---- the classifier's former scalar routes ----
+
+def _eigenlines(ext, me: tuple[int, int, int, int]) -> list[tuple[int, int]]:
+    """Invariant lines of a non-scalar matrix with entries encoded over ext,
+    each a vector with first nonzero coordinate 1, in increasing order of
+    its eigenvalue's encoding (the characteristic polynomial splits over
+    ext, a quadratic extension of the entry field)."""
+    a, b, c, d = me
+    t = ext.add_i(a, d)
+    det = ext.sub_i(ext.mul_i(a, d), ext.mul_i(b, c))
+    xs = np.arange(ext.q, dtype=np.int64)
+    charpoly = ext.add_a(ext.sub_a(ext.mul_a(xs, xs), ext.mul_a(t, xs)), det)
+    lines = []
+    for lam in np.flatnonzero(charpoly == 0).tolist():
+        if b != 0:
+            v = (b, ext.sub_i(lam, a))
+        elif c != 0:
+            v = (ext.sub_i(lam, d), c)
+        elif a == lam:
+            v = (1, 0)
+        else:
+            v = (0, 1)
+        if v[0] != 0:
+            s = ext.inv_i(v[0])
+            v = (1, ext.mul_i(v[1], s))
+        else:
+            v = (0, 1)
+        if v not in lines:
+            lines.append(v)
+    return lines
+
+
+def borel_witness_by_eigenlines(G: MatGroup):
+    """(flag, witness) as is_borel_conjugable returns them, found one line
+    at a time: the eigenlines of the least non-scalar element of G, in
+    increasing order of eigenvalue, each tested against every element of G
+    with scalar arithmetic over the quadratic extension."""
+    ext = quadratic_extension(G.spec)
+    emb = embedding_table(G.spec, ext)
+    mats = G.sorted_elements()
+    nonscalar = [m for m in mats if is_scalar(m) is None]
+    if not nonscalar:
+        return True, Mat2(ext, (1, 0, 0, 1))
+    elems = [tuple(int(emb[x]) for x in m.e) for m in mats]
+    for v in _eigenlines(ext, tuple(int(emb[x]) for x in nonscalar[0].e)):
+        stable = True
+        for a, b, c, d in elems:
+            w0 = ext.add_i(ext.mul_i(a, v[0]), ext.mul_i(b, v[1]))
+            w1 = ext.add_i(ext.mul_i(c, v[0]), ext.mul_i(d, v[1]))
+            if ext.sub_i(ext.mul_i(w0, v[1]), ext.mul_i(w1, v[0])) != 0:
+                stable = False
+                break
+        if stable:
+            u = (0, 1) if v[0] != 0 else (1, 0)
+            return True, Mat2(ext, (v[0], u[0], v[1], u[1]))
+    return False, None
+
+
+def element_degree(spec, x: int) -> int:
+    """Degree over the prime field of the element with encoding x: the
+    number of Frobenius powers x -> x^p before x returns."""
+    d = 1
+    y = spec.pow_i(x, spec.p)
+    while y != x:
+        d += 1
+        y = spec.pow_i(y, spec.p)
+    return d
 
 
 # ---- oracles that share no code with apcong's field tables or matrix kernel ----

@@ -1,8 +1,12 @@
+import random
+from math import lcm
+
 import pytest
 
 from apcong.classify import (
     ClassificationError,
     _subfield_stats,
+    _trace_field_size,
     classify_group,
     is_borel_conjugable,
     proj_order_stats,
@@ -24,9 +28,17 @@ from apcong.constructions import (
     unipotent,
 )
 from apcong.ffield import make_field
-from apcong.matgrp import enumerate_subgroups
+from apcong.matgrp import Mat2, close_group, enumerate_subgroups
 
-from helpers import commutator_trace_set, proj_classes, traceless_count
+from helpers import (
+    borel_witness_by_eigenlines,
+    commutator_trace_set,
+    element_degree,
+    family_groups,
+    proj_classes,
+    traceless_count,
+    trial_division_is_prime,
+)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -84,7 +96,6 @@ def test_borel_witness_conjugates_into_triangular():
         ext = witness.spec
         assert ext.r == 2 * G.spec.r
         from apcong.ffield import embedding_table
-        from apcong.matgrp import Mat2
         emb = embedding_table(G.spec, ext)
         pi = witness.inv()
         for g in G.elements:
@@ -104,6 +115,58 @@ def test_dihedral_not_borel_conjugable():
               quaternion_lift(F5)):
         flag, _ = is_borel_conjugable(G)
         assert not flag
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)], ids=["F2", "F3", "F4"])
+def test_borel_witness_matches_the_eigenline_route_on_every_subgroup(p, r):
+    witnesses = set()
+    for H in enumerate_subgroups(gl2(make_field(p, r))):
+        got = is_borel_conjugable(H)
+        assert got == borel_witness_by_eigenlines(H), H.codes.tolist()
+        witnesses.add(None if got[1] is None else got[1].e[:2])
+    # both witness shapes occur: the line (1, t) and the line (0, 1)
+    assert witnesses == {None, (1, 0), (0, 1)}
+
+
+def seeded_conjugate(G, rng: random.Random):
+    """h G h^-1 for a random invertible h."""
+    spec = G.spec
+    while not (h := Mat2(spec, tuple(rng.randrange(spec.q) for _ in range(4)))).det_i():
+        pass
+    hi = h.inv()
+    return close_group(spec, [h * g * hi for g in G.generators])
+
+
+FIELDS_13 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]
+
+
+@pytest.mark.parametrize("p, r", FIELDS_13, ids=[f"F{p ** r}" for p, r in FIELDS_13])
+def test_borel_witness_matches_the_eigenline_route_on_the_families(p, r):
+    rng = random.Random(100 * p + r)
+    for name, G in family_groups(make_field(p, r)):
+        for H in (G, seeded_conjugate(G, rng)):
+            assert is_borel_conjugable(H) == borel_witness_by_eigenlines(H), name
+
+
+FIELDS_256 = ([(p, 1) for p in range(2, 257) if trial_division_is_prime(p)]
+              + [(p, 2) for p in (2, 3, 5, 7, 11, 13)]
+              + [(2, 3), (3, 3), (5, 3), (2, 4), (3, 4), (2, 5), (3, 5), (2, 6), (2, 7),
+                 (2, 8)])
+
+
+@pytest.mark.parametrize("p, r", FIELDS_256, ids=[f"F{p ** r}" for p, r in FIELDS_256])
+def test_trace_field_size_matches_frobenius_degrees(p, r):
+    spec = make_field(p, r)
+    deg = [element_degree(spec, x) for x in range(spec.q)]
+    for x in range(spec.q):
+        assert _trace_field_size(spec, [x]) == p ** deg[x]
+    # each subfield F_{p^d} and each union of two of them
+    subfields = {d: [x for x in range(spec.q) if d % deg[x] == 0]
+                 for d in range(1, r + 1) if r % d == 0}
+    for xs in subfields.values():
+        for ys in subfields.values():
+            want = p ** lcm(*(deg[x] for x in xs + ys))
+            assert _trace_field_size(spec, set(xs + ys)) == want
 
 
 TRACELESS_PGL = {q: q * q for q in (3, 5, 7, 9, 13)}
@@ -192,8 +255,6 @@ def test_classification_rejects_non_groups():
 def borel_subgroup(spec):
     """<(1 1; 0 1), diag(z, 1)>: upper triangular of order q(q - 1); the
     full Borel group over F_101 already exceeds the closure guard."""
-    from apcong.matgrp import Mat2, close_group
-
     z = spec.primitive
     return close_group(spec, [Mat2(spec, (1, 1, 0, 1)), Mat2(spec, (z, 0, 0, 1))])
 

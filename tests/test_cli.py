@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,26 @@ def test_discover_modulus_xor_bound(capsys):
     assert code == 1 and "exactly one" in err
 
 
+def test_discover_modulus_far_above_the_data_is_an_error_line(capsys):
+    # the unit class M - 1 > 97 holds no sample, so nothing of size M is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "discover", "--delta", "--ell", "23",
+                         "--modulus", "1000000000000", "--pmax", "100")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_discover_bound_far_above_the_data_finishes(capsys):
+    # only the divisors up to max p + 1 are tried, never sqrt(bound) of them
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "discover", "--delta", "--ell", "23",
+                       "--bound", "1000000000000000000", "--pmax", "100")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "a_p = 0: no iff modulus divides 1000000000000000000\n" in out
+
+
 def test_discover_byte_identical(capsys):
     args = ("discover", "--delta", "--ell", "23", "--pmax", "1000",
             "--modulus", "23", "--format", "json")
@@ -345,6 +366,12 @@ def test_oracle_f4(capsys):
     code, out, _ = run(capsys, "oracle", "--field", "4")
     assert code == 0
     assert out == "checked 148 subgroups of GL_2(F_4): consistent\n"
+
+
+def test_oracle_f5(capsys):
+    code, out, _ = run(capsys, "oracle", "--field", "5")
+    assert code == 0
+    assert out == "checked 466 subgroups of GL_2(F_5): consistent\n"
 
 
 def test_oracle_rejects_large_fields(capsys):

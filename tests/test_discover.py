@@ -365,6 +365,31 @@ def test_delta_partition_keeps_its_dataset():
     assert res.checked == len(res.dataset)
 
 
+def test_a_modulus_past_the_largest_prime_is_insufficient():
+    ds = build_dataset(curve_fixtures()["338d1"], 3, 100)
+    M = int(ds.p[-1]) + 2
+    for modulus in (M, M + 1, 10 ** 30):
+        with pytest.raises(InsufficientDataError, match=f"class {modulus - 1} mod"):
+            discover_class(ds, 0, modulus)
+
+
+def test_best_modulus_matches_the_full_divisor_sweep():
+    def sweep(ds, x, bound):
+        for M in divisors(bound):
+            try:
+                e = discover_class(ds, x, M)
+            except InsufficientDataError:
+                continue
+            if e.direction == "iff":
+                return e
+        return None
+
+    ds3 = build_dataset(curve_fixtures()["338d1"], 3, 3000)
+    for bound in (312, 5 * 312, 2 ** 6 * 3 ** 4 * 13, 3001 * 39):
+        for x in range(3):
+            assert best_modulus(ds3, x, bound) == sweep(ds3, x, bound)
+
+
 def test_338d1_best_modulus_mod3():
     ds3 = build_dataset(curve_fixtures()["338d1"], 3, 3000)
     e = best_modulus(ds3, 0, 312)

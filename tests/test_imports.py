@@ -1,11 +1,14 @@
-"""Every import in the package and its tests is used, and every parameter
-of a package function is read.
+"""Every import in the package and its tests is used, every parameter of a
+package function is read, and every private module-level function of the
+package is referenced.
 
 A name bound by an import counts as used when it is read anywhere in the
 module, listed in its __all__, or named inside a string (a quoted
 annotation); imports from __future__ are exempt.  A parameter counts as
 read when its name is loaded somewhere in the function's body, nested
 functions included, so an option that the body has stopped reading fails.
+A module-level function named _name counts as referenced when some package
+module reads it as a name or an attribute or imports it.
 """
 
 import ast
@@ -77,3 +80,38 @@ def test_scan_finds_an_unread_parameter():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    defined, used = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(f"{where}: {name}" for name, where in defined.items() if name not in used)
+
+
+def test_scan_finds_an_unreferenced_private_function():
+    sources = {
+        "a": ("def _called():\n    pass\n\n\n"
+              "def _left_over():\n    pass\n\n\n"
+              "def _imported():\n    pass\n\n\n"
+              "def _read_as_attribute():\n    pass\n\n\n"
+              "def public():\n    return _called()\n"),
+        "b": "from a import _imported\nimport a\n\nf = a._read_as_attribute\n",
+    }
+    assert unreferenced_private_functions(sources) == ["a:5: _left_over"]
+
+
+def test_no_unreferenced_private_functions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC}
+    assert unreferenced_private_functions(sources) == []

@@ -17,6 +17,7 @@ from apcong.matgrp import ClosureGuardError, Mat2, close_group
 
 from helpers import (
     PolyField,
+    family_groups,
     oracle_closure,
     oracle_code,
     oracle_proj_canon,
@@ -27,24 +28,6 @@ from helpers import (
 FIELDS_13 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)]
 FIELDS_31 = FIELDS_13 + [(2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3), (29, 1),
                          (31, 1)]
-
-
-def family_groups(spec):
-    """Every constructions family that exists over spec."""
-    q, odd = spec.q, spec.p != 2
-    fams = ["gl2", "sl2", "borel", "unipotent", "split_cartan", "split_cartan_normalizer"]
-    if odd:
-        fams += ["nonsplit_cartan", "nonsplit_cartan_normalizer", "borel_dihedral",
-                 "quaternion_lift", "a4_lift"]
-    out = [(fam, getattr(constructions, fam)(spec)) for fam in fams]
-    for n in range(2, q + 2):
-        if (q - 1) % n == 0 or (odd and (q + 1) % n == 0):
-            out.append((f"dihedral_lift({n})", constructions.dihedral_lift(spec, n)))
-    if q == 11:
-        out.append(("a5_lift_f11", constructions.a5_lift_f11()))
-    if q == 13:
-        out.append(("s4_lift_f13", constructions.s4_lift_f13()))
-    return out
 
 
 @pytest.mark.parametrize("p, r", FIELDS_13, ids=[f"F{p ** r}" for p, r in FIELDS_13])
