@@ -277,22 +277,24 @@ class SemiPredictor:
     Uses only the family label plus scalar, determinant, commutator-trace
     and attained-trace data, never the coset partition, so it serves as an
     independent check of the coset computation.  predict(x) is total: it
-    returns a bool for every class x of the field.
+    returns a bool for every class x of the field.  What does not depend on
+    x is computed once here: for PSL2, A5 and PGL2 images, the set of semi
+    classes itself.
     """
 
     def __init__(self, G: MatGroup):
         self.G = G
         self.spec = G.spec
         self.cls = classify_group(G)
-        H = commutator_subgroup(G)
-        self.com_traces = H.trace_ints()
         self.scalar_ints = frozenset(G.scalars.tolist())
         # det(z l) = z^2 det(l), and <z^2 : z in Z> = <g^gcd(2k, q - 1)>
         self.det_ints = frozenset(_scalar_orbits(
             self.spec, G.rep_dets, math.gcd(2 * G.k, self.spec.q - 1)).tolist())
         self.trace_ints = G.trace_ints()
-        self._H_order = H.order
-        self._H_scalars = H.z_order
+        if self.cls.label in ("PSL2", "A5"):
+            self._semi = self._scalar_translate_semi(commutator_subgroup(G))
+        elif self.cls.label == "PGL2":
+            self._semi = self._subfield_det_semi()
 
     def predict(self, x) -> bool:
         spec = self.spec
@@ -333,38 +335,39 @@ class SemiPredictor:
             # two cosets exactly; the odd one misses +-1 unless its
             # determinant is -1
             return self.det_ints != frozenset((1, neg1))
-        if lab in ("PSL2", "A5"):
-            return self._scalar_translate_rule(xi)
-        if lab == "PGL2":
-            return self._subfield_det_rule(xi)
+        if lab in ("PSL2", "A5", "PGL2"):
+            return xi in self._semi
         raise TheoremConsistencyError(f"no semi rule for {cls.describe()}")
 
-    def _scalar_translate_rule(self, xi: int) -> bool:
-        """Projectively perfect image: cosets are scalar translates of [G, G]."""
+    def _scalar_translate_semi(self, H: MatGroup) -> frozenset[int]:
+        """Projectively perfect image: cosets are scalar translates a.[G, G],
+        and x is semi when some translate has no trace x."""
         spec = self.spec
-        if len(self.scalar_ints) * self._H_order != self.G.order * self._H_scalars:
+        if len(self.scalar_ints) * H.order != self.G.order * H.z_order:
             raise TheoremConsistencyError(
                 "scalar translates of the commutator subgroup do not exhaust "
                 f"a group classified {self.cls.describe()}")
-        return any(
-            all(spec.mul_i(a, t) != xi for t in self.com_traces)
-            for a in self.scalar_ints)
+        a = np.fromiter(self.scalar_ints, dtype=np.int64)
+        t = np.fromiter(H.trace_ints(), dtype=np.int64)
+        # hit[i, x]: the translate by a[i] has a trace x
+        hit = np.zeros((a.size, spec.q), dtype=bool)
+        hit[np.arange(a.size)[:, None], spec.mul_a(a[:, None], t[None, :])] = True
+        return frozenset(np.flatnonzero(~hit.all(axis=0)).tolist())
 
-    def _subfield_det_rule(self, xi: int) -> bool:
+    def _subfield_det_semi(self) -> frozenset[int]:
         """Image PGL2 over a subfield k: coset traces are lines z.k with
         z^2 = det modulo squares, so dets and attained traces decide."""
         spec = self.spec
         q1 = self.cls.subfield_q
-        if xi == 0:
-            # every coset contains traceless elements
-            return False
-        if any(spec.pow_i(d, q1 - 1) != 1 for d in self.det_ints):
-            # two cosets with trace lines meeting only at 0
-            return True
-        if spec.pow_i(xi, q1) == xi:
-            # x in k: missed exactly by a twisted trace line, if one occurs
-            return any(spec.pow_i(t, q1) != t for t in self.trace_ints)
-        return True
+        # every coset contains traceless elements, so 0 is never semi
+        x = np.arange(1, spec.q)
+        dets = np.fromiter(self.det_ints, dtype=np.int64)
+        t = np.fromiter(self.trace_ints, dtype=np.int64)
+        if (spec.pow_a(dets, q1 - 1) != 1).any() or (spec.pow_a(t, q1) != t).any():
+            # two cosets with trace lines meeting only at 0, or a twisted
+            # trace line, which misses every x in k
+            return frozenset(x.tolist())
+        return frozenset(x[spec.pow_a(x, q1) != x].tolist())
 
 
 # ---- theorem-level cross-checks ----------------------------------------------
@@ -597,7 +600,8 @@ def _semisimple_exponent(G: MatGroup) -> int:
     conj = tuple(emb[x] for x in split_codes(G.spec, G.reps))
     m, s = ext.mul_a, ext.add_a
     a, _, c, d = mat_product(m, s, mat_product(m, s, witness.inv().e, conj), witness.e)
-    assert not c.any(), "conjugated element is not upper triangular"
+    if c.any():
+        raise RuntimeError("conjugated element is not upper triangular")
     # the diagonal entries of z.l are z a and z d: with Z they generate the
     # group generated by a, d and Z, whose order the lcm is
     orders = mult_order(ext, unique_codes(np.concatenate((a, d)))).tolist()

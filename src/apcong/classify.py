@@ -146,12 +146,14 @@ def is_borel_conjugable(G: MatGroup):
         if route_b:
             s = int(fixed[np.argmin(lam)])
             witness = Mat2(ext, (1, 0, s, 1) if s < ext.q else (0, 1, 1, 0))
-    assert route_a == route_b, "Borel criteria disagree"
+    if route_a != route_b:
+        raise RuntimeError(f"Borel criteria disagree (commutators: {route_a}, "
+                           f"fixed lines: {route_b})")
     if route_b and G.proj.size > 1:
         pi = witness.inv()
         for ge in gens_e:
-            conj = pi * Mat2(ext, ge) * witness
-            assert conj.e[2] == 0
+            if (pi * Mat2(ext, ge) * witness).e[2] != 0:
+                raise RuntimeError("the Borel witness does not triangularise a generator")
     return route_a, witness
 
 

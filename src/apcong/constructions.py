@@ -2,8 +2,9 @@
 
 Standard families (full linear groups, Borel and Cartan subgroups and their
 normalizers, dihedral lifts) plus fixed exceptional lifts whose projective
-images are A4, S4 and A5.  Every constructor asserts the expected group
-order, so a silent generator mistake cannot propagate.
+images are A4, S4 and A5.  Every constructor checks the expected group
+order and raises RuntimeError otherwise, so a silent generator mistake
+cannot propagate.
 """
 
 from __future__ import annotations
@@ -19,15 +20,21 @@ def _mat(spec: FieldSpec, a: int, b: int, c: int, d: int) -> Mat2:
     return Mat2(spec, (a, b, c, d))
 
 
+def _checked(G: MatGroup, order: int | None = None, proj: int | None = None) -> MatGroup:
+    """G, once |G| and |PG| equal the expected values that are given."""
+    for name, got, want in (("order", G.order, order), ("projective order", G.proj.size, proj)):
+        if want is not None and got != want:
+            raise RuntimeError(f"constructed group has {name} {got}, expected {want}")
+    return G
+
+
 def gl2(spec: FieldSpec) -> MatGroup:
     """The full group GL2 over the given field."""
     q = spec.q
     gens = [_mat(spec, 1, 1, 0, 1), _mat(spec, 0, 1, 1, 0)]
     if q > 2:
         gens.append(_mat(spec, spec.primitive, 0, 0, 1))
-    G = close_group(spec, gens)
-    assert G.order == (q * q - 1) * (q * q - q)
-    return G
+    return _checked(close_group(spec, gens), order=(q * q - 1) * (q * q - q))
 
 
 def sl2(spec: FieldSpec) -> MatGroup:
@@ -41,9 +48,7 @@ def sl2(spec: FieldSpec) -> MatGroup:
             _mat(spec, 1, 0, z, 1),
             _mat(spec, z, 0, 0, spec.inv_i(z)),
         ]
-    G = close_group(spec, gens)
-    assert G.order == q**3 - q
-    return G
+    return _checked(close_group(spec, gens), order=q**3 - q)
 
 
 def borel(spec: FieldSpec) -> MatGroup:
@@ -57,9 +62,7 @@ def borel(spec: FieldSpec) -> MatGroup:
             _mat(spec, z, 0, 0, 1),
             _mat(spec, 1, 0, 0, z),
         ]
-    G = close_group(spec, gens)
-    assert G.order == q * (q - 1) ** 2
-    return G
+    return _checked(close_group(spec, gens), order=q * (q - 1) ** 2)
 
 
 def unipotent(spec: FieldSpec) -> MatGroup:
@@ -68,9 +71,7 @@ def unipotent(spec: FieldSpec) -> MatGroup:
     also over a prime field."""
     top = range(1 if spec.q == 2 else max(2, spec.r))
     gens = [_mat(spec, 1, spec.pow_i(spec.primitive, i), 0, 1) for i in top]
-    G = close_group(spec, gens)
-    assert G.order == spec.q
-    return G
+    return _checked(close_group(spec, gens), order=spec.q)
 
 
 def split_cartan(spec: FieldSpec) -> MatGroup:
@@ -80,8 +81,7 @@ def split_cartan(spec: FieldSpec) -> MatGroup:
         return close_group(spec, [])
     z = spec.primitive
     G = close_group(spec, [_mat(spec, z, 0, 0, 1), _mat(spec, 1, 0, 0, z)])
-    assert G.order == (q - 1) ** 2
-    return G
+    return _checked(G, order=(q - 1) ** 2)
 
 
 def split_cartan_normalizer(spec: FieldSpec) -> MatGroup:
@@ -91,9 +91,7 @@ def split_cartan_normalizer(spec: FieldSpec) -> MatGroup:
     if q > 2:
         z = spec.primitive
         gens += [_mat(spec, z, 0, 0, 1), _mat(spec, 1, 0, 0, z)]
-    G = close_group(spec, gens)
-    assert G.order == max(2, 2 * (q - 1) ** 2)
-    return G
+    return _checked(close_group(spec, gens), order=max(2, 2 * (q - 1) ** 2))
 
 
 def _nonsquare_int(spec: FieldSpec) -> int:
@@ -123,9 +121,7 @@ def nonsplit_cartan(spec: FieldSpec) -> MatGroup:
     for ell in factorize(q * q - 1):
         full = full & (ext.pow_a(z, (q * q - 1) // ell) != 1)
     a, b = int(a[full][0]), int(b[full][0])
-    G = close_group(spec, [_mat(spec, a, spec.mul_i(b, D), b, a)])
-    assert G.order == q * q - 1
-    return G
+    return _checked(close_group(spec, [_mat(spec, a, spec.mul_i(b, D), b, a)]), order=q * q - 1)
 
 
 def nonsplit_cartan_normalizer(spec: FieldSpec) -> MatGroup:
@@ -133,9 +129,7 @@ def nonsplit_cartan_normalizer(spec: FieldSpec) -> MatGroup:
     C = nonsplit_cartan(spec)
     q = spec.q
     flip = _mat(spec, 1, 0, 0, spec.neg_i(1))
-    G = close_group(spec, list(C.generators) + [flip])
-    assert G.order == 2 * (q * q - 1)
-    return G
+    return _checked(close_group(spec, list(C.generators) + [flip]), order=2 * (q * q - 1))
 
 
 def dihedral_lift(spec: FieldSpec, n: int) -> MatGroup:
@@ -151,8 +145,7 @@ def dihedral_lift(spec: FieldSpec, n: int) -> MatGroup:
         z = spec.primitive
         w = spec.pow_i(z, (q - 1) // n)
         G = close_group(spec, [_mat(spec, w, 0, 0, 1), _mat(spec, 0, 1, 1, 0)])
-        assert G.proj.size == 2 * n
-        return G
+        return _checked(G, proj=2 * n)
     if spec.p != 2 and (q + 1) % n == 0:
         # the nonsplit torus maps onto a cyclic group of order q+1 in PGL2,
         # so the (q+1)/n power of a generator has projective order exactly n
@@ -162,9 +155,7 @@ def dihedral_lift(spec: FieldSpec, n: int) -> MatGroup:
         for _ in range(((q + 1) // n) - 1):
             w = w * g
         flip = _mat(spec, 1, 0, 0, spec.neg_i(1))
-        G = close_group(spec, [w, flip])
-        assert G.proj.size == 2 * n
-        return G
+        return _checked(close_group(spec, [w, flip]), proj=2 * n)
     raise ValueError(f"no dihedral group of order {2 * n} available over q={q}")
 
 
@@ -177,8 +168,7 @@ def borel_dihedral(spec: FieldSpec) -> MatGroup:
     if spec.p == 2:
         raise ValueError("requires odd characteristic")
     G = close_group(spec, [_mat(spec, 1, 1, 0, 1), _mat(spec, 1, 0, 0, spec.neg_i(1))])
-    assert G.proj.size == 2 * spec.p
-    return G
+    return _checked(G, proj=2 * spec.p)
 
 
 def quaternion_lift(spec: FieldSpec) -> MatGroup:
@@ -192,9 +182,7 @@ def quaternion_lift(spec: FieldSpec) -> MatGroup:
     x, y = divmod(int(hit[0]), spec.q)
     i = _mat(spec, x, y, y, spec.neg_i(x))
     j = _mat(spec, 0, 1, spec.neg_i(1), 0)
-    G = close_group(spec, [i, j])
-    assert G.order == 8
-    return G
+    return _checked(close_group(spec, [i, j]), order=8)
 
 
 def a4_lift(spec: FieldSpec) -> MatGroup:
@@ -214,10 +202,7 @@ def a4_lift(spec: FieldSpec) -> MatGroup:
         for t in range(4)
     )
     omega = Mat2(spec, entries)
-    G = close_group(spec, [i, j, omega])
-    assert G.order == 24
-    assert G.proj.size == 12
-    return G
+    return _checked(close_group(spec, [i, j, omega]), order=24, proj=12)
 
 
 def s4_lift_f13() -> MatGroup:
@@ -229,14 +214,10 @@ def s4_lift_f13() -> MatGroup:
         _mat(spec, 2, 3, 2, 10),
         _mat(spec, 6, 0, 0, 9),
     ]
-    G = close_group(spec, gens)
-    assert G.proj.size == 24
-    return G
+    return _checked(close_group(spec, gens), proj=24)
 
 
 def a5_lift_f11() -> MatGroup:
     """A fixed group over F_11 whose projective image is A5."""
     spec = make_field(11)
-    G = close_group(spec, [_mat(spec, 2, 0, 0, 6), _mat(spec, 7, 2, 7, 4)])
-    assert G.proj.size == 60
-    return G
+    return _checked(close_group(spec, [_mat(spec, 2, 0, 0, 6), _mat(spec, 7, 2, 7, 4)]), proj=60)

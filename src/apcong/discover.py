@@ -549,7 +549,8 @@ def synthetic_model(G: MatGroup) -> SyntheticModel:
             powers.append(j)
             j = mul[j][c]
         span = {mul[s][t] for s in span for t in powers}
-    assert len(span) == k, "coset group not generated by generator classes"
+    if len(span) != k:
+        raise RuntimeError("coset group not generated by generator classes")
 
     qs, avoid = [], set()
     orders = [order_of(c) for c in chosen]

@@ -169,7 +169,8 @@ def ap_point_count(E: EllipticCurve, p: int) -> int:
     if not E.has_good_reduction(p):
         raise ValueError(f"bad reduction at {p} for {E.label}")
     ap = int(_ap_kernel(E, np.array([p], dtype=np.int64))[0])
-    assert ap * ap <= 4 * p, f"Hasse bound violated: a_{p} = {ap}"
+    if ap * ap > 4 * p:
+        raise RuntimeError(f"Hasse bound violated: a_{p} = {ap}")
     return ap
 
 

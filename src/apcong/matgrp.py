@@ -15,8 +15,11 @@ The scalars act in closed form, tr(z l) = z tr(l) and det(z l) = z^2
 det(l), so traces, determinants, cosets and orders are read from the
 classes.  The closure is a frontier search over classes (`_close`).  The
 cosets of a subgroup H are the cosets of PH in PG plus a coordinate in
-Z/(Z ∩ H) (`coset_split`).  `MatGroup.codes`, the views aligned with it
-and `coset_label` expand G on request, for small groups only.
+Z/(Z ∩ H) (`coset_split`).  When G contains SL_2(F_q), q > 3, its
+commutator subgroup SL_2(F_q) is read off the classes of determinant 1
+with no products; any other G closes the commutators of its generators.
+`MatGroup.codes`, the views aligned with it and `coset_label` expand G
+on request, for small groups only.
 The projective image PG is read off the group: proj and class_orders.
 The module constant CLOSURE_GUARD bounds the number of stored classes
 |PG|, so GL_2(F_q) closes up to q = 97.  Codes need q^4 < 2^63: a larger
@@ -416,15 +419,59 @@ def generating_set(G: MatGroup) -> list[Mat2]:
 def commutator_subgroup(G: MatGroup) -> MatGroup:
     """[G, G]: the subgroup generated by all commutators xyx^-1y^-1.
 
-    Computed as the normal closure of the commutators of a generating set,
-    which equals the full commutator subgroup; each element is verified to
-    have determinant 1.  A commutator does not depend on the lifts, since
-    [zx, z'y] = [x, y] for scalars z, z'.
+    When G contains SL_2(F_q) and q > 3, [G, G] = G ∩ SL_2 = SL_2(F_q),
+    since SL_2(F_q) is perfect (Huppert, Endliche Gruppen I, ch. II), and it
+    is read off G's classes with no products (`_sl2_read_off`).  Any other
+    G takes the normal closure of the commutators of a generating set,
+    which equals the full commutator subgroup.  Either way every element is
+    verified to have determinant 1.  A commutator does not depend on the
+    lifts, since [zx, z'y] = [x, y] for scalars z, z'.
     """
     return G.memo(_commutator_subgroup)
 
 
 def _commutator_subgroup(G: MatGroup) -> MatGroup:
+    H = _sl2_read_off(G)
+    if H is None:
+        H = _commutator_closure(G)
+    # det(z l) = z^2 det(l): every det is 1 when the lifts have det 1 and z^2 = 1
+    if (H.rep_dets != 1).any() or (2 * H.k) % (G.spec.q - 1):
+        raise RuntimeError("commutator subgroup contains det != 1 element")
+    return H
+
+
+def _sl2_read_off(G: MatGroup) -> MatGroup | None:
+    """K = G ∩ SL_2 when it is all of SL_2(F_q) and q > 3, else None.
+
+    The element z.reps[i], z = g^(k j) in Z, has det g^(2 k j + ld_i) with
+    ld_i = log det reps[i], so class i meets SL_2 iff gcd(2k, q - 1) = k w
+    divides ld_i, w = |Z ∩ {±1}| = gcd(2, |Z|), and then in w elements.
+    The lift of class i in K is lift_i - k j for the j with 2 j = ld_i / k
+    mod |Z|, and Z ∩ K = Z ∩ {±1} = <g^((q - 1) / w)>.
+    """
+    spec, q = G.spec, G.spec.q
+    if q <= 3 or G.proj.size < q * (q * q - 1) // math.gcd(2, q - 1):
+        return None  # |PG| < |PSL_2(F_q)|
+    n, z = q - 1, G.z_order
+    w = math.gcd(2, z)
+    ld = spec._tables[1][G.rep_dets]
+    meets = ld % (G.k * w) == 0
+    if np.count_nonzero(meets) * w != q * (q * q - 1):
+        return None
+    # 2 j = m mod |Z|: halve m when |Z| is even (m is then even), else
+    # multiply by the inverse (|Z| + 1) / 2 of 2
+    m = ld[meets] // G.k % z
+    j = m // 2 if w == 2 else m * ((z + 1) // 2) % z
+    lift = (G.lift[meets] - G.k * j) % (n // w)
+    # the upper and lower unipotents with entries g^i, i < r, an F_p-basis
+    # of F_q, generate SL_2(F_q)
+    powers = spec._tables[0][:spec.r].tolist()
+    gens = tuple(Mat2(spec, e) for s in powers for e in ((1, s, 0, 1), (1, 0, s, 1)))
+    return MatGroup(spec, G.proj[meets], lift, n // w, gens)
+
+
+def _commutator_closure(G: MatGroup) -> MatGroup:
+    """[G, G] as the normal closure of the commutators of G's generators."""
     spec = G.spec
     g = _codes_of(generating_set(G))
     gi = _join(spec, *_inv4(spec, *split_codes(spec, g)))
@@ -440,12 +487,8 @@ def _commutator_subgroup(G: MatGroup) -> MatGroup:
         conj = mul_codes(spec, mul_codes(spec, g[:, None], seeds[None, :]), gi[:, None])
         new = unique_codes(conj[~_contains(H, conj)])
         if not new.size:
-            break
+            return H
         seeds = np.concatenate((seeds, new))
-    # det(z l) = z^2 det(l): every det is 1 when the lifts have det 1 and z^2 = 1
-    if (H.rep_dets != 1).any() or (2 * H.k) % (spec.q - 1):
-        raise RuntimeError("commutator subgroup contains det != 1 element")
-    return H
 
 
 def coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
@@ -561,6 +604,20 @@ def _table_join(T: np.ndarray, H: np.ndarray, gens: list[int], g: int) -> np.nda
     return K
 
 
+def _cayley_table(spec: FieldSpec, codes: np.ndarray, block: int = 1 << 16) -> np.ndarray:
+    """T[i, j], the index in the sorted codes of codes[i] codes[j], filled
+    in blocks of rows of about `block` products each."""
+    n = codes.size
+    T = np.empty((n, n), dtype=np.int64)
+    step = max(1, block // n)
+    for i in range(0, n, step):
+        prod = mul_codes(spec, codes[i:i + step, None], codes[None, :])
+        T[i:i + step] = np.minimum(np.searchsorted(codes, prod), n - 1)
+        if (codes[T[i:i + step]] != prod).any():
+            raise RuntimeError("the Cayley table leaves G; closure is broken")
+    return T
+
+
 def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
     """All subgroups of G, sorted by (order, codes), found on G's Cayley table.
 
@@ -575,15 +632,12 @@ def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
     MatGroups, through one close_group each, checked against their mask.
 
     T holds |G|^2 int64 (1.8 MB for GL_2(F_5), |G| = 480; 32 MB for
-    GL_2(F_7)), and building it takes about seven times that at its peak;
+    GL_2(F_7)), built in row blocks so that the peak stays near T itself;
     the number of joins grows with the lattice.  Meant for ambient groups
     of order up to about 10^3, such as GL_2(F_q), q <= 5.
     """
     spec, codes, n = G.spec, G.codes, G.order
-    prod = mul_codes(spec, codes[:, None], codes[None, :])
-    T = np.minimum(np.searchsorted(codes, prod), n - 1)
-    if (codes[T] != prod).any():
-        raise RuntimeError("the Cayley table leaves G; closure is broken")
+    T = _cayley_table(spec, codes)
     e = int(np.searchsorted(codes, identity(spec).encode()))
     cyclic = _cyclic_labels(T, e)
     trivial = np.arange(n) == e

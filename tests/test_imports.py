@@ -8,7 +8,8 @@ annotation); imports from __future__ are exempt.  A parameter counts as
 read when its name is loaded somewhere in the function's body, nested
 functions included, so an option that the body has stopped reading fails.
 A module-level function named _name counts as referenced when some package
-module reads it as a name or an attribute or imports it.
+module reads it as a name or an attribute or imports it.  The package holds
+no assert statement, since `python -O` would skip its check.
 """
 
 import ast
@@ -115,3 +116,22 @@ def test_scan_finds_an_unreferenced_private_function():
 def test_no_unreferenced_private_functions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC}
     assert unreferenced_private_functions(sources) == []
+
+
+def assert_statements(source: str) -> list[str]:
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_scan_finds_an_assert_statement():
+    src = ("def f(x):\n"
+           "    if x < 0:\n"
+           "        raise ValueError('negative')\n"
+           "    assert x != 3, 'three'\n"
+           "    return 'assert x'\n")
+    assert assert_statements(src) == ["line 4"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text(encoding="utf-8")) == []

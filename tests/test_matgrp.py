@@ -2,11 +2,13 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apcong import matgrp
+from apcong.abelian import analyze_group
 from apcong.constructions import (
     a4_lift,
     borel,
@@ -238,6 +240,76 @@ def test_commutator_subgroup_vs_brute_force(G):
     assert all(m.det_i() == 1 for m in K.elements)
 
 
+READ_OFF_QS = {4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2), 11: (11, 1),
+               13: (13, 1), 16: (2, 4), 25: (5, 2), 27: (3, 3)}
+
+
+def sl2_overgroups(spec):
+    """Generators of SL_2 plus, in turn: nothing; diag(z^d, 1) for the
+    least and the largest proper divisor d of q - 1 and for d = 1 (an
+    intermediate det image, and GL_2); the scalar z; and diag(z^d, 1)
+    with the scalar z^2.  z is the primitive element."""
+    q, z = spec.q, spec.primitive
+    base = list(sl2(spec).generators)
+    ds = [d for d in range(2, q - 1) if (q - 1) % d == 0]
+    diag = [Mat2(spec, (spec.pow_i(z, d), 0, 0, 1)) for d in sorted({1, *ds[:1], *ds[-1:]})]
+    z2 = spec.mul_i(z, z)
+    return ([base] + [base + [m] for m in diag] + [base + [Mat2(spec, (z, 0, 0, z))]]
+            + [base + [m, Mat2(spec, (z2, 0, 0, z2))] for m in diag])
+
+
+@pytest.mark.parametrize("q", sorted(READ_OFF_QS))
+def test_sl2_read_off_matches_the_closure_route(q):
+    spec = make_field(*READ_OFF_QS[q])
+    rng = np.random.default_rng(q)
+    for gens in sl2_overgroups(spec):
+        h = Mat2(spec, (0, 0, 0, 0))
+        while not h.det_i():
+            h = Mat2(spec, tuple(int(x) for x in rng.integers(0, q, size=4)))
+        hi = h.inv()
+        for G in (close_group(spec, gens), close_group(spec, [h * g * hi for g in gens])):
+            K = matgrp._sl2_read_off(G)
+            assert K is not None and K.order == q * (q * q - 1)
+            assert K == matgrp._commutator_closure(G) == commutator_subgroup(G)
+            assert K.is_subgroup_of(G)
+            assert close_group(spec, K.generators) == K
+
+
+@pytest.mark.parametrize("G", [
+    gl2(F2), gl2(F3), sl2(F3), borel(F7), borel(make_field(17)),
+    split_cartan_normalizer(make_field(13)), nonsplit_cartan_normalizer(make_field(13)),
+])
+def test_small_fields_and_small_images_take_the_closure_route(G, monkeypatch):
+    assert matgrp._sl2_read_off(G) is None
+    calls = []
+    closure = matgrp._commutator_closure
+
+    def counted(H):
+        calls.append(1)
+        return closure(H)
+
+    monkeypatch.setattr(matgrp, "_commutator_closure", counted)
+    # a fresh group, so that no earlier test has memoised its [G, G]
+    assert commutator_subgroup(close_group(G.spec, G.generators)) == closure(G)
+    assert len(calls) == 1
+
+
+def test_analyze_gl2_f17_closes_only_the_group(monkeypatch):
+    spec = make_field(17)
+    doc = group_to_json(gl2(spec))
+    calls = []
+    close = matgrp._close
+
+    def counted(*args):
+        calls.append(1)
+        return close(*args)
+
+    monkeypatch.setattr(matgrp, "_close", counted)
+    report = analyze_group(group_from_json(doc))
+    assert report.dickson.describe() == "PGL2(17)" and report.theorem_consistent
+    assert len(calls) == 1
+
+
 def test_commutator_of_abelian_is_trivial():
     for G in (split_cartan(F5), nonsplit_cartan(F7), unipotent(F7)):
         assert commutator_subgroup(G).order == 1
@@ -284,6 +356,17 @@ def test_cyclic_subgroups_found_match_the_closed_form(spec, count):
     cyclic = sum(Fraction(1, phi(o)) for o in order.values())
     assert cyclic.denominator == 1
     assert sum(max(order[c] for c in H.codes.tolist()) == H.order for H in subs) == cyclic
+
+
+@pytest.mark.parametrize("spec", [F3, F4])
+def test_cayley_table_in_row_blocks_equals_the_one_shot_table(spec):
+    codes = gl2(spec).codes
+    prod = matgrp.mul_codes(spec, codes[:, None], codes[None, :])
+    T = np.searchsorted(codes, prod)
+    assert np.array_equal(codes[T], prod)
+    # 7 rows a block leaves a short last block (48 and 180 rows)
+    for block in (7 * codes.size, 1 << 16):
+        assert np.array_equal(matgrp._cayley_table(spec, codes, block), T)
 
 
 def test_enumerate_subgroups_closes_once_per_subgroup(monkeypatch):
