@@ -35,6 +35,7 @@ from .classify import DicksonClass, classify_group
 from .ffield import FieldSpec, embedding_table, factorize, is_prime, mult_order
 from .matgrp import (
     MatGroup,
+    _is_sl2,
     _scalar_orbits,
     commutator_subgroup,
     coset_label,
@@ -89,7 +90,20 @@ def coset_traces(G: MatGroup) -> CosetTraces:
 
 
 def _coset_traces(G: MatGroup) -> CosetTraces:
+    """The coset traces, in closed form when [G, G] = SL_2(F_q): each coset
+    is then a whole determinant fibre {det = d} of GL_2, which holds
+    (t -d; 1 0) of trace t for every t, so every coset has every trace."""
     H = commutator_subgroup(G)
+    if _is_sl2(H):
+        q, n = G.spec.q, G.order // H.order
+        return CosetTraces(G, H, np.repeat(np.arange(n), q), np.tile(np.arange(q), n),
+                           np.full(n, -1), np.full(q, -1), np.full(q, -1),
+                           np.ones(q, dtype=bool))
+    return _class_coset_traces(G, H)
+
+
+def _class_coset_traces(G: MatGroup, H: MatGroup) -> CosetTraces:
+    """The coset traces read off the (coset, trace) pairs of G's classes."""
     label, shift, m = coset_split(G, H)
     spec = G.spec
     q, kh, n = spec.q, H.k, (int(label.max()) + 1) * m

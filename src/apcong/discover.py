@@ -25,7 +25,6 @@ from .eigendata import (
     build_dataset,
     curve_dataset,
     delta_coeffs,
-    quadform_represents,
 )
 from .ffield import is_prime, kronecker, legendre, make_field
 from .matgrp import MatGroup, generating_set, identity, mul_codes
@@ -382,7 +381,8 @@ def verify_fixture_tables(
 
     if "338d1" in curves:
         ds2 = dataset("338d1", 2)
-        sym = np.array([legendre(-26, p) for p in ds2.p.tolist()], dtype=np.int64)
+        # the mod-2 primes are odd and prime to 26, where (-26/p) is Legendre's
+        sym = kronecker_column(-26, ds2.p)
         odd = (sym == -1) & (ds2.a != 0)
         v = [f"p={p}" for p in ds2.p[odd].tolist()]
         add(ds2, "338d1", "disc-symbol forces even a_p", v)
@@ -459,20 +459,25 @@ class PartitionResult:
         return not self.violations
 
 
+def x2_plus_23y2(n_max: int) -> np.ndarray:
+    """The mask over 0..n_max of the n = x^2 + 23 y^2, x, y >= 0: one
+    broadcast of the squares against 23 times the squares."""
+    x = np.arange(math.isqrt(n_max) + 1) ** 2
+    n = x[:, None] + 23 * x[None, :math.isqrt(n_max // 23) + 1]
+    out = np.zeros(n_max + 1, dtype=bool)
+    out[n[n <= n_max]] = True
+    return out
+
+
 def delta_partition_check(p_max: int = 10_000) -> PartitionResult:
     """tau(p) mod 23 is 0 / 2 / -1 according to (-23/p) = -1, p = x^2+23y^2,
     otherwise; checked for every prime p <= p_max except 23."""
     ds = build_dataset(delta_coeffs(p_max, 23), 23, p_max, level=1, label="delta")
-    violations = []
-    for p, got in zip(ds.p.tolist(), ds.a.tolist()):
-        if kronecker(-23, p) == -1:
-            want = 0
-        elif quadform_represents(p, 1, 0, 23):
-            want = 2
-        else:
-            want = 22
-        if got != want:
-            violations.append(f"p={p}: tau={got}, expected {want}")
+    want = np.where(kronecker_column(-23, ds.p) == -1, 0,
+                    np.where(x2_plus_23y2(p_max)[ds.p], 2, 22))
+    bad = np.flatnonzero(ds.a != want)
+    violations = [f"p={p}: tau={got}, expected {w}" for p, got, w in
+                  zip(ds.p[bad].tolist(), ds.a[bad].tolist(), want[bad].tolist())]
     return PartitionResult(len(ds), tuple(violations), ds)
 
 

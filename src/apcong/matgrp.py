@@ -15,9 +15,16 @@ The scalars act in closed form, tr(z l) = z tr(l) and det(z l) = z^2
 det(l), so traces, determinants, cosets and orders are read from the
 classes.  The closure is a frontier search over classes (`_close`).  The
 cosets of a subgroup H are the cosets of PH in PG plus a coordinate in
-Z/(Z ∩ H) (`coset_split`).  When G contains SL_2(F_q), q > 3, its
-commutator subgroup SL_2(F_q) is read off the classes of determinant 1
-with no products; any other G closes the commutators of its generators.
+Z/(Z ∩ H) (`coset_split`).
+
+A G that contains SL_2(F_q), q > 3, is the determinant preimage
+det^-1(<det of its generators>), built from the canonical classes of
+PGL_2(F_q) with no products (`_det_preimage`).  The search returns it as
+soon as it has found more classes than a subgroup without PSL_2(F_q) can
+have (Dickson's bound).  For such G, [G, G] = SL_2(F_q) is det^-1(1) and
+its cosets are read off the determinants.  Smaller groups take the full
+search, close the commutators of their generators and split their cosets
+by products.
 `MatGroup.codes`, the views aligned with it and `coset_label` expand G
 on request, for small groups only.
 The projective image PG is read off the group: proj and class_orders.
@@ -130,6 +137,14 @@ def unique_codes(x) -> np.ndarray:
     return x[keep]
 
 
+def _dickson_bound(q: int) -> float:
+    """The most classes a subgroup of PGL_2(F_q), q > 3, can have without
+    containing PSL_2(F_q): max(q (q - 1), 60), the Borel group or A_5
+    (Dickson; Huppert, Endliche Gruppen I, II.8.27).  Infinite for q <= 3,
+    where SL_2(F_q) is not perfect and the search always runs to the end."""
+    return max(q * (q - 1), 60) if q > 3 else math.inf
+
+
 def _close(spec: FieldSpec, gens: np.ndarray):
     """The subgroup generated by the codes gens, as (proj, lift, k); more
     than CLOSURE_GUARD classes raise ClosureGuardError.
@@ -140,8 +155,14 @@ def _close(spec: FieldSpec, gens: np.ndarray):
     (class, generator) reaches a class with some lift; the ratio to that
     class's kept lift is a scalar of G, a Schreier generator of Z, so k is
     the gcd of q - 1 and all the lift differences.
+
+    Once the search holds more than _dickson_bound(q) classes, PG contains
+    PSL_2(F_q), so G contains [G, G] ⊇ SL_2(F_q) (perfect for q > 3) and is
+    det^-1(det G): the search stops and G is read off the determinants of
+    the generators (`_sl2_overgroup`).
     """
     n = spec.q - 1
+    bound = _dickson_bound(spec.q)
     exp, log = spec._tables
     # the products on logs of entries: each entry's log is read once
     gen_logs = tuple(log[e] for e in split_codes(spec, gens[None, :]))
@@ -175,7 +196,59 @@ def _close(spec: FieldSpec, gens: np.ndarray):
         proj, lift = merged[at], np.concatenate((lift, new_lift))[at]
         queue = np.concatenate((queue[batch:], new))
         queue_lift = np.concatenate((queue_lift[batch:], new_lift))
+        if proj.size > bound:
+            return _sl2_overgroup(spec, gens, proj, lift)
     return proj, lift % k, k
+
+
+def _sl2_overgroup(spec: FieldSpec, gens: np.ndarray, proj: np.ndarray, lift: np.ndarray):
+    """det^-1(<det gens>) as (proj, lift, k), once the classes proj with
+    the unreduced lifts lift, found by the search, prove it contains
+    SL_2(F_q); each of them is checked to lie in it."""
+    log = spec._tables[1]
+    e = math.gcd(spec.q - 1, *log[_det4(spec, *split_codes(spec, gens))].tolist())
+    P, L, k = _det_preimage(spec, e)
+    i = np.minimum(np.searchsorted(P, proj), P.size - 1)
+    if not ((P[i] == proj) & ((lift - L[i]) % k == 0)).all():
+        raise RuntimeError("the search left det^-1(det G); closure is broken")
+    return P, L, k
+
+
+def _det_preimage(spec: FieldSpec, e: int):
+    """(proj, lift, k) of det^-1(<g^e>), e dividing q - 1, with no products.
+
+    The canonical classes of PGL_2(F_q) are (0 1; c d) and (1 b; c d), in
+    code order of their top rows (0, 1) < (1, 0) < ... < (1, q - 1).  The
+    scalar g^t puts class c, of ld = log det c, in G iff 2 t + ld = 0 mod e,
+    so with w = gcd(2, e) the classes are those with w | ld, Z = <g^(e/w)>
+    and the lift solves 2 t = -ld mod e.  Each top row holds q (q - 1) / w
+    classes, since (c, d) -> a d - b c takes every value q times; the rows
+    are built a block at a time, so that no temporary has q^3 entries.
+    CLOSURE_GUARD bounds |PG| before anything is built.
+    """
+    q = spec.q
+    w = math.gcd(2, e)
+    size, per = q * (q * q - 1) // w, q * (q - 1) // w
+    if size > CLOSURE_GUARD:
+        raise ClosureGuardError(f"closure exceeded guard {CLOSURE_GUARD}")
+    log = spec._tables[1]
+    x = np.arange(q, dtype=np.int64)
+    a, b = np.append(0, np.ones(q, dtype=np.int64)), np.append(1, x)
+    proj, ld = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    step = max(1, 2 ** 16 // (q * q))
+    for i in range(0, q + 1, step):
+        top = slice(i, i + step)
+        # ld[row, c, d] = log det, log 0 = 2 (q - 1) marking the singular ones
+        det = spec.sub_a(spec.mul_a(a[top, None], x)[:, None, :],
+                         spec.mul_a(b[top, None], x)[:, :, None])
+        logs = log[det]
+        keep = (logs < q - 1) & (logs % w == 0)
+        out = slice(i * per, (i + step) * per)
+        proj[out] = _join(spec, a[top, None, None], b[top, None, None], x[:, None], x)[keep]
+        ld[out] = logs[keep]
+    k = e // w
+    # t = -ld / 2: halve when w = 2, else times the inverse (e + 1) / 2 of 2
+    return proj, -(ld // 2 if w == 2 else ld * ((e + 1) // 2)) % k, k
 
 
 # ---- matrices at the edges ----
@@ -446,28 +519,29 @@ def _sl2_read_off(G: MatGroup) -> MatGroup | None:
     The element z.reps[i], z = g^(k j) in Z, has det g^(2 k j + ld_i) with
     ld_i = log det reps[i], so class i meets SL_2 iff gcd(2k, q - 1) = k w
     divides ld_i, w = |Z ∩ {±1}| = gcd(2, |Z|), and then in w elements.
-    The lift of class i in K is lift_i - k j for the j with 2 j = ld_i / k
-    mod |Z|, and Z ∩ K = Z ∩ {±1} = <g^((q - 1) / w)>.
+    When these make up all of SL_2(F_q), K is det^-1(1), built by
+    _det_preimage.
     """
     spec, q = G.spec, G.spec.q
     if q <= 3 or G.proj.size < q * (q * q - 1) // math.gcd(2, q - 1):
         return None  # |PG| < |PSL_2(F_q)|
-    n, z = q - 1, G.z_order
-    w = math.gcd(2, z)
+    w = math.gcd(2, G.z_order)
     ld = spec._tables[1][G.rep_dets]
-    meets = ld % (G.k * w) == 0
-    if np.count_nonzero(meets) * w != q * (q * q - 1):
+    if np.count_nonzero(ld % (G.k * w) == 0) * w != q * (q * q - 1):
         return None
-    # 2 j = m mod |Z|: halve m when |Z| is even (m is then even), else
-    # multiply by the inverse (|Z| + 1) / 2 of 2
-    m = ld[meets] // G.k % z
-    j = m // 2 if w == 2 else m * ((z + 1) // 2) % z
-    lift = (G.lift[meets] - G.k * j) % (n // w)
     # the upper and lower unipotents with entries g^i, i < r, an F_p-basis
     # of F_q, generate SL_2(F_q)
     powers = spec._tables[0][:spec.r].tolist()
     gens = tuple(Mat2(spec, e) for s in powers for e in ((1, s, 0, 1), (1, 0, s, 1)))
-    return MatGroup(spec, G.proj[meets], lift, n // w, gens)
+    return MatGroup(spec, *_det_preimage(spec, q - 1), gens)
+
+
+def _is_sl2(H: MatGroup) -> bool:
+    """Whether H is all of SL_2(F_q), q > 3: |H| = q (q^2 - 1) and every
+    element has det 1 (the lifts have det 1 and the scalars are ±1)."""
+    q = H.spec.q
+    return (q > 3 and H.order == q * (q * q - 1) and (2 * H.k) % (q - 1) == 0
+            and not (H.rep_dets != 1).any())
 
 
 def _commutator_closure(G: MatGroup) -> MatGroup:
@@ -496,7 +570,10 @@ def coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
 
     label[i] is the coset of PH in PG that holds class i, numbered by least
     canonical code; m = |Z : Z ∩ H|; the element g^(k j).reps[i] lies in
-    the coset label[i] m + (shift[i] + j) mod m of H.
+    the coset label[i] m + (shift[i] + j) mod m of H.  For H = SL_2(F_q),
+    q > 3, the coset of an element is its determinant, so label and shift
+    are read off the determinants (`_det_split`); any other H multiplies
+    classes of G by PH (`_product_split`).
     """
     if not H.is_subgroup_of(G):  # also false over another field
         raise ValueError("H is not a subgroup of G")
@@ -504,6 +581,37 @@ def coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
+    label, shift = _det_split(G) if _is_sl2(H) else _product_split(G, H)
+    if np.bincount(label).tolist() != [H.proj.size] * (int(label.max()) + 1):
+        raise RuntimeError("cosets do not partition G")
+    label.flags.writeable = False
+    shift.flags.writeable = False
+    return label, shift, H.k // G.k
+
+
+def _det_split(G: MatGroup) -> tuple[np.ndarray, np.ndarray]:
+    """label and shift for H = SL_2(F_q), read off the determinants.
+
+    PH = PSL_2(F_q) holds the classes of square determinant, so a class's
+    coset of PH is log det reps[i] = ld_i mod gcd(2, q - 1), numbered by
+    least class.  The coset of H holding an element is its determinant, so
+    reps[i] lies in g^(k t).reps[base].H, base the least class of its
+    coset of PH, for the t in [0, m) with 2 k t = ld_i - ld_base mod q - 1.
+    """
+    n = G.spec.q - 1
+    ld = G.spec._tables[1][G.rep_dets]
+    parity = ld % math.gcd(2, n)
+    label = (parity != parity[0]).astype(np.int64)
+    diff = (ld - np.where(label, ld[np.argmax(label)], ld[0])) % n
+    # halve: diff is even when n is, else times the inverse (n + 1) / 2 of 2
+    shift, rest = np.divmod(diff // 2 if n % 2 == 0 else diff * ((n + 1) // 2) % n, G.k)
+    if rest.any():
+        raise RuntimeError("cosets do not partition G")
+    return label, shift
+
+
+def _product_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray]:
+    """label and shift by products: each least unlabelled class times PH."""
     spec = G.spec
     label = np.full(G.proj.size, -1, dtype=np.int64)
     shift = np.zeros(G.proj.size, dtype=np.int64)
@@ -526,11 +634,7 @@ def _coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]
         # Z/(Z ∩ H), Z ∩ H = <g^(H.k)>, is the shift of class c
         shift[pos] = (G.lift[pos] - lead) % H.k // G.k
         count += first.size
-    if np.bincount(label).tolist() != [H.proj.size] * count:
-        raise RuntimeError("cosets do not partition G")
-    label.flags.writeable = False
-    shift.flags.writeable = False
-    return label, shift, H.k // G.k
+    return label, shift
 
 
 def coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:

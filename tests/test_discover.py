@@ -26,6 +26,7 @@ from apcong.discover import (
     verify_class_rule,
     verify_fixture_tables,
     verify_trace_menu,
+    x2_plus_23y2,
 )
 from apcong.eigendata import (
     ApDataset,
@@ -34,6 +35,7 @@ from apcong.eigendata import (
     curve_fixtures,
     delta_coeffs,
     primes_upto,
+    quadform_represents,
 )
 from apcong.ffield import kronecker, legendre, make_field
 from apcong.matgrp import close_group, identity
@@ -363,6 +365,43 @@ def test_delta_partition_keeps_its_dataset():
     res = delta_partition_check(300)
     assert res.dataset.samples == delta_ds(300).samples
     assert res.checked == len(res.dataset)
+
+
+def test_the_338d1_mod_2_primes_read_kronecker_as_legendre():
+    ds2 = build_dataset(curve_fixtures()["338d1"], 2, 3000)
+    assert ds2.p.min() > 2 and not (ds2.p % 13 == 0).any()
+    assert kronecker_column(-26, ds2.p).tolist() == [legendre(-26, p) for p in ds2.p.tolist()]
+
+
+def test_x2_plus_23y2_sieve_matches_quadform_represents():
+    mask = x2_plus_23y2(20_000)
+    ps = primes_upto(20_000)
+    assert mask[ps].tolist() == [quadform_represents(p, 1, 0, 23) for p in ps]
+    assert np.flatnonzero(x2_plus_23y2(30)).tolist() == [0, 1, 4, 9, 16, 23, 24, 25, 27]
+
+
+def test_delta_partition_reports_violations_in_prime_order(monkeypatch):
+    import apcong.discover
+
+    def tampered(*args, **kw):
+        ds = build_dataset(*args, **kw)
+        a = ds.a.copy()
+        a[[7, 2, 40]] = (a[[7, 2, 40]] + 1) % 23
+        return ApDataset(ds.label, ds.level, ds.ell, np.stack((ds.p, a), axis=1))
+
+    monkeypatch.setattr(apcong.discover, "build_dataset", tampered)
+    res = delta_partition_check(1000)
+    want = []
+    for p, got in res.dataset.samples:
+        if kronecker(-23, p) == -1:
+            expect = 0
+        elif quadform_represents(p, 1, 0, 23):
+            expect = 2
+        else:
+            expect = 22
+        if got != expect:
+            want.append(f"p={p}: tau={got}, expected {expect}")
+    assert len(want) == 3 and res.violations == tuple(want)
 
 
 def test_a_modulus_past_the_largest_prime_is_insufficient():

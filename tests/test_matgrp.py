@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -7,15 +8,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from apcong import matgrp
+from apcong import abelian, matgrp
 from apcong.abelian import analyze_group
 from apcong.constructions import (
     a4_lift,
+    a5_lift_f11,
     borel,
+    borel_dihedral,
+    dihedral_lift,
     gl2,
     nonsplit_cartan,
     nonsplit_cartan_normalizer,
     quaternion_lift,
+    s4_lift_f13,
     sl2,
     split_cartan,
     split_cartan_normalizer,
@@ -26,6 +31,7 @@ from apcong.matgrp import (
     ClosureGuardError,
     CodeRangeError,
     Mat2,
+    MatGroup,
     close_group,
     commutator_subgroup,
     coset_label,
@@ -292,6 +298,156 @@ def test_small_fields_and_small_images_take_the_closure_route(G, monkeypatch):
     # a fresh group, so that no earlier test has memoised its [G, G]
     assert commutator_subgroup(close_group(G.spec, G.generators)) == closure(G)
     assert len(calls) == 1
+
+
+ROUTE_QS = {2: (2, 1), 3: (3, 1), **READ_OFF_QS, 17: (17, 1), 19: (19, 1), 23: (23, 1),
+            29: (29, 1), 31: (31, 1), 32: (2, 5), 37: (37, 1), 41: (41, 1), 43: (43, 1),
+            47: (47, 1), 49: (7, 2)}
+
+
+def family_generators(spec):
+    """The generators of every constructions family over spec."""
+    q = spec.q
+    families = [gl2, sl2, borel, unipotent, split_cartan, split_cartan_normalizer]
+    if q > 2:
+        families.append(lambda s: dihedral_lift(s, q - 1))
+    if spec.p != 2:
+        families += [nonsplit_cartan, nonsplit_cartan_normalizer, borel_dihedral,
+                     quaternion_lift, a4_lift, lambda s: dihedral_lift(s, (q + 1) // 2)]
+    groups = [f(spec) for f in families]
+    groups += {11: [a5_lift_f11()], 13: [s4_lift_f13()]}.get(q, [])
+    return [list(G.generators) for G in groups]
+
+
+def search_close(spec, gens, monkeypatch):
+    """_close without the early exit: the frontier search to the end."""
+    with monkeypatch.context() as m:
+        m.setattr(matgrp, "_dickson_bound", lambda q: math.inf)
+        return matgrp._close(spec, matgrp._codes_of(gens))
+
+
+def same_arrays(x, y):
+    return len(x) == len(y) and all(np.array_equal(a, b) for a, b in zip(x, y))
+
+
+@pytest.mark.parametrize("q", sorted(ROUTE_QS))
+def test_determinant_routes_match_the_search_and_product_routes(q, monkeypatch):
+    # the closure's early exit against the full search, on the SL_2
+    # overgroups, a conjugate of each, and every constructions family; on the
+    # SL_2 overgroups the determinant split and the closed-form coset traces
+    # against the product routes
+    spec = make_field(*ROUTE_QS[q])
+    rng = np.random.default_rng(q)
+    overgroups = []
+    for gens in sl2_overgroups(spec):
+        h = Mat2(spec, (0, 0, 0, 0))
+        while not h.det_i():
+            h = Mat2(spec, tuple(int(x) for x in rng.integers(0, q, size=4)))
+        overgroups += [gens, [h * g * h.inv() for g in gens]]
+    for gens in overgroups + family_generators(spec):
+        got = matgrp._close(spec, matgrp._codes_of(gens))
+        want = search_close(spec, gens, monkeypatch)
+        assert same_arrays(got, want) and type(got[2]) is int
+    for gens in overgroups if q > 3 else []:
+        G = close_group(spec, gens)
+        H = commutator_subgroup(G)
+        assert matgrp._is_sl2(H)
+        assert same_arrays(matgrp._det_split(G), matgrp._product_split(G, H))
+        got, want = abelian._coset_traces(G), abelian._class_coset_traces(G, H)
+        assert got.commutator is H
+        for name in ("pair_coset", "pair_trace", "const", "first_const",
+                     "first_missing", "mixed"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+def test_det_preimage_is_the_closure_of_sl2_and_a_determinant(q, monkeypatch):
+    # det^-1(<g^e>) for every e dividing q - 1, even and odd
+    spec = make_field(*ROUTE_QS[q])
+    z = spec.primitive
+    for e in (d for d in range(1, q) if (q - 1) % d == 0):
+        gens = list(sl2(spec).generators) + [Mat2(spec, (spec.pow_i(z, e), 0, 0, 1))]
+        want = search_close(spec, gens, monkeypatch)
+        assert same_arrays(matgrp._det_preimage(spec, e), want)
+        assert MatGroup(spec, *want, ()).order == q * (q * q - 1) * (q - 1) // e
+
+
+@pytest.mark.parametrize("spec", [F4, F5], ids=["F4", "F5"])
+def test_subgroups_past_the_dickson_bound_contain_sl2(spec):
+    # Dickson's bound on the subgroups of GL_2(F_4) and GL_2(F_5): PGL_2(F_4)
+    # = PSL_2(F_4) has 60 classes, and of GL_2(F_5) only GL_2 itself is past
+    # 60 (PSL_2(F_5), A_5, has 60 classes)
+    S, bound = sl2(spec), matgrp._dickson_bound(spec.q)
+    subs = enumerate_subgroups(gl2(spec))
+    assert len(subs) == {4: 148, 5: 466}[spec.q]
+    past = [H for H in subs if H.proj.size > bound]
+    assert all(S.is_subgroup_of(H) for H in past)
+    assert [H.order for H in past] == {4: [], 5: [480]}[spec.q]
+    assert max(H.proj.size for H in subs if not S.is_subgroup_of(H)) <= bound
+
+
+@pytest.mark.parametrize("q", [q for q in sorted(ROUTE_QS) if q > 3])
+def test_borel_closes_without_the_early_exit(q, monkeypatch):
+    # |PB| = q (q - 1) is the bound itself, so the search runs to the end
+    spec = make_field(*ROUTE_QS[q])
+
+    def refuse(*args):
+        raise AssertionError("early exit on a Borel group")
+
+    monkeypatch.setattr(matgrp, "_sl2_overgroup", refuse)
+    assert close_group(spec, borel(spec).generators).order == q * (q - 1) ** 2
+
+
+def test_closure_guard_bounds_the_closed_form_group(monkeypatch):
+    # the search stops past 272 classes of GL_2(F_17), below the guard; the
+    # guard then refuses the 4 896 classes of det^-1(F_17^x) before any is built
+    spec = make_field(17)
+    gens = list(gl2(spec).generators)
+    monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 2000)
+    calls = []
+    preimage = matgrp._det_preimage
+
+    def spy(spec, e):
+        calls.append(e)
+        return preimage(spec, e)
+
+    monkeypatch.setattr(matgrp, "_det_preimage", spy)
+    with pytest.raises(ClosureGuardError):
+        close_group(spec, gens)
+    assert calls == [1]
+    monkeypatch.setattr(matgrp, "_join", None)  # no code is formed
+    with pytest.raises(ClosureGuardError):
+        preimage(spec, 1)
+
+
+def test_sl2_overgroup_refuses_classes_outside_the_preimage():
+    # det^-1(1) over F_5 has the classes of square det, with lifts mod 2
+    S, G = sl2(F5), gl2(F5)
+    gens = matgrp._codes_of(S.generators)
+    assert same_arrays(matgrp._sl2_overgroup(F5, gens, S.proj, S.lift),
+                       (S.proj, S.lift, S.k))
+    for proj, lift in ((G.proj, G.lift), (S.proj, S.lift + 1)):
+        with pytest.raises(RuntimeError, match="closure is broken"):
+            matgrp._sl2_overgroup(F5, gens, proj, lift)
+
+
+def test_gl2_f97_closes_on_few_products(monkeypatch):
+    # the early exit passes fewer than 2 max(q (q - 1), 60) |gens| = 55 872
+    # products to _canon; the full search would pass 912 576 * 3
+    spec = make_field(97)
+    z = spec.primitive
+    rows = []
+    canon = matgrp._canon
+
+    def counted(spec, a, b, c, d):
+        rows.append(np.size(a))
+        return canon(spec, a, b, c, d)
+
+    monkeypatch.setattr(matgrp, "_canon", counted)
+    G = close_group(spec, [Mat2(spec, e) for e in ((1, 1, 0, 1), (0, 1, 1, 0), (z, 0, 0, 1))])
+    assert G.order == (97 ** 2 - 1) * (97 ** 2 - 97)
+    assert 0 < sum(rows) < 2 * 97 * 96 * 3
 
 
 def test_analyze_gl2_f17_closes_only_the_group(monkeypatch):
