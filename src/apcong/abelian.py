@@ -35,7 +35,6 @@ from .classify import DicksonClass, classify_group
 from .ffield import FieldSpec, embedding_table, factorize, is_prime, mult_order
 from .matgrp import (
     MatGroup,
-    _is_sl2,
     _scalar_orbits,
     commutator_subgroup,
     coset_label,
@@ -90,11 +89,12 @@ def coset_traces(G: MatGroup) -> CosetTraces:
 
 
 def _coset_traces(G: MatGroup) -> CosetTraces:
-    """The coset traces, in closed form when [G, G] = SL_2(F_q): each coset
-    is then a whole determinant fibre {det = d} of GL_2, which holds
-    (t -d; 1 0) of trace t for every t, so every coset has every trace."""
+    """The coset traces, in closed form when G contains SL_2(F_q), q > 3:
+    [G, G] = SL_2(F_q), so each coset is a whole determinant fibre
+    {det = d} of GL_2, which holds (t -d; 1 0) of trace t for every t, and
+    every coset has every trace."""
     H = commutator_subgroup(G)
-    if _is_sl2(H):
+    if G.contains_sl2:
         q, n = G.spec.q, G.order // H.order
         return CosetTraces(G, H, np.repeat(np.arange(n), q), np.tile(np.arange(q), n),
                            np.full(n, -1), np.full(q, -1), np.full(q, -1),
@@ -210,7 +210,7 @@ def is_totally_abelian(G: MatGroup) -> bool:
 
 def _totally_abelian(G: MatGroup) -> bool:
     by_cosets = bool((coset_traces(G).const >= 0).all())
-    by_line = classify_group(G).label in ("BorelConjugable", "Cyclic")
+    by_line = classify_group(G).label == "BorelConjugable"
     if by_cosets != by_line:
         raise TheoremConsistencyError(
             "constant-trace cosets and common-eigenline criteria disagree "
@@ -242,7 +242,7 @@ def _check_density(G: MatGroup, cls: DicksonClass, c: Fraction) -> None:
     spec = G.spec
     ell = spec.p
     lab = cls.label
-    if lab in ("BorelConjugable", "Cyclic"):
+    if lab == "BorelConjugable":
         # triangularisable: zero, or 1/d for a divisor d of q - 1 or q + 1
         # (split and nonsplit torus parts), d even in odd characteristic
         if c == 0:
@@ -317,7 +317,7 @@ class SemiPredictor:
         ell = spec.p
         lab = cls.label
         neg1 = spec.neg_i(1)
-        if lab in ("BorelConjugable", "Cyclic"):
+        if lab == "BorelConjugable":
             # constant trace on every coset: semi unless the whole group
             # sits in the single class x
             return self.trace_ints != {xi}
@@ -417,7 +417,7 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
 
     weak = {x for x in proper if data.first_const[x] >= 0}
     union = {x for x in proper if not data.mixed[x]}
-    borel = cls.label in ("BorelConjugable", "Cyclic")
+    borel = cls.label == "BorelConjugable"
 
     if any(x != 0 for x in weak) and not borel:
         raise TheoremConsistencyError(
@@ -649,7 +649,7 @@ def modulus_bound(G: MatGroup | None, N: int, ell: int, case: str,
     if G is not None:
         cls = classify_group(G)
         if case == "Borel":
-            if cls.label not in ("BorelConjugable", "Cyclic"):
+            if cls.label != "BorelConjugable":
                 raise ValueError(f"case Borel does not match {cls.describe()}")
         else:
             if cls.label != "Dihedral" or cls.n < 2:

@@ -51,9 +51,9 @@ _A5_STATS = {1: 1, 2: 15, 3: 20, 5: 24}
 class DicksonClass:
     """Recognition result for a projective group.
 
-    label is the primary family; n is set for Dihedral and Cyclic labels,
-    subfield_q for PSL2/PGL2 labels.  all_applicable lists every family the
-    group belongs to abstractly, the primary one included.  witness, when
+    label is the primary family; n is set for Dihedral labels, subfield_q
+    for PSL2/PGL2 labels.  all_applicable lists every family the group
+    belongs to abstractly, the primary one included.  witness, when
     present, is a change-of-basis matrix over the quadratic extension that
     conjugates the matrix group into upper triangular form.
     """
@@ -65,7 +65,7 @@ class DicksonClass:
     witness: Mat2 | None = None
 
     def describe(self) -> str:
-        if self.label in ("Dihedral", "Cyclic"):
+        if self.label == "Dihedral":
             return f"{self.label}({self.n})"
         if self.label in ("PSL2", "PGL2"):
             return f"{self.label}({self.subfield_q})"
@@ -242,9 +242,11 @@ def _exceptional_match(G: MatGroup) -> str | None:
 
 def classify_group(G: MatGroup) -> DicksonClass:
     """Primary family of the projective image of G under the precedence
-    Borel > Cyclic > Dihedral > subfield PSL2/PGL2 (only for q' > 3) >
-    exceptional, with all applicable families recorded.  Subfield groups
-    are recognised for every q' from closed-form element-order counts."""
+    Borel > Dihedral > subfield PSL2/PGL2 (only for q' > 3) > exceptional,
+    with all applicable families recorded.  A cyclic PG is recorded as
+    Cyclic(n) but is never the primary label: it makes G abelian, and so
+    Borel conjugable.  Subfield groups are recognised for every q' from
+    closed-form element-order counts."""
     return G.memo(_classify)
 
 
@@ -270,10 +272,6 @@ def _classify(G: MatGroup) -> DicksonClass:
     if borel_flag:
         return DicksonClass("BorelConjugable", all_applicable=tuple(applicable),
                             witness=witness)
-    if cyc_n is not None:
-        # a cyclic projective image forces an abelian matrix group, which is
-        # always Borel conjugable, so this branch should be unreachable
-        return DicksonClass("Cyclic", n=cyc_n, all_applicable=tuple(applicable))
     if dih_n is not None:
         return DicksonClass("Dihedral", n=dih_n, all_applicable=tuple(applicable))
     big = [(kind, qsub) for kind, qsub in subfields if qsub > 3]

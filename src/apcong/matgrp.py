@@ -17,14 +17,14 @@ classes.  The closure is a frontier search over classes (`_close`).  The
 cosets of a subgroup H are the cosets of PH in PG plus a coordinate in
 Z/(Z ∩ H) (`coset_split`).
 
-A G that contains SL_2(F_q), q > 3, is the determinant preimage
-det^-1(<det of its generators>), built from the canonical classes of
-PGL_2(F_q) with no products (`_det_preimage`).  The search returns it as
-soon as it has found more classes than a subgroup without PSL_2(F_q) can
-have (Dickson's bound).  For such G, [G, G] = SL_2(F_q) is det^-1(1) and
-its cosets are read off the determinants.  Smaller groups take the full
-search, close the commutators of their generators and split their cosets
-by products.
+G contains SL_2(F_q), q > 3, iff |PG| exceeds Dickson's bound
+max(q (q - 1), 24) (`MatGroup.contains_sl2`).  Such a G is the
+determinant preimage det^-1(<det of its generators>), built from the
+canonical classes of PGL_2(F_q) with no products (`_det_preimage`); the
+search returns it as soon as it has found more classes than the bound.
+For such G, [G, G] = SL_2(F_q) is det^-1(1) and its cosets are read off
+the determinants.  Smaller groups take the full search, close the
+commutators of their generators and split their cosets by products.
 `MatGroup.codes`, the views aligned with it and `coset_label` expand G
 on request, for small groups only.
 The projective image PG is read off the group: proj and class_orders.
@@ -139,10 +139,16 @@ def unique_codes(x) -> np.ndarray:
 
 def _dickson_bound(q: int) -> float:
     """The most classes a subgroup of PGL_2(F_q), q > 3, can have without
-    containing PSL_2(F_q): max(q (q - 1), 60), the Borel group or A_5
-    (Dickson; Huppert, Endliche Gruppen I, II.8.27).  Infinite for q <= 3,
-    where SL_2(F_q) is not perfect and the search always runs to the end."""
-    return max(q * (q - 1), 60) if q > 3 else math.inf
+    containing PSL_2(F_q): max(q (q - 1), 24) (Dickson; Huppert, Endliche
+    Gruppen I, II.8.27), so that |PG| exceeds it iff PG contains PSL_2(F_q).
+
+    Past the Borel group's q (q - 1) Dickson lists only A_4, S_4 and A_5.
+    A_5 is PSL_2(F_q) itself at q = 4 and 5; 5 does not divide |PGL_2(F_q)|
+    at q = 7 and 8; and 60 < q (q - 1) for q >= 9.  So the one exceptional
+    group past q (q - 1) is S_4 in PGL_2(F_5), of 24 classes.  Infinite for
+    q <= 3, where SL_2(F_q) is not perfect and the search always runs to
+    the end."""
+    return max(q * (q - 1), 24) if q > 3 else math.inf
 
 
 def _close(spec: FieldSpec, gens: np.ndarray):
@@ -352,6 +358,12 @@ class MatGroup:
     def order(self) -> int:
         return int(self.proj.size) * self.z_order
 
+    @property
+    def contains_sl2(self) -> bool:
+        """Whether G contains SL_2(F_q), q > 3: PG is past Dickson's bound,
+        so it contains PSL_2(F_q), and SL_2(F_q) is perfect."""
+        return self.proj.size > _dickson_bound(self.spec.q)
+
     def memo(self, fn, *args):
         """fn(self, *args), computed once per argument tuple and stored."""
         key = (fn, *args)
@@ -492,56 +504,38 @@ def generating_set(G: MatGroup) -> list[Mat2]:
 def commutator_subgroup(G: MatGroup) -> MatGroup:
     """[G, G]: the subgroup generated by all commutators xyx^-1y^-1.
 
-    When G contains SL_2(F_q) and q > 3, [G, G] = G ∩ SL_2 = SL_2(F_q),
-    since SL_2(F_q) is perfect (Huppert, Endliche Gruppen I, ch. II), and it
-    is read off G's classes with no products (`_sl2_read_off`).  Any other
-    G takes the normal closure of the commutators of a generating set,
-    which equals the full commutator subgroup.  Either way every element is
-    verified to have determinant 1.  A commutator does not depend on the
-    lifts, since [zx, z'y] = [x, y] for scalars z, z'.
+    When G contains SL_2(F_q) and q > 3 (`MatGroup.contains_sl2`),
+    [G, G] = G ∩ SL_2 = SL_2(F_q), since SL_2(F_q) is perfect (Huppert,
+    Endliche Gruppen I, ch. II), and it is built as det^-1(1) with no
+    products (`_det_preimage`).  Any other G takes the normal closure of the
+    commutators of a generating set, which equals the full commutator
+    subgroup.  Either way every element is verified to have determinant 1.
+    A commutator does not depend on the lifts, since [zx, z'y] = [x, y] for
+    scalars z, z'.
     """
     return G.memo(_commutator_subgroup)
 
 
 def _commutator_subgroup(G: MatGroup) -> MatGroup:
-    H = _sl2_read_off(G)
-    if H is None:
+    spec = G.spec
+    if G.contains_sl2:
+        # the upper and lower unipotents with entries g^i, i < r, an F_p-basis
+        # of F_q, generate SL_2(F_q)
+        powers = spec._tables[0][:spec.r].tolist()
+        gens = tuple(Mat2(spec, e) for s in powers for e in ((1, s, 0, 1), (1, 0, s, 1)))
+        H = MatGroup(spec, *_det_preimage(spec, spec.q - 1), gens)
+    else:
         H = _commutator_closure(G)
     # det(z l) = z^2 det(l): every det is 1 when the lifts have det 1 and z^2 = 1
-    if (H.rep_dets != 1).any() or (2 * H.k) % (G.spec.q - 1):
+    if (H.rep_dets != 1).any() or (2 * H.k) % (spec.q - 1):
         raise RuntimeError("commutator subgroup contains det != 1 element")
     return H
 
 
-def _sl2_read_off(G: MatGroup) -> MatGroup | None:
-    """K = G ∩ SL_2 when it is all of SL_2(F_q) and q > 3, else None.
-
-    The element z.reps[i], z = g^(k j) in Z, has det g^(2 k j + ld_i) with
-    ld_i = log det reps[i], so class i meets SL_2 iff gcd(2k, q - 1) = k w
-    divides ld_i, w = |Z ∩ {±1}| = gcd(2, |Z|), and then in w elements.
-    When these make up all of SL_2(F_q), K is det^-1(1), built by
-    _det_preimage.
-    """
-    spec, q = G.spec, G.spec.q
-    if q <= 3 or G.proj.size < q * (q * q - 1) // math.gcd(2, q - 1):
-        return None  # |PG| < |PSL_2(F_q)|
-    w = math.gcd(2, G.z_order)
-    ld = spec._tables[1][G.rep_dets]
-    if np.count_nonzero(ld % (G.k * w) == 0) * w != q * (q * q - 1):
-        return None
-    # the upper and lower unipotents with entries g^i, i < r, an F_p-basis
-    # of F_q, generate SL_2(F_q)
-    powers = spec._tables[0][:spec.r].tolist()
-    gens = tuple(Mat2(spec, e) for s in powers for e in ((1, s, 0, 1), (1, 0, s, 1)))
-    return MatGroup(spec, *_det_preimage(spec, q - 1), gens)
-
-
 def _is_sl2(H: MatGroup) -> bool:
-    """Whether H is all of SL_2(F_q), q > 3: |H| = q (q^2 - 1) and every
-    element has det 1 (the lifts have det 1 and the scalars are ±1)."""
+    """Whether H is all of SL_2(F_q), q > 3: H contains it and has its order."""
     q = H.spec.q
-    return (q > 3 and H.order == q * (q * q - 1) and (2 * H.k) % (q - 1) == 0
-            and not (H.rep_dets != 1).any())
+    return H.contains_sl2 and H.order == q * (q * q - 1)
 
 
 def _commutator_closure(G: MatGroup) -> MatGroup:

@@ -128,6 +128,24 @@ def test_borel_witness_matches_the_eigenline_route_on_every_subgroup(p, r):
     assert witnesses == {None, (1, 0), (0, 1)}
 
 
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1)],
+                         ids=["F2", "F3", "F4", "F5"])
+def test_a_cyclic_image_is_never_the_primary_label(p, r):
+    # a cyclic PG makes G abelian, hence Borel conjugable: Cyclic(n) is
+    # recorded among the applicable families but never wins
+    cyclic = 0
+    for H in enumerate_subgroups(gl2(make_field(p, r))):
+        cls = classify_group(H)
+        assert cls.label != "Cyclic"
+        listed = [a for a in cls.all_applicable if a.startswith("Cyclic(")]
+        assert listed == ([f"Cyclic({H.proj.size})"]
+                          if (H.class_orders == H.proj.size).any() else [])
+        if listed:
+            assert cls.label == "BorelConjugable"
+            cyclic += 1
+    assert cyclic == {2: 5, 3: 34, 4: 84, 5: 251}[p ** r]
+
+
 def seeded_conjugate(G, rng: random.Random):
     """h G h^-1 for a random invertible h."""
     spec = G.spec

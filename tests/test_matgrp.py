@@ -266,6 +266,9 @@ def sl2_overgroups(spec):
 
 @pytest.mark.parametrize("q", sorted(READ_OFF_QS))
 def test_sl2_read_off_matches_the_closure_route(q):
+    # every SL_2 overgroup, and a conjugate of each, is past Dickson's bound,
+    # and its [G, G], built as det^-1(1), is the normal closure of the
+    # commutators of its generators
     spec = make_field(*READ_OFF_QS[q])
     rng = np.random.default_rng(q)
     for gens in sl2_overgroups(spec):
@@ -274,9 +277,10 @@ def test_sl2_read_off_matches_the_closure_route(q):
             h = Mat2(spec, tuple(int(x) for x in rng.integers(0, q, size=4)))
         hi = h.inv()
         for G in (close_group(spec, gens), close_group(spec, [h * g * hi for g in gens])):
-            K = matgrp._sl2_read_off(G)
-            assert K is not None and K.order == q * (q * q - 1)
-            assert K == matgrp._commutator_closure(G) == commutator_subgroup(G)
+            assert G.contains_sl2
+            K = commutator_subgroup(G)
+            assert K.order == q * (q * q - 1) and matgrp._is_sl2(K)
+            assert K == matgrp._commutator_closure(G)
             assert K.is_subgroup_of(G)
             assert close_group(spec, K.generators) == K
 
@@ -286,7 +290,7 @@ def test_sl2_read_off_matches_the_closure_route(q):
     split_cartan_normalizer(make_field(13)), nonsplit_cartan_normalizer(make_field(13)),
 ])
 def test_small_fields_and_small_images_take_the_closure_route(G, monkeypatch):
-    assert matgrp._sl2_read_off(G) is None
+    assert not G.contains_sl2
     calls = []
     closure = matgrp._commutator_closure
 
@@ -296,8 +300,9 @@ def test_small_fields_and_small_images_take_the_closure_route(G, monkeypatch):
 
     monkeypatch.setattr(matgrp, "_commutator_closure", counted)
     # a fresh group, so that no earlier test has memoised its [G, G]
-    assert commutator_subgroup(close_group(G.spec, G.generators)) == closure(G)
+    K = commutator_subgroup(close_group(G.spec, G.generators))
     assert len(calls) == 1
+    assert K == closure(G) and not matgrp._is_sl2(K)
 
 
 ROUTE_QS = {2: (2, 1), 3: (3, 1), **READ_OFF_QS, 17: (17, 1), 19: (19, 1), 23: (23, 1),
@@ -375,16 +380,15 @@ def test_det_preimage_is_the_closure_of_sl2_and_a_determinant(q, monkeypatch):
 
 @pytest.mark.parametrize("spec", [F4, F5], ids=["F4", "F5"])
 def test_subgroups_past_the_dickson_bound_contain_sl2(spec):
-    # Dickson's bound on the subgroups of GL_2(F_4) and GL_2(F_5): PGL_2(F_4)
-    # = PSL_2(F_4) has 60 classes, and of GL_2(F_5) only GL_2 itself is past
-    # 60 (PSL_2(F_5), A_5, has 60 classes)
-    S, bound = sl2(spec), matgrp._dickson_bound(spec.q)
+    # Dickson's bound is exact: a subgroup of GL_2(F_4) or GL_2(F_5) is past
+    # it iff it contains SL_2, and it is SL_2 iff _is_sl2 says so
+    S = sl2(spec)
     subs = enumerate_subgroups(gl2(spec))
     assert len(subs) == {4: 148, 5: 466}[spec.q]
-    past = [H for H in subs if H.proj.size > bound]
-    assert all(S.is_subgroup_of(H) for H in past)
-    assert [H.order for H in past] == {4: [], 5: [480]}[spec.q]
-    assert max(H.proj.size for H in subs if not S.is_subgroup_of(H)) <= bound
+    assert [H.contains_sl2 for H in subs] == [S.is_subgroup_of(H) for H in subs]
+    assert [matgrp._is_sl2(H) for H in subs] == [H == S for H in subs]
+    # S_4 in PGL_2(F_5) holds the bound's 24 classes without containing SL_2
+    assert max(H.proj.size for H in subs if not H.contains_sl2) == {4: 12, 5: 24}[spec.q]
 
 
 @pytest.mark.parametrize("q", [q for q in sorted(ROUTE_QS) if q > 3])
@@ -433,7 +437,7 @@ def test_sl2_overgroup_refuses_classes_outside_the_preimage():
 
 
 def test_gl2_f97_closes_on_few_products(monkeypatch):
-    # the early exit passes fewer than 2 max(q (q - 1), 60) |gens| = 55 872
+    # the early exit passes fewer than 2 max(q (q - 1), 24) |gens| = 55 872
     # products to _canon; the full search would pass 912 576 * 3
     spec = make_field(97)
     z = spec.primitive
