@@ -60,7 +60,6 @@ from .eigendata import (
     delta_coeffs,
     load_curve_file,
     load_form_file,
-    quadform_represents,
 )
 from .discover import (
     ClassCongruence,
@@ -95,7 +94,7 @@ __all__ = [
     "is_semi_abelian", "is_totally_abelian", "is_weakly_abelian", "kronecker",
     "legendre", "legendre_candidates", "legendre_fit", "load_curve_file",
     "load_form_file", "make_field", "modulus_bound",
-    "quadform_represents", "quadratic_extension", "sample_dataset",
+    "quadratic_extension", "sample_dataset",
     "synthetic_model", "theorem_crosscheck", "vanishing_rule_check",
     "verify_fixture_tables",
 ]

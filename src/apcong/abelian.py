@@ -20,6 +20,11 @@ Every computed verdict is cross-checked against what the classification
 predicts (the dihedral dichotomies, the traceless density, a per-family
 semi table); a disagreement raises TheoremConsistencyError rather than
 returning a silently wrong answer.
+
+A G that contains SL_2(F_q), q > 3 (`MatGroup.contains_sl2`), is answered
+from q and D = det G alone: every coset of [G, G] = SL_2(F_q) has every
+trace, the density is counted by determinant fibre and the projective
+check by square class of the determinant, and no class of G is built.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .classify import DicksonClass, classify_group
 from .ffield import FieldSpec, embedding_table, factorize, is_prime, mult_order
 from .matgrp import (
     MatGroup,
-    _scalar_orbits,
     commutator_subgroup,
     coset_label,
     coset_split,
@@ -60,22 +64,37 @@ class CosetTraces:
 
     Cosets are numbered as coset_split numbers them.  Coset i and trace t
     occur together exactly when (i, t) is one of the pairs
-    (pair_coset[k], pair_trace[k]), listed once each in ascending order.
-    Per trace x of the field the incidence is summarised once: const is the
-    trace of each constant-trace coset (-1 for the others), first_const[x]
-    the first coset of constant trace x and first_missing[x] the first
-    coset that misses x (-1 if there is none), and mixed[x] whether x lies
-    in a coset with two or more traces.
+    (pair_coset[k], pair_trace[k]), listed once each in ascending order;
+    pairs holds their codes i q + t, or None when every coset has every
+    trace, and the two arrays are read off it on request.  Per trace x of
+    the field the incidence is summarised once: const is the trace of each
+    constant-trace coset (-1 for the others), first_const[x] the first
+    coset of constant trace x and first_missing[x] the first coset that
+    misses x (-1 if there is none), and mixed[x] whether x lies in a coset
+    with two or more traces.
     """
 
     group: MatGroup
     commutator: MatGroup
-    pair_coset: np.ndarray
-    pair_trace: np.ndarray
+    pairs: np.ndarray | None
     const: np.ndarray
     first_const: np.ndarray
     first_missing: np.ndarray
     mixed: np.ndarray
+
+    @cached_property
+    def _pair_codes(self) -> np.ndarray:
+        if self.pairs is None:
+            return np.arange(self.const.size * self.group.spec.q)
+        return self.pairs
+
+    @property
+    def pair_coset(self) -> np.ndarray:
+        return self._pair_codes // self.group.spec.q
+
+    @property
+    def pair_trace(self) -> np.ndarray:
+        return self._pair_codes % self.group.spec.q
 
     @cached_property
     def label(self) -> np.ndarray:
@@ -96,8 +115,7 @@ def _coset_traces(G: MatGroup) -> CosetTraces:
     H = commutator_subgroup(G)
     if G.contains_sl2:
         q, n = G.spec.q, G.order // H.order
-        return CosetTraces(G, H, np.repeat(np.arange(n), q), np.tile(np.arange(q), n),
-                           np.full(n, -1), np.full(q, -1), np.full(q, -1),
+        return CosetTraces(G, H, None, np.full(n, -1), np.full(q, -1), np.full(q, -1),
                            np.ones(q, dtype=bool))
     return _class_coset_traces(G, H)
 
@@ -138,8 +156,7 @@ def _class_coset_traces(G: MatGroup, H: MatGroup) -> CosetTraces:
     first_missing = count.copy()
     np.minimum.at(first_missing, trace[by_trace][gap], rank[gap])
     mixed = np.bincount(trace[sizes[coset] > 1], minlength=q) > 0
-    return CosetTraces(G, H, coset, trace,
-                       const, np.where(first_const < n, first_const, -1),
+    return CosetTraces(G, H, pairs, const, np.where(first_const < n, first_const, -1),
                        np.where(first_missing < n, first_missing, -1), mixed)
 
 
@@ -232,10 +249,32 @@ def density_c(G: MatGroup) -> Fraction:
 
 
 def _density_c(G: MatGroup) -> Fraction:
-    # tracelessness is scalar-invariant: traceless classes over |PG|
-    c = Fraction(int(np.count_nonzero(G.rep_traces == 0)), G.proj.size)
+    if G.contains_sl2:
+        c = Fraction(int(_traceless_by_square_class(G).sum()), G.order)
+    else:
+        # tracelessness is scalar-invariant: traceless classes over |PG|
+        c = Fraction(int(np.count_nonzero(G.rep_traces == 0)), G.proj_order)
     _check_density(G, classify_group(G), c)
     return c
+
+
+def _traceless_by_square_class(G: MatGroup) -> np.ndarray:
+    """For G ⊇ SL_2(F_q), q > 3: the numbers of traceless elements of G
+    whose determinant is a square, and a nonsquare, from the fibre counts.
+
+    G is det^-1(D), D = det G, and (a b; c -a) has det -(a^2 + b c): for
+    each a, b c = -d - a^2 has q - 1 solutions, or 2 q - 1 when a^2 = -d.
+    So #{tr = 0, det = d} = q^2 + chi(-d) q for odd q, chi the quadratic
+    character, and q^2 for even q, where every d is a square.
+    """
+    q, e = G.spec.q, G.det_exp
+    ld = e * np.arange((q - 1) // e)  # the logs of D
+    if q % 2 == 0:
+        return np.array([q * q * ld.size, 0])
+    # chi(-d) = 1 iff log(-d) = (q - 1) / 2 + log d is even
+    count = q * q + np.where((ld + (q - 1) // 2) % 2, -q, q)
+    square = ld % 2 == 0
+    return np.array([count[square].sum(), count[~square].sum()])
 
 
 def _check_density(G: MatGroup, cls: DicksonClass, c: Fraction) -> None:
@@ -301,9 +340,7 @@ class SemiPredictor:
         self.spec = G.spec
         self.cls = classify_group(G)
         self.scalar_ints = frozenset(G.scalars.tolist())
-        # det(z l) = z^2 det(l), and <z^2 : z in Z> = <g^gcd(2k, q - 1)>
-        self.det_ints = frozenset(_scalar_orbits(
-            self.spec, G.rep_dets, math.gcd(2 * G.k, self.spec.q - 1)).tolist())
+        self.det_ints = G.det_ints()
         self.trace_ints = G.trace_ints()
         if self.cls.label in ("PSL2", "A5"):
             self._semi = self._scalar_translate_semi(commutator_subgroup(G))
@@ -361,6 +398,9 @@ class SemiPredictor:
             raise TheoremConsistencyError(
                 "scalar translates of the commutator subgroup do not exhaust "
                 f"a group classified {self.cls.describe()}")
+        if len(H.trace_ints()) == spec.q:
+            # a.F_q = F_q for every scalar a: no translate misses a trace
+            return frozenset()
         a = np.fromiter(self.scalar_ints, dtype=np.int64)
         t = np.fromiter(H.trace_ints(), dtype=np.int64)
         # hit[i, x]: the translate by a[i] has a trace x
@@ -464,11 +504,8 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
                 f"family table says {want}")
     checks.append("semi-table")
 
-    # projection is a surjective homomorphism: [PG, PG] is the image of [G, G];
-    # a class is traceless iff its lift is, since scaling keeps a zero trace
-    part = coset_split(G, data.commutator)[0]
-    sizes = np.bincount(part)
-    zeros = np.bincount(part[G.rep_traces == 0], minlength=sizes.size)
+    # projection is a surjective homomorphism: [PG, PG] is the image of [G, G]
+    sizes, zeros = _proj_coset_zeros(G, data.commutator)
     proj_union = bool(((zeros == 0) | (zeros == sizes)).all())
     if proj_union == data.mixed[0]:
         raise TheoremConsistencyError(
@@ -476,6 +513,25 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     checks.append("projective-zero-agreement")
 
     return CrosscheckReport(G.order, cls.describe(), tuple(checks))
+
+
+def _proj_coset_zeros(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The number of classes, and of traceless classes, in each coset of PH
+    in PG; a class is traceless iff its lift is, since scaling keeps a zero
+    trace.
+
+    When G contains SL_2(F_q), q > 3, PH = PSL_2(F_q) and the cosets are
+    the square classes of the determinant met by det G: each has |PH|
+    classes, and its traceless elements, |Z| to a class, are counted by
+    determinant fibre.
+    """
+    if G.contains_sl2:
+        count = _traceless_by_square_class(G)
+        zeros = count[count > 0] // G.z_order
+        return np.full(zeros.size, H.proj_order), zeros
+    part = coset_split(G, H)[0]
+    sizes = np.bincount(part)
+    return sizes, np.bincount(part[G.rep_traces == 0], minlength=sizes.size)
 
 
 def crosscheck_all_subgroups(ambient: MatGroup) -> int:

@@ -8,13 +8,19 @@ S4, A5.  For tiny fields the families overlap; the classifier reports a
 single primary label under a fixed precedence plus every label that applies
 abstractly.
 
-The family tests read the projective image off the group itself: its
-classes G.proj and their orders G.class_orders.  Subfield groups are
-recognised by comparing those order counts with the closed-form counts of
-PSL2(q') and PGL2(q') (Dickson; Huppert, Endliche Gruppen I, II.8), so the
-check holds for every q' with no reference group built.  A Borel-conjugable
-G fixes a line of P^1(F_{q^2}), and all q^2 + 1 lines are tested against
-every generator in one array.
+The family tests read the projective image through |PG| and its
+element-order counts (`proj_order_stats`), taken from the classes G.proj
+and their orders G.class_orders.  Subfield groups are recognised by
+comparing those counts with the closed-form counts of PSL2(q') and
+PGL2(q') (Dickson; Huppert, Endliche Gruppen I, II.8), so the check holds
+for every q' with no reference group built.  A Borel-conjugable G fixes a
+line of P^1(F_{q^2}), and all q^2 + 1 lines are tested against every
+generator in one array.
+
+A G that contains SL2(F_q), q > 3 (`MatGroup.contains_sl2`), reads no
+class: PG is PGL2(F_q) when det G holds a nonsquare and PSL2(F_q)
+otherwise, so its order counts are the closed-form ones; it fixes no line,
+so no F_{q^2} table is built; and its commutator trace field is F_q.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .ffield import FieldSpec, embedding_table, quadratic_extension
 from .matgrp import (
     Mat2,
     MatGroup,
+    _fixed_points,
     _scale,
     commutator_subgroup,
     generating_set,
@@ -113,8 +120,12 @@ def is_borel_conjugable(G: MatGroup):
     (the commutator subgroup contains no diagonalisable matrix besides the
     identity) and a search for a line of P^1(F_{q^2}) that every generator
     fixes.  Of the fixed lines, the one with the least eigenvalue under the
-    least non-scalar element of G is the first column of P.
+    least non-scalar element of G is the first column of P.  A G that
+    contains SL_2(F_q), q > 3, is not: (1 1; 0 1) and (1 0; 1 1) share no
+    eigenline.
     """
+    if G.contains_sl2:
+        return False, None
     spec = G.spec
     H = commutator_subgroup(G)
     # every element of H is 1 or a non-scalar with tr^2 = 4 det: H has no
@@ -126,21 +137,16 @@ def is_borel_conjugable(G: MatGroup):
     ext = quadratic_extension(spec)
     emb = embedding_table(spec, ext)
     gens_e = [tuple(int(emb[x]) for x in g.e) for g in generating_set(G)]
-    if G.proj.size == 1:
+    if G.proj_order == 1:
         # every element scalar: already upper triangular
         route_b, witness = True, Mat2(ext, (1, 0, 0, 1))
     else:
-        # (a b; c d) fixes the line (1, t) iff b t^2 + (a - d) t - c = 0,
-        # and the line (0, 1) iff b = 0: one row per generator, one column
-        # per line, (0, 1) last
-        a, b, c, d = (np.array(e)[:, None] for e in zip(*gens_e))
-        t = np.arange(ext.q, dtype=np.int64)
-        f = ext.sub_a(ext.add_a(ext.mul_a(b, ext.mul_a(t, t)),
-                                ext.mul_a(ext.sub_a(a, d), t)), c)
-        fixed = np.flatnonzero(np.append(~f.any(axis=0), not b.any()))
+        # the lines (1, t), t in F_{q^2}, then (0, 1), that every generator fixes
+        fixed = np.flatnonzero(_fixed_points(ext, *(np.array(e)[:, None] for e in zip(*gens_e))))
         # a non-scalar element has distinct eigenvalues on distinct fixed
         # lines, a0 + b0 t on (1, t) and d0 on (0, 1): the least one wins
         a0, b0, _, d0 = (emb[x] for x in split_codes(spec, _least_nonscalar(G)))
+        t = np.arange(ext.q, dtype=np.int64)
         lam = np.append(ext.add_a(a0, ext.mul_a(b0, t)), d0)[fixed]
         route_b, witness = fixed.size > 0, None
         if route_b:
@@ -149,7 +155,7 @@ def is_borel_conjugable(G: MatGroup):
     if route_a != route_b:
         raise RuntimeError(f"Borel criteria disagree (commutators: {route_a}, "
                            f"fixed lines: {route_b})")
-    if route_b and G.proj.size > 1:
+    if route_b and G.proj_order > 1:
         pi = witness.inv()
         for ge in gens_e:
             if (pi * Mat2(ext, ge) * witness).e[2] != 0:
@@ -161,19 +167,30 @@ def is_borel_conjugable(G: MatGroup):
 
 
 def proj_order_stats(G: MatGroup) -> dict[int, int]:
+    """The number of classes of PG of each order in PGL_2."""
+    return dict(G.memo(_proj_order_stats))
+
+
+def _proj_order_stats(G: MatGroup) -> dict[int, int]:
+    if G.contains_sl2:
+        # PGL2(F_q) iff det G holds a nonsquare, that is e is odd; for even q
+        # the two coincide
+        kind = "PGL2" if G.det_exp % 2 else "PSL2"
+        return _subfield_stats(kind, G.spec.q, G.spec.p)
     orders, counts = np.unique(G.class_orders, return_counts=True)
     return dict(zip(orders.tolist(), counts.tolist()))
 
 
 def _cyclic_n(G: MatGroup) -> int | None:
-    return G.proj.size if (G.class_orders == G.proj.size).any() else None
+    N = G.proj_order
+    return N if proj_order_stats(G).get(N) else None
 
 
 def _dihedral_n(G: MatGroup) -> int | None:
     """n >= 2 when PG is abstractly dihedral of order 2n (D_2 = C2 x C2):
     some c has order n and the n elements outside <c> are involutions, and
     <c> holds one involution for even n and none for odd n."""
-    N = G.proj.size
+    N = G.proj_order
     if N < 4 or N % 2:
         return None
     n = N // 2
@@ -213,7 +230,7 @@ def _subfield_stats(kind: str, qsub: int, p: int) -> dict[int, int]:
 
 def _subfield_matches(G: MatGroup) -> list[tuple[str, int]]:
     """(kind, q') pairs with PG abstractly the subfield group over F_q'."""
-    p, N = G.spec.p, G.proj.size
+    p, N = G.spec.p, G.proj_order
     out = []
     qsub = p
     while qsub**3 - qsub <= 2 * N:
@@ -234,9 +251,9 @@ _EXCEPTIONAL = {12: ("A4", _A4_STATS), 24: ("S4", _S4_STATS), 60: ("A5", _A5_STA
 
 
 def _exceptional_match(G: MatGroup) -> str | None:
-    if G.proj.size not in _EXCEPTIONAL:
+    if G.proj_order not in _EXCEPTIONAL:
         return None
-    label, stats = _EXCEPTIONAL[G.proj.size]
+    label, stats = _EXCEPTIONAL[G.proj_order]
     return label if proj_order_stats(G) == stats else None
 
 
@@ -286,5 +303,5 @@ def _classify(G: MatGroup) -> DicksonClass:
     if exc is not None:
         return DicksonClass(exc, all_applicable=tuple(applicable))
     raise ClassificationError(
-        f"projective group of order {G.proj.size} fits no classical family")
+        f"projective group of order {G.proj_order} fits no classical family")
 

@@ -271,7 +271,7 @@ VERBS = {
         "--pmax": _PMAX,
     }),
     "oracle": Verb(_run_oracle, "exhaustive subgroup consistency sweep", {
-        "--field": Flag((2, 3, 4, 5), REQUIRED,
+        "--field": Flag((2, 3, 4, 5, 7), REQUIRED,
                         "run over every subgroup of GL_2(F_q)"),
     }),
 }

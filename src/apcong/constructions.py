@@ -22,7 +22,7 @@ def _mat(spec: FieldSpec, a: int, b: int, c: int, d: int) -> Mat2:
 
 def _checked(G: MatGroup, order: int | None = None, proj: int | None = None) -> MatGroup:
     """G, once |G| and |PG| equal the expected values that are given."""
-    for name, got, want in (("order", G.order, order), ("projective order", G.proj.size, proj)):
+    for name, got, want in (("order", G.order, order), ("projective order", G.proj_order, proj)):
         if want is not None and got != want:
             raise RuntimeError(f"constructed group has {name} {got}, expected {want}")
     return G

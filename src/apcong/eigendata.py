@@ -385,24 +385,6 @@ def _ec_mul(c, table, a, p):
     return R
 
 
-def quadform_represents(p: int, a: int, b: int, c: int) -> bool:
-    """Whether p = a x^2 + b x y + c y^2 has an integer solution; x = 0 or
-    y = 0 count.  For each y >= 0 inside the positive-definite value bound,
-    solve the quadratic in x exactly."""
-    if a <= 0 or b * b - 4 * a * c >= 0:
-        raise ValueError("form is not positive definite")
-    ymax = math.isqrt(4 * a * p // (4 * a * c - b * b))
-    for y in range(ymax + 1):
-        # a x^2 + (b y) x + (c y^2 - p) = 0
-        disc = (b * y) ** 2 - 4 * a * (c * y * y - p)
-        if disc < 0:
-            continue
-        s = math.isqrt(disc)
-        if s * s == disc and any((-b * y + t) % (2 * a) == 0 for t in (s, -s)):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # datasets of reduced a_p samples
 

@@ -17,20 +17,23 @@ classes.  The closure is a frontier search over classes (`_close`).  The
 cosets of a subgroup H are the cosets of PH in PG plus a coordinate in
 Z/(Z ∩ H) (`coset_split`).
 
-G contains SL_2(F_q), q > 3, iff |PG| exceeds Dickson's bound
-max(q (q - 1), 24) (`MatGroup.contains_sl2`).  Such a G is the
-determinant preimage det^-1(<det of its generators>), built from the
-canonical classes of PGL_2(F_q) with no products (`_det_preimage`); the
-search returns it as soon as it has found more classes than the bound.
-For such G, [G, G] = SL_2(F_q) is det^-1(1) and its cosets are read off
-the determinants.  Smaller groups take the full search, close the
-commutators of their generators and split their cosets by products.
-`MatGroup.codes`, the views aligned with it and `coset_label` expand G
-on request, for small groups only.
-The projective image PG is read off the group: proj and class_orders.
-The module constant CLOSURE_GUARD bounds the number of stored classes
-|PG|, so GL_2(F_q) closes up to q = 97.  Codes need q^4 < 2^63: a larger
-field raises CodeRangeError before any code is formed.  Groups are
+A G that contains SL_2(F_q), q > 3, is det^-1(D) for its determinant
+image D = <g^e>, and it is held as e alone (`MatGroup.det_exp`).  The
+search recognises it, and records `MatGroup.contains_sl2`, once it holds
+more than B(q) classes (`_dickson_bound`) and the generators fix no common
+point of P^1(F_q): by Dickson's list PG then contains PSL_2(F_q).  Its
+order, |PG|, Z, trace set F_q, determinant set D and [G, G] = SL_2(F_q)
+are closed forms in (q, e).  Its classes proj and lift are built only on
+request, with no products (`_det_preimage`), and so are the views read off
+them: reps, class_orders, codes, traces and coset_label, whose cosets of
+SL_2 come from the determinants (`_det_split`).  Smaller groups take the
+full search, close the commutators of their generators and split their
+cosets by products; `MatGroup.codes`, the views aligned with it and
+`coset_label` expand G on request, for small groups only.
+The module constant CLOSURE_GUARD bounds the classes a group without SL_2
+stores, and the classes an SL_2 overgroup builds on request.  Codes need
+q^4 < 2^63: a larger field raises CodeRangeError before any code is
+formed, so SL_2 overgroups are held up to q = 55 103.  Groups are
 immutable, so each derived structure (commutator subgroup, classification,
 coset traces) is memoised on the group itself.
 """
@@ -137,23 +140,47 @@ def unique_codes(x) -> np.ndarray:
     return x[keep]
 
 
-def _dickson_bound(q: int) -> float:
-    """The most classes a subgroup of PGL_2(F_q), q > 3, can have without
-    containing PSL_2(F_q): max(q (q - 1), 24) (Dickson; Huppert, Endliche
-    Gruppen I, II.8.27), so that |PG| exceeds it iff PG contains PSL_2(F_q).
+def _dickson_bound(spec: FieldSpec) -> float:
+    """B(q), the most classes a subgroup of PGL_2(F_q), q > 3, can have
+    while it fixes no point of P^1(F_q) and does not contain PSL_2(F_q).
 
-    Past the Borel group's q (q - 1) Dickson lists only A_4, S_4 and A_5.
-    A_5 is PSL_2(F_q) itself at q = 4 and 5; 5 does not divide |PGL_2(F_q)|
-    at q = 7 and 8; and 60 < q (q - 1) for q >= 9.  So the one exceptional
-    group past q (q - 1) is S_4 in PGL_2(F_5), of 24 classes.  Infinite for
-    q <= 3, where SL_2(F_q) is not perfect and the search always runs to
-    the end."""
-    return max(q * (q - 1), 24) if q > 3 else math.inf
+    By Dickson's list (Huppert, Endliche Gruppen I, II.8.27) such a group
+    is cyclic of order dividing q + 1, dihedral of order at most 2 (q + 1),
+    A_4, S_4 or A_5 (12, 24 and 60 classes, A_5 only where 5 divides
+    q (q^2 - 1)), or PSL_2 or PGL_2 over a proper subfield F_q'.  A group
+    that fixes a point lies in a Borel group, of q (q - 1) classes, and its
+    search runs to the end.  At q = 4 and 5, A_5 is PSL_2(F_q) itself, so
+    B(q) is there the exact bound max(q (q - 1), 24) on every subgroup
+    without PSL_2 (S_4 in PGL_2(F_5)).  Infinite for q <= 3, where
+    SL_2(F_q) is not perfect and the search always runs to the end.
+    """
+    q, p, r = spec.q, spec.p, spec.r
+    if q <= 3:
+        return math.inf
+    if q <= 5:
+        return max(q * (q - 1), 24)
+    subfield = max((p ** d * (p ** (2 * d) - 1) for d in range(1, r) if r % d == 0),
+                   default=0)
+    return max(2 * (q + 1), 60 if q * (q * q - 1) % 5 == 0 else 24, subfield)
 
 
-def _close(spec: FieldSpec, gens: np.ndarray):
-    """The subgroup generated by the codes gens, as (proj, lift, k); more
-    than CLOSURE_GUARD classes raise ClosureGuardError.
+def _fixed_points(spec: FieldSpec, a, b, c, d) -> np.ndarray:
+    """Mask over the points (1 : t) of P^1(F_q), t in encoding order, then
+    (0 : 1): whether every matrix (a b; c d) of the entry columns fixes it.
+
+    (a b; c d) fixes (1 : t) iff b t^2 + (a - d) t - c = 0, and (0 : 1) iff
+    b = 0: one (#matrices, q + 1) array.
+    """
+    t = np.arange(spec.q, dtype=np.int64)
+    f = spec.sub_a(spec.add_a(spec.mul_a(b, spec.mul_a(t, t)),
+                              spec.mul_a(spec.sub_a(a, d), t)), c)
+    return ~np.concatenate((f, np.broadcast_to(b, (b.shape[0], 1))), axis=1).any(axis=0)
+
+
+def _close(spec: FieldSpec, gens: np.ndarray, generators: tuple) -> "MatGroup":
+    """The subgroup generated by the codes gens, recorded with the matrices
+    generators; more than CLOSURE_GUARD stored classes raise
+    ClosureGuardError.
 
     A search over projective classes that keeps the lift each class was
     first reached with (inverses are powers); each step multiplies up to
@@ -162,13 +189,15 @@ def _close(spec: FieldSpec, gens: np.ndarray):
     class's kept lift is a scalar of G, a Schreier generator of Z, so k is
     the gcd of q - 1 and all the lift differences.
 
-    Once the search holds more than _dickson_bound(q) classes, PG contains
-    PSL_2(F_q), so G contains [G, G] ⊇ SL_2(F_q) (perfect for q > 3) and is
-    det^-1(det G): the search stops and G is read off the determinants of
-    the generators (`_sl2_overgroup`).
+    Once the search holds more than B(q) classes (`_dickson_bound`), the
+    generators are tested once for a common fixed point of P^1(F_q).  With
+    none, PG contains PSL_2(F_q), so G contains [G, G] ⊇ SL_2(F_q) (perfect
+    for q > 3) and is det^-1(det G): the search stops and G is held as its
+    determinant image (`_sl2_overgroup`).  With one, G lies in a Borel group
+    and the search runs to the end.
     """
     n = spec.q - 1
-    bound = _dickson_bound(spec.q)
+    bound = _dickson_bound(spec)
     exp, log = spec._tables
     # the products on logs of entries: each entry's log is read once
     gen_logs = tuple(log[e] for e in split_codes(spec, gens[None, :]))
@@ -195,29 +224,31 @@ def _close(spec: FieldSpec, gens: np.ndarray):
         k = math.gcd(k, int(np.gcd.reduce(lifts - kept)))
         fresh = first & ~known
         new, new_lift = canon[fresh], lifts[fresh]
-        if proj.size + new.size > CLOSURE_GUARD:
-            raise ClosureGuardError(f"closure exceeded guard {CLOSURE_GUARD}")
         merged = np.concatenate((proj, new))
         at = np.argsort(merged, kind="stable")  # a merge
         proj, lift = merged[at], np.concatenate((lift, new_lift))[at]
         queue = np.concatenate((queue[batch:], new))
         queue_lift = np.concatenate((queue_lift[batch:], new_lift))
         if proj.size > bound:
-            return _sl2_overgroup(spec, gens, proj, lift)
-    return proj, lift % k, k
+            if not _fixed_points(spec, *split_codes(spec, gens[:, None])).any():
+                return _sl2_overgroup(spec, gens, proj, lift, generators)
+            bound = math.inf
+        if proj.size > CLOSURE_GUARD:
+            raise ClosureGuardError(f"closure exceeded guard {CLOSURE_GUARD}")
+    return MatGroup(spec, proj, lift % k, k, generators)
 
 
-def _sl2_overgroup(spec: FieldSpec, gens: np.ndarray, proj: np.ndarray, lift: np.ndarray):
-    """det^-1(<det gens>) as (proj, lift, k), once the classes proj with
-    the unreduced lifts lift, found by the search, prove it contains
-    SL_2(F_q); each of them is checked to lie in it."""
+def _sl2_overgroup(spec: FieldSpec, gens: np.ndarray, proj: np.ndarray, lift: np.ndarray,
+                   generators: tuple) -> "MatGroup":
+    """det^-1(<det gens>), held as its determinant image, once the classes
+    proj with the unreduced lifts lift, found by the search, prove that it
+    contains SL_2(F_q).  Each of them is checked to lie in it: g^lift.proj
+    has log det 2 lift + log det proj, a multiple of e."""
     log = spec._tables[1]
     e = math.gcd(spec.q - 1, *log[_det4(spec, *split_codes(spec, gens))].tolist())
-    P, L, k = _det_preimage(spec, e)
-    i = np.minimum(np.searchsorted(P, proj), P.size - 1)
-    if not ((P[i] == proj) & ((lift - L[i]) % k == 0)).all():
+    if ((2 * lift + log[_det4(spec, *split_codes(spec, proj))]) % e).any():
         raise RuntimeError("the search left det^-1(det G); closure is broken")
-    return P, L, k
+    return MatGroup._from_det(spec, e, generators)
 
 
 def _det_preimage(spec: FieldSpec, e: int):
@@ -230,6 +261,7 @@ def _det_preimage(spec: FieldSpec, e: int):
     and the lift solves 2 t = -ld mod e.  Each top row holds q (q - 1) / w
     classes, since (c, d) -> a d - b c takes every value q times; the rows
     are built a block at a time, so that no temporary has q^3 entries.
+    A group held as e builds them only on request (`MatGroup.proj`), and
     CLOSURE_GUARD bounds |PG| before anything is built.
     """
     q = spec.q
@@ -333,21 +365,59 @@ def _mats_of(spec: FieldSpec, codes: np.ndarray) -> list[Mat2]:
 # ---- groups ----
 
 class MatGroup:
-    """A finite subgroup of GL_2(spec), closed by construction and held as
-    (proj, lift, k), read-only (see the module docstring)."""
+    """A finite subgroup of GL_2(spec), closed by construction and
+    read-only: held as (proj, lift, k), or, when it contains SL_2(F_q),
+    q > 3, as the exponent det_exp = e of its determinant image <g^e>
+    (None otherwise; see the module docstring)."""
 
     def __init__(self, spec: FieldSpec, proj: np.ndarray, lift: np.ndarray, k: int,
                  generators: tuple[Mat2, ...]):
-        self.spec = spec
-        self.proj, self.lift, self.k = proj, lift, k
+        self.spec, self.k, self.generators = spec, k, generators
+        self.proj, self.lift = proj, lift
         proj.flags.writeable = False
         lift.flags.writeable = False
-        self.generators = generators
+        self.proj_order = int(proj.size)
+        self.det_exp = None
         self._derived: dict = {}
         # Lagrange sanity: |G| divides |GL_2(F_q)|
         q = spec.q
         if ((q * q - 1) * (q * q - q)) % self.order != 0:
             raise RuntimeError("order does not divide |GL_2|; closure is broken")
+
+    @classmethod
+    def _from_det(cls, spec: FieldSpec, e: int, generators: tuple[Mat2, ...]) -> "MatGroup":
+        """det^-1(<g^e>), e dividing q - 1, q > 3, held as e: with
+        w = gcd(2, e), |PG| = q (q^2 - 1) / w and Z = <g^(e / w)>, the
+        scalars whose square lies in <g^e>."""
+        G = cls.__new__(cls)
+        w = math.gcd(2, e)
+        G.spec, G.k, G.generators, G.det_exp = spec, e // w, generators, e
+        G.proj_order = spec.q * (spec.q ** 2 - 1) // w
+        G._derived = {}
+        return G
+
+    @property
+    def contains_sl2(self) -> bool:
+        """Whether G contains SL_2(F_q), q > 3, recorded when G is built:
+        close_group holds every such G as det_exp, and every question the
+        analysis asks of it has a closed form in q and det_exp."""
+        return self.det_exp is not None
+
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(proj, lift) of a G held as det_exp, built on request."""
+        proj, lift, _ = _det_preimage(self.spec, self.det_exp)
+        proj.flags.writeable = False
+        lift.flags.writeable = False
+        return proj, lift
+
+    @cached_property
+    def proj(self) -> np.ndarray:
+        return self._classes[0]
+
+    @cached_property
+    def lift(self) -> np.ndarray:
+        return self._classes[1]
 
     @property
     def z_order(self) -> int:
@@ -356,13 +426,7 @@ class MatGroup:
 
     @property
     def order(self) -> int:
-        return int(self.proj.size) * self.z_order
-
-    @property
-    def contains_sl2(self) -> bool:
-        """Whether G contains SL_2(F_q), q > 3: PG is past Dickson's bound,
-        so it contains PSL_2(F_q), and SL_2(F_q) is perfect."""
-        return self.proj.size > _dickson_bound(self.spec.q)
+        return self.proj_order * self.z_order
 
     def memo(self, fn, *args):
         """fn(self, *args), computed once per argument tuple and stored."""
@@ -399,6 +463,10 @@ class MatGroup:
         """Integer-encoded traces attained on the group."""
         return self.memo(_trace_ints)
 
+    def det_ints(self) -> frozenset[int]:
+        """Integer-encoded determinants attained on the group."""
+        return self.memo(_det_ints)
+
     # -- G itself, expanded on request (small groups) --
 
     @cached_property
@@ -423,21 +491,27 @@ class MatGroup:
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
         """Whether Z lies in other's scalars and each class of self lies in
-        other with a lift in other's scalar coset."""
+        other with a lift in other's scalar coset; when other contains
+        SL_2(F_q) it is det^-1(det other), so whether det self lies in
+        det other."""
         if self.spec != other.spec or self.k % other.k:
             return False
+        if other.contains_sl2:
+            return self.det_ints() <= other.det_ints()
         i = np.minimum(np.searchsorted(other.proj, self.proj), other.proj.size - 1)
         return bool(((other.proj[i] == self.proj)
                      & ((self.lift - other.lift[i]) % other.k == 0)).all())
 
     def __eq__(self, other):
-        return (isinstance(other, MatGroup) and self.spec == other.spec
-                and self.k == other.k and np.array_equal(self.proj, other.proj)
-                and np.array_equal(self.lift, other.lift))
+        if not (isinstance(other, MatGroup) and self.spec == other.spec
+                and self.k == other.k and self.proj_order == other.proj_order):
+            return False
+        if self.contains_sl2 and other.contains_sl2:
+            return self.det_exp == other.det_exp
+        return np.array_equal(self.proj, other.proj) and np.array_equal(self.lift, other.lift)
 
     def __hash__(self):
-        return hash((self.spec, self.k, self.proj.size, self.proj[-1].item(),
-                     self.lift[-1].item()))
+        return hash((self.spec, self.k, self.proj_order))
 
     def __repr__(self):
         return f"MatGroup(q={self.spec.q}, order={self.order})"
@@ -471,13 +545,26 @@ def _scalar_orbits(spec: FieldSpec, x: np.ndarray, e: int) -> np.ndarray:
 
 
 def _trace_ints(G: MatGroup) -> frozenset[int]:
+    if G.contains_sl2:
+        # SL_2(F_q) holds (t -1; 1 0) of trace t for every t
+        return frozenset(range(G.spec.q))
     # tr(z l) = z tr(l)
     return frozenset(_scalar_orbits(G.spec, G.rep_traces, G.k).tolist())
 
 
+def _det_ints(G: MatGroup) -> frozenset[int]:
+    spec = G.spec
+    if G.contains_sl2:
+        e = G.det_exp
+        return frozenset(spec._tables[0][e * np.arange((spec.q - 1) // e)].tolist())
+    # det(z l) = z^2 det(l), and <z^2 : z in Z> = <g^gcd(2k, q - 1)>
+    return frozenset(_scalar_orbits(spec, G.rep_dets, math.gcd(2 * G.k, spec.q - 1)).tolist())
+
+
 def close_group(spec: FieldSpec, generators) -> MatGroup:
     """Subgroup generated by the given matrices (breadth-first closure on
-    projective classes); CLOSURE_GUARD bounds |PG|."""
+    projective classes, `_close`); CLOSURE_GUARD bounds the classes the
+    search stores for a group that does not contain SL_2(F_q)."""
     gens = []
     for g in generators:
         m = g if isinstance(g, Mat2) else Mat2.from_entries(spec, g)
@@ -487,7 +574,7 @@ def close_group(spec: FieldSpec, generators) -> MatGroup:
             raise ValueError(f"generator {m} is singular")
         gens.append(m)
     _check_codes(spec)
-    return MatGroup(spec, *_close(spec, _codes_of(gens)), tuple(gens))
+    return _close(spec, _codes_of(gens), tuple(gens))
 
 
 def generating_set(G: MatGroup) -> list[Mat2]:
@@ -496,7 +583,7 @@ def generating_set(G: MatGroup) -> list[Mat2]:
     if G.generators:
         return list(G.generators)
     gens = np.zeros(0, dtype=np.int64)
-    while (H := MatGroup(G.spec, *_close(G.spec, gens), ())).order < G.order:
+    while (H := _close(G.spec, gens, ())).order < G.order:
         gens = np.append(gens, G.codes[np.argmax(~_contains(H, G.codes))])
     return _mats_of(G.spec, gens) or [identity(G.spec)]
 
@@ -506,11 +593,11 @@ def commutator_subgroup(G: MatGroup) -> MatGroup:
 
     When G contains SL_2(F_q) and q > 3 (`MatGroup.contains_sl2`),
     [G, G] = G ∩ SL_2 = SL_2(F_q), since SL_2(F_q) is perfect (Huppert,
-    Endliche Gruppen I, ch. II), and it is built as det^-1(1) with no
-    products (`_det_preimage`).  Any other G takes the normal closure of the
-    commutators of a generating set, which equals the full commutator
-    subgroup.  Either way every element is verified to have determinant 1.
-    A commutator does not depend on the lifts, since [zx, z'y] = [x, y] for
+    Endliche Gruppen I, ch. II), and it is held as det^-1(1), with no
+    product and no class built.  Any other G takes the normal closure of
+    the commutators of a generating set, which equals the full commutator
+    subgroup.  Either way every determinant is checked to be 1.  A
+    commutator does not depend on the lifts, since [zx, z'y] = [x, y] for
     scalars z, z'.
     """
     return G.memo(_commutator_subgroup)
@@ -523,11 +610,10 @@ def _commutator_subgroup(G: MatGroup) -> MatGroup:
         # of F_q, generate SL_2(F_q)
         powers = spec._tables[0][:spec.r].tolist()
         gens = tuple(Mat2(spec, e) for s in powers for e in ((1, s, 0, 1), (1, 0, s, 1)))
-        H = MatGroup(spec, *_det_preimage(spec, spec.q - 1), gens)
+        H = MatGroup._from_det(spec, spec.q - 1, gens)
     else:
         H = _commutator_closure(G)
-    # det(z l) = z^2 det(l): every det is 1 when the lifts have det 1 and z^2 = 1
-    if (H.rep_dets != 1).any() or (2 * H.k) % (spec.q - 1):
+    if H.det_ints() != {1}:
         raise RuntimeError("commutator subgroup contains det != 1 element")
     return H
 
@@ -551,7 +637,7 @@ def _commutator_closure(G: MatGroup) -> MatGroup:
     seeds = seeds[seeds != identity(spec).encode()]
     # normal closure: conjugate the generating commutators until stable
     while True:
-        H = MatGroup(spec, *_close(spec, seeds), tuple(_mats_of(spec, seeds)))
+        H = _close(spec, seeds, tuple(_mats_of(spec, seeds)))
         conj = mul_codes(spec, mul_codes(spec, g[:, None], seeds[None, :]), gi[:, None])
         new = unique_codes(conj[~_contains(H, conj)])
         if not new.size:
@@ -576,7 +662,7 @@ def coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
 
 def _coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
     label, shift = _det_split(G) if _is_sl2(H) else _product_split(G, H)
-    if np.bincount(label).tolist() != [H.proj.size] * (int(label.max()) + 1):
+    if np.bincount(label).tolist() != [H.proj_order] * (int(label.max()) + 1):
         raise RuntimeError("cosets do not partition G")
     label.flags.writeable = False
     shift.flags.writeable = False
@@ -716,6 +802,24 @@ def _cayley_table(spec: FieldSpec, codes: np.ndarray, block: int = 1 << 16) -> n
     return T
 
 
+def _double_coset_labels(T: np.ndarray, at: np.ndarray, block: int = 1 << 16) -> np.ndarray:
+    """For each index g of the Cayley table T, the least index of the double
+    coset HgH of the subgroup H with indices at: the least index of each
+    coset gH, then the least of those over the cosets hgH.  Both are taken
+    in blocks of rows of about `block` entries, as `_cayley_table` fills T,
+    so that no |G| x |H| temporary is formed."""
+    n = T.shape[0]
+    left = np.empty(n, dtype=np.int64)
+    step = max(1, block // at.size)
+    for i in range(0, n, step):
+        left[i:i + step] = T[i:i + step, at].min(axis=1)
+    out = np.full(n, n, dtype=np.int64)
+    step = max(1, block // n)
+    for i in range(0, at.size, step):
+        np.minimum(out, left[T[at[i:i + step]]].min(axis=0), out=out)
+    return out
+
+
 def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
     """All subgroups of G, sorted by (order, codes), found on G's Cayley table.
 
@@ -730,9 +834,11 @@ def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
     MatGroups, through one close_group each, checked against their mask.
 
     T holds |G|^2 int64 (1.8 MB for GL_2(F_5), |G| = 480; 32 MB for
-    GL_2(F_7)), built in row blocks so that the peak stays near T itself;
-    the number of joins grows with the lattice.  Meant for ambient groups
-    of order up to about 10^3, such as GL_2(F_q), q <= 5.
+    GL_2(F_7)), built in row blocks, and the double-coset labels are taken
+    in row blocks too (`_double_coset_labels`), so that the peak stays near
+    T itself; the number of joins grows with the lattice.  Meant for
+    ambient groups of order up to a few thousand, such as GL_2(F_q),
+    q <= 7.
     """
     spec, codes, n = G.spec, G.codes, G.order
     T = _cayley_table(spec, codes)
@@ -744,9 +850,7 @@ def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
     while frontier:
         fresh = []
         for H, gens in frontier:
-            at = np.flatnonzero(H)
-            # the least index of each double coset HgH: of the cosets hgH
-            double = label = T[:, at].min(axis=1)[T[at]].min(axis=0)
+            double = label = _double_coset_labels(T, np.flatnonzero(H))
             # merge across cyclic groups and double cosets until stable
             while not np.array_equal(label, merged := _grouped_min(
                     _grouped_min(label, cyclic), double)):

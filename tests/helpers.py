@@ -5,8 +5,10 @@ family over a field, the group exponent and trace frequencies, unclosed
 wrapping of element sets, projective classes, projective orders by powers,
 traceless and commutator-trace counts, the eigenline route to the Borel
 witness and element degrees by Frobenius powers, and the oracles below
-(primality by trial division among them)."""
+(primality by trial division and representation of a prime by a binary
+quadratic form among them)."""
 
+import math
 from collections import Counter
 from math import gcd
 
@@ -259,6 +261,25 @@ def element_degree(spec, x: int) -> int:
 
 
 # ---- oracles that share no code with apcong's field tables or matrix kernel ----
+
+def quadform_represents(p: int, a: int, b: int, c: int) -> bool:
+    """Whether p = a x^2 + b x y + c y^2 has an integer solution; x = 0 or
+    y = 0 count.  For each y >= 0 inside the positive-definite value bound,
+    solve the quadratic in x exactly."""
+    if a <= 0 or b * b - 4 * a * c >= 0:
+        raise ValueError("form is not positive definite")
+    ymax = math.isqrt(4 * a * p // (4 * a * c - b * b))
+    for y in range(ymax + 1):
+        # a x^2 + (b y) x + (c y^2 - p) = 0
+        disc = (b * y) ** 2 - 4 * a * (c * y * y - p)
+        if disc < 0:
+            continue
+        s = math.isqrt(disc)
+        if s * s == disc and any((-b * y + t) % (2 * a) == 0 for t in (s, -s)):
+            return True
+    return False
+
+
 
 def trial_division_is_prime(n: int) -> bool:
     """Primality by trial division over the odd d <= sqrt(n)."""

@@ -225,8 +225,8 @@ def test_crosscheck_all_subgroups_detects_a_dropped_pair(monkeypatch):
 
     def drop_last_pair(G):
         data = exact(G)
-        return dataclasses.replace(data, pair_coset=data.pair_coset[:-1],
-                                   pair_trace=data.pair_trace[:-1])
+        q = G.spec.q
+        return dataclasses.replace(data, pairs=(data.pair_coset * q + data.pair_trace)[:-1])
 
     monkeypatch.setattr(abelian, "_coset_traces", drop_last_pair)
     with pytest.raises(TheoremConsistencyError, match="coset, trace"):
@@ -247,7 +247,7 @@ def test_analyze_group_report():
 def test_analyze_group_computes_each_structure_once(monkeypatch):
     from apcong import classify, constructions, matgrp
 
-    G = gl2(F7)
+    groups = (gl2(F7), nonsplit_cartan_normalizer(F7))
     calls = Counter()
 
     def count(owner, name):
@@ -269,9 +269,14 @@ def test_analyze_group_computes_each_structure_once(monkeypatch):
     for mod in (constructions, classify):
         for name in ("gl2", "sl2"):
             monkeypatch.setattr(mod, name, forbidden, raising=False)
-    rep = analyze_group(G)
+    rep = analyze_group(groups[0])
     assert rep.dickson.label == "PGL2" and rep.theorem_consistent
-    # the projective orders of all 336 classes of PGL2(F7) in one step
+    # GL2(F7) contains SL2(F7): no class orders and no coset split
+    assert calls == {"_commutator_subgroup": 1, "_classify": 1}
+    calls.clear()
+    rep = analyze_group(groups[1])
+    assert rep.dickson.label == "Dihedral" and rep.theorem_consistent
+    # the projective orders of all 16 classes of D_8 in one step
     assert calls == {"_commutator_subgroup": 1, "proj_orders": 1, "_classify": 1,
                      "_coset_split": 1}
 

@@ -36,6 +36,8 @@ def test_every_workload_builds(cases):
     ("group-lattice", "analyze sl2(F5)"),
     ("group-lattice", "analyze gl2(F5)"),
     ("group-scale", "analyze gl2(F9)"),
+    ("group-scale", "analyze gl2(F17)"),
+    ("group-scale", "analyze sl2(F19)"),
 ])
 def test_group_cases_pass_their_checks(cases, workload, case_id, capsys, monkeypatch):
     [case] = [c for c in cases.build(workload, 1) if c["id"] == case_id]

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from apcong import classify, ffield, matgrp
 from apcong.cli import VERBS, main, parse_args
 from apcong.constructions import gl2, nonsplit_cartan_normalizer, split_cartan
 from apcong.discover import verify_fixture_tables
 from apcong.eigendata import curve_fixtures, delta_coeffs, primes_upto
 from apcong.ffield import make_field
-from apcong.matgrp import group_to_json
+from apcong.matgrp import Mat2, group_to_json
 
 
 @pytest.fixture
@@ -375,9 +376,89 @@ def test_oracle_f5(capsys):
 
 
 def test_oracle_rejects_large_fields(capsys):
-    for field in ("6", "7"):
+    for field in ("6", "8"):
         code, _, err = run(capsys, "oracle", "--field", field)
         assert code == 1 and "error" in err
+
+
+def test_oracle_accepts_f7():
+    # the run itself takes about 10 s, so only the parser is checked here
+    assert parse_args(["oracle", "--field", "7"]).field == 7
+
+
+# ---- SL_2 overgroups past the closure guard ----
+
+
+def group_file(tmp_path, spec, ents):
+    path = tmp_path / f"group{len(list(tmp_path.iterdir()))}.json"
+    gens = [Mat2(spec, e).rows_json() for e in ents]
+    path.write_text(json.dumps({"field": spec.to_json(), "generators": gens}))
+    return str(path)
+
+
+def gl2_sl2_files(tmp_path, q):
+    spec = make_field(q)
+    z = spec.primitive
+    gl = [(1, 1, 0, 1), (0, 1, 1, 0), (z, 0, 0, 1)]
+    sl = [(1, 1, 0, 1), (1, 0, 1, 1), (1, z, 0, 1), (1, 0, z, 1), (z, 0, 0, spec.inv_i(z))]
+    return group_file(tmp_path, spec, gl), group_file(tmp_path, spec, sl)
+
+
+def test_closure_guard_bounds_only_groups_without_sl2(capsys, tmp_path, monkeypatch):
+    # under a guard of 10^4 classes, GL_2(F_211) (|PG| = 9 393 630) is held
+    # by its determinant image and analysed; the Borel group of F_211 stores
+    # its 44 310 classes in the search and is refused
+    monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 10 ** 4)
+    spec = make_field(211)
+    z = spec.primitive
+    gl, _ = gl2_sl2_files(tmp_path, 211)
+    code, out, err = run(capsys, "analyze", "--group", gl, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["order"] == (211 ** 2 - 1) * (211 ** 2 - 211)
+    borel = group_file(tmp_path, spec, [(1, 1, 0, 1), (z, 0, 0, 1), (1, 0, 0, z)])
+    code, out, err = run(capsys, "analyze", "--group", borel, "--format", "json")
+    assert code == 1 and out == "" and "closure exceeded guard" in err
+
+
+@pytest.mark.parametrize("q", [1009, 10007])
+def test_analyze_gl2_and_sl2_past_q_1000(capsys, tmp_path, q):
+    # no class is built, so the size limit is the q^4 < 2^63 of the codes
+    gl, sl = gl2_sl2_files(tmp_path, q)
+    for path, label, order in ((gl, "PGL2", (q * q - 1) * (q * q - q)),
+                               (sl, "PSL2", q * (q * q - 1))):
+        code, out, err = run(capsys, "analyze", "--group", path, "--format", "json")
+        assert code == 0 and err == ""
+        rep = json.loads(out)
+        assert rep["order"] == order and rep["consistent"]
+        assert rep["dickson"] == {"label": label, "subfield_q": q,
+                                  "all_applicable": [f"{label}({q})"]}
+        assert len(rep["per_class"]) == q
+
+
+def test_large_image_paths_build_no_class_and_no_extension(capsys, tmp_path, monkeypatch):
+    # analyze and classify of GL_2(F_17) and SL_2(F_19) read closed forms
+    # only: no det^-1(D) classes and no F_{q^2}
+    calls = []
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(matgrp, "_det_preimage")
+    for module in (ffield, classify):
+        spy(module, "quadratic_extension")
+    paths = [gl2_sl2_files(tmp_path, 17)[0], gl2_sl2_files(tmp_path, 19)[1]]
+    for path in paths:
+        for argv in (["analyze", "--group", path, "--format", "json"],
+                     ["classify", "--group", path]):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and out and err == ""
+    assert calls == []
 
 
 # ---- top level ----

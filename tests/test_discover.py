@@ -35,12 +35,11 @@ from apcong.eigendata import (
     curve_fixtures,
     delta_coeffs,
     primes_upto,
-    quadform_represents,
 )
 from apcong.ffield import kronecker, legendre, make_field
 from apcong.matgrp import close_group, identity
 
-from helpers import random_subgroups
+from helpers import quadform_represents, random_subgroups
 
 
 def craft(ell, assign, p_max=500, level=1):

@@ -21,9 +21,14 @@ from apcong.eigendata import (
     load_curve_file,
     load_form_file,
     primes_upto,
-    quadform_represents,
 )
-from helpers import char_sum_ap, eta_qexp, series_mul, squaring_chain_delta
+from helpers import (
+    char_sum_ap,
+    eta_qexp,
+    quadform_represents,
+    series_mul,
+    squaring_chain_delta,
+)
 
 
 def test_primes_upto():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from apcong import abelian, matgrp
 from apcong.abelian import analyze_group
+from apcong.classify import classify_group
 from apcong.constructions import (
     a4_lift,
     a5_lift_f11,
@@ -120,9 +122,12 @@ def test_closure_reaches_known_generated_groups():
 
 
 def test_closure_guard_trips(monkeypatch):
-    monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 100)
+    # the guard bounds the search of a group without SL_2: the Borel group
+    # of F_7 has 42 classes; GL_2(F_7) is held by its determinant image
+    monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 20)
     with pytest.raises(ClosureGuardError):
-        close_group(F7, list(gl2(F7).generators))
+        close_group(F7, list(borel(F7).generators))
+    assert close_group(F7, list(gl2(F7).generators)).order == gl2_order(7)
 
 
 def test_singular_generator_rejected():
@@ -325,22 +330,37 @@ def family_generators(spec):
 
 
 def search_close(spec, gens, monkeypatch):
-    """_close without the early exit: the frontier search to the end."""
+    """_close without the early exit: the frontier search to the end, so
+    the group is held as its classes."""
     with monkeypatch.context() as m:
-        m.setattr(matgrp, "_dickson_bound", lambda q: math.inf)
-        return matgrp._close(spec, matgrp._codes_of(gens))
+        m.setattr(matgrp, "_dickson_bound", lambda spec: math.inf)
+        return matgrp._close(spec, matgrp._codes_of(gens), tuple(gens))
+
+
+def classes(G):
+    return G.proj, G.lift, G.k
 
 
 def same_arrays(x, y):
     return len(x) == len(y) and all(np.array_equal(a, b) for a, b in zip(x, y))
 
 
+def class_route(G, monkeypatch):
+    """The analyze report and the classification of G with every closed form
+    for SL_2 overgroups off: each answer is read off the classes."""
+    with monkeypatch.context() as m:
+        m.setattr(MatGroup, "contains_sl2", property(lambda G: False))
+        return analyze_group(G).to_json(), classify_group(G)
+
+
 @pytest.mark.parametrize("q", sorted(ROUTE_QS))
 def test_determinant_routes_match_the_search_and_product_routes(q, monkeypatch):
     # the closure's early exit against the full search, on the SL_2
     # overgroups, a conjugate of each, and every constructions family; on the
-    # SL_2 overgroups the determinant split and the closed-form coset traces
-    # against the product routes
+    # SL_2 overgroups the classes built on request, the determinant split,
+    # the closed-form coset traces and the whole closed-form report and
+    # classification against the search, the product routes and the class
+    # route
     spec = make_field(*ROUTE_QS[q])
     rng = np.random.default_rng(q)
     overgroups = []
@@ -349,12 +369,20 @@ def test_determinant_routes_match_the_search_and_product_routes(q, monkeypatch):
         while not h.det_i():
             h = Mat2(spec, tuple(int(x) for x in rng.integers(0, q, size=4)))
         overgroups += [gens, [h * g * h.inv() for g in gens]]
+    searched = []
     for gens in overgroups + family_generators(spec):
-        got = matgrp._close(spec, matgrp._codes_of(gens))
+        got = matgrp._close(spec, matgrp._codes_of(gens), tuple(gens))
         want = search_close(spec, gens, monkeypatch)
-        assert same_arrays(got, want) and type(got[2]) is int
-    for gens in overgroups if q > 3 else []:
+        # Dickson: for q > 3, a subgroup of PGL_2(F_q) with |PSL_2(F_q)|
+        # classes contains it
+        assert got.contains_sl2 == (q > 3 and want.proj_order >= q * (q * q - 1) // gcd(2, q - 1))
+        assert got.contains_sl2 >= (q > 3 and gens in overgroups)
+        assert got.proj_order == want.proj_order and got.order == want.order
+        assert same_arrays(classes(got), classes(want)) and type(got.k) is int
+        searched.append(want)
+    for gens, K in zip(overgroups, searched) if q > 3 else []:
         G = close_group(spec, gens)
+        assert "proj" not in G.__dict__
         H = commutator_subgroup(G)
         assert matgrp._is_sl2(H)
         assert same_arrays(matgrp._det_split(G), matgrp._product_split(G, H))
@@ -364,6 +392,8 @@ def test_determinant_routes_match_the_search_and_product_routes(q, monkeypatch):
                      "first_missing", "mixed"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+        report, cls = analyze_group(G).to_json(), classify_group(G)
+        assert class_route(K, monkeypatch) == (report, cls)
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
@@ -374,38 +404,81 @@ def test_det_preimage_is_the_closure_of_sl2_and_a_determinant(q, monkeypatch):
     for e in (d for d in range(1, q) if (q - 1) % d == 0):
         gens = list(sl2(spec).generators) + [Mat2(spec, (spec.pow_i(z, e), 0, 0, 1))]
         want = search_close(spec, gens, monkeypatch)
-        assert same_arrays(matgrp._det_preimage(spec, e), want)
-        assert MatGroup(spec, *want, ()).order == q * (q * q - 1) * (q - 1) // e
+        assert same_arrays(matgrp._det_preimage(spec, e), classes(want))
+        assert want.order == q * (q * q - 1) * (q - 1) // e
+        G = close_group(spec, gens)
+        assert G.det_exp == e and G == want and want == G
 
 
 @pytest.mark.parametrize("spec", [F4, F5], ids=["F4", "F5"])
-def test_subgroups_past_the_dickson_bound_contain_sl2(spec):
-    # Dickson's bound is exact: a subgroup of GL_2(F_4) or GL_2(F_5) is past
-    # it iff it contains SL_2, and it is SL_2 iff _is_sl2 says so
-    S = sl2(spec)
+def test_subgroups_past_the_dickson_bound_contain_sl2(spec, monkeypatch):
+    # on every subgroup of GL_2(F_4) and GL_2(F_5), held as its classes by
+    # the full search: more than B(q) classes and no common fixed point of
+    # P^1(F_q) iff it contains SL_2, as element sets; the search records the
+    # same
+    S = search_close(spec, sl2(spec).generators, monkeypatch)
     subs = enumerate_subgroups(gl2(spec))
     assert len(subs) == {4: 148, 5: 466}[spec.q]
-    assert [H.contains_sl2 for H in subs] == [S.is_subgroup_of(H) for H in subs]
+    bound = matgrp._dickson_bound(spec)
+    contains, past = [], []
+    for H in subs:
+        K = search_close(spec, H.generators, monkeypatch)
+        gens = matgrp._codes_of(H.generators)
+        fixed = matgrp._fixed_points(spec, *matgrp.split_codes(spec, gens[:, None])).any()
+        past.append(K.proj_order > bound and not fixed)
+        contains.append(bool(np.isin(S.codes, K.codes).all()))
+        assert H.contains_sl2 == past[-1] and H == K
+    # det^-1(D) for each subgroup D of F_q^x
+    assert past == contains and sum(contains) == {4: 2, 5: 3}[spec.q]
     assert [matgrp._is_sl2(H) for H in subs] == [H == S for H in subs]
     # S_4 in PGL_2(F_5) holds the bound's 24 classes without containing SL_2
-    assert max(H.proj.size for H in subs if not H.contains_sl2) == {4: 12, 5: 24}[spec.q]
+    assert max(H.proj_order for H in subs if not H.contains_sl2) == {4: 12, 5: 24}[spec.q]
+
+
+def test_recognition_bound_values():
+    # max(2 (q + 1), 24 or 60 where 5 divides q (q^2 - 1), PGL_2 of the
+    # largest proper subfield), and the exact max(q (q - 1), 24) for q <= 5
+    want = {2: math.inf, 3: math.inf, 4: 24, 5: 24, 7: 24, 8: 24, 9: 60, 11: 60,
+            13: 28, 16: 60, 25: 120, 27: 56, 29: 60, 49: 336, 64: 504, 81: 720,
+            101: 204}
+    for q, bound in want.items():
+        p, r = next((p, r) for p in range(2, q + 1) for r in range(1, 8) if p ** r == q)
+        assert matgrp._dickson_bound(make_field(p, r)) == bound, q
 
 
 @pytest.mark.parametrize("q", [q for q in sorted(ROUTE_QS) if q > 3])
 def test_borel_closes_without_the_early_exit(q, monkeypatch):
-    # |PB| = q (q - 1) is the bound itself, so the search runs to the end
+    # the Borel group fixes the point (0 : 1); past B(q) the generators are
+    # tested once for a common fixed point and the search runs to the end
     spec = make_field(*ROUTE_QS[q])
+    gens, dihedral = borel(spec).generators, split_cartan_normalizer(spec).generators
 
     def refuse(*args):
         raise AssertionError("early exit on a Borel group")
 
+    tests = []
+    fixed_points = matgrp._fixed_points
+
+    def counted(*args):
+        tests.append(1)
+        return fixed_points(*args)
+
     monkeypatch.setattr(matgrp, "_sl2_overgroup", refuse)
-    assert close_group(spec, borel(spec).generators).order == q * (q - 1) ** 2
+    monkeypatch.setattr(matgrp, "_fixed_points", counted)
+    G = close_group(spec, gens)
+    assert G.order == q * (q - 1) ** 2 and not G.contains_sl2
+    assert len(tests) == (q * (q - 1) > matgrp._dickson_bound(spec))
+    # a group that never passes B(q) never pays for the test
+    close_group(spec, dihedral)
+    assert len(tests) == (q * (q - 1) > matgrp._dickson_bound(spec))
 
 
 def test_closure_guard_bounds_the_closed_form_group(monkeypatch):
-    # the search stops past 272 classes of GL_2(F_17), below the guard; the
-    # guard then refuses the 4 896 classes of det^-1(F_17^x) before any is built
+    # the search stops past B(17) = 36 classes of GL_2(F_17), and the group
+    # is held as its determinant image with no class built, so the guard of
+    # 2000 does not refuse it; it refuses the 4 896 classes of
+    # det^-1(F_17^x) when they are asked for, before any is built, and the
+    # 272 classes of the Borel group, which the search stores
     spec = make_field(17)
     gens = list(gl2(spec).generators)
     monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 2000)
@@ -417,30 +490,31 @@ def test_closure_guard_bounds_the_closed_form_group(monkeypatch):
         return preimage(spec, e)
 
     monkeypatch.setattr(matgrp, "_det_preimage", spy)
-    with pytest.raises(ClosureGuardError):
-        close_group(spec, gens)
-    assert calls == [1]
+    G = close_group(spec, gens)
+    assert G.order == gl2_order(17) and G.contains_sl2 and calls == []
+    assert analyze_group(G).dickson.describe() == "PGL2(17)" and calls == []
     monkeypatch.setattr(matgrp, "_join", None)  # no code is formed
     with pytest.raises(ClosureGuardError):
-        preimage(spec, 1)
+        G.proj
+    assert calls == [1]
+    monkeypatch.undo()
+    monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 200)
+    with pytest.raises(ClosureGuardError):
+        close_group(spec, borel(spec).generators)
 
 
 def test_sl2_overgroup_refuses_classes_outside_the_preimage():
     # det^-1(1) over F_5 has the classes of square det, with lifts mod 2
     S, G = sl2(F5), gl2(F5)
     gens = matgrp._codes_of(S.generators)
-    assert same_arrays(matgrp._sl2_overgroup(F5, gens, S.proj, S.lift),
-                       (S.proj, S.lift, S.k))
+    assert matgrp._sl2_overgroup(F5, gens, S.proj, S.lift, S.generators) == S
     for proj, lift in ((G.proj, G.lift), (S.proj, S.lift + 1)):
         with pytest.raises(RuntimeError, match="closure is broken"):
-            matgrp._sl2_overgroup(F5, gens, proj, lift)
+            matgrp._sl2_overgroup(F5, gens, proj, lift, S.generators)
 
 
-def test_gl2_f97_closes_on_few_products(monkeypatch):
-    # the early exit passes fewer than 2 max(q (q - 1), 24) |gens| = 55 872
-    # products to _canon; the full search would pass 912 576 * 3
-    spec = make_field(97)
-    z = spec.primitive
+def canon_rows(monkeypatch):
+    """The number of rows of each call to _canon, as a list that grows."""
     rows = []
     canon = matgrp._canon
 
@@ -449,9 +523,33 @@ def test_gl2_f97_closes_on_few_products(monkeypatch):
         return canon(spec, a, b, c, d)
 
     monkeypatch.setattr(matgrp, "_canon", counted)
-    G = close_group(spec, [Mat2(spec, e) for e in ((1, 1, 0, 1), (0, 1, 1, 0), (z, 0, 0, 1))])
-    assert G.order == (97 ** 2 - 1) * (97 ** 2 - 97)
-    assert 0 < sum(rows) < 2 * 97 * 96 * 3
+    return rows
+
+
+def gl2_gens(spec):
+    z = spec.primitive
+    return [Mat2(spec, e) for e in ((1, 1, 0, 1), (0, 1, 1, 0), (z, 0, 0, 1))]
+
+
+def test_gl2_f97_closes_on_few_products(monkeypatch):
+    # the early exit passes fewer than 4 (q + 1) |gens| = 1 176 products to
+    # _canon; the full search would pass 912 576 * 3
+    spec = make_field(97)
+    rows = canon_rows(monkeypatch)
+    G = close_group(spec, gl2_gens(spec))
+    assert G.order == (97 ** 2 - 1) * (97 ** 2 - 97) and G.det_exp == 1
+    assert 0 < sum(rows) < 4 * 98 * 3
+
+
+def test_gl2_f1009_closes_on_few_products(monkeypatch):
+    # past B(1009) = 2 020 classes with no common fixed point: fewer than
+    # 4 (q + 1) |gens| = 12 120 rows reach _canon, and no class is built
+    spec = make_field(1009)
+    rows = canon_rows(monkeypatch)
+    G = close_group(spec, gl2_gens(spec))
+    assert G.order == (1009 ** 2 - 1) * (1009 ** 2 - 1009) and G.det_exp == 1
+    assert 0 < sum(rows) < 4 * 1010 * 3
+    assert "proj" not in G.__dict__
 
 
 def test_analyze_gl2_f17_closes_only_the_group(monkeypatch):
@@ -527,6 +625,43 @@ def test_cayley_table_in_row_blocks_equals_the_one_shot_table(spec):
     # 7 rows a block leaves a short last block (48 and 180 rows)
     for block in (7 * codes.size, 1 << 16):
         assert np.array_equal(matgrp._cayley_table(spec, codes, block), T)
+
+
+@pytest.mark.parametrize("spec", [F3, F4])
+def test_double_coset_labels_in_row_blocks_equal_the_one_shot_labels(spec):
+    G = gl2(spec)
+    T = matgrp._cayley_table(spec, G.codes)
+    for H in enumerate_subgroups(G)[::7]:
+        at = np.searchsorted(G.codes, H.codes)
+        want = T[:, at].min(axis=1)[T[at]].min(axis=0)
+        # 5 entries a block leaves short last blocks; 1 << 16 is one block
+        for block in (5, 1 << 16):
+            assert np.array_equal(matgrp._double_coset_labels(T, at, block), want)
+
+
+def test_enumerate_subgroups_peak_stays_near_the_table(monkeypatch):
+    # past the Cayley table (|G|^2 int64, 1.8 MB for GL_2(F_5)) the lattice
+    # search forms no |G| x |H| temporary: its traced peak stays below twice
+    # the table, where the one-shot double-coset labels reached 5.8 MB
+    G = gl2(F5)
+    G.codes
+    table = []
+    cayley = matgrp._cayley_table
+
+    def spy(*args):
+        T = cayley(*args)
+        table.append(T.nbytes)
+        tracemalloc.reset_peak()
+        return T
+
+    monkeypatch.setattr(matgrp, "_cayley_table", spy)
+    tracemalloc.start()
+    try:
+        assert len(enumerate_subgroups(G)) == 466
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table == [480 * 480 * 8] and peak < 2 * table[0]
 
 
 def test_enumerate_subgroups_closes_once_per_subgroup(monkeypatch):

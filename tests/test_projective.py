@@ -61,14 +61,18 @@ def test_closed_form_projective_orders_match_powers(p, r):
 
 
 def test_guard_bounds_the_projective_classes(monkeypatch):
+    # GL2(F7) is held by its determinant image, so the guard bounds the
+    # classes built on request, |PGL2(F7)| = 336 < 2016
     F7 = make_field(7)
     gens = constructions.gl2(F7).generators
-    monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 336)  # |PGL2(F7)| = 336 < 2016
+    monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 336)
     G = close_group(F7, gens)
-    assert G.order == 2016 and G.proj.size == 336
+    assert G.order == 2016 and G.proj.size == G.proj_order == 336
     monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 335)
+    G = close_group(F7, gens)
+    assert G.order == 2016 and G.proj_order == 336
     with pytest.raises(ClosureGuardError):
-        close_group(F7, gens)
+        G.proj
 
 
 def test_analysis_never_expands_the_group():
