@@ -53,7 +53,6 @@ from .eigendata import (
     ApDataset,
     EllipticCurve,
     QSeries,
-    ap_point_count,
     build_dataset,
     curve_dataset,
     curve_fixtures,
@@ -83,7 +82,7 @@ __all__ = [
     "AbelianReport", "ApDataset", "ClassCongruence", "ClassificationError",
     "ClosureGuardError", "CongruenceReport", "DicksonClass",
     "EllipticCurve", "FieldElement", "FieldSpec", "Mat2", "MatGroup",
-    "QSeries", "TheoremConsistencyError", "analyze_group", "ap_point_count",
+    "QSeries", "TheoremConsistencyError", "analyze_group",
     "best_modulus", "build_dataset", "classify_group", "close_group",
     "closed_loop_check", "commutator_subgroup",
     "constructions", "coset_traces", "crosscheck_all_subgroups",

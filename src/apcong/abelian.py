@@ -25,6 +25,10 @@ A G that contains SL_2(F_q), q > 3 (`MatGroup.contains_sl2`), is answered
 from q and D = det G alone: every coset of [G, G] = SL_2(F_q) has every
 trace, the density is counted by determinant fibre and the projective
 check by square class of the determinant, and no class of G is built.
+Every other G reads its verdicts off the (coset, trace) pairs of its
+classes, with the cosets split by products (`coset_split`); that one
+route also serves the element view `CosetTraces.label` of an SL_2
+overgroup, whose classes are then built on request.
 """
 
 from __future__ import annotations
@@ -612,9 +616,11 @@ def analyze_group(G: MatGroup, crosscheck: bool = True) -> AbelianReport:
     if crosscheck:
         theorem_crosscheck(G)
     proper = tuple(sorted(G.trace_ints()))
-    per = {xi: ClassVerdict(xi, is_weakly_abelian(G, xi)[0], is_semi_abelian(G, xi)[0],
-                            is_abelian_class(G, xi)[0])
-           for xi in proper}
+    data, x = coset_traces(G), list(proper)
+    # weak, semi and abelian at every proper class, read as the public
+    # verdicts read them
+    columns = (data.first_const[x] >= 0, data.first_missing[x] >= 0, ~data.mixed[x])
+    per = {xi: ClassVerdict(xi, *v) for xi, *v in zip(proper, *(c.tolist() for c in columns))}
     return AbelianReport(G, classify_group(G), proper, per,
                          is_totally_abelian(G), density_c(G), crosscheck)
 

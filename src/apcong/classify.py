@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
-from .ffield import FieldSpec, embedding_table, quadratic_extension
+from .ffield import FieldSpec, embedding_table, factorize, quadratic_extension
 from .matgrp import (
     Mat2,
     MatGroup,
@@ -220,11 +219,13 @@ def _subfield_stats(kind: str, qsub: int, p: int) -> dict[int, int]:
     stats = Counter({1: 1, p: qsub * qsub - 1})
     for torus, count in ((qsub - 1, qsub * (qsub + 1) // 2),
                          (qsub + 1, qsub * (qsub - 1) // 2)):
-        t = torus // half
-        for d in range(2, t + 1):
-            if t % d == 0:
-                phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
-                stats[d] += phi * count
+        # (d, phi(d)) for every d dividing the torus order, prime by prime
+        phis = [(1, 1)]
+        for ell, a in factorize(torus // half).items():
+            phis = [(d * ell ** i, phi * (ell ** i - ell ** (i - 1) if i else 1))
+                    for d, phi in phis for i in range(a + 1)]
+        for d, phi in phis[1:]:
+            stats[d] += phi * count
     return dict(stats)
 
 

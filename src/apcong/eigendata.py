@@ -17,7 +17,7 @@ otherwise (and for m = 0).
 A curve's a_p come from one kernel for all its good primes at once: a
 character sum for p <= 229, and above that a baby-step giant-step search
 (Shanks-Mestre) with one numpy lane per prime, O(p^(1/4)) point operations
-each, exact by Mestre's theorem.  ap_point_count is its one-lane case.
+each, exact by Mestre's theorem.
 
 An ApDataset keeps its samples as two read-only int64 columns, p and a, so
 discovery and verification work on whole arrays.  A curve is point counted
@@ -156,22 +156,6 @@ class EllipticCurve:
 
     def has_good_reduction(self, p: int) -> bool:
         return self.discriminant % p != 0 and self.conductor % p != 0
-
-
-def ap_point_count(E: EllipticCurve, p: int) -> int:
-    """a_p = p + 1 - #E(F_p) for one prime p of good reduction, p <= the
-    point counting guard; the one-lane case of the kernel behind
-    curve_dataset."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p > POINT_COUNT_GUARD:
-        raise ValueError(f"point counting guard exceeded at {p}")
-    if not E.has_good_reduction(p):
-        raise ValueError(f"bad reduction at {p} for {E.label}")
-    ap = int(_ap_kernel(E, np.array([p], dtype=np.int64))[0])
-    if ap * ap > 4 * p:
-        raise RuntimeError(f"Hasse bound violated: a_{p} = {ap}")
-    return ap
 
 
 # Mestre: for p > 229 a point of E or of its quadratic twist has an order

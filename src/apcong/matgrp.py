@@ -24,16 +24,14 @@ more than B(q) classes (`_dickson_bound`) and the generators fix no common
 point of P^1(F_q): by Dickson's list PG then contains PSL_2(F_q).  Its
 order, |PG|, Z, trace set F_q, determinant set D and [G, G] = SL_2(F_q)
 are closed forms in (q, e).  Its classes proj and lift are built only on
-request, with no products (`_det_preimage`), and so are the views read off
-them: reps, class_orders, codes, traces and coset_label, whose cosets of
-SL_2 come from the determinants (`_det_split`).  Smaller groups take the
-full search, close the commutators of their generators and split their
+request, by the same search run to the end and checked against those
+closed forms, and so are the views read off them.  Every group splits its
 cosets by products; `MatGroup.codes`, the views aligned with it and
 `coset_label` expand G on request, for small groups only.
-The module constant CLOSURE_GUARD bounds the classes a group without SL_2
-stores, and the classes an SL_2 overgroup builds on request.  Codes need
-q^4 < 2^63: a larger field raises CodeRangeError before any code is
-formed, so SL_2 overgroups are held up to q = 55 103.  Groups are
+The module constant CLOSURE_GUARD bounds the classes a search stores, and
+an SL_2 overgroup checks its |PG| against it before its search starts.
+Codes need q^4 < 2^63: a larger field raises CodeRangeError before any
+code is formed, so SL_2 overgroups are held up to q = 55 103.  Groups are
 immutable, so each derived structure (commutator subgroup, classification,
 coset traces) is memoised on the group itself.
 """
@@ -177,7 +175,8 @@ def _fixed_points(spec: FieldSpec, a, b, c, d) -> np.ndarray:
     return ~np.concatenate((f, np.broadcast_to(b, (b.shape[0], 1))), axis=1).any(axis=0)
 
 
-def _close(spec: FieldSpec, gens: np.ndarray, generators: tuple) -> "MatGroup":
+def _close(spec: FieldSpec, gens: np.ndarray, generators: tuple,
+           full: bool = False) -> "MatGroup":
     """The subgroup generated by the codes gens, recorded with the matrices
     generators; more than CLOSURE_GUARD stored classes raise
     ClosureGuardError.
@@ -194,10 +193,11 @@ def _close(spec: FieldSpec, gens: np.ndarray, generators: tuple) -> "MatGroup":
     none, PG contains PSL_2(F_q), so G contains [G, G] ⊇ SL_2(F_q) (perfect
     for q > 3) and is det^-1(det G): the search stops and G is held as its
     determinant image (`_sl2_overgroup`).  With one, G lies in a Borel group
-    and the search runs to the end.
+    and the search runs to the end.  With full, it runs to the end
+    regardless, and G is held as its classes (`MatGroup._classes`).
     """
     n = spec.q - 1
-    bound = _dickson_bound(spec)
+    bound = math.inf if full else _dickson_bound(spec)
     exp, log = spec._tables
     # the products on logs of entries: each entry's log is read once
     gen_logs = tuple(log[e] for e in split_codes(spec, gens[None, :]))
@@ -249,44 +249,6 @@ def _sl2_overgroup(spec: FieldSpec, gens: np.ndarray, proj: np.ndarray, lift: np
     if ((2 * lift + log[_det4(spec, *split_codes(spec, proj))]) % e).any():
         raise RuntimeError("the search left det^-1(det G); closure is broken")
     return MatGroup._from_det(spec, e, generators)
-
-
-def _det_preimage(spec: FieldSpec, e: int):
-    """(proj, lift, k) of det^-1(<g^e>), e dividing q - 1, with no products.
-
-    The canonical classes of PGL_2(F_q) are (0 1; c d) and (1 b; c d), in
-    code order of their top rows (0, 1) < (1, 0) < ... < (1, q - 1).  The
-    scalar g^t puts class c, of ld = log det c, in G iff 2 t + ld = 0 mod e,
-    so with w = gcd(2, e) the classes are those with w | ld, Z = <g^(e/w)>
-    and the lift solves 2 t = -ld mod e.  Each top row holds q (q - 1) / w
-    classes, since (c, d) -> a d - b c takes every value q times; the rows
-    are built a block at a time, so that no temporary has q^3 entries.
-    A group held as e builds them only on request (`MatGroup.proj`), and
-    CLOSURE_GUARD bounds |PG| before anything is built.
-    """
-    q = spec.q
-    w = math.gcd(2, e)
-    size, per = q * (q * q - 1) // w, q * (q - 1) // w
-    if size > CLOSURE_GUARD:
-        raise ClosureGuardError(f"closure exceeded guard {CLOSURE_GUARD}")
-    log = spec._tables[1]
-    x = np.arange(q, dtype=np.int64)
-    a, b = np.append(0, np.ones(q, dtype=np.int64)), np.append(1, x)
-    proj, ld = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    step = max(1, 2 ** 16 // (q * q))
-    for i in range(0, q + 1, step):
-        top = slice(i, i + step)
-        # ld[row, c, d] = log det, log 0 = 2 (q - 1) marking the singular ones
-        det = spec.sub_a(spec.mul_a(a[top, None], x)[:, None, :],
-                         spec.mul_a(b[top, None], x)[:, :, None])
-        logs = log[det]
-        keep = (logs < q - 1) & (logs % w == 0)
-        out = slice(i * per, (i + step) * per)
-        proj[out] = _join(spec, a[top, None, None], b[top, None, None], x[:, None], x)[keep]
-        ld[out] = logs[keep]
-    k = e // w
-    # t = -ld / 2: halve when w = 2, else times the inverse (e + 1) / 2 of 2
-    return proj, -(ld // 2 if w == 2 else ld * ((e + 1) // 2)) % k, k
 
 
 # ---- matrices at the edges ----
@@ -405,11 +367,14 @@ class MatGroup:
 
     @cached_property
     def _classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(proj, lift) of a G held as det_exp, built on request."""
-        proj, lift, _ = _det_preimage(self.spec, self.det_exp)
-        proj.flags.writeable = False
-        lift.flags.writeable = False
-        return proj, lift
+        """(proj, lift) of a G held as det_exp, built on request by the
+        search run to the end; |PG| > CLOSURE_GUARD raises before it starts."""
+        if self.proj_order > CLOSURE_GUARD:
+            raise ClosureGuardError(f"closure exceeded guard {CLOSURE_GUARD}")
+        G = _close(self.spec, _codes_of(self.generators), self.generators, full=True)
+        if (G.k, G.proj_order) != (self.k, self.proj_order):
+            raise RuntimeError("the search left det^-1(det G); closure is broken")
+        return G.proj, G.lift
 
     @cached_property
     def proj(self) -> np.ndarray:
@@ -491,13 +456,9 @@ class MatGroup:
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
         """Whether Z lies in other's scalars and each class of self lies in
-        other with a lift in other's scalar coset; when other contains
-        SL_2(F_q) it is det^-1(det other), so whether det self lies in
-        det other."""
+        other with a lift in other's scalar coset."""
         if self.spec != other.spec or self.k % other.k:
             return False
-        if other.contains_sl2:
-            return self.det_ints() <= other.det_ints()
         i = np.minimum(np.searchsorted(other.proj, self.proj), other.proj.size - 1)
         return bool(((other.proj[i] == self.proj)
                      & ((self.lift - other.lift[i]) % other.k == 0)).all())
@@ -583,9 +544,9 @@ def generating_set(G: MatGroup) -> list[Mat2]:
     if G.generators:
         return list(G.generators)
     gens = np.zeros(0, dtype=np.int64)
-    while (H := _close(G.spec, gens, ())).order < G.order:
+    while (H := _close(G.spec, gens, tuple(_mats_of(G.spec, gens)))).order < G.order:
         gens = np.append(gens, G.codes[np.argmax(~_contains(H, G.codes))])
-    return _mats_of(G.spec, gens) or [identity(G.spec)]
+    return list(H.generators) or [identity(G.spec)]
 
 
 def commutator_subgroup(G: MatGroup) -> MatGroup:
@@ -618,12 +579,6 @@ def _commutator_subgroup(G: MatGroup) -> MatGroup:
     return H
 
 
-def _is_sl2(H: MatGroup) -> bool:
-    """Whether H is all of SL_2(F_q), q > 3: H contains it and has its order."""
-    q = H.spec.q
-    return H.contains_sl2 and H.order == q * (q * q - 1)
-
-
 def _commutator_closure(G: MatGroup) -> MatGroup:
     """[G, G] as the normal closure of the commutators of G's generators."""
     spec = G.spec
@@ -650,10 +605,8 @@ def coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
 
     label[i] is the coset of PH in PG that holds class i, numbered by least
     canonical code; m = |Z : Z ∩ H|; the element g^(k j).reps[i] lies in
-    the coset label[i] m + (shift[i] + j) mod m of H.  For H = SL_2(F_q),
-    q > 3, the coset of an element is its determinant, so label and shift
-    are read off the determinants (`_det_split`); any other H multiplies
-    classes of G by PH (`_product_split`).
+    the coset label[i] m + (shift[i] + j) mod m of H.  They are found by
+    products: each least unlabelled class of G times PH.
     """
     if not H.is_subgroup_of(G):  # also false over another field
         raise ValueError("H is not a subgroup of G")
@@ -661,37 +614,6 @@ def coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
-    label, shift = _det_split(G) if _is_sl2(H) else _product_split(G, H)
-    if np.bincount(label).tolist() != [H.proj_order] * (int(label.max()) + 1):
-        raise RuntimeError("cosets do not partition G")
-    label.flags.writeable = False
-    shift.flags.writeable = False
-    return label, shift, H.k // G.k
-
-
-def _det_split(G: MatGroup) -> tuple[np.ndarray, np.ndarray]:
-    """label and shift for H = SL_2(F_q), read off the determinants.
-
-    PH = PSL_2(F_q) holds the classes of square determinant, so a class's
-    coset of PH is log det reps[i] = ld_i mod gcd(2, q - 1), numbered by
-    least class.  The coset of H holding an element is its determinant, so
-    reps[i] lies in g^(k t).reps[base].H, base the least class of its
-    coset of PH, for the t in [0, m) with 2 k t = ld_i - ld_base mod q - 1.
-    """
-    n = G.spec.q - 1
-    ld = G.spec._tables[1][G.rep_dets]
-    parity = ld % math.gcd(2, n)
-    label = (parity != parity[0]).astype(np.int64)
-    diff = (ld - np.where(label, ld[np.argmax(label)], ld[0])) % n
-    # halve: diff is even when n is, else times the inverse (n + 1) / 2 of 2
-    shift, rest = np.divmod(diff // 2 if n % 2 == 0 else diff * ((n + 1) // 2) % n, G.k)
-    if rest.any():
-        raise RuntimeError("cosets do not partition G")
-    return label, shift
-
-
-def _product_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray]:
-    """label and shift by products: each least unlabelled class times PH."""
     spec = G.spec
     label = np.full(G.proj.size, -1, dtype=np.int64)
     shift = np.zeros(G.proj.size, dtype=np.int64)
@@ -714,7 +636,11 @@ def _product_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray]:
         # Z/(Z ∩ H), Z ∩ H = <g^(H.k)>, is the shift of class c
         shift[pos] = (G.lift[pos] - lead) % H.k // G.k
         count += first.size
-    return label, shift
+    if np.bincount(label).tolist() != [H.proj_order] * count:
+        raise RuntimeError("cosets do not partition G")
+    label.flags.writeable = False
+    shift.flags.writeable = False
+    return label, shift, H.k // G.k
 
 
 def coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:

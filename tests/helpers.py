@@ -3,10 +3,12 @@ that cross-check `enumerate_subgroups` (closures of a subgroup with one
 more element, and the 2-generated subgroup sweep), every constructions
 family over a field, the group exponent and trace frequencies, unclosed
 wrapping of element sets, projective classes, projective orders by powers,
-traceless and commutator-trace counts, the eigenline route to the Borel
-witness and element degrees by Frobenius powers, and the oracles below
-(primality by trial division and representation of a prime by a binary
-quadratic form among them)."""
+traceless and commutator-trace counts, the classes and the SL_2 cosets
+of an SL_2 overgroup read off the determinants with no products, the
+eigenline route to the Borel witness, element degrees by Frobenius powers,
+the one-prime point count, and the oracles below (primality by trial
+division and representation of a prime by a binary quadratic form among
+them)."""
 
 import math
 from collections import Counter
@@ -15,7 +17,8 @@ from math import gcd
 import numpy as np
 
 from apcong import constructions
-from apcong.ffield import embedding_table, quadratic_extension
+from apcong.eigendata import POINT_COUNT_GUARD, _ap_kernel
+from apcong.ffield import embedding_table, is_prime, quadratic_extension
 from apcong.matgrp import (
     Mat2,
     MatGroup,
@@ -189,6 +192,57 @@ def family_groups(spec) -> list[tuple[str, MatGroup]]:
     if q == 13:
         out.append(("s4_lift_f13", constructions.s4_lift_f13()))
     return out
+
+
+# ---- the former closed-form class route of SL_2 overgroups ----
+
+def det_preimage(spec, e: int):
+    """(proj, lift, k) of det^-1(<g^e>), e dividing q - 1, q > 3, with no
+    products.
+
+    The canonical classes of PGL_2(F_q) are (0 1; c d) and (1 b; c d), in
+    code order of their top rows (0, 1) < (1, 0) < ... < (1, q - 1).  The
+    scalar g^t puts class c, of ld = log det c, in G iff 2 t + ld = 0 mod e,
+    so with w = gcd(2, e) the classes are those with w | ld, Z = <g^(e/w)>
+    and the lift solves 2 t = -ld mod e.  Each top row holds q (q - 1) / w
+    classes, since (c, d) -> a d - b c takes every value q times.
+    """
+    q = spec.q
+    w = gcd(2, e)
+    log = spec._tables[1]
+    x = np.arange(q, dtype=np.int64)
+    a, b = np.append(0, np.ones(q, dtype=np.int64)), np.append(1, x)
+    # logs[row, c, d] = log det, log 0 = 2 (q - 1) marking the singular ones
+    logs = log[spec.sub_a(spec.mul_a(a[:, None], x)[:, None, :],
+                          spec.mul_a(b[:, None], x)[:, :, None])]
+    keep = (logs < q - 1) & (logs % w == 0)
+    proj = (((a[:, None, None] * q + b[:, None, None]) * q + x[:, None]) * q + x)[keep]
+    ld = logs[keep]
+    k = e // w
+    # t = -ld / 2: halve when w = 2, else times the inverse (e + 1) / 2 of 2
+    return proj, -(ld // 2 if w == 2 else ld * ((e + 1) // 2)) % k, k
+
+
+def det_split(G: MatGroup):
+    """(label, shift) of the cosets of H = SL_2(F_q) in G ⊇ H, q > 3, read
+    off the determinants.
+
+    PH = PSL_2(F_q) holds the classes of square determinant, so a class's
+    coset of PH is log det reps[i] = ld_i mod gcd(2, q - 1), numbered by
+    least class.  The coset of H holding an element is its determinant, so
+    reps[i] lies in g^(k t).reps[base].H, base the least class of its
+    coset of PH, for the t in [0, m) with 2 k t = ld_i - ld_base mod q - 1.
+    """
+    n = G.spec.q - 1
+    ld = G.spec._tables[1][G.rep_dets]
+    parity = ld % gcd(2, n)
+    label = (parity != parity[0]).astype(np.int64)
+    diff = (ld - np.where(label, ld[np.argmax(label)], ld[0])) % n
+    # halve: diff is even when n is, else times the inverse (n + 1) / 2 of 2
+    shift, rest = np.divmod(diff // 2 if n % 2 == 0 else diff * ((n + 1) // 2) % n, G.k)
+    if rest.any():
+        raise RuntimeError("cosets do not partition G")
+    return label, shift
 
 
 # ---- the classifier's former scalar routes ----
@@ -397,6 +451,22 @@ def oracle_proj_order(F: PolyField, m) -> int:
         x = oracle_mat_mul(F, x, m)
         n += 1
     return n
+
+
+def ap_point_count(E, p: int) -> int:
+    """a_p = p + 1 - #E(F_p) for one prime p of good reduction, p <= the
+    point counting guard: the one-lane case of the kernel behind
+    curve_dataset."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p > POINT_COUNT_GUARD:
+        raise ValueError(f"point counting guard exceeded at {p}")
+    if not E.has_good_reduction(p):
+        raise ValueError(f"bad reduction at {p} for {E.label}")
+    ap = int(_ap_kernel(E, np.array([p], dtype=np.int64))[0])
+    if ap * ap > 4 * p:
+        raise RuntimeError(f"Hasse bound violated: a_{p} = {ap}")
+    return ap
 
 
 def char_sum_ap(E, p: int) -> int:

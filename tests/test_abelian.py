@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from apcong.abelian import (
+    ClassVerdict,
     TheoremConsistencyError,
     analyze_group,
     coset_traces,
@@ -78,11 +79,16 @@ SMALL_GROUPS = [
 
 @pytest.mark.parametrize("G", SMALL_GROUPS)
 def test_verdicts_match_brute_force(G):
+    per_class = analyze_group(G).per_class
+    assert sorted(per_class) == sorted(G.trace_ints())
     for xi in sorted(G.trace_ints()):
         bw, bs, bu = brute_verdicts(G, xi)
         assert is_weakly_abelian(G, xi)[0] == bw
         assert is_semi_abelian(G, xi)[0] == bs
         assert is_abelian_class(G, xi)[0] == bu
+        # the report reads the same three verdicts, as plain bools
+        assert per_class[xi] == ClassVerdict(xi, bw, bs, bu)
+        assert all(type(v) is bool for v in dataclasses.astuple(per_class[xi])[1:])
 
 
 def test_verdicts_over_every_subgroup_of_gl2_f3():

@@ -2,18 +2,22 @@
 
 perfbench/cases.py builds its group inputs with `Mat2` and `FieldSpec`
 (`Mat2.entries`, `FieldElement.coeffs`, `det_i`, `inv`, products) and feeds
-them to `apcong.cli.main`; a change to those names, or to the answers,
-would fail every group run of the benchmark.  The module is loaded from its
-file and only read.
+them to `apcong.cli.main`, or, for the closed loop, to `group_from_json`
+and `discover.closed_loop_check`; a change to those names, or to the
+answers, would fail every group run of the benchmark.  The module is
+loaded from its file and only read.
 """
 
 import importlib.util
 import io
+import json
 from pathlib import Path
 
 import pytest
 
 from apcong.cli import main
+from apcong.discover import closed_loop_check
+from apcong.matgrp import group_from_json
 
 CASES_PY = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
 
@@ -46,3 +50,16 @@ def test_group_cases_pass_their_checks(cases, workload, case_id, capsys, monkeyp
         rc = main(case["argv"])
         out = capsys.readouterr().out
         assert cases.check(case, rc, out) == []
+
+
+def test_closed_loop_case_passes_its_checks(cases):
+    # the one benchmark case that expands an SL_2 overgroup into its
+    # classes; the answer text is formed as perfbench/run.py forms it
+    [case] = [c for c in cases.build("data", 1) if c["id"] == "closed_loop gl2(F5)"]
+    for text in case["inputs"]:
+        result = closed_loop_check(group_from_json(json.loads(text)), n=case["n"],
+                                   seed=case["sample_seed"])
+        out = json.dumps({"ok": result.ok, "order": result.group_order,
+                          "predicted_zero": str(result.predicted_zero),
+                          "modulus": result.modulus})
+        assert cases.check(case, 0, out) == []

@@ -1,6 +1,7 @@
 import random
 from math import lcm
 
+import numpy as np
 import pytest
 
 from apcong.classify import (
@@ -205,13 +206,18 @@ def test_traceless_counts_full_groups(spec, q):
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
                                  (3, 2), (11, 1), (13, 1)])
 def test_subfield_stats_match_reference_groups(p, r):
-    # the closed form against element orders counted on PGL2/PSL2 themselves
+    # the closed form against element orders counted on the classes of
+    # PGL2/PSL2 themselves; for q > 3 proj_order_stats of these groups picks
+    # a closed form by det G, and it must pick the right one
     spec, q = make_field(p, r), p**r
-    assert _subfield_stats("PGL2", q, p) == proj_order_stats(gl2(spec))
-    assert _subfield_stats("PSL2", q, p) == proj_order_stats(sl2(spec))
+    for kind, G in (("PGL2", gl2(spec)), ("PSL2", sl2(spec))):
+        orders, counts = np.unique(G.class_orders, return_counts=True)
+        counted = dict(zip(orders.tolist(), counts.tolist()))
+        assert _subfield_stats(kind, q, p) == counted == proj_order_stats(G)
 
 
-@pytest.mark.parametrize("q,p", [(17, 17), (19, 19), (23, 23), (25, 5)])
+@pytest.mark.parametrize("q,p", [(17, 17), (19, 19), (23, 23), (25, 5), (1009, 1009),
+                                 (10007, 10007)])
 def test_subfield_stats_beyond_reference_sizes(q, p):
     pgl = _subfield_stats("PGL2", q, p)
     psl = _subfield_stats("PSL2", q, p)

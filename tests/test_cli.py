@@ -437,19 +437,21 @@ def test_analyze_gl2_and_sl2_past_q_1000(capsys, tmp_path, q):
 
 def test_large_image_paths_build_no_class_and_no_extension(capsys, tmp_path, monkeypatch):
     # analyze and classify of GL_2(F_17) and SL_2(F_19) read closed forms
-    # only: no det^-1(D) classes and no F_{q^2}
+    # only: no det^-1(D) classes, so no full search, and no F_{q^2}
     calls = []
 
     def spy(owner, name):
         fn = getattr(owner, name)
 
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
+        def wrapper(*args, **kwargs):
+            # the closure of an input group is expected; a full search is not
+            if name != "_close" or kwargs.get("full"):
+                calls.append(name)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    spy(matgrp, "_det_preimage")
+    spy(matgrp, "_close")
     for module in (ffield, classify):
         spy(module, "quadratic_extension")
     paths = [gl2_sl2_files(tmp_path, 17)[0], gl2_sl2_files(tmp_path, 19)[1]]

@@ -13,7 +13,6 @@ from apcong.eigendata import (
     EllipticCurve,
     QSeries,
     _parse_curve_lines,
-    ap_point_count,
     build_dataset,
     curve_dataset,
     curve_fixtures,
@@ -23,6 +22,7 @@ from apcong.eigendata import (
     primes_upto,
 )
 from helpers import (
+    ap_point_count,
     char_sum_ap,
     eta_qexp,
     quadform_represents,

@@ -46,6 +46,8 @@ from apcong.matgrp import (
 
 from helpers import (
     PolyField,
+    det_preimage,
+    det_split,
     element_order,
     enumerate_subgroups_closure,
     enumerate_subgroups_pairs,
@@ -284,7 +286,7 @@ def test_sl2_read_off_matches_the_closure_route(q):
         for G in (close_group(spec, gens), close_group(spec, [h * g * hi for g in gens])):
             assert G.contains_sl2
             K = commutator_subgroup(G)
-            assert K.order == q * (q * q - 1) and matgrp._is_sl2(K)
+            assert K.order == q * (q * q - 1) and K.contains_sl2
             assert K == matgrp._commutator_closure(G)
             assert K.is_subgroup_of(G)
             assert close_group(spec, K.generators) == K
@@ -307,7 +309,8 @@ def test_small_fields_and_small_images_take_the_closure_route(G, monkeypatch):
     # a fresh group, so that no earlier test has memoised its [G, G]
     K = commutator_subgroup(close_group(G.spec, G.generators))
     assert len(calls) == 1
-    assert K == closure(G) and not matgrp._is_sl2(K)
+    q = G.spec.q
+    assert K == closure(G) and not (K.contains_sl2 and K.order == q * (q * q - 1))
 
 
 ROUTE_QS = {2: (2, 1), 3: (3, 1), **READ_OFF_QS, 17: (17, 1), 19: (19, 1), 23: (23, 1),
@@ -329,12 +332,10 @@ def family_generators(spec):
     return [list(G.generators) for G in groups]
 
 
-def search_close(spec, gens, monkeypatch):
+def search_close(spec, gens):
     """_close without the early exit: the frontier search to the end, so
     the group is held as its classes."""
-    with monkeypatch.context() as m:
-        m.setattr(matgrp, "_dickson_bound", lambda spec: math.inf)
-        return matgrp._close(spec, matgrp._codes_of(gens), tuple(gens))
+    return matgrp._close(spec, matgrp._codes_of(gens), tuple(gens), full=True)
 
 
 def classes(G):
@@ -372,7 +373,7 @@ def test_determinant_routes_match_the_search_and_product_routes(q, monkeypatch):
     searched = []
     for gens in overgroups + family_generators(spec):
         got = matgrp._close(spec, matgrp._codes_of(gens), tuple(gens))
-        want = search_close(spec, gens, monkeypatch)
+        want = search_close(spec, gens)
         # Dickson: for q > 3, a subgroup of PGL_2(F_q) with |PSL_2(F_q)|
         # classes contains it
         assert got.contains_sl2 == (q > 3 and want.proj_order >= q * (q * q - 1) // gcd(2, q - 1))
@@ -384,8 +385,8 @@ def test_determinant_routes_match_the_search_and_product_routes(q, monkeypatch):
         G = close_group(spec, gens)
         assert "proj" not in G.__dict__
         H = commutator_subgroup(G)
-        assert matgrp._is_sl2(H)
-        assert same_arrays(matgrp._det_split(G), matgrp._product_split(G, H))
+        assert H.contains_sl2 and H.order == q * (q * q - 1)
+        assert same_arrays(det_split(G), matgrp._coset_split(G, H)[:2])
         got, want = abelian._coset_traces(G), abelian._class_coset_traces(G, H)
         assert got.commutator is H
         for name in ("pair_coset", "pair_trace", "const", "first_const",
@@ -397,32 +398,35 @@ def test_determinant_routes_match_the_search_and_product_routes(q, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
-def test_det_preimage_is_the_closure_of_sl2_and_a_determinant(q, monkeypatch):
-    # det^-1(<g^e>) for every e dividing q - 1, even and odd
+def test_det_preimage_is_the_closure_of_sl2_and_a_determinant(q):
+    # det^-1(<g^e>) for every e dividing q - 1, even and odd: the classes
+    # the early exit builds on request against the product-free oracle
     spec = make_field(*ROUTE_QS[q])
     z = spec.primitive
     for e in (d for d in range(1, q) if (q - 1) % d == 0):
         gens = list(sl2(spec).generators) + [Mat2(spec, (spec.pow_i(z, e), 0, 0, 1))]
-        want = search_close(spec, gens, monkeypatch)
-        assert same_arrays(matgrp._det_preimage(spec, e), classes(want))
+        want = search_close(spec, gens)
+        assert same_arrays(det_preimage(spec, e), classes(want))
         assert want.order == q * (q * q - 1) * (q - 1) // e
         G = close_group(spec, gens)
-        assert G.det_exp == e and G == want and want == G
+        assert G.det_exp == e and "proj" not in G.__dict__
+        assert same_arrays(classes(G), det_preimage(spec, e))
+        assert G == want and want == G
 
 
 @pytest.mark.parametrize("spec", [F4, F5], ids=["F4", "F5"])
-def test_subgroups_past_the_dickson_bound_contain_sl2(spec, monkeypatch):
+def test_subgroups_past_the_dickson_bound_contain_sl2(spec):
     # on every subgroup of GL_2(F_4) and GL_2(F_5), held as its classes by
     # the full search: more than B(q) classes and no common fixed point of
     # P^1(F_q) iff it contains SL_2, as element sets; the search records the
     # same
-    S = search_close(spec, sl2(spec).generators, monkeypatch)
+    S = search_close(spec, sl2(spec).generators)
     subs = enumerate_subgroups(gl2(spec))
     assert len(subs) == {4: 148, 5: 466}[spec.q]
     bound = matgrp._dickson_bound(spec)
     contains, past = [], []
     for H in subs:
-        K = search_close(spec, H.generators, monkeypatch)
+        K = search_close(spec, H.generators)
         gens = matgrp._codes_of(H.generators)
         fixed = matgrp._fixed_points(spec, *matgrp.split_codes(spec, gens[:, None])).any()
         past.append(K.proj_order > bound and not fixed)
@@ -430,7 +434,8 @@ def test_subgroups_past_the_dickson_bound_contain_sl2(spec, monkeypatch):
         assert H.contains_sl2 == past[-1] and H == K
     # det^-1(D) for each subgroup D of F_q^x
     assert past == contains and sum(contains) == {4: 2, 5: 3}[spec.q]
-    assert [matgrp._is_sl2(H) for H in subs] == [H == S for H in subs]
+    q = spec.q
+    assert [H.contains_sl2 and H.order == q * (q * q - 1) for H in subs] == [H == S for H in subs]
     # S_4 in PGL_2(F_5) holds the bound's 24 classes without containing SL_2
     assert max(H.proj_order for H in subs if not H.contains_sl2) == {4: 12, 5: 24}[spec.q]
 
@@ -473,30 +478,43 @@ def test_borel_closes_without_the_early_exit(q, monkeypatch):
     assert len(tests) == (q * (q - 1) > matgrp._dickson_bound(spec))
 
 
+def full_searches(monkeypatch):
+    """The field size of each full search (`_close(..., full=True)`), as a
+    list that grows."""
+    calls = []
+    close = matgrp._close
+
+    def spy(spec, *args, full=False):
+        if full:
+            calls.append(spec.q)
+        return close(spec, *args, full=full)
+
+    monkeypatch.setattr(matgrp, "_close", spy)
+    return calls
+
+
 def test_closure_guard_bounds_the_closed_form_group(monkeypatch):
     # the search stops past B(17) = 36 classes of GL_2(F_17), and the group
     # is held as its determinant image with no class built, so the guard of
     # 2000 does not refuse it; it refuses the 4 896 classes of
-    # det^-1(F_17^x) when they are asked for, before any is built, and the
-    # 272 classes of the Borel group, which the search stores
+    # det^-1(F_17^x) when they are asked for, before the search that builds
+    # them starts, and the 272 classes of the Borel group, which the search
+    # stores
     spec = make_field(17)
     gens = list(gl2(spec).generators)
     monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 2000)
-    calls = []
-    preimage = matgrp._det_preimage
-
-    def spy(spec, e):
-        calls.append(e)
-        return preimage(spec, e)
-
-    monkeypatch.setattr(matgrp, "_det_preimage", spy)
+    calls = full_searches(monkeypatch)
     G = close_group(spec, gens)
     assert G.order == gl2_order(17) and G.contains_sl2 and calls == []
     assert analyze_group(G).dickson.describe() == "PGL2(17)" and calls == []
-    monkeypatch.setattr(matgrp, "_join", None)  # no code is formed
-    with pytest.raises(ClosureGuardError):
-        G.proj
-    assert calls == [1]
+    with monkeypatch.context() as m:
+        m.setattr(matgrp, "_join", None)  # no code is formed
+        with pytest.raises(ClosureGuardError):
+            G.proj
+    assert calls == []
+    # under the default guard the same request runs the full search once
+    monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 10 ** 6)
+    assert G.proj.size == 17 * (17 ** 2 - 1) and calls == [17]
     monkeypatch.undo()
     monkeypatch.setattr(matgrp, "CLOSURE_GUARD", 200)
     with pytest.raises(ClosureGuardError):
@@ -683,6 +701,16 @@ def test_generating_set_regenerates():
     for G in (gl2(F3), sl2(F5), nonsplit_cartan_normalizer(F7)):
         gens = generating_set(G)
         assert close_group(G.spec, gens).elements == G.elements
+
+
+def test_generating_set_passes_through_an_sl2_overgroup():
+    # with no recorded generators the greedy search reaches det^-1(squares)
+    # of order 240 before GL_2(F_5), and that SL_2 overgroup builds its
+    # classes from the generators found so far
+    G = from_elements(F5, gl2(F5).elements)
+    assert not G.generators
+    gens = generating_set(G)
+    assert close_group(F5, gens).elements == G.elements
 
 
 def test_trace_multiset_counts():
