@@ -13,8 +13,11 @@ as such; the group machinery supplies the corresponding exact statements.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,24 +42,6 @@ class InsufficientDataError(ValueError):
 def _units(M: int) -> list[int]:
     # gcd(0, 1) = 1, so M = 1 has the single class 0
     return np.flatnonzero(np.gcd(np.arange(M), M) == 1).tolist()
-
-
-def _pairs(ds: ApDataset, M: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """The distinct (p mod M, a) pairs of ds, ascending, and the index of
-    each sample's pair."""
-    codes, inv = np.unique((ds.p % M) * ds.ell + ds.a, return_inverse=True)
-    return [divmod(c, ds.ell) for c in codes.tolist()], inv
-
-
-def _per_sample(ds: ApDataset, inv: np.ndarray, messages: list[list[str]]):
-    """Messages found once per distinct pair, repeated for each sample of
-    that pair in sample order and prefixed with its p."""
-    flagged = np.array([bool(m) for m in messages], dtype=bool)[inv]
-    return tuple(
-        f"p={ds.p[i]}: {msg}"
-        for i in np.flatnonzero(flagged)
-        for msg in messages[inv[i]]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,51 +254,21 @@ class TableCheck:
     detail: str = ""
 
 
-def verify_trace_menu(
-    ds: ApDataset, M: int, menu: dict[int, frozenset[int] | set[int]]
-) -> tuple[tuple[str, ...], bool]:
-    """Rows keyed by p mod M list the allowed a_p values; the flag returned
-    says whether every listed value actually occurs in every row."""
-    pairs, inv = _pairs(ds, M)
-    messages = []
-    seen: dict[int, set[int]] = {r: set() for r in menu}
-    for r, a in pairs:
-        if r not in menu:
-            messages.append([f"class {r} mod {M} not in table"])
-            continue
-        bad = a not in menu[r]
-        messages.append([f"a_p={a} not allowed in class {r} mod {M}"] if bad else [])
-        seen[r].add(a)
-    complete = all(seen[r] == set(menu[r]) for r in menu)
-    return _per_sample(ds, inv, messages), complete
-
-
-def verify_class_rule(
-    ds: ApDataset, M: int, rule: dict[int, frozenset[int] | set[int]], two_way: bool
-) -> tuple[str, ...]:
-    """Rows keyed by a_p value list the allowed p-residues mod M.  One-way
-    checks a_p = x implies p mod M in rule[x]; two-way additionally checks
-    p mod M in rule[x] implies a_p = x."""
-    pairs, inv = _pairs(ds, M)
-    messages = []
-    for r, a in pairs:
-        found = []
-        if a in rule and r not in rule[a]:
-            found.append(f"a_p={a} but p={r} mod {M} outside row")
-        if two_way:
-            for x, cls in rule.items():
-                if r in cls and a != x:
-                    found.append(f"p={r} mod {M} forces a_p={x}, got {a}")
-        messages.append(found)
-    return _per_sample(ds, inv, messages)
-
-
-def _residues_by_value(ds: ApDataset, M: int) -> dict[int, set[int]]:
-    """Sample value -> the residues p mod M at which it occurs."""
-    out: dict[int, set[int]] = {}
-    for r, a in _pairs(ds, M)[0]:
-        out.setdefault(a, set()).add(r)
-    return out
+def check_allowed(ds: ApDataset, allowed: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """Check samples against a table allowed[r, a] over (p mod M, a_p mod
+    ell), M = len(allowed).  Returns one message per sample outside the
+    table, in sample order, and seen[r, a]: the pairs that occur."""
+    M, ell = allowed.shape
+    if ds.ell != ell:
+        raise ValueError(f"table is mod {ell}, data mod {ds.ell}")
+    r = ds.p % M
+    seen = np.zeros_like(allowed)
+    seen[r, ds.a] = True
+    bad = np.flatnonzero(~allowed[r, ds.a])
+    return tuple(
+        f"p={p}: a_p={a} not allowed in class {c} mod {M}"
+        for p, a, c in zip(ds.p[bad].tolist(), ds.a[bad].tolist(), r[bad].tolist())
+    ), seen
 
 
 # frozen printed tables for the packaged example curves
@@ -334,6 +289,7 @@ ROWS_2450A1_MOD35 = {
     5: {4, 8, 11, 22},
     6: {1, 2, 23, 29},
 }
+ROWS_324B1_MOD5 = {1: {1, 3, 4}, 4: {1, 3, 4}, 2: {1, 2, 4}, 3: {1, 2, 4}}
 MENU_50700_MOD13 = {
     1: {11, 12, 0, 1, 2},
     2: {11, 0, 2},
@@ -358,89 +314,93 @@ def _s0_mod39() -> frozenset[int]:
     )
 
 
+def _table(M: int, ell: int, allows: Callable[[int, int], bool]) -> np.ndarray:
+    out = np.array([[allows(r, a) for a in range(ell)] for r in range(M)])
+    out.flags.writeable = False  # shared by every call through _statements
+    return out
+
+
+def _sharp(*groups: list[int]) -> Callable[[np.ndarray, np.ndarray], bool]:
+    """Seen-condition: each group of a_p values occurs at exactly the
+    residues where the table allows some value of the group."""
+    return lambda seen, allowed: all(
+        np.array_equal(seen[:, g].any(axis=1), allowed[:, g].any(axis=1)) for g in groups
+    )
+
+
+class Statement(NamedTuple):
+    """A printed statement: the table allowed[r, a] of the (p mod M, a_p mod
+    ell) pairs it allows, shaped (M, ell), and a condition holds(seen,
+    allowed) on the pairs seen (sharpness, or a pair that must occur)."""
+
+    label: str
+    name: str
+    allowed: np.ndarray
+    holds: Callable[[np.ndarray, np.ndarray], bool] = lambda seen, allowed: True
+    detail: str = ""  # reported when the statement holds
+
+
+@cache
+def _statements() -> tuple[Statement, ...]:
+    s0 = _s0_mod39()
+    nonsq7 = [r for r in range(7) if legendre(r, 7) == -1]
+    return (
+        Statement("338d1", "disc-symbol forces even a_p",
+                  _table(104, 2, lambda r, a: a == 0 or kronecker(-26, r) != -1)),
+        Statement("338d1", "mod-3 vanishing iff p mod 39",
+                  _table(39, 3, lambda r, a: (a == 0) == (r in s0))),
+        Statement("338d1", "mod-5 one-way determinant rule",
+                  _table(5, 5, lambda r, a: r in ROWS_338_MOD5[a])),
+        Statement("338d1", "p + a_p^2 square mod 5",
+                  _table(5, 5, lambda r, a: legendre(r + a * a, 5) != -1)),
+        # the rows are disjoint, so "a_p = x iff p in row x" allows row x only
+        Statement("338d1", "mod-65 five-row table sharp",
+                  _table(65, 5, lambda r, a: r in ROWS_338_MOD65[a]), np.array_equal),
+        Statement("2450ba1", "mod-7 four-row table sharp",
+                  _table(7, 7, lambda r, a: a in MENU_2450BA1_MOD7.get(r, ())),
+                  np.array_equal),
+        # verified only when some nonsquare p was checked
+        Statement("2450ba1", "square/nonsquare vanishing rule",
+                  _table(7, 7, lambda r, a: (a == 0) == (r in nonsq7)),
+                  lambda seen, allowed: seen[nonsq7].any()),
+        Statement("2450a1", "mod-35 six-row one-way table",
+                  _table(35, 7, lambda r, a: a == 0 or r in ROWS_2450A1_MOD35[a]),
+                  _sharp(*([x] for x in ROWS_2450A1_MOD35))),
+        Statement("608e1", "p = 3 mod 4 forces vanishing",
+                  _table(4, 5, lambda r, a: r != 3 or a == 0)),
+        Statement("608e1", "converse fails at p = 1, 9 mod 20",
+                  _table(20, 5, lambda r, a: True),
+                  lambda seen, allowed: seen[[1, 9], 0].any() and seen[[1, 9], 1:].any(),
+                  "both zero and nonzero a_p occur"),
+        Statement("324b1", "two exclusion implications mod 5 sharp",
+                  _table(5, 5, lambda r, a: a == 0 or r in ROWS_324B1_MOD5[a]),
+                  _sharp([1, 4], [2, 3])),
+        Statement("50700u1", "mod-13 twelve-row menu sharp",
+                  _table(13, 13, lambda r, a: a in MENU_50700_MOD13.get(r, ())),
+                  np.array_equal),
+    )
+
+
 def verify_fixture_tables(
     curves: dict[str, EllipticCurve], p_max: int = 10_000
 ) -> list[TableCheck]:
     """Re-derive every printed congruence table from point counts."""
     out = []
     exact = {}
-
-    def dataset(label, ell):
+    for st in _statements():
+        if st.label not in curves:
+            continue
         # each curve is point counted once; every ell reduces the same a_p
-        if label not in exact:
-            exact[label] = curve_dataset(curves[label], p_max)
-        return exact[label].reduce(ell)
-
-    def add(ds, label, name, violations, extra_ok=True, detail=""):
+        if st.label not in exact:
+            exact[st.label] = curve_dataset(curves[st.label], p_max)
+        ds = exact[st.label].reduce(st.allowed.shape[1])
         # a statement checked on no prime is not verified
         if not len(ds):
-            out.append(TableCheck(label, name, False, (), "no samples"))
-            return
-        ok = not violations and extra_ok
-        out.append(TableCheck(label, name, ok, tuple(violations), detail))
-
-    if "338d1" in curves:
-        ds2 = dataset("338d1", 2)
-        # the mod-2 primes are odd and prime to 26, where (-26/p) is Legendre's
-        sym = kronecker_column(-26, ds2.p)
-        odd = (sym == -1) & (ds2.a != 0)
-        v = [f"p={p}" for p in ds2.p[odd].tolist()]
-        add(ds2, "338d1", "disc-symbol forces even a_p", v)
-        ds3 = dataset("338d1", 3)
-        v = verify_class_rule(ds3, 39, {0: _s0_mod39()}, two_way=True)
-        add(ds3, "338d1", "mod-3 vanishing iff p mod 39", v)
-        ds5 = dataset("338d1", 5)
-        v = verify_class_rule(ds5, 5, ROWS_338_MOD5, two_way=False)
-        add(ds5, "338d1", "mod-5 one-way determinant rule", v)
-        sym5 = np.array([legendre(r, 5) for r in range(5)], dtype=np.int64)
-        nonsq = sym5[(ds5.p + ds5.a * ds5.a) % 5] < 0
-        v = [f"p={p}" for p in ds5.p[nonsq].tolist()]
-        add(ds5, "338d1", "p + a_p^2 square mod 5", v)
-        v = verify_class_rule(ds5, 65, ROWS_338_MOD65, two_way=True)
-        attain = _residues_by_value(ds5, 65)
-        sharp = all(attain.get(x, set()) == r for x, r in ROWS_338_MOD65.items())
-        add(ds5, "338d1", "mod-65 five-row table sharp", v, sharp)
-    if "2450ba1" in curves:
-        ds7 = dataset("2450ba1", 7)
-        v, sharp = verify_trace_menu(ds7, 7, MENU_2450BA1_MOD7)
-        add(ds7, "2450ba1", "mod-7 four-row table sharp", v, sharp)
-        add(
-            ds7,
-            "2450ba1",
-            "square/nonsquare vanishing rule",
-            [] if vanishing_rule_check(ds7).holds else ["vanishing rule fails"],
-        )
-    if "2450a1" in curves:
-        ds7 = dataset("2450a1", 7)
-        v = verify_class_rule(ds7, 35, ROWS_2450A1_MOD35, two_way=False)
-        attain = _residues_by_value(ds7, 35)
-        sharp = all(attain.get(x, set()) == r for x, r in ROWS_2450A1_MOD35.items())
-        add(ds7, "2450a1", "mod-35 six-row one-way table", v, sharp)
-    if "608e1" in curves:
-        ds5 = dataset("608e1", 5)
-        v = [f"p={p}" for p in ds5.p[(ds5.p % 4 == 3) & (ds5.a != 0)].tolist()]
-        add(ds5, "608e1", "p = 3 mod 4 forces vanishing", v)
-        mixed = ds5.a[np.isin(ds5.p % 20, (1, 9))]
-        both = bool((mixed == 0).any() and (mixed != 0).any())
-        add(
-            ds5,
-            "608e1",
-            "converse fails at p = 1, 9 mod 20",
-            [] if both else ["no counterexample below bound"],
-            detail="both zero and nonzero a_p occur",
-        )
-    if "324b1" in curves:
-        ds5 = dataset("324b1", 5)
-        rule = {1: {1, 3, 4}, 4: {1, 3, 4}, 2: {1, 2, 4}, 3: {1, 2, 4}}
-        v = verify_class_rule(ds5, 5, rule, two_way=False)
-        hit14 = set((ds5.p[np.isin(ds5.a, (1, 4))] % 5).tolist())
-        hit23 = set((ds5.p[np.isin(ds5.a, (2, 3))] % 5).tolist())
-        sharp = hit14 == {1, 3, 4} and hit23 == {1, 2, 4}
-        add(ds5, "324b1", "two exclusion implications mod 5 sharp", v, sharp)
-    if "50700u1" in curves:
-        ds13 = dataset("50700u1", 13)
-        v, sharp = verify_trace_menu(ds13, 13, MENU_50700_MOD13)
-        add(ds13, "50700u1", "mod-13 twelve-row menu sharp", v, sharp)
+            out.append(TableCheck(st.label, st.name, False, (), "no samples"))
+            continue
+        violations, seen = check_allowed(ds, st.allowed)
+        ok = not violations and bool(st.holds(seen, st.allowed))
+        out.append(TableCheck(st.label, st.name, ok, violations, st.detail if ok else ""))
     return out
 
 

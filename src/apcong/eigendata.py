@@ -444,9 +444,8 @@ class ApDataset:
 def curve_dataset(E: EllipticCurve, p_max: int) -> ApDataset:
     """Exact a_p (ell = 0) for the primes p <= p_max of good reduction,
     one point count each, labelled by the curve at its conductor."""
-    level, disc = E.conductor, E.discriminant
-    ps = np.array([p for p in primes_upto(p_max) if level % p and disc % p], dtype=np.int64)
-    return ApDataset(E.label, level, 0, np.column_stack((ps, _ap_kernel(E, ps))))
+    ps = np.array([p for p in primes_upto(p_max) if E.has_good_reduction(p)], dtype=np.int64)
+    return ApDataset(E.label, E.conductor, 0, np.column_stack((ps, _ap_kernel(E, ps))))
 
 
 def build_dataset(

@@ -607,6 +607,9 @@ def test_verify_tables_without_samples_is_not_a_pass(capsys):
     assert by_name["disc-symbol forces even a_p"].ok
     assert not by_name["mod-3 vanishing iff p mod 39"].ok
     assert by_name["mod-3 vanishing iff p mod 39"].detail == "no samples"
+    # too few primes for the counterexample: failed, without the detail of a pass
+    converse = by_name["converse fails at p = 1, 9 mod 20"]
+    assert not converse.ok and converse.detail == ""
     code, out, err = run(capsys, "verify", "--tables", "--pmax", "2")
     assert code == 2 and "PASS" not in out
     assert out.count("FAIL") == len(checks)

@@ -10,8 +10,10 @@ from apcong.constructions import borel, gl2, sl2, split_cartan_normalizer
 from apcong.discover import (
     InsufficientDataError,
     _s0_mod39,
+    _statements,
     _units,
     best_modulus,
+    check_allowed,
     closed_loop_check,
     delta_partition_check,
     discover_class,
@@ -23,9 +25,7 @@ from apcong.discover import (
     sample_dataset,
     synthetic_model,
     vanishing_rule_check,
-    verify_class_rule,
     verify_fixture_tables,
-    verify_trace_menu,
     x2_plus_23y2,
 )
 from apcong.eigendata import (
@@ -264,62 +264,74 @@ def menu_dataset():
     return craft(5, assign)
 
 
-def test_verify_trace_menu():
-    ds = menu_dataset()
-    v, complete = verify_trace_menu(ds, 3, {1: {1}, 2: {2, 3}})
-    assert v == () and complete
-    v, complete = verify_trace_menu(ds, 3, {1: {1}, 2: {2, 3, 4}})
-    assert v == () and not complete  # 4 never attained
-    v, _ = verify_trace_menu(ds, 3, {1: {1}})
-    assert v and all("not in table" in s for s in v)
-    v, _ = verify_trace_menu(ds, 3, {1: {1}, 2: {2}})
-    assert any("a_p=3 not allowed" in s for s in v)
+def menu_table(M, ell, menu):
+    # rows keyed by p mod M list the allowed a_p
+    return np.array([[a in menu.get(r, ()) for a in range(ell)] for r in range(M)])
 
 
-def test_verify_class_rule():
-    ds = menu_dataset()
-    assert verify_class_rule(ds, 3, {1: {1}}, two_way=False) == ()
-    v = verify_class_rule(ds, 3, {1: {1, 2}}, two_way=True)
-    assert v and all("forces a_p=1" in s for s in v)
-    v = verify_class_rule(ds, 3, {2: {1}}, two_way=False)
-    assert v and all("outside row" in s for s in v)
+def rule_table(M, ell, rule, two_way):
+    # rows keyed by a_p list the allowed p mod M; a two-way row also forces its value
+    return np.array([[(a not in rule or r in rule[a])
+                      and not (two_way and any(r in c and a != x for x, c in rule.items()))
+                      for a in range(ell)] for r in range(M)])
 
 
-def loop_trace_menu(ds, M, menu):
-    # per-sample reference for verify_trace_menu's violations
+def loop_menu(ds, M, menu):
+    # per-sample reference for a menu table
+    return tuple(f"p={p}: a_p={a} not allowed in class {p % M} mod {M}"
+                 for p, a in ds.samples if a not in menu.get(p % M, ()))
+
+
+def loop_rule(ds, M, rule, two_way):
+    # per-sample reference for a rule table
     out = []
     for p, a in ds.samples:
         r = p % M
-        if r not in menu:
-            out.append(f"p={p}: class {r} mod {M} not in table")
-        elif a not in menu[r]:
+        bad = a in rule and r not in rule[a]
+        bad |= two_way and any(r in c and a != x for x, c in rule.items())
+        if bad:
             out.append(f"p={p}: a_p={a} not allowed in class {r} mod {M}")
     return tuple(out)
 
 
-def loop_class_rule(ds, M, rule, two_way):
-    # per-sample reference for verify_class_rule
-    out = []
-    for p, a in ds.samples:
-        r = p % M
-        if a in rule and r not in rule[a]:
-            out.append(f"p={p}: a_p={a} but p={r} mod {M} outside row")
-        if two_way:
-            for x, cls in rule.items():
-                if r in cls and a != x:
-                    out.append(f"p={p}: p={r} mod {M} forces a_p={x}, got {a}")
-    return tuple(out)
-
-
-def test_violations_match_per_sample_loops():
+def test_check_allowed_menus():
     ds = menu_dataset()
+    allowed = menu_table(3, 5, {1: {1}, 2: {2, 3}})
+    v, seen = check_allowed(ds, allowed)
+    assert v == () and np.array_equal(seen, allowed)  # complete
+    allowed = menu_table(3, 5, {1: {1}, 2: {2, 3, 4}})
+    v, seen = check_allowed(ds, allowed)
+    assert v == () and not np.array_equal(seen, allowed)  # 4 never attained
+    v, _ = check_allowed(ds, menu_table(3, 5, {1: {1}}))
+    assert v and all("in class 2 mod 3" in s for s in v)  # residue 2 missing
+    v, _ = check_allowed(ds, menu_table(3, 5, {1: {1}, 2: {2}}))
+    assert any("a_p=3 not allowed" in s for s in v)  # value 3 missing from row 2
+
+
+def test_check_allowed_rules():
+    ds = menu_dataset()
+    v, seen = check_allowed(ds, rule_table(3, 5, {1: {1}}, two_way=False))
+    assert v == () and seen[:, 1].tolist() == [False, True, False]
+    # p = 2 mod 3 in the two-way row of 1 forces a_p = 1, but 2 and 3 occur
+    v, _ = check_allowed(ds, rule_table(3, 5, {1: {1, 2}}, two_way=True))
+    assert v and all("a_p=1" not in s and "in class 2 mod 3" in s for s in v)
+    v, _ = check_allowed(ds, rule_table(3, 5, {2: {1}}, two_way=False))
+    assert v and all("a_p=2 not allowed in class 2" in s for s in v)
+    with pytest.raises(ValueError, match="table is mod 3, data mod 5"):
+        check_allowed(ds, np.ones((3, 3), dtype=bool))
+
+
+def test_check_allowed_matches_per_sample_loops():
+    ds = menu_dataset()
+    pairs = {(p % 3, a) for p, a in ds.samples}
     for menu in ({1: {1}}, {1: {1}, 2: {2}}, {2: {3, 4}}):
-        v, _ = verify_trace_menu(ds, 3, menu)
-        assert v and v == loop_trace_menu(ds, 3, menu)
+        v, seen = check_allowed(ds, menu_table(3, 5, menu))
+        assert v and v == loop_menu(ds, 3, menu)
+        assert {tuple(c) for c in np.argwhere(seen).tolist()} == pairs
     for rule, two_way in (({1: {1, 2}}, True), ({2: {1}, 3: {2}}, False),
                           ({1: {2}, 2: {1, 2}}, True)):
-        v = verify_class_rule(ds, 3, rule, two_way)
-        assert v and v == loop_class_rule(ds, 3, rule, two_way)
+        v, _ = check_allowed(ds, rule_table(3, 5, rule, two_way))
+        assert v and v == loop_rule(ds, 3, rule, two_way)
 
 
 # ---- packaged example curves, end to end ----
@@ -331,6 +343,47 @@ def test_fixture_tables_all_pass():
     assert {c.label for c in checks} == set(curve_fixtures())
     for c in checks:
         assert c.ok, (c.label, c.name, c.violations[:3])
+    assert [c.detail for c in checks if c.detail] == ["both zero and nonzero a_p occur"]
+
+
+CONVERSE = "converse fails at p = 1, 9 mod 20"
+
+
+def tampered_tables(monkeypatch, change, p_max):
+    # every curve's exact a_p replaced by change(a_p) before reduction
+    import apcong.discover
+
+    real = apcong.discover.curve_dataset
+
+    def tampered(E, bound):
+        ds = real(E, bound)
+        return ApDataset(ds.label, ds.level, 0, np.column_stack((ds.p, change(ds.a))))
+
+    monkeypatch.setattr(apcong.discover, "curve_dataset", tampered)
+    return verify_fixture_tables(curve_fixtures(), p_max)
+
+
+def test_every_printed_statement_can_fail(monkeypatch):
+    checks = tampered_tables(monkeypatch, lambda a: a + 1, 10_000)
+    assert len(checks) == 12
+    assert [c.name for c in checks if c.ok] == [CONVERSE]
+    assert all(c.violations for c in checks if not c.ok)  # each names its samples
+    checks = tampered_tables(monkeypatch, lambda a: 0 * a, 10_000)
+    converse, = (c for c in checks if c.name == CONVERSE)
+    assert not converse.ok and converse.violations == () and converse.detail == ""
+
+
+def test_vanishing_statement_matches_vanishing_rule_check():
+    st, = (s for s in _statements() if s.name == "square/nonsquare vanishing rule")
+    E = curve_fixtures()["2450ba1"]
+    for p_max, shift in ((600, 0), (600, 1), (3000, 3), (12, 0)):
+        ds = build_dataset(E, 7, p_max)
+        ds = ApDataset(ds.label, ds.level, 7, np.column_stack((ds.p, (ds.a + shift) % 7)))
+        rule = vanishing_rule_check(ds)
+        v, seen = check_allowed(ds, st.allowed)
+        assert (not v and st.holds(seen, st.allowed)) == rule.holds
+        assert [int(s[2:s.index(":")]) for s in v] == sorted(
+            rule.forward_violations + rule.backward_violations)
 
 
 def test_fixture_tables_subset_and_tamper():

@@ -413,6 +413,13 @@ def test_curve_dataset_skips_bad_primes():
     assert (ds.label, ds.level) == ("338d1", 338)
 
 
+def test_curve_dataset_keeps_exactly_the_good_primes():
+    for E in curve_fixtures().values():
+        ps = curve_dataset(E, 500).p.tolist()
+        assert ps == [p for p in primes_upto(500) if E.has_good_reduction(p)]
+        assert ps == [p for p in primes_upto(500) if E.conductor * E.discriminant % p]
+
+
 def test_curve_source_takes_level_and_label_from_the_curve():
     E = curve_fixtures()["338d1"]
     for extra in (dict(level=338), dict(label="338d1"), dict(level=1, label="x")):
