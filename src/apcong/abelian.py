@@ -27,8 +27,8 @@ trace, the density is counted by determinant fibre and the projective
 check by square class of the determinant, and no class of G is built.
 Every other G reads its verdicts off the (coset, trace) pairs of its
 classes, with the cosets split by products (`coset_split`); that one
-route also serves the element view `CosetTraces.label` of an SL_2
-overgroup, whose classes are then built on request.
+route also places elements of an SL_2 overgroup in their cosets
+(`coset_of`), whose classes are then built on request.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .ffield import FieldSpec, embedding_table, factorize, is_prime, mult_order
 from .matgrp import (
     MatGroup,
     commutator_subgroup,
-    coset_label,
+    coset_of,
     coset_split,
     enumerate_subgroups,
     mat_product,
@@ -99,12 +99,6 @@ class CosetTraces:
     @property
     def pair_trace(self) -> np.ndarray:
         return self._pair_codes % self.group.spec.q
-
-    @cached_property
-    def label(self) -> np.ndarray:
-        """The coset index of every element of G, aligned with G.codes;
-        built on request (small groups)."""
-        return coset_label(self.group, self.commutator)
 
 
 def coset_traces(G: MatGroup) -> CosetTraces:
@@ -186,7 +180,7 @@ def is_weakly_abelian(G: MatGroup, x):
     """Whether some coset of [G, G] has constant trace x.
 
     Returns (verdict, index of the first such coset or None), the index as
-    coset_label numbers the cosets.  Such a coset makes a congruence
+    coset_of numbers the cosets.  Such a coset makes a congruence
     condition on p force a_p = x.  x must be attained on G.
     """
     i = int(coset_traces(G).first_const[_require_proper(G, x)])
@@ -553,7 +547,7 @@ def crosscheck_all_subgroups(ambient: MatGroup) -> int:
         least = mul_codes(H.spec, H.codes[:, None], K.codes[None, :]).min(axis=1)
         alt = sorted(set(zip(least.tolist(), H.traces.tolist())))
         # the least code of coset i is H.codes at the first index with label i
-        reps = H.codes[np.unique(data.label, return_index=True)[1]]
+        reps = H.codes[np.unique(coset_of(H, K, H.codes), return_index=True)[1]]
         ref = sorted(zip(reps[data.pair_coset].tolist(), data.pair_trace.tolist()))
         if alt != ref:
             raise TheoremConsistencyError(
@@ -585,9 +579,6 @@ class AbelianReport:
     totally: bool
     density: Fraction
     theorem_consistent: bool
-
-    def verdict(self, x) -> ClassVerdict:
-        return self.per_class[_trace_int(self.group.spec, x)]
 
     def to_json(self) -> dict:
         spec = self.group.spec

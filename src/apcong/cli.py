@@ -41,6 +41,7 @@ from .discover import (
 )
 from .eigendata import (
     build_dataset,
+    check_ell,
     curve_fixtures,
     delta_coeffs,
     load_curve_file,
@@ -65,6 +66,7 @@ def _emit_json(obj, out) -> None:
 
 def _load_dataset(args):
     if args.delta:
+        check_ell(args.ell)  # before the series, the costly part
         series = delta_coeffs(args.pmax, args.ell)
         return build_dataset(series, args.ell, args.pmax, level=1, label="delta")
     if args.curve:
@@ -138,9 +140,9 @@ def _run_dataset(args, out) -> int:
 
 
 def _run_discover(args, out) -> int:
-    ds = _load_dataset(args)
     if (args.modulus is None) == (args.bound is None):
         raise ValueError("give exactly one of --modulus or --bound")
+    ds = _load_dataset(args)
     cands = legendre_candidates(ds.level, ds.ell) if args.legendre else ()
     if args.modulus is not None:
         rep = discover_report(ds, args.modulus, cands)

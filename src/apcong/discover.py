@@ -4,7 +4,8 @@ Given reduced coefficient samples, find for each residue class x the sets of
 p-residues that empirically govern a_p = x, fit quadratic-symbol criteria,
 and check the square/nonsquare vanishing rule.  A synthetic sampler turns
 any matrix group into a mock Frobenius data stream so the discovery loop can
-be validated against the exact coset verdicts.
+be validated against the exact coset verdicts: residues mod M map onto the
+cosets of [G, G], each found from powers of G's generators by `coset_of`.
 
 Everything reported here is empirical over the finite sample and is labeled
 as such; the group machinery supplies the corresponding exact statements.
@@ -30,7 +31,7 @@ from .eigendata import (
     delta_coeffs,
 )
 from .ffield import is_prime, kronecker, legendre, make_field
-from .matgrp import MatGroup, generating_set, identity, mul_codes
+from .matgrp import Mat2, MatGroup, coset_of, generating_set, identity, mul_codes
 
 MIN_SAMPLES_PER_CLASS = 5
 
@@ -466,7 +467,7 @@ class SyntheticModel:
         return sup, nec
 
 
-def _least_prime_mod(n: int, avoid: set[int]) -> int:
+def _least_prime_mod(n: int, avoid: list[int]) -> int:
     q = n + 1
     while True:
         if q not in avoid and is_prime(q):
@@ -475,70 +476,51 @@ def _least_prime_mod(n: int, avoid: set[int]) -> int:
 
 
 def synthetic_model(G: MatGroup) -> SyntheticModel:
-    """Deterministic residue labeling of the commutator cosets of G."""
+    """Deterministic residue labeling of the commutator cosets of G.
+
+    The coset group G/[G, G] is read off powers of G's recorded generators,
+    each power placed by `coset_of`.  Greedily, in descending coset order
+    and then coset index, each generator coset outside the span so far is
+    chosen, until the span is the whole quotient.  A chosen coset of order
+    n gets the least unused prime q = 1 mod n, M is the product of the q,
+    and the unit r mod M goes to the product of the chosen cosets c, each
+    raised to log r mod q (to the base make_field(q).primitive) mod n.
+    """
     if G.spec.r != 1:
         raise ValueError("synthetic sampling expects a prime-field group")
-    ell = G.spec.p
-    data = coset_traces(G)
-    k = data.const.size
-
-    def where(x):
-        return data.label[np.searchsorted(G.codes, x)]
-
-    # coset i is represented by its least code, the first with label i
-    reps = G.codes[np.unique(data.label, return_index=True)[1]]
-    mul = where(mul_codes(G.spec, reps[:, None], reps[None, :])).tolist()
-    e = int(where(identity(G.spec).encode()))
-
-    def order_of(i):
-        n, j = 1, i
-        while j != e:
-            j = mul[j][i]
-            n += 1
-        return n
-
-    gens = list(G.generators) or generating_set(G)
-    cand = sorted(set(where([g.encode() for g in gens]).tolist()) - {e},
-                  key=lambda c: (-order_of(c), c))
-    chosen: list[int] = []
-    span = {e}
-    for c in cand:
-        if c in span:
+    spec, data = G.spec, coset_traces(G)
+    H, one = data.commutator, identity(spec).encode()
+    e = int(coset_of(G, H, one))
+    powers = {}  # coset of a generator -> the codes of that generator's powers
+    for g in map(Mat2.encode, generating_set(G)):
+        pw = [one, g]
+        while pw[-1] != one:
+            pw.append(int(mul_codes(spec, pw[-1], g)))
+        lab = coset_of(G, H, pw)
+        # g^0, ..., g^(n - 1) for the order n of g's coset
+        powers.setdefault(int(lab[1]), np.array(pw[:np.argmax(lab[1:] == e) + 1]))
+    chosen, span = [], np.array([one])
+    for c in sorted(set(powers) - {e}, key=lambda c: (-powers[c].size, c)):
+        if c in coset_of(G, H, span):
             continue
         chosen.append(c)
         # span is a subgroup and the quotient is abelian, so span.<c> is the
-        # subgroup generated; build it as literal products
-        powers = [e]
-        j = c
-        while j != e:
-            powers.append(j)
-            j = mul[j][c]
-        span = {mul[s][t] for s in span for t in powers}
-    if len(span) != k:
+        # subgroup generated: one code per coset of the products
+        prod = mul_codes(spec, span[:, None], powers[c][None, :]).ravel()
+        span = prod[np.unique(coset_of(G, H, prod), return_index=True)[1]]
+    if span.size != data.const.size:
         raise RuntimeError("coset group not generated by generator classes")
 
-    qs, avoid = [], set()
-    orders = [order_of(c) for c in chosen]
-    for n in orders:
-        q = _least_prime_mod(n, avoid)
-        avoid.add(q)
-        qs.append(q)
-    M = math.prod(qs) if qs else 1
-
-    # per-prime discrete logs onto Z/order, combined through the coset table
-    logmaps = []
-    for q, n in zip(qs, orders):
-        g = make_field(q).primitive
-        dlog = {pow(g, i, q): i for i in range(q - 1)}
-        logmaps.append((q, n, dlog))
-    assignment = {}
-    for r in _units(M):
-        idx = e
-        for c, (q, n, dlog) in zip(chosen, logmaps):
-            for _ in range(dlog[r % q] % n):
-                idx = mul[idx][c]
-        assignment[r] = idx
-    return SyntheticModel(G, ell, M, assignment, data)
+    qs: list[int] = []  # distinct primes, one per chosen coset
+    for c in chosen:
+        qs.append(_least_prime_mod(powers[c].size, qs))
+    M = math.prod(qs)
+    units = np.array(_units(M), dtype=np.int64)
+    x = np.full(units.size, one)
+    for c, q in zip(chosen, qs):
+        x = mul_codes(spec, x, powers[c][make_field(q)._tables[1][units % q] % powers[c].size])
+    assignment = dict(zip(units.tolist(), coset_of(G, H, x).tolist()))
+    return SyntheticModel(G, spec.p, M, assignment, data)
 
 
 def sample_dataset(model: SyntheticModel, n: int, seed: int) -> ApDataset:
@@ -550,8 +532,9 @@ def sample_dataset(model: SyntheticModel, n: int, seed: int) -> ApDataset:
     coset_idx = np.array([model.assignment[r] for r in units])
     hsize = model.data.commutator.order
     # row i: traces of coset i's members in increasing code order
-    by_coset = np.argsort(model.data.label, kind="stable")
-    trace_table = model.group.traces[by_coset].reshape(-1, hsize)
+    G = model.group
+    by_coset = np.argsort(coset_of(G, model.data.commutator, G.codes), kind="stable")
+    trace_table = G.traces[by_coset].reshape(-1, hsize)
     draws = rng.integers(0, len(units), size=n)
     members = rng.integers(0, hsize, size=n)
     values = trace_table[coset_idx[draws], members] % ell

@@ -448,6 +448,12 @@ def curve_dataset(E: EllipticCurve, p_max: int) -> ApDataset:
     return ApDataset(E.label, E.conductor, 0, np.column_stack((ps, _ap_kernel(E, ps))))
 
 
+def check_ell(ell: int) -> None:
+    """ValueError unless the residue characteristic ell is prime."""
+    if not is_prime(ell):
+        raise ValueError(f"residue characteristic {ell} is not prime")
+
+
 def build_dataset(
     source: EllipticCurve | QSeries,
     ell: int,
@@ -458,8 +464,7 @@ def build_dataset(
 ) -> ApDataset:
     """Samples (p, a_p mod ell) for all good primes p <= p_max.  A curve
     gives its own conductor and label; a q-series needs both."""
-    if not is_prime(ell):
-        raise ValueError(f"residue characteristic {ell} is not prime")
+    check_ell(ell)
     if isinstance(source, EllipticCurve):
         if level is not None or label is not None:
             raise ValueError("a curve source takes its level and label from the curve")

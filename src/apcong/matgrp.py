@@ -25,9 +25,9 @@ point of P^1(F_q): by Dickson's list PG then contains PSL_2(F_q).  Its
 order, |PG|, Z, trace set F_q, determinant set D and [G, G] = SL_2(F_q)
 are closed forms in (q, e).  Its classes proj and lift are built only on
 request, by the same search run to the end and checked against those
-closed forms, and so are the views read off them.  Every group splits its
-cosets by products; `MatGroup.codes`, the views aligned with it and
-`coset_label` expand G on request, for small groups only.
+closed forms, and so are the views read off them.  One class lookup
+(`_locate`) places a code for membership, coset splits and `coset_of`.
+`MatGroup.codes` and views aligned with it expand small groups on request.
 The module constant CLOSURE_GUARD bounds the classes a search stores, and
 an SL_2 overgroup checks its |PG| against it before its search starts.
 Codes need q^4 < 2^63: a larger field raises CodeRangeError before any
@@ -341,6 +341,8 @@ class MatGroup:
         self.proj_order = int(proj.size)
         self.det_exp = None
         self._derived: dict = {}
+        if not generators and self.order > 1:
+            raise ValueError("a non-trivial group must record its generators")
         # Lagrange sanity: |G| divides |GL_2(F_q)|
         q = spec.q
         if ((q * q - 1) * (q * q - q)) % self.order != 0:
@@ -437,7 +439,7 @@ class MatGroup:
     @cached_property
     def codes(self) -> np.ndarray:
         """The sorted codes of all |G| elements."""
-        codes = np.sort(_expand(self), axis=None)
+        codes = np.sort(_scale(self.spec, self.reps[:, None], self.scalars[None, :]), axis=None)
         codes.flags.writeable = False
         return codes
 
@@ -478,22 +480,14 @@ class MatGroup:
         return f"MatGroup(q={self.spec.q}, order={self.order})"
 
 
-def _expand(G: MatGroup) -> np.ndarray:
-    """The codes of G as an array whose entry [i, j] is g^(k j).reps[i]."""
-    return _scale(G.spec, G.reps[:, None], G.scalars[None, :])
-
-
-def _in_code_order(G: MatGroup, values: np.ndarray) -> np.ndarray:
-    """values[i, j], given per element g^(k j).reps[i], aligned with G.codes."""
-    return values.ravel()[np.argsort(_expand(G), axis=None)]
-
-
-def _contains(G: MatGroup, x: np.ndarray) -> np.ndarray:
-    """Membership in G of each code in x: its class is in PG and its
-    scalar lies in g^lift Z."""
-    canon, lead = proj_canon(G.spec, x)
+def _locate(G: MatGroup, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, inside) for the codes x: the class index i and scalar index j
+    with x = g^(k j).reps[i], and whether x lies in G, that is, its class
+    is in PG and its scalar in g^lift[i] Z."""
+    canon, lead = proj_canon(G.spec, np.asarray(x, dtype=np.int64))
     i = np.minimum(np.searchsorted(G.proj, canon), G.proj.size - 1)
-    return (G.proj[i] == canon) & ((lead - G.lift[i]) % G.k == 0)
+    d = (lead - G.lift[i]) % (G.spec.q - 1)
+    return i, d // G.k, (G.proj[i] == canon) & (d % G.k == 0)
 
 
 def _scalar_orbits(spec: FieldSpec, x: np.ndarray, e: int) -> np.ndarray:
@@ -539,14 +533,8 @@ def close_group(spec: FieldSpec, generators) -> MatGroup:
 
 
 def generating_set(G: MatGroup) -> list[Mat2]:
-    """G's recorded generators, or a small set found greedily: the least
-    element outside the subgroup generated so far, until it is all of G."""
-    if G.generators:
-        return list(G.generators)
-    gens = np.zeros(0, dtype=np.int64)
-    while (H := _close(G.spec, gens, tuple(_mats_of(G.spec, gens)))).order < G.order:
-        gens = np.append(gens, G.codes[np.argmax(~_contains(H, G.codes))])
-    return list(H.generators) or [identity(G.spec)]
+    """G's recorded generators, or the identity for the trivial group."""
+    return list(G.generators) or [identity(G.spec)]
 
 
 def commutator_subgroup(G: MatGroup) -> MatGroup:
@@ -594,7 +582,7 @@ def _commutator_closure(G: MatGroup) -> MatGroup:
     while True:
         H = _close(spec, seeds, tuple(_mats_of(spec, seeds)))
         conj = mul_codes(spec, mul_codes(spec, g[:, None], seeds[None, :]), gi[:, None])
-        new = unique_codes(conj[~_contains(H, conj)])
+        new = unique_codes(conj[~_locate(H, conj)[2]])
         if not new.size:
             return H
         seeds = np.concatenate((seeds, new))
@@ -605,57 +593,48 @@ def coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
 
     label[i] is the coset of PH in PG that holds class i, numbered by least
     canonical code; m = |Z : Z ∩ H|; the element g^(k j).reps[i] lies in
-    the coset label[i] m + (shift[i] + j) mod m of H.  They are found by
-    products: each least unlabelled class of G times PH.
+    the coset label[i] m + (shift[i] + j) mod m of H (`coset_of`).  They
+    are found by products: each least unlabelled class of G times PH.
     """
-    if not H.is_subgroup_of(G):  # also false over another field
-        raise ValueError("H is not a subgroup of G")
     return G.memo(_coset_split, H)
 
 
 def _coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
-    spec = G.spec
+    if not H.is_subgroup_of(G):  # also false over another field
+        raise ValueError("H is not a subgroup of G")
     label = np.full(G.proj.size, -1, dtype=np.int64)
     shift = np.zeros(G.proj.size, dtype=np.int64)
+    m = H.k // G.k
     batch, count = max(1, 4096 // H.proj.size), 0  # about 4096 products a batch
     while (free := np.flatnonzero(label < 0)).size:
         # x.PH for the least unlabelled classes x: a row's least class names
         # its coset, and the first row of each coset is that class's own
-        canon, lead = proj_canon(spec, mul_codes(spec, G.reps[free[:batch], None],
-                                                 H.reps[None, :]))
-        first = np.unique(canon.min(axis=1), return_index=True)[1]
-        canon, lead = canon[first], lead[first]
-        rows = np.broadcast_to(count + np.arange(first.size)[:, None], canon.shape)
-        at = np.argsort(canon, axis=None)  # sorted, so the search runs in order
-        canon, lead = canon.ravel()[at], lead.ravel()[at]
-        pos = np.minimum(np.searchsorted(G.proj, canon), G.proj.size - 1)
-        if (G.proj[pos] != canon).any():
+        i, j, inside = _locate(G, mul_codes(G.spec, G.reps[free[:batch], None],
+                                            H.reps[None, :]))
+        if not inside.all():
             raise RuntimeError("cosets do not partition G")
-        label[pos] = rows.ravel()[at]
-        # reps[c] = s.x.h with s = g^(lift[c] - lead) in Z; its place in
-        # Z/(Z ∩ H), Z ∩ H = <g^(H.k)>, is the shift of class c
-        shift[pos] = (G.lift[pos] - lead) % H.k // G.k
+        first = np.unique(i.min(axis=1), return_index=True)[1]
+        i, j = i[first], j[first]
+        label[i] = count + np.arange(first.size)[:, None]
+        # reps[i] = g^(-k j).x.h: its place in Z/(Z ∩ H), Z ∩ H = <g^(H.k)>,
+        # is the shift of class i
+        shift[i] = -j % m
         count += first.size
     if np.bincount(label).tolist() != [H.proj_order] * count:
         raise RuntimeError("cosets do not partition G")
     label.flags.writeable = False
     shift.flags.writeable = False
-    return label, shift, H.k // G.k
+    return label, shift, m
 
 
-def coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:
-    """Index of the left coset of H holding each element of G.codes, as
-    coset_split numbers the cosets; built on request (small groups)."""
-    coset_split(G, H)  # checks that H is a subgroup
-    return G.memo(_coset_label, H)
-
-
-def _coset_label(G: MatGroup, H: MatGroup) -> np.ndarray:
+def coset_of(G: MatGroup, H: MatGroup, x) -> np.ndarray:
+    """The index of the left coset of the subgroup H holding each code in
+    x, as coset_split numbers the cosets; ValueError for a code outside G."""
     label, shift, m = coset_split(G, H)
-    j = np.arange(G.z_order)
-    out = _in_code_order(G, label[:, None] * m + (shift[:, None] + j) % m)
-    out.flags.writeable = False
-    return out
+    i, j, inside = _locate(G, x)
+    if not inside.all():
+        raise ValueError("code outside G")
+    return label[i] * m + (shift[i] + j) % m
 
 
 def proj_orders(spec: FieldSpec, x: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ from apcong.ffield import embedding_table, is_prime, quadratic_extension
 from apcong.matgrp import (
     Mat2,
     MatGroup,
-    _contains,
     _coset_split,
+    _locate,
     _mats_of,
     _scalar_mask,
     _scale,
@@ -72,7 +72,7 @@ def enumerate_subgroups_closure(G: MatGroup) -> list[MatGroup]:
             j = (np.arange(m) - shift[first][:, None]) % m
             lifts = G.spec._tables[0][G.lift[first][:, None] + G.k * j]
             reps = _scale(G.spec, G.proj[first][:, None], lifts).ravel()
-            for g in _mats_of(G.spec, reps[~_contains(H, reps)]):
+            for g in _mats_of(G.spec, reps[~_locate(H, reps)[2]]):
                 K = close_group(G.spec, list(H.generators) + [g])
                 if K not in found:
                     found.add(K)
@@ -118,7 +118,7 @@ def group_exponent(G: MatGroup) -> int:
     return exp
 
 
-def from_elements(spec, elements, generators=()) -> MatGroup:
+def from_elements(spec, elements, generators) -> MatGroup:
     """Wrap an element set as a MatGroup without closing it: the caller
     vouches that the set is a group.  Its scalars Z = <g^k> are the leads
     over the identity class, and each class keeps the log of its first

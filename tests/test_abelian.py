@@ -39,7 +39,7 @@ from apcong.constructions import (
     unipotent,
 )
 from apcong.ffield import make_field
-from apcong.matgrp import Mat2, close_group, enumerate_subgroups
+from apcong.matgrp import Mat2, close_group, coset_of, enumerate_subgroups
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -103,7 +103,7 @@ def test_verdicts_over_every_subgroup_of_gl2_f3():
 def traces_per_coset(G):
     """The trace set of each coset of [G, G], in label order, read from the
     coset labels and the element traces."""
-    label = coset_traces(G).label
+    label = coset_of(G, coset_traces(G).commutator, G.codes)
     return [set(G.traces[label == i].tolist()) for i in range(label.max() + 1)]
 
 
@@ -150,7 +150,8 @@ def test_weakly_and_semi_do_not_imply_abelian():
 
 
 def coset_members(G, i):
-    return [m for m, k in zip(G.sorted_elements(), coset_traces(G).label.tolist()) if k == i]
+    label = coset_of(G, coset_traces(G).commutator, G.codes)
+    return [m for m, k in zip(G.sorted_elements(), label.tolist()) if k == i]
 
 
 def test_weak_witness_is_a_constant_trace_coset():

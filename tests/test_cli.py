@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from apcong import classify, ffield, matgrp
+from apcong import classify, cli, ffield, matgrp
 from apcong.cli import VERBS, main, parse_args
 from apcong.constructions import gl2, nonsplit_cartan_normalizer, split_cartan
 from apcong.discover import verify_fixture_tables
@@ -286,6 +286,24 @@ def test_discover_modulus_xor_bound(capsys):
     code, _, err = run(capsys, "discover", "--delta", "--ell", "23",
                        "--pmax", "500")
     assert code == 1 and "exactly one" in err
+
+
+def test_usage_errors_come_before_any_data(capsys, monkeypatch):
+    # a composite --ell and a missing --modulus/--bound are rejected before
+    # the series or the dataset is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("data built before a usage error")
+
+    monkeypatch.setattr(cli, "delta_coeffs", unreachable)
+    monkeypatch.setattr(cli, "build_dataset", unreachable)
+    composite = (1, "", "error: residue characteristic 4 is not prime\n")
+    assert run(capsys, "dataset", "--delta", "--ell", "4", "--pmax", "300000") == composite
+    assert run(capsys, "discover", "--delta", "--ell", "4", "--pmax", "300000",
+               "--modulus", "3") == composite
+    neither = (1, "", "error: give exactly one of --modulus or --bound\n")
+    assert run(capsys, "discover", "--delta", "--ell", "23", "--pmax", "300000") == neither
+    assert run(capsys, "discover", "--curve", "338d1", "--ell", "3", "--pmax", "300000",
+               "--modulus", "3", "--bound", "3") == neither
 
 
 def test_discover_modulus_far_above_the_data_is_an_error_line(capsys):

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apcong.abelian import density_c
-from apcong.constructions import borel, gl2, sl2, split_cartan_normalizer
+from apcong.constructions import (
+    a4_lift,
+    borel,
+    dihedral_lift,
+    gl2,
+    nonsplit_cartan_normalizer,
+    sl2,
+    split_cartan_normalizer,
+)
 from apcong.discover import (
     InsufficientDataError,
     _s0_mod39,
@@ -37,7 +45,7 @@ from apcong.eigendata import (
     primes_upto,
 )
 from apcong.ffield import kronecker, legendre, make_field
-from apcong.matgrp import close_group, identity
+from apcong.matgrp import close_group, coset_of, enumerate_subgroups, identity, mul_codes
 
 from helpers import quadform_represents, random_subgroups
 
@@ -517,6 +525,34 @@ def test_synthetic_model_structure():
     for x in range(5):
         sup, nec = model.predicted(x)
         assert sup <= nec
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_synthetic_assignment_is_a_surjective_homomorphism(p):
+    # on every subgroup of GL_2(F_p): the units mod M map onto G/[G, G]
+    # with balanced fibres, and the coset of rep_r rep_s is that of r s
+    spec = make_field(p)
+    for G in enumerate_subgroups(gl2(spec)):
+        model = synthetic_model(G)
+        H, M = model.data.commutator, model.modulus
+        label = coset_of(G, H, G.codes)
+        n = int(label.max()) + 1
+        rep = G.codes[np.unique(label, return_index=True)[1]]
+        units = np.array(sorted(model.assignment))
+        image = np.array([model.assignment[r] for r in units.tolist()])
+        assert np.bincount(image, minlength=n).tolist() == [units.size // n] * n
+        table = np.zeros(M, dtype=np.int64)
+        table[units] = image
+        prod = mul_codes(spec, rep[image][:, None], rep[image][None, :])
+        assert np.array_equal(coset_of(G, H, prod), table[units[:, None] * units % M])
+
+
+def test_benchmark_closed_loop_moduli():
+    F5, F7 = make_field(5), make_field(7)
+    groups = [(borel(F5), 65), (split_cartan_normalizer(F5), 15), (gl2(F5), 5),
+              (a4_lift(F5), 7), (nonsplit_cartan_normalizer(F7), 21),
+              (dihedral_lift(F7, 3), 21)]
+    assert [synthetic_model(G).modulus for G, _ in groups] == [M for _, M in groups]
 
 
 def test_synthetic_model_rejects_extension_fields():

@@ -1,6 +1,6 @@
 """Every import in the package and its tests is used, every parameter of a
-package function is read, and every private module-level function of the
-package is referenced.
+package function is read, every private module-level function of the
+package is referenced, and every method of a package class is read.
 
 A name bound by an import counts as used when it is read anywhere in the
 module, listed in its __all__, or named inside a string (a quoted
@@ -8,8 +8,10 @@ annotation); imports from __future__ are exempt.  A parameter counts as
 read when its name is loaded somewhere in the function's body, nested
 functions included, so an option that the body has stopped reading fails.
 A module-level function named _name counts as referenced when some package
-module reads it as a name or an attribute or imports it.  The package holds
-no assert statement, since `python -O` would skip its check.
+module reads it as a name or an attribute or imports it.  A method of a
+package class, dunders aside, counts as read when some file of the
+package, its tests or its benchmark reads it as an attribute.  The package
+holds no assert statement, since `python -O` would skip its check.
 """
 
 import ast
@@ -20,6 +22,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted(ROOT.glob("src/apcong/*.py"))
 FILES = SRC + sorted(ROOT.glob("tests/*.py"))
+READERS = FILES + sorted(ROOT.glob("perfbench/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -116,6 +119,41 @@ def test_scan_finds_an_unreferenced_private_function():
 def test_no_unreferenced_private_functions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC}
     assert unreferenced_private_functions(sources) == []
+
+
+def unread_methods(classes: dict[str, str], readers: list[str]) -> list[str]:
+    defined = {}
+    for module, source in classes.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__") and node.name.endswith("__"))):
+                    defined[f"{cls.name}.{node.name}"] = (f"{module}:{node.lineno}", node.name)
+    read = {n.attr for source in readers for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute)}
+    return sorted(f"{where}: {name}" for name, (where, method) in defined.items()
+                  if method not in read)
+
+
+def test_scan_finds_an_unread_method():
+    classes = {
+        "a": ("class A:\n"
+              "    def __init__(self):\n        self.x = self._helper()\n\n"
+              "    def _helper(self):\n        return 1\n\n"
+              "    @property\n    def shown(self):\n        return self.x\n\n"
+              "    def left_over(self):\n        return 2\n\n"
+              "    def called_elsewhere(self):\n        return 3\n"),
+    }
+    readers = [classes["a"], "import a\n\nprint(a.A().shown, a.A().called_elsewhere())\n",
+               "left_over = 'a name, not an attribute'\n"]
+    assert unread_methods(classes, readers) == ["a:12: A.left_over"]
+
+
+def test_no_unread_methods():
+    classes = {p.name: p.read_text(encoding="utf-8") for p in SRC}
+    assert unread_methods(classes, [p.read_text(encoding="utf-8") for p in READERS]) == []
 
 
 def assert_statements(source: str) -> list[str]:

@@ -36,7 +36,8 @@ from apcong.matgrp import (
     MatGroup,
     close_group,
     commutator_subgroup,
-    coset_label,
+    coset_of,
+    coset_split,
     enumerate_subgroups,
     generating_set,
     group_from_json,
@@ -172,7 +173,7 @@ def test_scalars_and_projective_order():
 def test_cosets_partition():
     G = gl2(F3)
     H = sl2(F3)
-    label = coset_label(G, H)
+    label = coset_of(G, H, G.codes)
     elems = G.sorted_elements()
     assert label.max() + 1 == G.order // H.order
     seen = set()
@@ -211,10 +212,10 @@ def assert_coset_numbering(G, H, label):
     assert leasts == sorted(leasts)
 
 
-def test_coset_label_indexes_cosets():
+def test_coset_of_indexes_cosets():
     G = gl2(F3)
     H = close_group(F3, [Mat2(F3, (1, 1, 0, 1))])
-    label = coset_label(G, H)
+    label = coset_of(G, H, G.codes)
     elems = G.sorted_elements()
     for i in range(label.max() + 1):
         first = label.tolist().index(i)
@@ -223,16 +224,51 @@ def test_coset_label_indexes_cosets():
         rep = elems[first]
         assert G.codes[label == i].tolist() == sorted((rep * h).encode() for h in H.elements)
     assert_coset_numbering(G, H, label)
-    # computed once per (G, H) and shared, so it is read-only
-    assert coset_label(G, H) is label
-    assert not label.flags.writeable
+    # the split is computed once per (G, H) and shared, so it is read-only
+    split = coset_split(G, H)
+    assert coset_split(G, H) is split
+    assert not split[0].flags.writeable and not split[1].flags.writeable
+    # any codes of G, in any order and shape
+    assert coset_of(G, H, G.codes[::-1].reshape(-1, 2)).tolist() == (
+        label[::-1].reshape(-1, 2).tolist())
+    assert coset_of(G, H, int(G.codes[5])) == label[5]
+
+
+def least_product_cosets(G, H):
+    """For each element g of G.codes, the index of its least product g.h
+    over h in H among all the distinct least products: the left cosets of
+    H, found with no coset split."""
+    least = matgrp.mul_codes(G.spec, G.codes[:, None], H.codes[None, :]).min(axis=1)
+    return np.unique(least, return_inverse=True)[1]
+
+
+@pytest.mark.parametrize("spec", [F3, F5], ids=["F3", "F5"])
+def test_coset_of_matches_a_least_product_grouping(spec):
+    # the two routes partition G alike; coset_of's numbering is checked
+    # against assert_coset_numbering
+    for G in (gl2(spec), borel(spec), split_cartan_normalizer(spec)):
+        for H in (commutator_subgroup(G), close_group(spec, [G.generators[0]])):
+            label = coset_of(G, H, G.codes)
+            alt = least_product_cosets(G, H)
+            pairs = set(zip(label.tolist(), alt.tolist()))
+            assert len(pairs) == len(set(label.tolist())) == len(set(alt.tolist()))
+            assert len(pairs) == G.order // H.order
+            assert_coset_numbering(G, H, label)
 
 
 def test_cosets_requires_subgroup():
     with pytest.raises(ValueError):
-        coset_label(sl2(F3), gl2(F3))
+        coset_of(sl2(F3), gl2(F3), sl2(F3).codes)
     with pytest.raises(ValueError):  # a subgroup over another field
-        coset_label(gl2(F3), sl2(F2))
+        coset_of(gl2(F3), sl2(F2), gl2(F3).codes)
+    G, H = borel(F5), unipotent(F5)
+    outside = Mat2(F5, (0, 1, 1, 0)).encode()  # not upper triangular
+    with pytest.raises(ValueError):
+        coset_of(G, H, [G.codes[0], outside])
+    # a code whose class is in PG but whose scalar is not in g^lift Z
+    S = sl2(F5)
+    with pytest.raises(ValueError):
+        coset_of(S, commutator_subgroup(S), Mat2(F5, (2, 0, 0, 2)).encode())
 
 
 def brute_commutators(G):
@@ -703,14 +739,12 @@ def test_generating_set_regenerates():
         assert close_group(G.spec, gens).elements == G.elements
 
 
-def test_generating_set_passes_through_an_sl2_overgroup():
-    # with no recorded generators the greedy search reaches det^-1(squares)
-    # of order 240 before GL_2(F_5), and that SL_2 overgroup builds its
-    # classes from the generators found so far
-    G = from_elements(F5, gl2(F5).elements)
-    assert not G.generators
-    gens = generating_set(G)
-    assert close_group(F5, gens).elements == G.elements
+def test_a_nontrivial_group_without_generators_raises():
+    # analysis reads the recorded generators, so such a group would
+    # silently analyse as trivial
+    with pytest.raises(ValueError):
+        from_elements(F3, gl2(F3).elements, ())
+    assert from_elements(F3, [identity(F3)], ()).order == 1
 
 
 def test_trace_multiset_counts():
@@ -729,15 +763,9 @@ def test_group_json_roundtrip():
     assert group_from_json(group_to_json(H)).elements == H.elements
 
 
-def test_group_json_roundtrip_without_recorded_generators():
-    G = from_elements(F3, gl2(F3).elements)
-    assert not G.generators
-    assert group_from_json(group_to_json(G)).elements == G.elements
-
-
 def test_from_elements_wraps_closed_sets():
     G = sl2(F3)
-    again = from_elements(F3, G.elements)
+    again = from_elements(F3, G.elements, G.generators)
     assert again.order == G.order
 
 
@@ -797,10 +825,10 @@ def test_kernel_closure_cosets_and_projective_image(case):
     decode = {oracle_code(F, m): m for m in elems}
     for H in (commutator_subgroup(G), close_group(spec, [Mat2(spec, gens[0])])):
         hs = [decode[c] for c in H.codes.tolist()]
-        label = coset_label(G, H).tolist()
+        label = coset_of(G, H, G.codes).tolist()
         n = G.order // H.order
         assert sorted(set(label)) == list(range(n))
-        assert_coset_numbering(G, H, coset_label(G, H))
+        assert_coset_numbering(G, H, coset_of(G, H, G.codes))
         # the representative of coset i, the code at the first index with
         # label i, is its least code
         reps = [G.codes[label.index(i)] for i in range(n)]

@@ -13,7 +13,7 @@ import pytest
 from apcong import cli, constructions, matgrp
 from apcong.abelian import analyze_group, coset_traces, density_c
 from apcong.ffield import make_field
-from apcong.matgrp import ClosureGuardError, Mat2, close_group
+from apcong.matgrp import ClosureGuardError, Mat2, close_group, coset_of
 
 from helpers import (
     PolyField,
@@ -80,9 +80,8 @@ def test_analysis_never_expands_the_group():
     analyze_group(G)
     data = coset_traces(G)
     assert "codes" not in G.__dict__
-    assert "label" not in data.__dict__
-    # both stay available on request
-    assert data.label.size == G.codes.size == G.order
+    # the elements and their cosets stay available on request
+    assert coset_of(G, data.commutator, G.codes).size == G.codes.size == G.order
 
 
 # ---- analyze and classify output, pinned from the element-set representation ----
