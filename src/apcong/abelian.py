@@ -17,9 +17,9 @@ coset bookkeeping:
   common eigenline over at most a quadratic extension.
 
 Every computed verdict is cross-checked against what the classification
-predicts (the dihedral dichotomies, the traceless density, a per-family
-semi table); a disagreement raises TheoremConsistencyError rather than
-returning a silently wrong answer.
+predicts (the dihedral dichotomies, the traceless density, the semi column
+of the family table over every class of the field); a disagreement raises
+TheoremConsistencyError rather than returning a silently wrong answer.
 
 A G that contains SL_2(F_q), q > 3 (`MatGroup.contains_sl2`), is answered
 from q and D = det G alone: every coset of [G, G] = SL_2(F_q) has every
@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .classify import DicksonClass, classify_group
-from .ffield import FieldSpec, embedding_table, factorize, is_prime, mult_order
+from .ffield import FieldSpec, embedding_table, factorize, is_int, is_prime, mult_order
 from .matgrp import (
     MatGroup,
     commutator_subgroup,
@@ -159,7 +159,7 @@ def _class_coset_traces(G: MatGroup, H: MatGroup) -> CosetTraces:
 
 
 def _trace_int(spec: FieldSpec, x) -> int:
-    if not isinstance(x, int):
+    if not is_int(x):
         raise TypeError(f"trace class must be an int encoding, got {x!r}")
     if not 0 <= x < spec.q:
         raise ValueError(f"encoding {x} out of range for q = {spec.q}")
@@ -322,104 +322,79 @@ def _check_density(G: MatGroup, cls: DicksonClass, c: Fraction) -> None:
 # ---- classification-driven semi predictions ---------------------------------
 
 
-class SemiPredictor:
-    """Predicts the semi verdict from the classified family alone.
-
-    Uses only the family label plus scalar, determinant, commutator-trace
-    and attained-trace data, never the coset partition, so it serves as an
-    independent check of the coset computation.  predict(x) is total: it
-    returns a bool for every class x of the field.  What does not depend on
-    x is computed once here: for PSL2, A5 and PGL2 images, the set of semi
-    classes itself.
-    """
-
-    def __init__(self, G: MatGroup):
-        self.G = G
-        self.spec = G.spec
-        self.cls = classify_group(G)
-        self.scalar_ints = frozenset(G.scalars.tolist())
-        self.det_ints = G.det_ints()
-        self.trace_ints = G.trace_ints()
-        if self.cls.label in ("PSL2", "A5"):
-            self._semi = self._scalar_translate_semi(commutator_subgroup(G))
-        elif self.cls.label == "PGL2":
-            self._semi = self._subfield_det_semi()
-
-    def predict(self, x) -> bool:
-        spec = self.spec
-        xi = _trace_int(spec, x)
-        cls = self.cls
-        ell = spec.p
-        lab = cls.label
-        neg1 = spec.neg_i(1)
-        if lab == "BorelConjugable":
-            # constant trace on every coset: semi unless the whole group
-            # sits in the single class x
-            return self.trace_ints != {xi}
-        if lab == "Dihedral":
-            if xi != 0:
-                # the reflection cosets are entirely traceless
-                return True
-            return ell != 2 or cls.n % 2 == 0
-        if lab == "A4":
-            if xi == 0:
-                return True
-            if ell == 3 and xi in (1, neg1) and self.scalar_ints <= {1, neg1}:
-                # three cosets: commutator traces cover the prime field and
-                # the order-3 cosets consist of scaled unipotents of trace
-                # +-1; nothing misses x
-                return False
-            return True
-        if lab == "S4":
-            if xi == 0:
-                # the even coset has traceless involutions, the odd coset
-                # traceless transposition lifts
-                return False
-            if ell != 3:
-                return True
-            if xi not in (1, neg1):
-                return True
-            if not (self.scalar_ints <= {1, neg1}):
-                return True
-            # two cosets exactly; the odd one misses +-1 unless its
-            # determinant is -1
-            return self.det_ints != frozenset((1, neg1))
-        if lab in ("PSL2", "A5", "PGL2"):
-            return xi in self._semi
+def _predicted_semi(G: MatGroup) -> np.ndarray:
+    """The semi verdict at every class x of the field, from the classified
+    family plus scalar, determinant, commutator-trace and attained-trace
+    data, never the coset partition: an independent check of the coset
+    computation."""
+    spec, cls = G.spec, classify_group(G)
+    lab = cls.label
+    semi = np.ones(spec.q, dtype=bool)
+    pm1 = [1, spec.neg_i(1)]
+    # three cosets for A4 and two for S4 in characteristic 3 when Z <= {+-1}
+    char3_pm1 = spec.p == 3 and set(G.scalars.tolist()) <= set(pm1)
+    if lab == "BorelConjugable":
+        # constant trace on every coset: semi unless the whole group sits
+        # in the single class x
+        traces = G.trace_ints()
+        if len(traces) == 1:
+            semi[list(traces)] = False
+    elif lab == "Dihedral":
+        # the reflection cosets are entirely traceless
+        semi[0] = spec.p != 2 or cls.n % 2 == 0
+    elif lab == "A4":
+        if char3_pm1:
+            # commutator traces cover the prime field and the order-3
+            # cosets consist of scaled unipotents of trace +-1; nothing
+            # misses +-1
+            semi[pm1] = False
+    elif lab == "S4":
+        # the even coset has traceless involutions, the odd coset traceless
+        # transposition lifts
+        semi[0] = False
+        if char3_pm1:
+            # the odd coset misses +-1 unless its determinant is -1
+            semi[pm1] = G.det_ints() != frozenset(pm1)
+    elif lab in ("PSL2", "A5"):
+        semi = _scalar_translate_semi(G, cls)
+    elif lab == "PGL2":
+        semi = _subfield_det_semi(G, cls.subfield_q)
+    else:
         raise TheoremConsistencyError(f"no semi rule for {cls.describe()}")
+    return semi
 
-    def _scalar_translate_semi(self, H: MatGroup) -> frozenset[int]:
-        """Projectively perfect image: cosets are scalar translates a.[G, G],
-        and x is semi when some translate has no trace x."""
-        spec = self.spec
-        if len(self.scalar_ints) * H.order != self.G.order * H.z_order:
-            raise TheoremConsistencyError(
-                "scalar translates of the commutator subgroup do not exhaust "
-                f"a group classified {self.cls.describe()}")
-        if len(H.trace_ints()) == spec.q:
-            # a.F_q = F_q for every scalar a: no translate misses a trace
-            return frozenset()
-        a = np.fromiter(self.scalar_ints, dtype=np.int64)
-        t = np.fromiter(H.trace_ints(), dtype=np.int64)
-        # hit[i, x]: the translate by a[i] has a trace x
-        hit = np.zeros((a.size, spec.q), dtype=bool)
-        hit[np.arange(a.size)[:, None], spec.mul_a(a[:, None], t[None, :])] = True
-        return frozenset(np.flatnonzero(~hit.all(axis=0)).tolist())
 
-    def _subfield_det_semi(self) -> frozenset[int]:
-        """Image PGL2 over a subfield k: coset traces are lines z.k with
-        z^2 = det modulo squares, so dets and attained traces decide."""
-        spec = self.spec
-        q1 = self.cls.subfield_q
-        # every coset contains traceless elements, so 0 is never semi
-        x = np.arange(1, spec.q)
-        dets = np.fromiter(self.det_ints, dtype=np.int64)
-        t = np.fromiter(self.trace_ints, dtype=np.int64)
-        if (spec.pow_a(dets, q1 - 1) != 1).any() or (spec.pow_a(t, q1) != t).any():
-            # two cosets with trace lines meeting only at 0, or a twisted
-            # trace line, which misses every x in k
-            return frozenset(x.tolist())
-        return frozenset(x[spec.pow_a(x, q1) != x].tolist())
+def _scalar_translate_semi(G: MatGroup, cls: DicksonClass) -> np.ndarray:
+    """Projectively perfect image: cosets are scalar translates a.[G, G],
+    and x is semi when some translate has no trace x."""
+    spec, H, a = G.spec, commutator_subgroup(G), G.scalars
+    if a.size * H.order != G.order * H.z_order:
+        raise TheoremConsistencyError(
+            "scalar translates of the commutator subgroup do not exhaust "
+            f"a group classified {cls.describe()}")
+    if len(H.trace_ints()) == spec.q:
+        # a.F_q = F_q for every scalar a: no translate misses a trace
+        return np.zeros(spec.q, dtype=bool)
+    t = np.fromiter(H.trace_ints(), dtype=np.int64)
+    # hit[i, x]: the translate by a[i] has a trace x
+    hit = np.zeros((a.size, spec.q), dtype=bool)
+    hit[np.arange(a.size)[:, None], spec.mul_a(a[:, None], t[None, :])] = True
+    return ~hit.all(axis=0)
+
+
+def _subfield_det_semi(G: MatGroup, q1: int) -> np.ndarray:
+    """Image PGL2 over the subfield k of order q1: coset traces are lines
+    z.k with z^2 = det modulo squares, so dets and attained traces decide.
+    Every coset contains traceless elements, so 0 is never semi."""
+    spec = G.spec
+    x = np.arange(spec.q)
+    dets = np.fromiter(G.det_ints(), dtype=np.int64)
+    t = np.fromiter(G.trace_ints(), dtype=np.int64)
+    if (spec.pow_a(dets, q1 - 1) != 1).any() or (spec.pow_a(t, q1) != t).any():
+        # two cosets with trace lines meeting only at 0, or a twisted
+        # trace line, which misses every x in k
+        return x != 0
+    return spec.pow_a(x, q1) != x
 
 
 # ---- theorem-level cross-checks ----------------------------------------------
@@ -443,10 +418,9 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     the field, and agreement of the x = 0 union verdict with its
     projective counterpart.  Failures raise TheoremConsistencyError.
     """
-    spec = G.spec
     cls = classify_group(G)
     data = coset_traces(G)
-    ell = spec.p
+    ell = G.spec.p
     checks = []
 
     proper = G.trace_ints()
@@ -492,14 +466,12 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     density_c(G)
     checks.append("density-table")
 
-    pred = SemiPredictor(G)
-    for xi in range(spec.q):
-        want = pred.predict(xi)
-        got = bool(data.first_missing[xi] >= 0)
-        if got != want:
-            raise TheoremConsistencyError(
-                f"{cls.describe()}: semi verdict at {xi} computed {got}, "
-                f"family table says {want}")
+    got, want = data.first_missing >= 0, _predicted_semi(G)
+    if not np.array_equal(got, want):
+        xi = int(np.argmax(got != want))
+        raise TheoremConsistencyError(
+            f"{cls.describe()}: semi verdict at {xi} computed {bool(got[xi])}, "
+            f"family table says {bool(want[xi])}")
     checks.append("semi-table")
 
     # projection is a surjective homomorphism: [PG, PG] is the image of [G, G]

@@ -82,7 +82,7 @@ def _load_dataset(args):
             raise ValueError(f"label {args.label!r} not in {args.curve_file}")
         return build_dataset(curves[args.label], args.ell, args.pmax)
     if args.form_file:
-        forms = {rec[0]: rec for rec in load_form_file(args.form_file)}
+        forms = load_form_file(args.form_file)
         if args.label not in forms:
             raise ValueError(f"label {args.label!r} not in {args.form_file}")
         _, _, level, series = forms[args.label]

@@ -11,13 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ffield import FieldSpec, embedding_table, factorize, make_field, quadratic_extension
+from .ffield import FieldSpec, embedding_table, make_field, mult_order, quadratic_extension
 from .matgrp import Mat2, MatGroup, close_group
-
-
-def _mat(spec: FieldSpec, a: int, b: int, c: int, d: int) -> Mat2:
-    # entries are integer encodings in [0, q), not prime-field embeds
-    return Mat2(spec, (a, b, c, d))
 
 
 def _checked(G: MatGroup, order: int | None = None, proj: int | None = None) -> MatGroup:
@@ -31,22 +26,22 @@ def _checked(G: MatGroup, order: int | None = None, proj: int | None = None) -> 
 def gl2(spec: FieldSpec) -> MatGroup:
     """The full group GL2 over the given field."""
     q = spec.q
-    gens = [_mat(spec, 1, 1, 0, 1), _mat(spec, 0, 1, 1, 0)]
+    gens = [Mat2(spec, (1, 1, 0, 1)), Mat2(spec, (0, 1, 1, 0))]
     if q > 2:
-        gens.append(_mat(spec, spec.primitive, 0, 0, 1))
+        gens.append(Mat2(spec, (spec.primitive, 0, 0, 1)))
     return _checked(close_group(spec, gens), order=(q * q - 1) * (q * q - q))
 
 
 def sl2(spec: FieldSpec) -> MatGroup:
     """The full group SL2 over the given field."""
     q = spec.q
-    gens = [_mat(spec, 1, 1, 0, 1), _mat(spec, 1, 0, 1, 1)]
+    gens = [Mat2(spec, (1, 1, 0, 1)), Mat2(spec, (1, 0, 1, 1))]
     if q > 2:
         z = spec.primitive
         gens += [
-            _mat(spec, 1, z, 0, 1),
-            _mat(spec, 1, 0, z, 1),
-            _mat(spec, z, 0, 0, spec.inv_i(z)),
+            Mat2(spec, (1, z, 0, 1)),
+            Mat2(spec, (1, 0, z, 1)),
+            Mat2(spec, (z, 0, 0, spec.inv_i(z))),
         ]
     return _checked(close_group(spec, gens), order=q**3 - q)
 
@@ -54,13 +49,13 @@ def sl2(spec: FieldSpec) -> MatGroup:
 def borel(spec: FieldSpec) -> MatGroup:
     """All invertible upper triangular matrices."""
     q = spec.q
-    gens = [_mat(spec, 1, 1, 0, 1)]
+    gens = [Mat2(spec, (1, 1, 0, 1))]
     if q > 2:
         z = spec.primitive
         gens += [
-            _mat(spec, 1, z, 0, 1),
-            _mat(spec, z, 0, 0, 1),
-            _mat(spec, 1, 0, 0, z),
+            Mat2(spec, (1, z, 0, 1)),
+            Mat2(spec, (z, 0, 0, 1)),
+            Mat2(spec, (1, 0, 0, z)),
         ]
     return _checked(close_group(spec, gens), order=q * (q - 1) ** 2)
 
@@ -70,7 +65,7 @@ def unipotent(spec: FieldSpec) -> MatGroup:
     the upper entries 1, g, ..., g^(r-1) (a basis of F_q over F_p), and g
     also over a prime field."""
     top = range(1 if spec.q == 2 else max(2, spec.r))
-    gens = [_mat(spec, 1, spec.pow_i(spec.primitive, i), 0, 1) for i in top]
+    gens = [Mat2(spec, (1, spec.pow_i(spec.primitive, i), 0, 1)) for i in top]
     return _checked(close_group(spec, gens), order=spec.q)
 
 
@@ -80,17 +75,17 @@ def split_cartan(spec: FieldSpec) -> MatGroup:
     if q == 2:
         return close_group(spec, [])
     z = spec.primitive
-    G = close_group(spec, [_mat(spec, z, 0, 0, 1), _mat(spec, 1, 0, 0, z)])
+    G = close_group(spec, [Mat2(spec, (z, 0, 0, 1)), Mat2(spec, (1, 0, 0, z))])
     return _checked(G, order=(q - 1) ** 2)
 
 
 def split_cartan_normalizer(spec: FieldSpec) -> MatGroup:
     """Diagonal torus plus the antidiagonal coset; projectively dihedral."""
     q = spec.q
-    gens = [_mat(spec, 0, 1, 1, 0)]
+    gens = [Mat2(spec, (0, 1, 1, 0))]
     if q > 2:
         z = spec.primitive
-        gens += [_mat(spec, z, 0, 0, 1), _mat(spec, 1, 0, 0, z)]
+        gens += [Mat2(spec, (z, 0, 0, 1)), Mat2(spec, (1, 0, 0, z))]
     return _checked(close_group(spec, gens), order=max(2, 2 * (q - 1) ** 2))
 
 
@@ -117,18 +112,16 @@ def nonsplit_cartan(spec: FieldSpec) -> MatGroup:
     emb, xs = embedding_table(spec, ext), np.arange(ext.q, dtype=np.int64)
     root = int(np.flatnonzero(ext.mul_a(xs, xs) == emb[D])[0])
     a, b = np.divmod(np.arange(1, q * q, dtype=np.int64), q)
-    z, full = ext.add_a(emb[a], ext.mul_a(emb[b], root)), True
-    for ell in factorize(q * q - 1):
-        full = full & (ext.pow_a(z, (q * q - 1) // ell) != 1)
+    full = mult_order(ext, ext.add_a(emb[a], ext.mul_a(emb[b], root))) == q * q - 1
     a, b = int(a[full][0]), int(b[full][0])
-    return _checked(close_group(spec, [_mat(spec, a, spec.mul_i(b, D), b, a)]), order=q * q - 1)
+    return _checked(close_group(spec, [Mat2(spec, (a, spec.mul_i(b, D), b, a))]), order=q * q - 1)
 
 
 def nonsplit_cartan_normalizer(spec: FieldSpec) -> MatGroup:
     """Nonsplit torus extended by diag(1, -1); projectively dihedral."""
     C = nonsplit_cartan(spec)
     q = spec.q
-    flip = _mat(spec, 1, 0, 0, spec.neg_i(1))
+    flip = Mat2(spec, (1, 0, 0, spec.neg_i(1)))
     return _checked(close_group(spec, list(C.generators) + [flip]), order=2 * (q * q - 1))
 
 
@@ -144,7 +137,7 @@ def dihedral_lift(spec: FieldSpec, n: int) -> MatGroup:
     if (q - 1) % n == 0:
         z = spec.primitive
         w = spec.pow_i(z, (q - 1) // n)
-        G = close_group(spec, [_mat(spec, w, 0, 0, 1), _mat(spec, 0, 1, 1, 0)])
+        G = close_group(spec, [Mat2(spec, (w, 0, 0, 1)), Mat2(spec, (0, 1, 1, 0))])
         return _checked(G, proj=2 * n)
     if spec.p != 2 and (q + 1) % n == 0:
         # the nonsplit torus maps onto a cyclic group of order q+1 in PGL2,
@@ -154,7 +147,7 @@ def dihedral_lift(spec: FieldSpec, n: int) -> MatGroup:
         w = g
         for _ in range(((q + 1) // n) - 1):
             w = w * g
-        flip = _mat(spec, 1, 0, 0, spec.neg_i(1))
+        flip = Mat2(spec, (1, 0, 0, spec.neg_i(1)))
         return _checked(close_group(spec, [w, flip]), proj=2 * n)
     raise ValueError(f"no dihedral group of order {2 * n} available over q={q}")
 
@@ -167,7 +160,7 @@ def borel_dihedral(spec: FieldSpec) -> MatGroup:
     """
     if spec.p == 2:
         raise ValueError("requires odd characteristic")
-    G = close_group(spec, [_mat(spec, 1, 1, 0, 1), _mat(spec, 1, 0, 0, spec.neg_i(1))])
+    G = close_group(spec, [Mat2(spec, (1, 1, 0, 1)), Mat2(spec, (1, 0, 0, spec.neg_i(1)))])
     return _checked(G, proj=2 * spec.p)
 
 
@@ -180,8 +173,8 @@ def quaternion_lift(spec: FieldSpec) -> MatGroup:
     # the least (x, y) in lexicographic order
     hit = np.flatnonzero(spec.add_a(squares[:, None], squares[None, :]) == spec.neg_i(1))
     x, y = divmod(int(hit[0]), spec.q)
-    i = _mat(spec, x, y, y, spec.neg_i(x))
-    j = _mat(spec, 0, 1, spec.neg_i(1), 0)
+    i = Mat2(spec, (x, y, y, spec.neg_i(x)))
+    j = Mat2(spec, (0, 1, spec.neg_i(1), 0))
     return _checked(close_group(spec, [i, j]), order=8)
 
 
@@ -209,10 +202,10 @@ def s4_lift_f13() -> MatGroup:
     """A fixed group over F_13 with projective image S4."""
     spec = make_field(13)
     gens = [
-        _mat(spec, 5, 0, 0, 8),
-        _mat(spec, 0, 5, 5, 0),
-        _mat(spec, 2, 3, 2, 10),
-        _mat(spec, 6, 0, 0, 9),
+        Mat2(spec, (5, 0, 0, 8)),
+        Mat2(spec, (0, 5, 5, 0)),
+        Mat2(spec, (2, 3, 2, 10)),
+        Mat2(spec, (6, 0, 0, 9)),
     ]
     return _checked(close_group(spec, gens), proj=24)
 
@@ -220,4 +213,5 @@ def s4_lift_f13() -> MatGroup:
 def a5_lift_f11() -> MatGroup:
     """A fixed group over F_11 whose projective image is A5."""
     spec = make_field(11)
-    return _checked(close_group(spec, [_mat(spec, 2, 0, 0, 6), _mat(spec, 7, 2, 7, 4)]), proj=60)
+    gens = [Mat2(spec, (2, 0, 0, 6)), Mat2(spec, (7, 2, 7, 4))]
+    return _checked(close_group(spec, gens), proj=60)

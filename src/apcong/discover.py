@@ -72,9 +72,16 @@ class ClassCongruence:
         return self.sup if self.direction in ("iff", "implied_by") else self.nec
 
 
+def _require_reduced(ds: ApDataset) -> None:
+    """ValueError for an exact dataset (ell = 0): the classes x are residues."""
+    if not ds.ell:
+        raise ValueError(f"{ds.label} holds exact a_p (ell = 0); reduce it mod a prime first")
+
+
 def discover_class(ds: ApDataset, x: int, M: int) -> ClassCongruence:
     """Candidate S_x sets mod M for the class a_p = x; iff needs at least
     MIN_SAMPLES_PER_CLASS samples in every residue class."""
+    _require_reduced(ds)
     if M < 1:
         raise ValueError("modulus must be positive")
     if M >= int(ds.p.max(initial=1)) + 2:
@@ -148,6 +155,7 @@ class CongruenceReport:
 
 
 def discover_report(ds: ApDataset, M: int, candidates=()) -> CongruenceReport:
+    _require_reduced(ds)
     per = {x: discover_class(ds, x, M) for x in ds.attained()}
     fits = legendre_fit(ds, candidates) if candidates else ()
     return CongruenceReport(ds.label, ds.ell, M, per, fits, len(ds))
@@ -163,6 +171,7 @@ def best_modulus(ds: ApDataset, x: int, bound: int) -> ClassCongruence | None:
     """Least divisor of bound that upgrades the class to an iff statement.
     A modulus past max p + 1 has a unit class with no sample (see
     discover_class), so only the divisors up to there are tried."""
+    _require_reduced(ds)
     top = min(bound, int(ds.p.max(initial=1)) + 1)
     for M in (d for d in range(1, top + 1) if bound % d == 0):
         try:
@@ -229,6 +238,7 @@ class VanishingRuleResult:
 
 
 def vanishing_rule_check(ds: ApDataset) -> VanishingRuleResult:
+    _require_reduced(ds)
     res = ds.p % ds.ell
     classes, inv = np.unique(res, return_inverse=True)
     sym = np.array([legendre(r, ds.ell) for r in classes.tolist()], dtype=np.int64)[inv]

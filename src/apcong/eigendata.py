@@ -418,9 +418,6 @@ class ApDataset:
     def samples(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.p.tolist(), self.a.tolist()))
 
-    def values(self) -> dict[int, int]:
-        return dict(self.samples)
-
     def attained(self) -> list[int]:
         """The distinct sample values, ascending."""
         return unique_codes(self.a).tolist()
@@ -528,53 +525,49 @@ def _parse_curve(rec: dict) -> EllipticCurve:
     return E
 
 
-def _parse_curve_lines(lines) -> dict[str, EllipticCurve]:
-    """JSON lines {"label", "a", "conductor"} -> curves by label; a label
-    given twice raises ValueError."""
+def _records(lines, parse) -> dict:
+    """JSON-lines records by label, each parsed by parse; blank lines are
+    skipped and a label given twice raises ValueError."""
     out = {}
     for line in lines:
         if line.strip():
-            E = _parse_curve(_record(line))
-            if E.label in out:
-                raise ValueError(f"duplicate label {E.label!r}")
-            out[E.label] = E
+            rec = _record(line)
+            label = _field(rec, "label", str)
+            if label in out:
+                raise ValueError(f"duplicate label {label!r}")
+            out[label] = parse(rec)
     return out
 
 
 def load_curve_file(path) -> dict[str, EllipticCurve]:
     """Curves by label from a JSON-lines file of {"label", "a", "conductor"}."""
     with open(path, encoding="utf-8") as fh:
-        return _parse_curve_lines(fh)
+        return _records(fh, _parse_curve)
 
 
 def curve_fixtures() -> dict[str, EllipticCurve]:
     """The packaged curve models behind the worked examples."""
     ref = resources.files(__package__) / "data" / "curves.jsonl"
-    return _parse_curve_lines(ref.read_text(encoding="utf-8").splitlines())
+    return _records(ref.read_text(encoding="utf-8").splitlines(), _parse_curve)
 
 
-def load_form_file(path) -> list[tuple[str, int, int, QSeries]]:
+def _parse_form(rec: dict) -> tuple[str, int, int, QSeries]:
+    weight, level = _field(rec, "weight", int), _field(rec, "level", int)
+    for key, v in (("weight", weight), ("level", level)):
+        if v < 1:
+            raise ValueError(f"{key!r} must be at least 1, got {v}")
+    coeffs = [0] + _field(rec, "coeffs", list)
+    try:
+        column = np.array(coeffs, dtype=np.int64)
+    except OverflowError:
+        column = np.array(coeffs, dtype=object)
+    return _field(rec, "label", str), weight, level, QSeries(0, column)
+
+
+def load_form_file(path) -> dict[str, tuple[str, int, int, QSeries]]:
     """JSON lines {"label", "weight", "level", "coeffs"}, coeffs listing a_1,
-    a_2, ..., -> (label, weight, level, exact series with coeffs[n] = a_n).
-    A level or weight below 1, or a label given twice, raises ValueError."""
-    out, labels = [], set()
+    a_2, ..., -> (label, weight, level, exact series with coeffs[n] = a_n)
+    by label.  A level or weight below 1, or a label given twice, raises
+    ValueError."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = _record(line)
-            label = _field(rec, "label", str)
-            if label in labels:
-                raise ValueError(f"duplicate label {label!r}")
-            labels.add(label)
-            weight, level = _field(rec, "weight", int), _field(rec, "level", int)
-            for key, v in (("weight", weight), ("level", level)):
-                if v < 1:
-                    raise ValueError(f"{key!r} must be at least 1, got {v}")
-            coeffs = [0] + _field(rec, "coeffs", list)
-            try:
-                column = np.array(coeffs, dtype=np.int64)
-            except OverflowError:
-                column = np.array(coeffs, dtype=object)
-            out.append((label, weight, level, QSeries(0, column)))
-    return out
+        return _records(fh, _parse_form)

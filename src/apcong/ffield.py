@@ -291,14 +291,6 @@ class FieldElement:
     def coeffs(self) -> tuple[int, ...]:
         return self.spec.digits(self.k)
 
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.spec == other.spec and self.k == other.k
-
-    def __hash__(self):
-        return hash((self.spec.p, self.spec.r, self.k))
-
     def __repr__(self):
         if self.spec.r == 1:
             return str(self.k)
@@ -341,14 +333,10 @@ def make_field(p: int, r: int = 1) -> FieldSpec:
 # ---- number-theoretic symbols ----
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, via Euler's criterion."""
+    """Legendre symbol (a/p) for an odd prime p, the Kronecker symbol there."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"modulus {p} must be an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    s = pow(a, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
+    return kronecker(a, p)
 
 
 def kronecker(a: int, n: int) -> int:

@@ -276,9 +276,6 @@ class Mat2:
     def det_i(self) -> int:
         return int(_det4(self.spec, *self.e))
 
-    def trace_i(self) -> int:
-        return self.spec.add_i(self.e[0], self.e[3])
-
     def inv(self) -> "Mat2":
         """The inverse; ZeroDivisionError when the matrix is singular."""
         return Mat2(self.spec, tuple(int(v) for v in _inv4(self.spec, *self.e)))
@@ -296,7 +293,7 @@ class Mat2:
         return [[list(x.coeffs) for x in row] for row in self.entries()]
 
     def __repr__(self):
-        a, b, c, d = (FieldElement(self.spec, x) for x in self.e)
+        (a, b), (c, d) = self.entries()
         return f"[[{a},{b}],[{c},{d}]]"
 
 
@@ -448,13 +445,6 @@ class MatGroup:
         """The trace of every element, aligned with codes."""
         a, _, _, d = split_codes(self.spec, self.codes)
         return self.spec.add_a(a, d)
-
-    @cached_property
-    def elements(self) -> frozenset[Mat2]:
-        return frozenset(self.sorted_elements())
-
-    def sorted_elements(self) -> list[Mat2]:
-        return _mats_of(self.spec, self.codes)
 
     def is_subgroup_of(self, other: "MatGroup") -> bool:
         """Whether Z lies in other's scalars and each class of self lies in

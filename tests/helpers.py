@@ -1,7 +1,8 @@
 """Helpers that only the tests use: seeded random subgroups, two routes
 that cross-check `enumerate_subgroups` (closures of a subgroup with one
 more element, and the 2-generated subgroup sweep), every constructions
-family over a field, the group exponent and trace frequencies, unclosed
+family over a field, the elements of a group as matrices and the trace
+of one, the group exponent and trace frequencies, unclosed
 wrapping of element sets, projective classes, projective orders by powers,
 traceless and commutator-trace counts, the classes and the SL_2 cosets
 of an SL_2 overgroup read off the determinants with no products, the
@@ -48,7 +49,7 @@ def random_subgroups(spec, count: int, seed: int) -> list[MatGroup]:
             if m.det_i() != 0:
                 gens.append(m)
         G = close_group(spec, gens)
-        key = frozenset(m.encode() for m in G.elements)
+        key = G.codes.tobytes()
         if key in seen:
             continue
         seen.add(key)
@@ -84,16 +85,26 @@ def enumerate_subgroups_closure(G: MatGroup) -> list[MatGroup]:
 def enumerate_subgroups_pairs(G: MatGroup) -> list[MatGroup]:
     """Subgroups generated by at most two elements of G."""
     found = {}
-    elems = G.sorted_elements()
+    elems = elements(G)
     trivial = close_group(G.spec, [identity(G.spec)])
-    found[trivial.elements] = trivial
+    found[trivial.codes.tobytes()] = trivial
     for i, g in enumerate(elems):
         H = close_group(G.spec, [g])
-        found.setdefault(H.elements, H)
+        found.setdefault(H.codes.tobytes(), H)
         for h in elems[i:]:
             K = close_group(G.spec, [g, h])
-            found.setdefault(K.elements, K)
-    return sorted(found.values(), key=lambda H: (H.order, [m.encode() for m in H.sorted_elements()]))
+            found.setdefault(K.codes.tobytes(), K)
+    return sorted(found.values(), key=lambda H: (H.order, H.codes.tolist()))
+
+
+def elements(G: MatGroup) -> list[Mat2]:
+    """The elements of G as matrices, in code order."""
+    return _mats_of(G.spec, G.codes)
+
+
+def trace_of(m: Mat2) -> int:
+    """The integer-encoded trace of one matrix."""
+    return m.spec.add_i(m.e[0], m.e[3])
 
 
 def element_order(m: Mat2) -> int:
@@ -111,7 +122,7 @@ def is_scalar(m: Mat2):
 
 def group_exponent(G: MatGroup) -> int:
     exp = 1
-    for m in G.elements:
+    for m in elements(G):
         o = element_order(m)
         exp = exp * o // gcd(exp, o)
     assert G.order % exp == 0
@@ -168,12 +179,12 @@ def trace_multiset(obj, label=None, i=None) -> Counter:
     its coset i when label is a coset label array of it, or over an
     iterable of matrices."""
     if isinstance(obj, MatGroup):
-        items = obj.sorted_elements()
+        items = elements(obj)
         if label is not None:
             items = [m for m, k in zip(items, label.tolist()) if k == i]
     else:
         items = obj
-    return Counter(m.trace_i() for m in items)
+    return Counter(trace_of(m) for m in items)
 
 
 def family_groups(spec) -> list[tuple[str, MatGroup]]:
@@ -284,7 +295,7 @@ def borel_witness_by_eigenlines(G: MatGroup):
     with scalar arithmetic over the quadratic extension."""
     ext = quadratic_extension(G.spec)
     emb = embedding_table(G.spec, ext)
-    mats = G.sorted_elements()
+    mats = elements(G)
     nonscalar = [m for m in mats if is_scalar(m) is None]
     if not nonscalar:
         return True, Mat2(ext, (1, 0, 0, 1))

@@ -40,6 +40,7 @@ from apcong.constructions import (
 )
 from apcong.ffield import make_field
 from apcong.matgrp import Mat2, close_group, coset_of, enumerate_subgroups
+from helpers import elements, trace_of
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -50,14 +51,14 @@ F7 = make_field(7, 1)
 def brute_coset_traces(G):
     """Trace set of each coset of the commutator subgroup, from first principles."""
     comms = {x * y * x.inv() * y.inv()
-             for x, y in itertools.product(G.elements, repeat=2)}
-    K = close_group(G.spec, sorted(comms, key=Mat2.encode)).elements
-    left = set(G.elements)
+             for x, y in itertools.product(elements(G), repeat=2)}
+    K = elements(close_group(G.spec, sorted(comms, key=Mat2.encode)))
+    left = set(elements(G))
     parts = []
     while left:
         g = min(left, key=Mat2.encode)
         cs = {g * k for k in K}
-        parts.append(frozenset(m.trace_i() for m in cs))
+        parts.append(frozenset(trace_of(m) for m in cs))
         left -= cs
     return parts
 
@@ -151,21 +152,21 @@ def test_weakly_and_semi_do_not_imply_abelian():
 
 def coset_members(G, i):
     label = coset_of(G, coset_traces(G).commutator, G.codes)
-    return [m for m, k in zip(G.sorted_elements(), label.tolist()) if k == i]
+    return [m for m, k in zip(elements(G), label.tolist()) if k == i]
 
 
 def test_weak_witness_is_a_constant_trace_coset():
     G = split_cartan_normalizer(F5)
     ok, i = is_weakly_abelian(G, 0)
     assert ok
-    assert {m.trace_i() for m in coset_members(G, i)} == {0}
+    assert {trace_of(m) for m in coset_members(G, i)} == {0}
 
 
 def test_semi_witness_avoids_the_class():
     G = gl2(F3)
     ok, i = is_semi_abelian(G, 0)
     if ok:
-        assert 0 not in {m.trace_i() for m in coset_members(G, i)}
+        assert 0 not in {trace_of(m) for m in coset_members(G, i)}
     else:
         # GL2(F3): every coset of SL2(F3) attains every trace
         assert all(0 in ts for ts in traces_per_coset(G))
@@ -175,6 +176,10 @@ def test_verdict_requires_attained_class():
     G = unipotent(F7)  # traces attained: only 2
     with pytest.raises(ValueError):
         is_weakly_abelian(G, 3)
+    # a bool is not a trace class, though True == 1 is attained on GL2(F5)
+    for verdict in (is_weakly_abelian, is_semi_abelian, is_abelian_class):
+        with pytest.raises(TypeError, match="int encoding"):
+            verdict(gl2(F5), True)
 
 
 def test_totally_abelian_iff_borel_conjugable():
@@ -211,7 +216,7 @@ def test_density_exceptional_lifts():
 
 def test_density_is_a_plain_count():
     for G in SMALL_GROUPS:
-        zero = sum(1 for m in G.elements if m.trace_i() == 0)
+        zero = sum(1 for m in elements(G) if trace_of(m) == 0)
         assert density_c(G) == Fraction(zero, G.order)
 
 
@@ -238,6 +243,24 @@ def test_crosscheck_all_subgroups_detects_a_dropped_pair(monkeypatch):
     monkeypatch.setattr(abelian, "_coset_traces", drop_last_pair)
     with pytest.raises(TheoremConsistencyError, match="coset, trace"):
         crosscheck_all_subgroups(gl2(F2))
+
+
+def test_theorem_crosscheck_detects_a_flipped_semi_verdict(monkeypatch):
+    from apcong import abelian
+
+    exact = abelian._coset_traces
+    for build, spec in ((gl2, F3), (sl2, F5), (borel, F5), (split_cartan_normalizer, F5),
+                        (a4_lift, F7)):
+        for x in range(spec.q):
+            def flip(G, x=x):
+                data = exact(G)
+                first_missing = data.first_missing.copy()
+                first_missing[x] = -1 if first_missing[x] >= 0 else 0
+                return dataclasses.replace(data, first_missing=first_missing)
+
+            monkeypatch.setattr(abelian, "_coset_traces", flip)
+            with pytest.raises(TheoremConsistencyError, match=f"semi verdict at {x} computed"):
+                theorem_crosscheck(build(spec))
 
 
 def test_analyze_group_report():

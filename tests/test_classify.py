@@ -35,8 +35,10 @@ from helpers import (
     borel_witness_by_eigenlines,
     commutator_trace_set,
     element_degree,
+    elements,
     family_groups,
     proj_classes,
+    trace_of,
     traceless_count,
     trial_division_is_prime,
 )
@@ -99,7 +101,7 @@ def test_borel_witness_conjugates_into_triangular():
         from apcong.ffield import embedding_table
         emb = embedding_table(G.spec, ext)
         pi = witness.inv()
-        for g in G.elements:
+        for g in elements(G):
             m = pi * Mat2(ext, tuple(emb[x] for x in g.e)) * witness
             assert m.e[2] == 0
 
@@ -229,7 +231,7 @@ def test_subfield_stats_beyond_reference_sizes(q, p):
 
 
 def brute_traceless(G):
-    return sum(1 for m in proj_classes(G) if m.trace_i() == 0)
+    return sum(1 for m in proj_classes(G) if trace_of(m) == 0)
 
 
 def test_traceless_count_is_well_defined_on_classes():

@@ -40,6 +40,7 @@ from apcong.eigendata import (
     ApDataset,
     EllipticCurve,
     build_dataset,
+    curve_dataset,
     curve_fixtures,
     delta_coeffs,
     primes_upto,
@@ -228,6 +229,24 @@ def test_discover_report_deterministic():
     assert a == b
 
 
+EXACT_DATASET_CALLS = {
+    "discover_class": lambda ds: discover_class(ds, 0, 3),
+    "discover_report": lambda ds: discover_report(ds, 3),
+    "best_modulus": lambda ds: best_modulus(ds, 0, 12),
+    "vanishing_rule_check": vanishing_rule_check,
+}
+
+
+@pytest.mark.parametrize("call", EXACT_DATASET_CALLS.values(), ids=EXACT_DATASET_CALLS)
+def test_exact_datasets_are_rejected_before_any_arithmetic(call):
+    # curve_dataset keeps exact a_p (ell = 0): a residue class needs a modulus
+    ds = curve_dataset(curve_fixtures()["338d1"], 200)
+    assert ds.ell == 0 and len(ds)
+    with pytest.raises(ValueError, match=r"338d1 holds exact a_p \(ell = 0\); reduce it mod"):
+        call(ds)
+    call(ds.reduce(3))
+
+
 # ---- the vanishing rule ----
 
 
@@ -257,7 +276,7 @@ def test_vanishing_rule_608e1_mod5_fails():
     assert not res.holds
     assert res.forward_violations  # vanishing at squares mod 5 does occur
     for p in res.forward_violations:
-        assert legendre(p % 5, 5) == 1 and ds.values()[p] == 0
+        assert legendre(p % 5, 5) == 1 and dict(ds.samples)[p] == 0
 
 
 # ---- table verification primitives ----
@@ -597,8 +616,8 @@ def test_random_subgroups_deterministic():
     a = random_subgroups(spec, 6, seed=11)
     b = random_subgroups(spec, 6, seed=11)
     assert [g.order for g in a] == [g.order for g in b]
-    assert [g.elements for g in a] == [g.elements for g in b]
-    keys = {g.elements for g in a}
+    assert [g.codes.tolist() for g in a] == [g.codes.tolist() for g in b]
+    keys = {g.codes.tobytes() for g in a}
     assert len(keys) == 6  # pairwise distinct
     for g in a:
         assert 480 % g.order == 0  # Lagrange inside GL2(F5)

@@ -12,7 +12,8 @@ from apcong.eigendata import (
     ApDataset,
     EllipticCurve,
     QSeries,
-    _parse_curve_lines,
+    _parse_curve,
+    _records,
     build_dataset,
     curve_dataset,
     curve_fixtures,
@@ -398,7 +399,7 @@ def test_quadform_rejects_indefinite_forms():
 def test_delta_dataset_small():
     ds = build_dataset(delta_coeffs(100, 23), 23, 100, level=1, label="delta")
     assert len(ds) == 24  # 25 primes up to 100, minus p = 23
-    assert ds.values()[5] == 4830 % 23
+    assert dict(ds.samples)[5] == 4830 % 23
     assert ds.label == "delta" and ds.ell == 23
 
 
@@ -444,7 +445,7 @@ def test_dataset_columns_are_read_only_int64():
     ds = ApDataset("x", 1, 5, np.array([[7, 4], [11, 0]]))
     assert ds.p.dtype == ds.a.dtype == np.int64
     assert ds.samples == ((7, 4), (11, 0)) and len(ds) == 2
-    assert ds.values() == {7: 4, 11: 0} and ds.attained() == [0, 4]
+    assert dict(ds.samples) == {7: 4, 11: 0} and ds.attained() == [0, 4]
     with pytest.raises(ValueError):
         ds.p[0] = 13
     assert len(ApDataset("x", 1, 5, ())) == 0
@@ -550,8 +551,8 @@ def test_load_form_file(tmp_path):
     path = tmp_path / "forms.jsonl"
     path.write_text(json.dumps(rec) + "\n")
     forms = load_form_file(path)
-    assert len(forms) == 1
-    label, weight, level, series = forms[0]
+    assert list(forms) == ["t1"]
+    label, weight, level, series = forms["t1"]
     assert (label, weight, level) == ("t1", 12, 1)
     assert series.m == 0 and series.coeffs.tolist() == [0, 1, -24, 252, -1472]
     ds = build_dataset(series, 5, 3, level=1, label="t1")
@@ -626,16 +627,16 @@ def test_duplicate_labels_are_rejected(tmp_path):
 
 def test_fixture_parser_rejects_duplicate_labels():
     line = json.dumps(GOOD_CURVE)
-    assert list(_parse_curve_lines([line, ""])) == ["324b1"]
+    assert list(_records([line, ""], _parse_curve)) == ["324b1"]
     with pytest.raises(ValueError, match="duplicate label"):
-        _parse_curve_lines([line, line])
+        _records([line, line], _parse_curve)
 
 
 def test_form_file_keeps_big_coefficients_exact(tmp_path):
     big = 3 ** 50
     path = tmp_path / "forms.jsonl"
     path.write_text(json.dumps(dict(GOOD_FORM, coeffs=[1, big, -big])) + "\n")
-    (_, _, _, series), = load_form_file(path)
+    (_, _, _, series), = load_form_file(path).values()
     assert series.coeffs.dtype == object
     assert series.coeffs.tolist() == [0, 1, big, -big]
     ds = build_dataset(series, 7, 3, level=1, label="t1")
@@ -651,7 +652,7 @@ def test_form_file_route_matches_delta_route(tmp_path):
            "coeffs": exact.coeffs[1:].tolist()}
     path = tmp_path / "delta.jsonl"
     path.write_text(json.dumps(rec) + "\n")
-    (label, weight, level, series), = load_form_file(path)
+    (label, weight, level, series), = load_form_file(path).values()
     assert series.coeffs.dtype == object  # tau(n) passes 2^63 below n = 3000
     via_file = build_dataset(series, 23, T, level=level, label=label)
     direct = build_dataset(delta_coeffs(T, 23), 23, T, level=1, label="delta")

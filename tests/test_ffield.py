@@ -154,9 +154,11 @@ def test_legendre_requires_odd_prime():
 
 
 def test_kronecker_extends_legendre():
+    # Euler's criterion: a^((p - 1) / 2) is 0, 1 or -1 mod p
     for p in (3, 5, 7, 11, 13, 19, 23):
         for a in range(-30, 30):
-            assert kronecker(a, p) == legendre(a, p)
+            euler = {0: 0, 1: 1, p - 1: -1}[pow(a, (p - 1) // 2, p)]
+            assert kronecker(a, p) == legendre(a, p) == euler
 
 
 def test_kronecker_multiplicative():
