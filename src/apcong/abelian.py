@@ -400,14 +400,7 @@ def _subfield_det_semi(G: MatGroup, q1: int) -> np.ndarray:
 # ---- theorem-level cross-checks ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    group_order: int
-    label: str
-    checks: tuple[str, ...]
-
-
-def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
+def theorem_crosscheck(G: MatGroup) -> None:
     """Verify every classification-level prediction against brute force.
 
     For the single group G this checks: the equivalence of constant-trace
@@ -421,11 +414,9 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     cls = classify_group(G)
     data = coset_traces(G)
     ell = G.spec.p
-    checks = []
 
     proper = G.trace_ints()
     totally = is_totally_abelian(G)
-    checks.append("totally-borel-equivalence")
 
     weak = {x for x in proper if data.first_const[x] >= 0}
     union = {x for x in proper if not data.mixed[x]}
@@ -434,7 +425,6 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     if any(x != 0 for x in weak) and not borel:
         raise TheoremConsistencyError(
             f"weak class x != 0 on a non-triangularisable group {cls.describe()}")
-    checks.append("nonzero-weak-forces-borel")
 
     if cls.label == "Dihedral" and cls.n % ell == 0:
         raise TheoremConsistencyError(
@@ -449,7 +439,6 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     if lhs and weak != {0}:
         raise TheoremConsistencyError(
             f"dihedral image must be weakly abelian exactly at 0, got {weak}")
-    checks.append("weak-dichotomy")
 
     lhs = bool(union) and not totally
     rhs = (cls.label == "Dihedral" and cls.n > 1
@@ -461,10 +450,8 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     if lhs and union != {0}:
         raise TheoremConsistencyError(
             f"dihedral image must be abelian exactly at 0, got {union}")
-    checks.append("union-dichotomy")
 
     density_c(G)
-    checks.append("density-table")
 
     got, want = data.first_missing >= 0, _predicted_semi(G)
     if not np.array_equal(got, want):
@@ -472,7 +459,6 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
         raise TheoremConsistencyError(
             f"{cls.describe()}: semi verdict at {xi} computed {bool(got[xi])}, "
             f"family table says {bool(want[xi])}")
-    checks.append("semi-table")
 
     # projection is a surjective homomorphism: [PG, PG] is the image of [G, G]
     sizes, zeros = _proj_coset_zeros(G, data.commutator)
@@ -480,9 +466,6 @@ def theorem_crosscheck(G: MatGroup) -> CrosscheckReport:
     if proj_union == data.mixed[0]:
         raise TheoremConsistencyError(
             "projective and matrix union verdicts disagree at x = 0")
-    checks.append("projective-zero-agreement")
-
-    return CrosscheckReport(G.order, cls.describe(), tuple(checks))
 
 
 def _proj_coset_zeros(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -550,7 +533,6 @@ class AbelianReport:
     per_class: dict[int, ClassVerdict]
     totally: bool
     density: Fraction
-    theorem_consistent: bool
 
     def to_json(self) -> dict:
         spec = self.group.spec
@@ -565,19 +547,15 @@ class AbelianReport:
             },
             "totally": self.totally,
             "c": f"{self.density.numerator}/{self.density.denominator}",
-            "consistent": self.theorem_consistent,
+            # analyze_group only returns a report once theorem_crosscheck passed
+            "consistent": True,
         }
 
 
-def analyze_group(G: MatGroup, crosscheck: bool = True) -> AbelianReport:
-    """Classify G and compute all per-class verdicts, density and totality.
-
-    With crosscheck (the default) the theorem-level consistency checks run
-    first and any failure propagates; theorem_consistent records whether
-    they ran.
-    """
-    if crosscheck:
-        theorem_crosscheck(G)
+def analyze_group(G: MatGroup) -> AbelianReport:
+    """Check G with theorem_crosscheck, which raises on a failure, then
+    classify it and compute all per-class verdicts, density and totality."""
+    theorem_crosscheck(G)
     proper = tuple(sorted(G.trace_ints()))
     data, x = coset_traces(G), list(proper)
     # weak, semi and abelian at every proper class, read as the public
@@ -585,7 +563,7 @@ def analyze_group(G: MatGroup, crosscheck: bool = True) -> AbelianReport:
     columns = (data.first_const[x] >= 0, data.first_missing[x] >= 0, ~data.mixed[x])
     per = {xi: ClassVerdict(xi, *v) for xi, *v in zip(proper, *(c.tolist() for c in columns))}
     return AbelianReport(G, classify_group(G), proper, per,
-                         is_totally_abelian(G), density_c(G), crosscheck)
+                         is_totally_abelian(G), density_c(G))
 
 
 # ---- modulus bounds -----------------------------------------------------------

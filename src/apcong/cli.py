@@ -2,8 +2,8 @@
 
 Verbs: classify, analyze, dataset, discover, verify, oracle.  All output is
 deterministic for fixed inputs; JSON mode emits sorted keys.  Exit status is
-0 on success, 1 on usage or input errors, 2 when a theorem-level consistency
-check fails.
+0 on success, 1 on usage or input errors (an input too large to allocate
+among them), 2 when a theorem-level consistency check fails.
 
 The command line is `apcong <verb> [flags]`, read against one table,
 `VERBS`.  A flag is written `--flag value` or `--flag=value`, in full: a
@@ -112,7 +112,7 @@ def _run_classify(args, out) -> int:
 
 def _run_analyze(args, out) -> int:
     G = _read_group(args.group)
-    rep = analyze_group(G, crosscheck=not args.no_crosscheck)
+    rep = analyze_group(G)
     if args.format == "json":
         _emit_json(rep.to_json(), out)
         return 0
@@ -252,7 +252,6 @@ VERBS = {
     "analyze": Verb(_run_analyze, "full per-class congruence verdicts", {
         "--group": _GROUP,
         "--format": _FORMAT,
-        "--no-crosscheck": Flag(bool, False, "skip the theorem consistency suite"),
     }),
     "dataset": Verb(_run_dataset, "emit (p, a_p mod ell) samples as CSV", {
         **_SOURCE,
@@ -393,9 +392,9 @@ def main(argv=None) -> int:
     except TheoremConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return CONSISTENCY_ERROR
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError,
             ClassificationError, ClosureGuardError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE_ERROR
 
 

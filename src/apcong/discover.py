@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .abelian import CosetTraces, coset_traces, density_c, radical
+from .abelian import CosetTraces, coset_traces, density_c, modulus_bound
 from .eigendata import (
     ApDataset,
     EllipticCurve,
@@ -190,9 +190,8 @@ def best_modulus(ds: ApDataset, x: int, bound: int) -> ClassCongruence | None:
 def legendre_candidates(N: int, ell: int) -> list[int]:
     """Signed divisors of rad(N ell) gcd(2, N ell)^2, the symbol moduli a
     congruence of level N and characteristic ell can see."""
-    bound = radical(N * ell) * math.gcd(2, N * ell) ** 2
     out = []
-    for d in divisors(bound):
+    for d in divisors(modulus_bound(None, N, ell, "DihedralWeak").bound):
         out += [d, -d]
     out.remove(1)
     return sorted(out, key=lambda m: (abs(m), m < 0))

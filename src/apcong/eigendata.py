@@ -166,16 +166,13 @@ _CHUNK_CELLS = 1 << 20
 
 
 def _ap_kernel(E: EllipticCurve, ps: np.ndarray) -> np.ndarray:
-    """a_p for an ascending int64 array of good primes, as an int64 array.
+    """a_p for an ascending int64 array of good primes <= POINT_COUNT_GUARD.
 
     Primes up to 229 take a character sum each.  Above it the primes are
     numpy lanes of one baby-step giant-step search (Shanks-Mestre), in
     chunks of at most _CHUNK_CELLS lanes x interval cells.
     """
     ps = np.asarray(ps, dtype=np.int64)
-    if len(ps) and ps[-1] > POINT_COUNT_GUARD:
-        raise ValueError(
-            f"point counting guard exceeded at {ps[ps > POINT_COUNT_GUARD][0]}")
     ap = np.empty(len(ps), dtype=np.int64)
     lo = int(np.searchsorted(ps, _MESTRE_MIN_P, side="right"))
     ap[:lo] = [_ap_char_sum(E, p) for p in ps[:lo].tolist()]
@@ -440,7 +437,12 @@ class ApDataset:
 
 def curve_dataset(E: EllipticCurve, p_max: int) -> ApDataset:
     """Exact a_p (ell = 0) for the primes p <= p_max of good reduction,
-    one point count each, labelled by the curve at its conductor."""
+    one point count each, labelled by the curve at its conductor.  A good
+    prime past POINT_COUNT_GUARD raises ValueError before any sieving."""
+    past = next((p for p in range(POINT_COUNT_GUARD + 1, p_max + 1)
+                 if is_prime(p) and E.has_good_reduction(p)), None)
+    if past is not None:
+        raise ValueError(f"point counting guard exceeded at {past}")
     ps = np.array([p for p in primes_upto(p_max) if E.has_good_reduction(p)], dtype=np.int64)
     return ApDataset(E.label, E.conductor, 0, np.column_stack((ps, _ap_kernel(E, ps))))
 

@@ -47,6 +47,8 @@ import numpy as np
 from .ffield import FieldElement, FieldSpec, is_int, ratio_orders
 
 CLOSURE_GUARD = 10 ** 6
+# entries per row block of the Cayley table and of its double-coset labels
+_ROW_BLOCK = 1 << 16
 
 
 class ClosureGuardError(RuntimeError):
@@ -683,12 +685,12 @@ def _table_join(T: np.ndarray, H: np.ndarray, gens: list[int], g: int) -> np.nda
     return K
 
 
-def _cayley_table(spec: FieldSpec, codes: np.ndarray, block: int = 1 << 16) -> np.ndarray:
+def _cayley_table(spec: FieldSpec, codes: np.ndarray) -> np.ndarray:
     """T[i, j], the index in the sorted codes of codes[i] codes[j], filled
-    in blocks of rows of about `block` products each."""
+    in blocks of rows of about _ROW_BLOCK products each."""
     n = codes.size
     T = np.empty((n, n), dtype=np.int64)
-    step = max(1, block // n)
+    step = max(1, _ROW_BLOCK // n)
     for i in range(0, n, step):
         prod = mul_codes(spec, codes[i:i + step, None], codes[None, :])
         T[i:i + step] = np.minimum(np.searchsorted(codes, prod), n - 1)
@@ -697,19 +699,19 @@ def _cayley_table(spec: FieldSpec, codes: np.ndarray, block: int = 1 << 16) -> n
     return T
 
 
-def _double_coset_labels(T: np.ndarray, at: np.ndarray, block: int = 1 << 16) -> np.ndarray:
+def _double_coset_labels(T: np.ndarray, at: np.ndarray) -> np.ndarray:
     """For each index g of the Cayley table T, the least index of the double
     coset HgH of the subgroup H with indices at: the least index of each
     coset gH, then the least of those over the cosets hgH.  Both are taken
-    in blocks of rows of about `block` entries, as `_cayley_table` fills T,
+    in blocks of rows of about _ROW_BLOCK entries, as `_cayley_table` fills T,
     so that no |G| x |H| temporary is formed."""
     n = T.shape[0]
     left = np.empty(n, dtype=np.int64)
-    step = max(1, block // at.size)
+    step = max(1, _ROW_BLOCK // at.size)
     for i in range(0, n, step):
         left[i:i + step] = T[i:i + step, at].min(axis=1)
     out = np.full(n, n, dtype=np.int64)
-    step = max(1, block // n)
+    step = max(1, _ROW_BLOCK // n)
     for i in range(0, at.size, step):
         np.minimum(out, left[T[at[i:i + step]]].min(axis=0), out=out)
     return out

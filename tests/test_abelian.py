@@ -300,12 +300,12 @@ def test_analyze_group_computes_each_structure_once(monkeypatch):
         for name in ("gl2", "sl2"):
             monkeypatch.setattr(mod, name, forbidden, raising=False)
     rep = analyze_group(groups[0])
-    assert rep.dickson.label == "PGL2" and rep.theorem_consistent
+    assert rep.dickson.label == "PGL2" and rep.to_json()["consistent"] is True
     # GL2(F7) contains SL2(F7): no class orders and no coset split
     assert calls == {"_commutator_subgroup": 1, "_classify": 1}
     calls.clear()
     rep = analyze_group(groups[1])
-    assert rep.dickson.label == "Dihedral" and rep.theorem_consistent
+    assert rep.dickson.label == "Dihedral" and rep.to_json()["consistent"] is True
     # the projective orders of all 16 classes of D_8 in one step
     assert calls == {"_commutator_subgroup": 1, "proj_orders": 1, "_classify": 1,
                      "_coset_split": 1}

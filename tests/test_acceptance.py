@@ -142,7 +142,7 @@ def test_criterion_10_gl2_and_sl2_up_to_q_97():
         for G, label, c in ((gl2(spec), f"PGL2({q})", Fraction(q, q ** 2 - 1)),
                             (sl2(spec), f"PSL2({q})", Fraction(1, q - 1))):
             rep = analyze_group(G)
-            assert rep.dickson.describe() == label and rep.theorem_consistent
+            assert rep.dickson.describe() == label and rep.to_json()["consistent"] is True
             assert rep.density == c and len(rep.proper) == q
     with pytest.raises(ClosureGuardError):
         gl2(make_field(101)).proj

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from apcong import classify, cli, ffield, matgrp
+from apcong import classify, cli, eigendata, ffield, matgrp
 from apcong.cli import VERBS, main, parse_args
 from apcong.constructions import gl2, nonsplit_cartan_normalizer, split_cartan
 from apcong.discover import verify_fixture_tables
@@ -116,10 +116,11 @@ def test_analyze_json_deterministic(capsys, gl2f3_path):
     assert code == 0 and out1 == out2
     doc = json.loads(out1)
     assert doc["c"] == "3/8"
-    code, out3, _ = run(capsys, "analyze", "--group", gl2f3_path,
-                        "--format", "json", "--no-crosscheck")
-    assert code == 0
-    assert json.loads(out3)["c"] == "3/8"
+    # the theorem checks always run: there is no flag to skip them
+    assert run(capsys, "analyze", "--group", gl2f3_path, "--format", "json",
+               "--no-crosscheck") == (1, "", "error: analyze: unknown flag --no-crosscheck\n")
+    code, out, _ = run(capsys, "analyze", "--help")
+    assert code == 0 and "crosscheck" not in out
 
 
 # ---- dataset ----
@@ -150,6 +151,29 @@ def test_dataset_curve_to_file(capsys, tmp_path):
 def test_dataset_requires_source(capsys):
     code, _, err = run(capsys, "dataset", "--ell", "23")
     assert code == 1 and "no data source" in err
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array"),
+     "error: Unable to allocate 7.28 TiB for an array\n"),
+    (MemoryError(), "error: MemoryError\n"),
+], ids=["numpy", "bare"])
+def test_an_allocation_too_large_is_one_error_line(capsys, monkeypatch, exc, line):
+    def too_large(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "delta_coeffs", too_large)
+    assert run(capsys, "dataset", "--delta", "--ell", "23",
+               "--pmax", "1000000000000") == (1, "", line)
+
+
+def test_point_count_guard_fails_before_the_sieve(capsys, monkeypatch):
+    def unreachable(n):
+        raise AssertionError(f"sieved to {n}")
+
+    monkeypatch.setattr(eigendata, "primes_upto", unreachable)
+    assert run(capsys, "dataset", "--curve", "338d1", "--ell", "5", "--pmax",
+               "30000000") == (1, "", "error: point counting guard exceeded at 1000003\n")
 
 
 def tau_by_product(T):
@@ -510,7 +534,7 @@ PARSED = [
     ("classify --group gl2f3.json",
      dict(verb="classify", group="gl2f3.json", format="table")),
     ("analyze --group gl2f3.json --format json",
-     dict(verb="analyze", group="gl2f3.json", format="json", no_crosscheck=False)),
+     dict(verb="analyze", group="gl2f3.json", format="json")),
     ("dataset --delta --ell 23 --pmax 10000",
      dict(_DATASET_NONE, verb="dataset", delta=True, ell=23)),
     ("dataset --curve 338d1 --ell 5 --pmax 10000 --out ds.csv",
@@ -529,7 +553,7 @@ PARSED = [
      dict(verb="verify", delta=False, tables=True, ell=23, pmax=10000)),
     ("oracle --field 3", dict(verb="oracle", field=3)),
     ("analyze --group -",
-     dict(verb="analyze", group="-", format="table", no_crosscheck=False)),
+     dict(verb="analyze", group="-", format="table")),
     ("dataset --ell 5", dict(_DATASET_NONE, verb="dataset", ell=5)),
     ("discover --ell 5", dict(_DISCOVER_NONE, verb="discover", ell=5)),
     ("verify", dict(verb="verify", delta=False, tables=False, ell=23, pmax=10000)),
@@ -537,8 +561,9 @@ PARSED = [
     ("dataset --curve-file c.jsonl --label 324b1 --ell=5 --pmax 100 --pmax=200",
      dict(_DATASET_NONE, verb="dataset", curve_file="c.jsonl", label="324b1",
           ell=5, pmax=200)),
-    ("analyze --group=- --no-crosscheck --format table --format=json",
-     dict(verb="analyze", group="-", format="json", no_crosscheck=True)),
+    ("discover --curve=338d1 --legendre --ell 5 --format table --format=json",
+     dict(_DISCOVER_NONE, verb="discover", curve="338d1", legendre=True, ell=5,
+          format="json")),
 ]
 
 

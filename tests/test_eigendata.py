@@ -325,6 +325,24 @@ def test_kernel_raises_instead_of_guessing():
         curve_dataset(E, 1_000_100)
 
 
+def test_point_count_guard_admits_every_bound_below_the_first_prime_past_it(monkeypatch):
+    # 1 000 003 is the first prime past the guard: a bound of 1 000 002
+    # reaches the sieve, which here stops at 200 to keep the test short
+    sieved = []
+
+    def short_sieve(n):
+        sieved.append(n)
+        return primes_upto(200)
+
+    monkeypatch.setattr(eigendata, "primes_upto", short_sieve)
+    E = curve_fixtures()["338d1"]
+    assert curve_dataset(E, 1_000_002).p.tolist() == curve_dataset(E, 200).p.tolist()
+    assert sieved == [1_000_002, 200]
+    with pytest.raises(ValueError, match="guard exceeded at 1000003$"):
+        curve_dataset(E, 1_000_003)
+    assert sieved == [1_000_002, 200]
+
+
 def test_curve_invariants():
     E = EllipticCurve("338d1", (1, 1, 0, 504, -13112), 338)
     b2, b4, b6, b8 = E.b_invariants

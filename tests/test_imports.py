@@ -12,7 +12,10 @@ module reads it as a name or an attribute or imports it.  A method of a
 package class, dunders aside, counts as read when some file of the
 package or its benchmark reads it as an attribute; a method that only the
 tests read belongs in tests/helpers.py.  The package holds no assert
-statement, since `python -O` would skip its check.
+statement, since `python -O` would skip its check.  A defaulted parameter
+of a private function or method (_name) is passed, by keyword or by
+position, by some call in the package or its benchmark: an option that
+only tests set is a module constant they monkeypatch.
 """
 
 import ast
@@ -174,3 +177,72 @@ def test_scan_finds_an_assert_statement():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_assert_statements(path):
     assert assert_statements(path.read_text(encoding="utf-8")) == []
+
+
+def untaken_defaults(sources: dict[str, str], readers: list[str]) -> list[str]:
+    defaulted = {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or not node.name.startswith("_") or node.name.startswith("__")):
+                continue
+            a = node.args
+            pos = a.posonlyargs + a.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            # a call on an instance or class does not pass self or cls
+            skip = 1 if id(node) in methods and not static else 0
+            params = [(i - skip, v.arg) for i, v in enumerate(pos)
+                      if i >= len(pos) - len(a.defaults)]
+            params += [(None, v.arg) for v, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None]
+            for index, arg in params:
+                defaulted[(node.name, arg)] = (f"{module}:{node.lineno}", index)
+    passed = set()
+    for source in readers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            n_pos = (float("inf") if any(isinstance(v, ast.Starred) for v in call.args)
+                     else len(call.args))
+            every_keyword = any(k.arg is None for k in call.keywords)
+            keywords = {k.arg for k in call.keywords}
+            for (fname, arg), (_, index) in defaulted.items():
+                if fname == name and (every_keyword or arg in keywords
+                                      or (index is not None and index < n_pos)):
+                    passed.add((fname, arg))
+    return sorted(f"{where}: {fname}({arg})"
+                  for (fname, arg), (where, _) in defaulted.items()
+                  if (fname, arg) not in passed)
+
+
+def test_scan_finds_a_default_no_call_passes():
+    sources = {
+        "a": ("def _f(x, by_position=1, by_keyword=2, only_tests=3, *, kw_only=4):\n"
+              "    pass\n\n\n"
+              "def _g(spread=5, starred=6):\n    pass\n\n\n"
+              "def public(option=7):\n    pass\n\n\n"
+              "class A:\n"
+              "    def _m(self, set_by_caller=8, unset=9):\n        pass\n\n"
+              "    @staticmethod\n"
+              "    def _s(set_by_caller=10):\n        pass\n"),
+    }
+    readers = [sources["a"],
+               "import a\n\n"
+               "a._f(0, 1, by_keyword=2)\n"
+               "a._g(**{'spread': 5})\n"
+               "a._g(*[5, 6])\n"
+               "a.A()._m(8)\n"
+               "a.A._s(10)\n"
+               "_f(kw_only=4)\n"]
+    assert untaken_defaults(sources, readers) == ["a:14: _m(unset)", "a:1: _f(only_tests)"]
+
+
+def test_no_defaults_that_only_tests_pass():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC}
+    assert untaken_defaults(sources, [p.read_text(encoding="utf-8") for p in READERS]) == []

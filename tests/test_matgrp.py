@@ -620,7 +620,7 @@ def test_analyze_gl2_f17_closes_only_the_group(monkeypatch):
 
     monkeypatch.setattr(matgrp, "_close", counted)
     report = analyze_group(group_from_json(doc))
-    assert report.dickson.describe() == "PGL2(17)" and report.theorem_consistent
+    assert report.dickson.describe() == "PGL2(17)" and report.to_json()["consistent"] is True
     assert len(calls) == 1
 
 
@@ -673,18 +673,19 @@ def test_cyclic_subgroups_found_match_the_closed_form(spec, count):
 
 
 @pytest.mark.parametrize("spec", [F3, F4])
-def test_cayley_table_in_row_blocks_equals_the_one_shot_table(spec):
+def test_cayley_table_in_row_blocks_equals_the_one_shot_table(spec, monkeypatch):
     codes = gl2(spec).codes
     prod = matgrp.mul_codes(spec, codes[:, None], codes[None, :])
     T = np.searchsorted(codes, prod)
     assert np.array_equal(codes[T], prod)
     # 7 rows a block leaves a short last block (48 and 180 rows)
     for block in (7 * codes.size, 1 << 16):
-        assert np.array_equal(matgrp._cayley_table(spec, codes, block), T)
+        monkeypatch.setattr(matgrp, "_ROW_BLOCK", block)
+        assert np.array_equal(matgrp._cayley_table(spec, codes), T)
 
 
 @pytest.mark.parametrize("spec", [F3, F4])
-def test_double_coset_labels_in_row_blocks_equal_the_one_shot_labels(spec):
+def test_double_coset_labels_in_row_blocks_equal_the_one_shot_labels(spec, monkeypatch):
     G = gl2(spec)
     T = matgrp._cayley_table(spec, G.codes)
     for H in enumerate_subgroups(G)[::7]:
@@ -692,7 +693,8 @@ def test_double_coset_labels_in_row_blocks_equal_the_one_shot_labels(spec):
         want = T[:, at].min(axis=1)[T[at]].min(axis=0)
         # 5 entries a block leaves short last blocks; 1 << 16 is one block
         for block in (5, 1 << 16):
-            assert np.array_equal(matgrp._double_coset_labels(T, at, block), want)
+            monkeypatch.setattr(matgrp, "_ROW_BLOCK", block)
+            assert np.array_equal(matgrp._double_coset_labels(T, at), want)
 
 
 def test_enumerate_subgroups_peak_stays_near_the_table(monkeypatch):
