@@ -90,15 +90,13 @@ def delta_coeffs(T: int, m: int = 0) -> QSeries:
     """
     if T < 1:
         raise ValueError("truncation must cover tau(1)")
-    terms = []  # (exponent, coefficient) of S below q^T
-    n = 0
-    while n * (n + 1) // 2 < T:
-        terms.append((n * (n + 1) // 2, -(2 * n + 1) if n % 2 else 2 * n + 1))
-        n += 1
-    # a product coefficient sums |c| * (m - 1) over the terms at most
-    weight = sum(abs(c) for _, c in terms)
-    dtype = np.int64 if m and weight * (m - 1) < 2 ** 63 else object
+    # S has a term for each of the N values n with n(n + 1)/2 < T, and a
+    # product coefficient sums |c| (m - 1) = (2n + 1)(m - 1) over them,
+    # N^2 (m - 1) at most: size the column before building any term
+    N = (math.isqrt(8 * T - 7) + 1) // 2
+    dtype = np.int64 if m and N * N * (m - 1) < 2 ** 63 else object
     qs = np.zeros(T + 1, dtype=dtype)  # q S, so index n holds the q^n term
+    terms = [(n * (n + 1) // 2, -(2 * n + 1) if n % 2 else 2 * n + 1) for n in range(N)]
     for e, c in terms:
         qs[e + 1] = c
     dense = qs % m if m else qs

@@ -451,11 +451,8 @@ class MatGroup:
     def is_subgroup_of(self, other: "MatGroup") -> bool:
         """Whether Z lies in other's scalars and each class of self lies in
         other with a lift in other's scalar coset."""
-        if self.spec != other.spec or self.k % other.k:
-            return False
-        i = np.minimum(np.searchsorted(other.proj, self.proj), other.proj.size - 1)
-        return bool(((other.proj[i] == self.proj)
-                     & ((self.lift - other.lift[i]) % other.k == 0)).all())
+        return bool(self.spec == other.spec and self.k % other.k == 0
+                    and _locate(other, self.reps)[2].all())
 
     def __eq__(self, other):
         if not (isinstance(other, MatGroup) and self.spec == other.spec

@@ -245,22 +245,35 @@ def test_crosscheck_all_subgroups_detects_a_dropped_pair(monkeypatch):
         crosscheck_all_subgroups(gl2(F2))
 
 
-def test_theorem_crosscheck_detects_a_flipped_semi_verdict(monkeypatch):
+def test_theorem_crosscheck_detects_a_flipped_verdict(monkeypatch):
     from apcong import abelian
 
     exact = abelian._coset_traces
-    for build, spec in ((gl2, F3), (sl2, F5), (borel, F5), (split_cartan_normalizer, F5),
-                        (a4_lift, F7)):
-        for x in range(spec.q):
-            def flip(G, x=x):
-                data = exact(G)
-                first_missing = data.first_missing.copy()
-                first_missing[x] = -1 if first_missing[x] >= 0 else 0
-                return dataclasses.replace(data, first_missing=first_missing)
 
-            monkeypatch.setattr(abelian, "_coset_traces", flip)
-            with pytest.raises(TheoremConsistencyError, match=f"semi verdict at {x} computed"):
-                theorem_crosscheck(build(spec))
+    def flipped(field, x):
+        def flip(G):
+            data = exact(G)
+            col = getattr(data, field).copy()
+            if col.dtype == bool:
+                col[x] = not col[x]
+            else:
+                col[x] = -1 if col[x] >= 0 else 0
+            return dataclasses.replace(data, **{field: col})
+        return flip
+
+    for build, spec in ((gl2, F3), (sl2, F5), (borel, F5), (split_cartan, F5),
+                        (split_cartan_normalizer, F5), (unipotent, F5), (a4_lift, F7),
+                        (nonsplit_cartan, F7)):
+        attained = sorted(build(spec).trace_ints())
+        # weak and abelian verdicts exist only at attained classes, semi at all
+        for field, column, xs in (("first_const", "weak", attained),
+                                  ("mixed", "abelian", attained),
+                                  ("first_missing", "semi", range(spec.q))):
+            for x in xs:
+                monkeypatch.setattr(abelian, "_coset_traces", flipped(field, x))
+                with pytest.raises(TheoremConsistencyError,
+                                   match=f"{column} verdict at {x} computed"):
+                    theorem_crosscheck(build(spec))
 
 
 def test_analyze_group_report():

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from functools import cache
 
 import numpy as np
@@ -143,6 +144,22 @@ def test_delta_reduction_consistency():
     red = delta_coeffs(300, 23).coeffs
     assert exact.dtype == object and red.dtype == np.int64
     assert red.tolist() == [c % 23 for c in exact.tolist()]
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 299, 300, 301])
+def test_delta_dtype_holds_the_term_weight(T):
+    # a product coefficient sums (2n + 1)(m - 1) over the n with n(n + 1)/2 < T
+    weight = sum(2 * n + 1 for n in range(T) if n * (n + 1) // 2 < T)
+    m = 1 + (2 ** 63 - 1) // weight
+    assert delta_coeffs(T, m).coeffs.dtype == np.int64
+    assert delta_coeffs(T, m + 1).coeffs.dtype == object
+
+
+def test_a_huge_delta_bound_fails_before_the_term_loop():
+    start = time.perf_counter()
+    with pytest.raises(MemoryError):
+        delta_coeffs(10 ** 14, 23)
+    assert time.perf_counter() - start < 1
 
 
 def test_eta_times_eta23_is_delta_mod_23():
