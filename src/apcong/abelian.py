@@ -50,6 +50,7 @@ from .matgrp import (
     coset_split,
     enumerate_subgroups,
     mat_product,
+    memoised,
     mul_codes,
     split_codes,
     unique_codes,
@@ -102,11 +103,8 @@ class CosetTraces:
         return self._pair_codes % self.group.spec.q
 
 
+@memoised
 def coset_traces(G: MatGroup) -> CosetTraces:
-    return G.memo(_coset_traces)
-
-
-def _coset_traces(G: MatGroup) -> CosetTraces:
     """The coset traces, in closed form when G contains SL_2(F_q), q > 3:
     [G, G] = SL_2(F_q), so each coset is a whole determinant fibre
     {det = d} of GL_2, which holds (t -d; 1 0) of trace t for every t, and
@@ -213,6 +211,7 @@ def is_abelian_class(G: MatGroup, x):
     return True, tuple(np.flatnonzero(data.const == xi).tolist())
 
 
+@memoised
 def is_totally_abelian(G: MatGroup) -> bool:
     """Whether every class is abelian for G, computed two independent ways.
 
@@ -221,10 +220,6 @@ def is_totally_abelian(G: MatGroup) -> bool:
     the classification.  The two must agree, otherwise
     TheoremConsistencyError is raised.
     """
-    return G.memo(_totally_abelian)
-
-
-def _totally_abelian(G: MatGroup) -> bool:
     by_cosets = bool((coset_traces(G).const >= 0).all())
     by_line = classify_group(G).label == "BorelConjugable"
     if by_cosets != by_line:
@@ -237,6 +232,7 @@ def _totally_abelian(G: MatGroup) -> bool:
 # ---- traceless density ------------------------------------------------------
 
 
+@memoised
 def density_c(G: MatGroup) -> Fraction:
     """Fraction of traceless elements of G, as an exact rational.
 
@@ -244,10 +240,6 @@ def density_c(G: MatGroup) -> Fraction:
     checked against the table entry for the classified family; a mismatch
     raises TheoremConsistencyError.
     """
-    return G.memo(_density_c)
-
-
-def _density_c(G: MatGroup) -> Fraction:
     if G.contains_sl2:
         c = Fraction(int(_traceless_by_square_class(G).sum()), G.order)
     else:

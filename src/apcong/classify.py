@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,10 +36,11 @@ from .matgrp import (
     Mat2,
     MatGroup,
     _fixed_points,
+    _join,
     _scale,
     commutator_subgroup,
-    generating_set,
-    identity,
+    mat_product,
+    memoised,
     split_codes,
 )
 
@@ -96,7 +98,7 @@ class DicksonClass:
 
 def _identity_class(G: MatGroup) -> np.ndarray:
     """Mask of the class of the scalars among G's classes."""
-    return G.proj == identity(G.spec).encode()
+    return G.proj == _join(G.spec, 1, 0, 0, 1)
 
 
 def _least_nonscalar(G: MatGroup) -> int:
@@ -135,13 +137,13 @@ def is_borel_conjugable(G: MatGroup):
 
     ext = quadratic_extension(spec)
     emb = embedding_table(spec, ext)
-    gens_e = [tuple(int(emb[x]) for x in g.e) for g in generating_set(G)]
+    gens_e = tuple(emb[x] for x in split_codes(spec, G.gens))
     if G.proj_order == 1:
         # every element scalar: already upper triangular
         route_b, witness = True, Mat2(ext, (1, 0, 0, 1))
     else:
         # the lines (1, t), t in F_{q^2}, then (0, 1), that every generator fixes
-        fixed = np.flatnonzero(_fixed_points(ext, *(np.array(e)[:, None] for e in zip(*gens_e))))
+        fixed = np.flatnonzero(_fixed_points(ext, *(x[:, None] for x in gens_e)))
         # a non-scalar element has distinct eigenvalues on distinct fixed
         # lines, a0 + b0 t on (1, t) and d0 on (0, 1): the least one wins
         a0, b0, _, d0 = (emb[x] for x in split_codes(spec, _least_nonscalar(G)))
@@ -155,29 +157,26 @@ def is_borel_conjugable(G: MatGroup):
         raise RuntimeError(f"Borel criteria disagree (commutators: {route_a}, "
                            f"fixed lines: {route_b})")
     if route_b and G.proj_order > 1:
-        pi = witness.inv()
-        for ge in gens_e:
-            if (pi * Mat2(ext, ge) * witness).e[2] != 0:
-                raise RuntimeError("the Borel witness does not triangularise a generator")
+        mul, add = ext.mul_a, ext.add_a
+        if mat_product(mul, add, mat_product(mul, add, witness.inv().e, gens_e),
+                       witness.e)[2].any():
+            raise RuntimeError("the Borel witness does not triangularise a generator")
     return route_a, witness
 
 
 # ---- abstract family tests -------------------------------------------------
 
 
-def proj_order_stats(G: MatGroup) -> dict[int, int]:
-    """The number of classes of PG of each order in PGL_2."""
-    return dict(G.memo(_proj_order_stats))
-
-
-def _proj_order_stats(G: MatGroup) -> dict[int, int]:
+@memoised
+def proj_order_stats(G: MatGroup) -> MappingProxyType:
+    """The number of classes of PG of each order in PGL_2, read-only."""
     if G.contains_sl2:
         # PGL2(F_q) iff det G holds a nonsquare, that is e is odd; for even q
         # the two coincide
         kind = "PGL2" if G.det_exp % 2 else "PSL2"
-        return _subfield_stats(kind, G.spec.q, G.spec.p)
+        return MappingProxyType(_subfield_stats(kind, G.spec.q, G.spec.p))
     orders, counts = np.unique(G.class_orders, return_counts=True)
-    return dict(zip(orders.tolist(), counts.tolist()))
+    return MappingProxyType(dict(zip(orders.tolist(), counts.tolist())))
 
 
 def _cyclic_n(G: MatGroup) -> int | None:
@@ -258,6 +257,7 @@ def _exceptional_match(G: MatGroup) -> str | None:
     return label if proj_order_stats(G) == stats else None
 
 
+@memoised
 def classify_group(G: MatGroup) -> DicksonClass:
     """Primary family of the projective image of G under the precedence
     Borel > Dihedral > subfield PSL2/PGL2 (only for q' > 3) > exceptional,
@@ -265,10 +265,6 @@ def classify_group(G: MatGroup) -> DicksonClass:
     Cyclic(n) but is never the primary label: it makes G abelian, and so
     Borel conjugable.  Subfield groups are recognised for every q' from
     closed-form element-order counts."""
-    return G.memo(_classify)
-
-
-def _classify(G: MatGroup) -> DicksonClass:
     borel_flag, witness = is_borel_conjugable(G)
     cyc_n = _cyclic_n(G)
     dih_n = _dihedral_n(G)

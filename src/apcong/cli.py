@@ -12,7 +12,10 @@ value wins.  Int flags with a lower bound reject smaller values: `--ell`
 and `--pmax` at least 2, `--bound` and `--modulus` at least 1.
 `apcong --help` lists the verbs and `apcong <verb> --help` the flags of one
 verb, on stdout with exit 0.  Every usage error prints one `error: ...`
-line on stderr naming the verb or flag and exits 1.
+line on stderr naming the verb or flag and exits 1; so does a flag that
+would be accepted and not read (a second data source, `--label` without
+a file source, `--legendre` without `--modulus`, `verify --ell` other
+than 23), before any data is read.
 """
 
 from __future__ import annotations
@@ -65,31 +68,40 @@ def _emit_json(obj, out) -> None:
 
 
 def _load_dataset(args):
+    """The dataset of the one source given.  --label names the record of a
+    file source, which needs it, and no other source takes it; a wrong
+    combination is refused before any data is read."""
+    sources = {"--delta": args.delta, "--curve": args.curve,
+               "--curve-file": args.curve_file, "--form-file": args.form_file}
+    given = [name for name, value in sources.items() if value not in (False, None)]
+    if not given:
+        raise ValueError("no data source given (--delta, --curve, --curve-file, --form-file)")
+    if len(given) > 1:
+        raise ValueError(f"give exactly one data source, not {' and '.join(given)}")
+    if given[0].endswith("-file") != (args.label is not None):
+        raise ValueError(f"{given[0]} needs --label" if args.label is None else
+                         "--label applies only to --curve-file and --form-file")
     if args.delta:
         check_ell(args.ell)  # before the series, the costly part
         series = delta_coeffs(args.pmax, args.ell)
         return build_dataset(series, args.ell, args.pmax, level=1, label="delta")
-    if args.curve:
+    if args.curve is not None:
         fixtures = curve_fixtures()
         if args.curve not in fixtures:
             raise ValueError(
                 f"unknown curve {args.curve!r}; packaged: {', '.join(sorted(fixtures))}"
             )
         return build_dataset(fixtures[args.curve], args.ell, args.pmax)
-    if args.curve_file:
+    if args.curve_file is not None:
         curves = load_curve_file(args.curve_file)
         if args.label not in curves:
             raise ValueError(f"label {args.label!r} not in {args.curve_file}")
         return build_dataset(curves[args.label], args.ell, args.pmax)
-    if args.form_file:
-        forms = load_form_file(args.form_file)
-        if args.label not in forms:
-            raise ValueError(f"label {args.label!r} not in {args.form_file}")
-        _, _, level, series = forms[args.label]
-        return build_dataset(
-            series, args.ell, args.pmax, level=level, label=args.label
-        )
-    raise ValueError("no data source given (--delta, --curve, --curve-file, --form-file)")
+    forms = load_form_file(args.form_file)
+    if args.label not in forms:
+        raise ValueError(f"label {args.label!r} not in {args.form_file}")
+    _, _, level, series = forms[args.label]
+    return build_dataset(series, args.ell, args.pmax, level=level, label=args.label)
 
 
 def _run_classify(args, out) -> int:
@@ -142,6 +154,8 @@ def _run_dataset(args, out) -> int:
 def _run_discover(args, out) -> int:
     if (args.modulus is None) == (args.bound is None):
         raise ValueError("give exactly one of --modulus or --bound")
+    if args.legendre and args.modulus is None:
+        raise ValueError("--legendre applies only with --modulus")
     ds = _load_dataset(args)
     cands = legendre_candidates(ds.level, ds.ell) if args.legendre else ()
     if args.modulus is not None:
@@ -177,10 +191,12 @@ def _run_discover(args, out) -> int:
 def _run_verify(args, out) -> int:
     if not args.delta and not args.tables:
         raise ValueError("give --delta and/or --tables")
+    if args.ell != 23:
+        # --tables checks each statement at its own ell
+        raise ValueError(f"--ell {args.ell}: the partition statement is specific "
+                         "to ell = 23, and --tables reads no --ell")
     failures = 0
     if args.delta:
-        if args.ell != 23:
-            raise ValueError("the partition statement is specific to ell = 23")
         res = delta_partition_check(args.pmax)
         out.write(f"tau partition: {res.checked} primes checked, "
                   f"{len(res.violations)} exceptions\n")

@@ -31,7 +31,7 @@ from .eigendata import (
     delta_coeffs,
 )
 from .ffield import is_prime, kronecker, legendre, make_field
-from .matgrp import Mat2, MatGroup, coset_of, generating_set, identity, mul_codes
+from .matgrp import MatGroup, _join, coset_of, mul_codes
 
 MIN_SAMPLES_PER_CLASS = 5
 
@@ -498,10 +498,10 @@ def synthetic_model(G: MatGroup) -> SyntheticModel:
     if G.spec.r != 1:
         raise ValueError("synthetic sampling expects a prime-field group")
     spec, data = G.spec, coset_traces(G)
-    H, one = data.commutator, identity(spec).encode()
+    H, one = data.commutator, _join(spec, 1, 0, 0, 1)
     e = int(coset_of(G, H, one))
     powers = {}  # coset of a generator -> the codes of that generator's powers
-    for g in map(Mat2.encode, generating_set(G)):
+    for g in G.gens.tolist():
         pw = [one, g]
         while pw[-1] != one:
             pw.append(int(mul_codes(spec, pw[-1], g)))

@@ -31,16 +31,20 @@ closed forms, and so are the views read off them.  One class lookup
 The module constant CLOSURE_GUARD bounds the classes a search stores, and
 an SL_2 overgroup checks its |PG| against it before its search starts.
 Codes need q^4 < 2^63: a larger field raises CodeRangeError before any
-code is formed, so SL_2 overgroups are held up to q = 55 103.  Groups are
-immutable, so each derived structure (commutator subgroup, classification,
-coset traces) is memoised on the group itself.
+code is formed, so SL_2 overgroups are held up to q = 55 103.
+
+A group records its generators once, as the read-only code array `gens`;
+`Mat2` matrices appear only at the edges (parsing, output, constructions,
+the Borel witness).  Groups are immutable, so each derived structure is a
+function decorated `memoised`, computed once per group and argument tuple
+and stored on the group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -177,11 +181,9 @@ def _fixed_points(spec: FieldSpec, a, b, c, d) -> np.ndarray:
     return ~np.concatenate((f, np.broadcast_to(b, (b.shape[0], 1))), axis=1).any(axis=0)
 
 
-def _close(spec: FieldSpec, gens: np.ndarray, generators: tuple,
-           full: bool = False) -> "MatGroup":
-    """The subgroup generated by the codes gens, recorded with the matrices
-    generators; more than CLOSURE_GUARD stored classes raise
-    ClosureGuardError.
+def _close(spec: FieldSpec, gens: np.ndarray, full: bool = False) -> "MatGroup":
+    """The subgroup generated by the codes gens, recorded as its generators;
+    more than CLOSURE_GUARD stored classes raise ClosureGuardError.
 
     A search over projective classes that keeps the lift each class was
     first reached with (inverses are powers); each step multiplies up to
@@ -233,15 +235,15 @@ def _close(spec: FieldSpec, gens: np.ndarray, generators: tuple,
         queue_lift = np.concatenate((queue_lift[batch:], new_lift))
         if proj.size > bound:
             if not _fixed_points(spec, *split_codes(spec, gens[:, None])).any():
-                return _sl2_overgroup(spec, gens, proj, lift, generators)
+                return _sl2_overgroup(spec, gens, proj, lift)
             bound = math.inf
         if proj.size > CLOSURE_GUARD:
             raise ClosureGuardError(f"closure exceeded guard {CLOSURE_GUARD}")
-    return MatGroup(spec, proj, lift % k, k, generators)
+    return MatGroup(spec, proj, lift % k, k, gens)
 
 
-def _sl2_overgroup(spec: FieldSpec, gens: np.ndarray, proj: np.ndarray, lift: np.ndarray,
-                   generators: tuple) -> "MatGroup":
+def _sl2_overgroup(spec: FieldSpec, gens: np.ndarray, proj: np.ndarray,
+                   lift: np.ndarray) -> "MatGroup":
     """det^-1(<det gens>), held as its determinant image, once the classes
     proj with the unreduced lifts lift, found by the search, prove that it
     contains SL_2(F_q).  Each of them is checked to lie in it: g^lift.proj
@@ -250,7 +252,7 @@ def _sl2_overgroup(spec: FieldSpec, gens: np.ndarray, proj: np.ndarray, lift: np
     e = math.gcd(spec.q - 1, *log[_det4(spec, *split_codes(spec, gens))].tolist())
     if ((2 * lift + log[_det4(spec, *split_codes(spec, proj))]) % e).any():
         raise RuntimeError("the search left det^-1(det G); closure is broken")
-    return MatGroup._from_det(spec, e, generators)
+    return MatGroup._from_det(spec, e, gens)
 
 
 # ---- matrices at the edges ----
@@ -314,33 +316,38 @@ def identity(spec: FieldSpec) -> Mat2:
     return Mat2(spec, (1, 0, 0, 1))
 
 
-def _codes_of(mats) -> np.ndarray:
-    return np.array([m.encode() for m in mats], dtype=np.int64)
-
-
-def _mats_of(spec: FieldSpec, codes: np.ndarray) -> list[Mat2]:
-    cols = [v.tolist() for v in split_codes(spec, codes)]
-    return [Mat2(spec, e) for e in zip(*cols)]
-
-
 # ---- groups ----
+
+def memoised(fn):
+    """fn(G, *args) for a MatGroup G, computed once per group and argument
+    tuple and stored on G.  Each call reads the body as `__wrapped__`, so a
+    substitute set there takes effect."""
+    @wraps(fn)
+    def once(G, *args):
+        key = (once, *args)
+        if key not in G._derived:
+            G._derived[key] = once.__wrapped__(G, *args)
+        return G._derived[key]
+    return once
+
 
 class MatGroup:
     """A finite subgroup of GL_2(spec), closed by construction and
     read-only: held as (proj, lift, k), or, when it contains SL_2(F_q),
     q > 3, as the exponent det_exp = e of its determinant image <g^e>
-    (None otherwise; see the module docstring)."""
+    (None otherwise; see the module docstring).  gens holds the codes of
+    its recorded generators."""
 
     def __init__(self, spec: FieldSpec, proj: np.ndarray, lift: np.ndarray, k: int,
-                 generators: tuple[Mat2, ...]):
-        self.spec, self.k, self.generators = spec, k, generators
+                 gens: np.ndarray):
+        self.spec, self.k, self.gens = spec, k, gens
         self.proj, self.lift = proj, lift
-        proj.flags.writeable = False
-        lift.flags.writeable = False
+        for x in (proj, lift, gens):
+            x.flags.writeable = False
         self.proj_order = int(proj.size)
         self.det_exp = None
         self._derived: dict = {}
-        if not generators and self.order > 1:
+        if not gens.size and self.order > 1:
             raise ValueError("a non-trivial group must record its generators")
         # Lagrange sanity: |G| divides |GL_2(F_q)|
         q = spec.q
@@ -348,16 +355,23 @@ class MatGroup:
             raise RuntimeError("order does not divide |GL_2|; closure is broken")
 
     @classmethod
-    def _from_det(cls, spec: FieldSpec, e: int, generators: tuple[Mat2, ...]) -> "MatGroup":
+    def _from_det(cls, spec: FieldSpec, e: int, gens: np.ndarray) -> "MatGroup":
         """det^-1(<g^e>), e dividing q - 1, q > 3, held as e: with
         w = gcd(2, e), |PG| = q (q^2 - 1) / w and Z = <g^(e / w)>, the
         scalars whose square lies in <g^e>."""
         G = cls.__new__(cls)
         w = math.gcd(2, e)
-        G.spec, G.k, G.generators, G.det_exp = spec, e // w, generators, e
+        gens.flags.writeable = False
+        G.spec, G.k, G.gens, G.det_exp = spec, e // w, gens, e
         G.proj_order = spec.q * (spec.q ** 2 - 1) // w
         G._derived = {}
         return G
+
+    @cached_property
+    def generators(self) -> tuple[Mat2, ...]:
+        """The recorded generators as matrices, for output."""
+        cols = [v.tolist() for v in split_codes(self.spec, self.gens)]
+        return tuple(Mat2(self.spec, e) for e in zip(*cols))
 
     @property
     def contains_sl2(self) -> bool:
@@ -372,7 +386,7 @@ class MatGroup:
         search run to the end; |PG| > CLOSURE_GUARD raises before it starts."""
         if self.proj_order > CLOSURE_GUARD:
             raise ClosureGuardError(f"closure exceeded guard {CLOSURE_GUARD}")
-        G = _close(self.spec, _codes_of(self.generators), self.generators, full=True)
+        G = _close(self.spec, self.gens, full=True)
         if (G.k, G.proj_order) != (self.k, self.proj_order):
             raise RuntimeError("the search left det^-1(det G); closure is broken")
         return G.proj, G.lift
@@ -393,13 +407,6 @@ class MatGroup:
     @property
     def order(self) -> int:
         return self.proj_order * self.z_order
-
-    def memo(self, fn, *args):
-        """fn(self, *args), computed once per argument tuple and stored."""
-        key = (fn, *args)
-        if key not in self._derived:
-            self._derived[key] = fn(self, *args)
-        return self._derived[key]
 
     @cached_property
     def scalars(self) -> np.ndarray:
@@ -425,13 +432,25 @@ class MatGroup:
         """The order in PGL_2 of every class, aligned with proj."""
         return proj_orders(self.spec, self.proj)
 
+    @memoised
     def trace_ints(self) -> frozenset[int]:
         """Integer-encoded traces attained on the group."""
-        return self.memo(_trace_ints)
+        if self.contains_sl2:
+            # SL_2(F_q) holds (t -1; 1 0) of trace t for every t
+            return frozenset(range(self.spec.q))
+        # tr(z l) = z tr(l)
+        return frozenset(_scalar_orbits(self.spec, self.rep_traces, self.k).tolist())
 
+    @memoised
     def det_ints(self) -> frozenset[int]:
         """Integer-encoded determinants attained on the group."""
-        return self.memo(_det_ints)
+        spec = self.spec
+        if self.contains_sl2:
+            e = self.det_exp
+            return frozenset(spec._tables[0][e * np.arange((spec.q - 1) // e)].tolist())
+        # det(z l) = z^2 det(l), and <z^2 : z in Z> = <g^gcd(2k, q - 1)>
+        return frozenset(_scalar_orbits(spec, self.rep_dets,
+                                        math.gcd(2 * self.k, spec.q - 1)).tolist())
 
     # -- G itself, expanded on request (small groups) --
 
@@ -488,23 +507,6 @@ def _scalar_orbits(spec: FieldSpec, x: np.ndarray, e: int) -> np.ndarray:
     return unique_codes(out if x.all() else np.append(out, 0))
 
 
-def _trace_ints(G: MatGroup) -> frozenset[int]:
-    if G.contains_sl2:
-        # SL_2(F_q) holds (t -1; 1 0) of trace t for every t
-        return frozenset(range(G.spec.q))
-    # tr(z l) = z tr(l)
-    return frozenset(_scalar_orbits(G.spec, G.rep_traces, G.k).tolist())
-
-
-def _det_ints(G: MatGroup) -> frozenset[int]:
-    spec = G.spec
-    if G.contains_sl2:
-        e = G.det_exp
-        return frozenset(spec._tables[0][e * np.arange((spec.q - 1) // e)].tolist())
-    # det(z l) = z^2 det(l), and <z^2 : z in Z> = <g^gcd(2k, q - 1)>
-    return frozenset(_scalar_orbits(spec, G.rep_dets, math.gcd(2 * G.k, spec.q - 1)).tolist())
-
-
 def close_group(spec: FieldSpec, generators) -> MatGroup:
     """Subgroup generated by the given matrices (breadth-first closure on
     projective classes, `_close`); CLOSURE_GUARD bounds the classes the
@@ -518,14 +520,10 @@ def close_group(spec: FieldSpec, generators) -> MatGroup:
             raise ValueError(f"generator {m} is singular")
         gens.append(m)
     _check_codes(spec)
-    return _close(spec, _codes_of(gens), tuple(gens))
+    return _close(spec, np.array([m.encode() for m in gens], dtype=np.int64))
 
 
-def generating_set(G: MatGroup) -> list[Mat2]:
-    """G's recorded generators, or the identity for the trivial group."""
-    return list(G.generators) or [identity(G.spec)]
-
-
+@memoised
 def commutator_subgroup(G: MatGroup) -> MatGroup:
     """[G, G]: the subgroup generated by all commutators xyx^-1y^-1.
 
@@ -538,16 +536,12 @@ def commutator_subgroup(G: MatGroup) -> MatGroup:
     commutator does not depend on the lifts, since [zx, z'y] = [x, y] for
     scalars z, z'.
     """
-    return G.memo(_commutator_subgroup)
-
-
-def _commutator_subgroup(G: MatGroup) -> MatGroup:
     spec = G.spec
     if G.contains_sl2:
         # the upper and lower unipotents with entries g^i, i < r, an F_p-basis
         # of F_q, generate SL_2(F_q)
-        powers = spec._tables[0][:spec.r].tolist()
-        gens = tuple(Mat2(spec, e) for s in powers for e in ((1, s, 0, 1), (1, 0, s, 1)))
+        s = spec._tables[0][:spec.r]
+        gens = np.stack((_join(spec, 1, s, 0, 1), _join(spec, 1, 0, s, 1)), axis=1).ravel()
         H = MatGroup._from_det(spec, spec.q - 1, gens)
     else:
         H = _commutator_closure(G)
@@ -558,18 +552,17 @@ def _commutator_subgroup(G: MatGroup) -> MatGroup:
 
 def _commutator_closure(G: MatGroup) -> MatGroup:
     """[G, G] as the normal closure of the commutators of G's generators."""
-    spec = G.spec
-    g = _codes_of(generating_set(G))
+    spec, g = G.spec, G.gens
     gi = _join(spec, *_inv4(spec, *split_codes(spec, g)))
     # x y x^-1 y^-1 for the pairs of generators x before y: [y, x] is the
     # inverse of [x, y], and each seed costs |PH| products in the closure
     x, y = np.triu_indices(g.size, 1)
     seeds = unique_codes(mul_codes(spec, mul_codes(spec, g[x], g[y]),
                                    mul_codes(spec, gi[x], gi[y])))
-    seeds = seeds[seeds != identity(spec).encode()]
+    seeds = seeds[seeds != _join(spec, 1, 0, 0, 1)]
     # normal closure: conjugate the generating commutators until stable
     while True:
-        H = _close(spec, seeds, tuple(_mats_of(spec, seeds)))
+        H = _close(spec, seeds)
         conj = mul_codes(spec, mul_codes(spec, g[:, None], seeds[None, :]), gi[:, None])
         new = unique_codes(conj[~_locate(H, conj)[2]])
         if not new.size:
@@ -577,6 +570,7 @@ def _commutator_closure(G: MatGroup) -> MatGroup:
         seeds = np.concatenate((seeds, new))
 
 
+@memoised
 def coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
     """The left cosets of the subgroup H in G, as (label, shift, m).
 
@@ -585,10 +579,6 @@ def coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
     the coset label[i] m + (shift[i] + j) mod m of H (`coset_of`).  They
     are found by products: each least unlabelled class of G times PH.
     """
-    return G.memo(_coset_split, H)
-
-
-def _coset_split(G: MatGroup, H: MatGroup) -> tuple[np.ndarray, np.ndarray, int]:
     if not H.is_subgroup_of(G):  # also false over another field
         raise ValueError("H is not a subgroup of G")
     label = np.full(G.proj.size, -1, dtype=np.int64)
@@ -725,7 +715,8 @@ def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
     time.  <H, g> is the same group for every g in the double coset HgH
     and for every generator of <g>, so a class is an equivalence class of
     the relation these two generate.  Only the distinct subgroups become
-    MatGroups, through one close_group each, checked against their mask.
+    MatGroups, through one `_close` of their codes each, checked against
+    their mask.
 
     T holds |G|^2 int64 (1.8 MB for GL_2(F_5), |G| = 480; 32 MB for
     GL_2(F_7)), built in row blocks, and the double-coset labels are taken
@@ -736,7 +727,7 @@ def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
     """
     spec, codes, n = G.spec, G.codes, G.order
     T = _cayley_table(spec, codes)
-    e = int(np.searchsorted(codes, identity(spec).encode()))
+    e = int(np.searchsorted(codes, _join(spec, 1, 0, 0, 1)))
     cyclic = _cyclic_labels(T, e)
     trivial = np.arange(n) == e
     found = {trivial.tobytes(): (trivial, [])}
@@ -758,7 +749,7 @@ def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
     out = []
     for K, gens in sorted(found.values(),
                           key=lambda t: (np.count_nonzero(t[0]), np.flatnonzero(t[0]).tolist())):
-        H = close_group(spec, _mats_of(spec, codes[gens]) or [identity(spec)])
+        H = _close(spec, codes[gens])
         if not np.array_equal(H.codes, codes[K]):
             raise RuntimeError("table and closure disagree on a subgroup")
         out.append(H)
@@ -768,7 +759,7 @@ def enumerate_subgroups(G: MatGroup) -> list[MatGroup]:
 # ---- serialization ----
 
 def group_to_json(G: MatGroup) -> dict:
-    gens = [m.rows_json() for m in generating_set(G)]
+    gens = [m.rows_json() for m in G.generators or (identity(G.spec),)]
     return {"field": G.spec.to_json(), "generators": gens}
 
 

@@ -23,13 +23,12 @@ from apcong.ffield import embedding_table, is_prime, quadratic_extension
 from apcong.matgrp import (
     Mat2,
     MatGroup,
-    _coset_split,
     _locate,
-    _mats_of,
     _scalar_mask,
     _scale,
     close_group,
     commutator_subgroup,
+    coset_split,
     identity,
     mul_codes,
     proj_canon,
@@ -68,12 +67,12 @@ def enumerate_subgroups_closure(G: MatGroup) -> list[MatGroup]:
         fresh = []
         for H in frontier:
             # one code from each left coset of H in G
-            label, shift, m = _coset_split(G, H)
+            label, shift, m = coset_split.__wrapped__(G, H)
             first = np.unique(label, return_index=True)[1]
             j = (np.arange(m) - shift[first][:, None]) % m
             lifts = G.spec._tables[0][G.lift[first][:, None] + G.k * j]
             reps = _scale(G.spec, G.proj[first][:, None], lifts).ravel()
-            for g in _mats_of(G.spec, reps[~_locate(H, reps)[2]]):
+            for g in mats_of(G.spec, reps[~_locate(H, reps)[2]]):
                 K = close_group(G.spec, list(H.generators) + [g])
                 if K not in found:
                     found.add(K)
@@ -97,9 +96,20 @@ def enumerate_subgroups_pairs(G: MatGroup) -> list[MatGroup]:
     return sorted(found.values(), key=lambda H: (H.order, H.codes.tolist()))
 
 
+def codes_of(mats) -> np.ndarray:
+    """The codes of the matrices mats, in order."""
+    return np.array([m.encode() for m in mats], dtype=np.int64)
+
+
+def mats_of(spec, codes: np.ndarray) -> list[Mat2]:
+    """The matrices of the codes, in order."""
+    cols = [v.tolist() for v in split_codes(spec, codes)]
+    return [Mat2(spec, e) for e in zip(*cols)]
+
+
 def elements(G: MatGroup) -> list[Mat2]:
     """The elements of G as matrices, in code order."""
-    return _mats_of(G.spec, G.codes)
+    return mats_of(G.spec, G.codes)
 
 
 def trace_of(m: Mat2) -> int:
@@ -134,11 +144,11 @@ def from_elements(spec, elements, generators) -> MatGroup:
     vouches that the set is a group.  Its scalars Z = <g^k> are the leads
     over the identity class, and each class keeps the log of its first
     element's lead, mod k."""
-    codes = np.unique(np.array([m.encode() for m in elements], dtype=np.int64))
+    codes = np.unique(codes_of(elements))
     canon, log_lead = proj_canon(spec, codes)
     k = (spec.q - 1) // int(np.count_nonzero(canon == identity(spec).encode()))
     proj, first = np.unique(canon, return_index=True)
-    return MatGroup(spec, proj, log_lead[first] % k, k, tuple(generators))
+    return MatGroup(spec, proj, log_lead[first] % k, k, codes_of(generators))
 
 
 def proj_classes(G: MatGroup) -> frozenset[Mat2]:

@@ -233,14 +233,14 @@ def test_crosscheck_all_subgroups_counts():
 def test_crosscheck_all_subgroups_detects_a_dropped_pair(monkeypatch):
     from apcong import abelian
 
-    exact = abelian._coset_traces
+    exact = abelian.coset_traces.__wrapped__
 
     def drop_last_pair(G):
         data = exact(G)
         q = G.spec.q
         return dataclasses.replace(data, pairs=(data.pair_coset * q + data.pair_trace)[:-1])
 
-    monkeypatch.setattr(abelian, "_coset_traces", drop_last_pair)
+    monkeypatch.setattr(abelian.coset_traces, "__wrapped__", drop_last_pair)
     with pytest.raises(TheoremConsistencyError, match="coset, trace"):
         crosscheck_all_subgroups(gl2(F2))
 
@@ -248,7 +248,7 @@ def test_crosscheck_all_subgroups_detects_a_dropped_pair(monkeypatch):
 def test_theorem_crosscheck_detects_a_flipped_verdict(monkeypatch):
     from apcong import abelian
 
-    exact = abelian._coset_traces
+    exact = abelian.coset_traces.__wrapped__
 
     def flipped(field, x):
         def flip(G):
@@ -270,7 +270,7 @@ def test_theorem_crosscheck_detects_a_flipped_verdict(monkeypatch):
                                   ("mixed", "abelian", attained),
                                   ("first_missing", "semi", range(spec.q))):
             for x in xs:
-                monkeypatch.setattr(abelian, "_coset_traces", flipped(field, x))
+                monkeypatch.setattr(abelian.coset_traces, "__wrapped__", flipped(field, x))
                 with pytest.raises(TheoremConsistencyError,
                                    match=f"{column} verdict at {x} computed"):
                     theorem_crosscheck(build(spec))
@@ -293,35 +293,36 @@ def test_analyze_group_computes_each_structure_once(monkeypatch):
     groups = (gl2(F7), nonsplit_cartan_normalizer(F7))
     calls = Counter()
 
-    def count(owner, name):
-        fn = getattr(owner, name)
+    def count(owner, attr, name):
+        fn = getattr(owner, attr)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, wrapper)
+        monkeypatch.setattr(owner, attr, wrapper)
 
     def forbidden(*args):
         raise AssertionError("reference group built")
 
-    count(matgrp, "_commutator_subgroup")
-    count(matgrp, "proj_orders")
-    count(classify, "_classify")
-    count(matgrp, "_coset_split")
+    # a memoised body runs through its __wrapped__
+    count(matgrp.commutator_subgroup, "__wrapped__", "commutator_subgroup")
+    count(matgrp, "proj_orders", "proj_orders")
+    count(classify.classify_group, "__wrapped__", "classify_group")
+    count(matgrp.coset_split, "__wrapped__", "coset_split")
     for mod in (constructions, classify):
         for name in ("gl2", "sl2"):
             monkeypatch.setattr(mod, name, forbidden, raising=False)
     rep = analyze_group(groups[0])
     assert rep.dickson.label == "PGL2" and rep.to_json()["consistent"] is True
     # GL2(F7) contains SL2(F7): no class orders and no coset split
-    assert calls == {"_commutator_subgroup": 1, "_classify": 1}
+    assert calls == {"commutator_subgroup": 1, "classify_group": 1}
     calls.clear()
     rep = analyze_group(groups[1])
     assert rep.dickson.label == "Dihedral" and rep.to_json()["consistent"] is True
     # the projective orders of all 16 classes of D_8 in one step
-    assert calls == {"_commutator_subgroup": 1, "proj_orders": 1, "_classify": 1,
-                     "_coset_split": 1}
+    assert calls == {"commutator_subgroup": 1, "proj_orders": 1, "classify_group": 1,
+                     "coset_split": 1}
 
 
 def test_analyze_totally_abelian_group():

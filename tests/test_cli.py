@@ -330,6 +330,51 @@ def test_usage_errors_come_before_any_data(capsys, monkeypatch):
                "--modulus", "3", "--bound", "3") == neither
 
 
+_ONE_SOURCE = "error: --label applies only to --curve-file and --form-file\n"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("dataset", "--delta", "--curve", "338d1", "--ell", "5"),
+     "error: give exactly one data source, not --delta and --curve\n"),
+    (("dataset", "--curve", "338d1", "--form-file", "f.jsonl", "--label", "t1", "--ell", "5"),
+     "error: give exactly one data source, not --curve and --form-file\n"),
+    (("dataset", "--curve-file", "c.jsonl", "--form-file", "f.jsonl", "--label", "t1",
+      "--ell", "5"),
+     "error: give exactly one data source, not --curve-file and --form-file\n"),
+    (("dataset", "--curve", "338d1", "--label", "zzz", "--ell", "5"), _ONE_SOURCE),
+    (("dataset", "--delta", "--label", "t1", "--ell", "23"), _ONE_SOURCE),
+    (("dataset", "--label", "t1", "--ell", "23"),
+     "error: no data source given (--delta, --curve, --curve-file, --form-file)\n"),
+    (("dataset", "--curve-file", "c.jsonl", "--ell", "5"),
+     "error: --curve-file needs --label\n"),
+    (("dataset", "--form-file", "f.jsonl", "--ell", "5"), "error: --form-file needs --label\n"),
+    (("discover", "--delta", "--curve", "338d1", "--ell", "23", "--modulus", "23"),
+     "error: give exactly one data source, not --delta and --curve\n"),
+    (("discover", "--curve", "338d1", "--label", "zzz", "--ell", "3", "--bound", "312"),
+     _ONE_SOURCE),
+    (("discover", "--curve", "338d1", "--ell", "3", "--bound", "312", "--legendre"),
+     "error: --legendre applies only with --modulus\n"),
+    (("verify", "--tables", "--ell", "5"),
+     "error: --ell 5: the partition statement is specific to ell = 23, "
+     "and --tables reads no --ell\n"),
+    (("verify", "--delta", "--tables", "--ell", "7"),
+     "error: --ell 7: the partition statement is specific to ell = 23, "
+     "and --tables reads no --ell\n"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_flags_that_would_be_ignored_are_usage_errors(capsys, monkeypatch, argv, line):
+    # a dataset reads exactly one source, --label only with a file source,
+    # --legendre only with --modulus and verify only ell = 23; each wrong
+    # combination fails before any data is read or built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("data read before a usage error")
+
+    for name in ("delta_coeffs", "build_dataset", "curve_fixtures", "load_curve_file",
+                 "load_form_file", "legendre_candidates", "delta_partition_check",
+                 "verify_fixture_tables"):
+        monkeypatch.setattr(cli, name, unreachable)
+    assert run(capsys, *argv) == (1, "", line)
+
+
 def test_discover_modulus_far_above_the_data_is_an_error_line(capsys):
     # the unit class M - 1 > 97 holds no sample, so nothing of size M is built
     start = time.perf_counter()

@@ -146,13 +146,20 @@ def test_delta_reduction_consistency():
     assert red.tolist() == [c % 23 for c in exact.tolist()]
 
 
-@pytest.mark.parametrize("T", [2, 3, 4, 299, 300, 301])
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 299, 300, 301])
 def test_delta_dtype_holds_the_term_weight(T):
-    # a product coefficient sums (2n + 1)(m - 1) over the n with n(n + 1)/2 < T
+    # a product coefficient sums (2n + 1)(m - 1) over the n with n(n + 1)/2 < T,
+    # and the modulus itself must fit (the cap binds at T = 1, weight 1)
     weight = sum(2 * n + 1 for n in range(T) if n * (n + 1) // 2 < T)
-    m = 1 + (2 ** 63 - 1) // weight
+    m = min(1 + (2 ** 63 - 1) // weight, 2 ** 63 - 1)
     assert delta_coeffs(T, m).coeffs.dtype == np.int64
     assert delta_coeffs(T, m + 1).coeffs.dtype == object
+
+
+def test_delta_modulo_two_to_the_63_is_an_object_column():
+    # 2^63 does not fit in int64, though N^2 (m - 1) = 2^63 - 1 does at T = 1
+    coeffs = delta_coeffs(1, 2 ** 63).coeffs
+    assert coeffs.dtype == object and coeffs.tolist() == [0, 1]
 
 
 def test_a_huge_delta_bound_fails_before_the_term_loop():

@@ -15,7 +15,9 @@ tests read belongs in tests/helpers.py.  The package holds no assert
 statement, since `python -O` would skip its check.  A defaulted parameter
 of a private function or method (_name) is passed, by keyword or by
 position, by some call in the package or its benchmark: an option that
-only tests set is a module constant they monkeypatch.
+only tests set is a module constant they monkeypatch.  `Mat2` matrices
+are built and multiplied only at the edges (`MAT2_EDGES`): computations
+in between hold matrices as int64 codes.
 """
 
 import ast
@@ -246,3 +248,129 @@ def test_scan_finds_a_default_no_call_passes():
 def test_no_defaults_that_only_tests_pass():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC}
     assert untaken_defaults(sources, [p.read_text(encoding="utf-8") for p in READERS]) == []
+
+
+# where Mat2 matrices may be built (Mat2(...), Mat2.from_entries(...), .inv(),
+# _mats_of) and multiplied: the class itself, parsing, generators read back
+# for output, the constructions, and the Borel witness (built, never
+# multiplied as a Mat2) in classify and abelian; None allows both
+MAT2_EDGES = {
+    "matgrp.py": {"Mat2": None, "identity": None, "MatGroup.generators": None,
+                  "close_group": None, "group_from_json": None},
+    "constructions.py": {"*": None},
+    "classify.py": {"is_borel_conjugable": {"Mat2(...)"}},
+    "abelian.py": {"_semisimple_exponent": {"Mat2(...)"}},
+}
+
+
+def mat2_uses(source: str) -> list[tuple[int, str, str]]:
+    """(line, qualified name of the enclosing def or class, kind) for every
+    Mat2 built ("Mat2(...)", "_mats_of") or multiplied ("Mat2 product").
+    A product is a * with a matrix operand: a built matrix, identity(...),
+    an element of .generators, .witness, or a name that the same def binds
+    to one of these, or iterates over .generators or _mats_of(...)."""
+    out = []
+
+    def built(node) -> bool:
+        f = node.func if isinstance(node, ast.Call) else None
+        return ((isinstance(f, ast.Name) and f.id == "Mat2")
+                or (isinstance(f, ast.Attribute) and (f.attr == "inv" or (
+                    isinstance(f.value, ast.Name) and f.value.id == "Mat2"))))
+
+    def matrix(node, mats, lists) -> bool:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return matrix(node.left, mats, lists) or matrix(node.right, mats, lists)
+        if isinstance(node, ast.Subscript):
+            return matrices(node.value, mats, lists)
+        return (built(node) or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                                and node.func.id == "identity")
+                or (isinstance(node, ast.Attribute) and node.attr == "witness")
+                or (isinstance(node, ast.Name) and node.id in mats))
+
+    def matrices(node, mats, lists) -> bool:
+        if isinstance(node, (ast.List, ast.Tuple)):
+            return any(matrix(e, mats, lists) for e in node.elts)
+        return ((isinstance(node, ast.Attribute) and node.attr == "generators")
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_mats_of")
+                or (isinstance(node, ast.Name) and node.id in lists))
+
+    def visit(node, qual, mats, lists):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qual = f"{qual}.{node.name}" if qual else node.name
+            if node.name == "_mats_of":
+                out.append((node.lineno, qual, "_mats_of"))
+            # the names this def binds to matrices, and to collections of them
+            mats, lists = set(), set()
+            for sub in ast.walk(node):
+                pairs = []
+                if isinstance(sub, ast.Assign):
+                    pairs = [(t, sub.value) for t in sub.targets]
+                elif isinstance(sub, (ast.For, ast.comprehension)):
+                    # an element of the iterable
+                    pairs = [(sub.target, ast.Subscript(sub.iter))]
+                for target, value in pairs:
+                    if isinstance(target, ast.Name):
+                        if matrix(value, mats, lists):
+                            mats.add(target.id)
+                        elif matrices(value, mats, lists):
+                            lists.add(target.id)
+        elif built(node):
+            out.append((node.lineno, qual, "Mat2(...)"))
+        elif isinstance(node, ast.Name) and node.id == "_mats_of":
+            out.append((node.lineno, qual, "_mats_of"))
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+              and matrix(node, mats, lists)):
+            out.append((node.lineno, qual, "Mat2 product"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, qual, mats, lists)
+
+    visit(ast.parse(source), "", set(), set())
+    return out
+
+
+def mat2_outside_edges(source: str, edges: dict) -> list[str]:
+    """The Mat2 uses of mat2_uses that no edge allows: an edge is a
+    qualified name, which covers the defs nested in it, or "*" for the
+    whole module, mapped to the kinds it allows (None for every kind)."""
+    def allowed(qual, kind):
+        return any((key == "*" or qual == key or qual.startswith(key + "."))
+                   and (kinds is None or kind in kinds) for key, kinds in edges.items())
+
+    return [f"line {line}: {qual or '<module>'}: {kind}"
+            for line, qual, kind in mat2_uses(source) if not allowed(qual, kind)]
+
+
+def test_scan_finds_mat2_outside_the_edges():
+    src = ("def edge(spec):\n"
+           "    return Mat2(spec, (1, 0, 0, 1)) * Mat2(spec, (1, 1, 0, 1))\n\n\n"
+           "def middle(G, spec, codes):\n"
+           "    m = Mat2.from_entries(spec, [[1, 0], [0, 1]])\n"
+           "    g = G.generators[0]\n"
+           "    for h in G.generators:\n"
+           "        g = g * h\n"
+           "    scaled = [2 * x for x in codes]\n"
+           "    return _mats_of(spec, codes), m.inv(), identity(spec) * m, 2 * 3, scaled\n\n\n"
+           "def witness_only(ext, gens):\n"
+           "    w = Mat2(ext, (1, 0, 0, 1))\n"
+           "    return [w * g for g in gens]\n\n\n"
+           "def _mats_of(spec, codes):\n"
+           "    return codes\n")
+    edges = {"edge": None, "witness_only": {"Mat2(...)"}}
+    assert mat2_outside_edges(src, edges) == [
+        "line 6: middle: Mat2(...)", "line 9: middle: Mat2 product",
+        "line 11: middle: _mats_of", "line 11: middle: Mat2(...)",
+        "line 11: middle: Mat2 product", "line 16: witness_only: Mat2 product",
+        "line 19: _mats_of: _mats_of"]
+    assert mat2_outside_edges(src, {"*": None}) == []
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_mat2_only_at_the_edges(path):
+    source = path.read_text(encoding="utf-8")
+    assert mat2_outside_edges(source, MAT2_EDGES.get(path.name, {})) == []
+    # every edge listed is one: the allowlist names no code that needs none
+    uses = mat2_uses(source)
+    for key in MAT2_EDGES.get(path.name, {}):
+        assert any(key == "*" or qual == key or qual.startswith(key + ".")
+                   for _, qual, _ in uses), key

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from apcong import abelian, matgrp
 from apcong.abelian import analyze_group
-from apcong.classify import classify_group
+from apcong.classify import classify_group, proj_order_stats
 from apcong.constructions import (
     a4_lift,
     a5_lift_f11,
@@ -39,7 +40,6 @@ from apcong.matgrp import (
     coset_of,
     coset_split,
     enumerate_subgroups,
-    generating_set,
     group_from_json,
     group_to_json,
     identity,
@@ -47,6 +47,7 @@ from apcong.matgrp import (
 
 from helpers import (
     PolyField,
+    codes_of,
     det_preimage,
     det_split,
     element_order,
@@ -236,6 +237,46 @@ def test_coset_of_indexes_cosets():
     assert coset_of(G, H, int(G.codes[5])) == label[5]
 
 
+def test_memoised_runs_its_body_once_per_group_and_arguments(monkeypatch):
+    # a counting body substituted as __wrapped__: one run per (group, args),
+    # two subgroups kept apart, and an equal but distinct group runs its own
+    runs = Counter()
+    split_body, traces_body = coset_split.__wrapped__, MatGroup.trace_ints.__wrapped__
+
+    def split(G, H):
+        runs[id(G), id(H)] += 1
+        return split_body(G, H)
+
+    def traces(G):
+        runs[id(G)] += 1
+        return traces_body(G)
+
+    monkeypatch.setattr(coset_split, "__wrapped__", split)
+    monkeypatch.setattr(MatGroup.trace_ints, "__wrapped__", traces)
+    G, H1, H2 = gl2(F3), sl2(F3), borel(F3)
+    first = coset_split(G, H1)
+    assert coset_split(G, H1) is first
+    for H in (H1, H2):
+        label, _, m = coset_split(G, H)
+        assert (int(label.max()) + 1) * m == G.order // H.order
+    assert G.trace_ints() is G.trace_ints()
+    assert runs == {(id(G), id(H1)): 1, (id(G), id(H2)): 1, id(G): 1}
+    again = gl2(F3)
+    assert again == G and again is not G
+    assert same_arrays(coset_split(again, H1), first) and coset_split(again, H1) is not first
+    assert again.trace_ints() == G.trace_ints()
+    assert runs[id(again), id(H1)] == 1 and runs[id(again)] == 1
+
+
+@pytest.mark.parametrize("G", [sl2(F3), gl2(F7)], ids=["classes", "closed_form"])
+def test_proj_order_stats_is_shared_and_read_only(G):
+    stats = proj_order_stats(G)
+    assert proj_order_stats(G) is stats
+    with pytest.raises(TypeError):
+        stats[1] = 2
+    assert sum(stats.values()) == G.proj_order and stats[1] == 1
+
+
 def least_product_cosets(G, H):
     """For each element g of G.codes, the index of its least product g.h
     over h in H among all the distinct least products: the left cosets of
@@ -373,7 +414,7 @@ def family_generators(spec):
 def search_close(spec, gens):
     """_close without the early exit: the frontier search to the end, so
     the group is held as its classes."""
-    return matgrp._close(spec, matgrp._codes_of(gens), tuple(gens), full=True)
+    return matgrp._close(spec, codes_of(gens), full=True)
 
 
 def classes(G):
@@ -410,7 +451,7 @@ def test_determinant_routes_match_the_search_and_product_routes(q, monkeypatch):
         overgroups += [gens, [h * g * h.inv() for g in gens]]
     searched = []
     for gens in overgroups + family_generators(spec):
-        got = matgrp._close(spec, matgrp._codes_of(gens), tuple(gens))
+        got = matgrp._close(spec, codes_of(gens))
         want = search_close(spec, gens)
         # Dickson: for q > 3, a subgroup of PGL_2(F_q) with |PSL_2(F_q)|
         # classes contains it
@@ -424,8 +465,8 @@ def test_determinant_routes_match_the_search_and_product_routes(q, monkeypatch):
         assert "proj" not in G.__dict__
         H = commutator_subgroup(G)
         assert H.contains_sl2 and H.order == q * (q * q - 1)
-        assert same_arrays(det_split(G), matgrp._coset_split(G, H)[:2])
-        got, want = abelian._coset_traces(G), abelian._class_coset_traces(G, H)
+        assert same_arrays(det_split(G), coset_split.__wrapped__(G, H)[:2])
+        got, want = abelian.coset_traces(G), abelian._class_coset_traces(G, H)
         assert got.commutator is H
         for name in ("pair_coset", "pair_trace", "const", "first_const",
                      "first_missing", "mixed"):
@@ -465,8 +506,7 @@ def test_subgroups_past_the_dickson_bound_contain_sl2(spec):
     contains, past = [], []
     for H in subs:
         K = search_close(spec, H.generators)
-        gens = matgrp._codes_of(H.generators)
-        fixed = matgrp._fixed_points(spec, *matgrp.split_codes(spec, gens[:, None])).any()
+        fixed = matgrp._fixed_points(spec, *matgrp.split_codes(spec, H.gens[:, None])).any()
         past.append(K.proj_order > bound and not fixed)
         contains.append(bool(np.isin(S.codes, K.codes).all()))
         assert H.contains_sl2 == past[-1] and H == K
@@ -562,11 +602,10 @@ def test_closure_guard_bounds_the_closed_form_group(monkeypatch):
 def test_sl2_overgroup_refuses_classes_outside_the_preimage():
     # det^-1(1) over F_5 has the classes of square det, with lifts mod 2
     S, G = sl2(F5), gl2(F5)
-    gens = matgrp._codes_of(S.generators)
-    assert matgrp._sl2_overgroup(F5, gens, S.proj, S.lift, S.generators) == S
+    assert matgrp._sl2_overgroup(F5, S.gens, S.proj, S.lift) == S
     for proj, lift in ((G.proj, G.lift), (S.proj, S.lift + 1)):
         with pytest.raises(RuntimeError, match="closure is broken"):
-            matgrp._sl2_overgroup(F5, gens, proj, lift, S.generators)
+            matgrp._sl2_overgroup(F5, S.gens, proj, lift)
 
 
 def canon_rows(monkeypatch):
@@ -737,10 +776,19 @@ def test_enumerate_subgroups_closes_once_per_subgroup(monkeypatch):
     assert len(calls) == 55
 
 
-def test_generating_set_regenerates():
+def test_recorded_generators_regenerate():
+    # the generator codes are the codes of the generators read back as
+    # matrices, which close to the group again; the trivial group records
+    # none, and its JSON lists the identity
     for G in (gl2(F3), sl2(F5), nonsplit_cartan_normalizer(F7)):
-        gens = generating_set(G)
-        assert close_group(G.spec, gens).codes.tolist() == G.codes.tolist()
+        assert codes_of(G.generators).tolist() == G.gens.tolist()
+        assert close_group(G.spec, G.generators).codes.tolist() == G.codes.tolist()
+        with pytest.raises(ValueError):
+            G.gens[0] = 0
+    T = close_group(F5, [])
+    assert T.gens.size == 0 and T.generators == ()
+    assert group_to_json(T)["generators"] == [[[[1], [0]], [[0], [1]]]]
+    assert group_from_json(group_to_json(T)).order == 1
 
 
 def test_a_nontrivial_group_without_generators_raises():
