@@ -72,7 +72,7 @@ from .discover import (
     legendre_fit,
     sample_dataset,
     synthetic_model,
-    vanishing_rule_check,
+    vanishing_statement,
     verify_fixture_tables,
 )
 
@@ -94,6 +94,6 @@ __all__ = [
     "legendre", "legendre_candidates", "legendre_fit", "load_curve_file",
     "load_form_file", "make_field", "modulus_bound",
     "quadratic_extension", "sample_dataset",
-    "synthetic_model", "theorem_crosscheck", "vanishing_rule_check",
+    "synthetic_model", "theorem_crosscheck", "vanishing_statement",
     "verify_fixture_tables",
 ]

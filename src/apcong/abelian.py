@@ -502,7 +502,6 @@ def crosscheck_all_subgroups(ambient: MatGroup) -> int:
 
 @dataclass(frozen=True)
 class ClassVerdict:
-    x: int
     weakly: bool
     semi: bool
     abelian: bool
@@ -544,7 +543,7 @@ def analyze_group(G: MatGroup) -> AbelianReport:
     proper = tuple(sorted(G.trace_ints()))
     # the columns theorem_crosscheck checked, at every proper class
     table = _verdict_table(G)[:, list(proper)].tolist()
-    per = {xi: ClassVerdict(xi, *v) for xi, *v in zip(proper, *table)}
+    per = {xi: ClassVerdict(*v) for xi, *v in zip(proper, *table)}
     return AbelianReport(G, classify_group(G), proper, per,
                          is_totally_abelian(G), density_c(G))
 
@@ -573,18 +572,14 @@ def part_supported(n: int, primes) -> int:
 class ModulusBound:
     """Bound on the modulus M of a governing congruence on p.
 
-    bound is an integer every valid |M| divides; decomposition is its
-    prime factorisation.  two_sided records whether the congruence is an
-    equivalence (None when undetermined).  For the quadratic cases,
-    m_one_mod_four notes that M must be chosen = 1 mod 4 (a sign choice)
-    because the level times the characteristic is odd.
+    bound is an integer every valid |M| divides.  two_sided records
+    whether the congruence is an equivalence (None when undetermined).  For
+    the quadratic cases, m_one_mod_four notes that M must be chosen = 1 mod
+    4 (a sign choice) because the level times the characteristic is odd.
     """
 
-    N: int
     ell: int
-    case: str
     bound: int
-    decomposition: tuple[tuple[int, int], ...]
     two_sided: bool | None
     m_one_mod_four: bool
 
@@ -633,6 +628,8 @@ def modulus_bound(G: MatGroup | None, N: int, ell: int, case: str,
     if case not in ("Borel", "DihedralWeak", "D2"):
         raise ValueError(f"unknown case {case!r}")
     if G is not None:
+        if ell != G.spec.p:
+            raise ValueError(f"ell = {ell} is not the characteristic {G.spec.p} of the group")
         cls = classify_group(G)
         if case == "Borel":
             if cls.label != "BorelConjugable":
@@ -662,5 +659,4 @@ def modulus_bound(G: MatGroup | None, N: int, ell: int, case: str,
         bound = radical(N * ell) * math.gcd(2, N) ** 2
         two_sided = True
         sign = (N * ell) % 2 == 1
-    decomposition = tuple(sorted(factorize(bound).items()))
-    return ModulusBound(N, ell, case, bound, decomposition, two_sided, sign)
+    return ModulusBound(ell, bound, two_sided, sign)

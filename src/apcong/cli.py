@@ -36,10 +36,11 @@ from .constructions import gl2
 from .discover import (
     InsufficientDataError,
     best_modulus,
+    check_allowed,
     delta_partition_check,
     discover_report,
     legendre_candidates,
-    vanishing_rule_check,
+    vanishing_statement,
     verify_fixture_tables,
 )
 from .eigendata import (
@@ -83,25 +84,22 @@ def _load_dataset(args):
                          "--label applies only to --curve-file and --form-file")
     if args.delta:
         check_ell(args.ell)  # before the series, the costly part
-        series = delta_coeffs(args.pmax, args.ell)
-        return build_dataset(series, args.ell, args.pmax, level=1, label="delta")
-    if args.curve is not None:
+        source = delta_coeffs(args.pmax, args.ell)
+    elif args.curve is not None:
         fixtures = curve_fixtures()
         if args.curve not in fixtures:
             raise ValueError(
                 f"unknown curve {args.curve!r}; packaged: {', '.join(sorted(fixtures))}"
             )
-        return build_dataset(fixtures[args.curve], args.ell, args.pmax)
-    if args.curve_file is not None:
-        curves = load_curve_file(args.curve_file)
-        if args.label not in curves:
-            raise ValueError(f"label {args.label!r} not in {args.curve_file}")
-        return build_dataset(curves[args.label], args.ell, args.pmax)
-    forms = load_form_file(args.form_file)
-    if args.label not in forms:
-        raise ValueError(f"label {args.label!r} not in {args.form_file}")
-    _, _, level, series = forms[args.label]
-    return build_dataset(series, args.ell, args.pmax, level=level, label=args.label)
+        source = fixtures[args.curve]
+    else:
+        path = sources[given[0]]
+        load = load_curve_file if given[0] == "--curve-file" else load_form_file
+        records = load(path)
+        if args.label not in records:
+            raise ValueError(f"label {args.label!r} not in {path}")
+        source = records[args.label]
+    return build_dataset(source, args.ell, args.pmax)
 
 
 def _run_classify(args, out) -> int:
@@ -200,11 +198,12 @@ def _run_verify(args, out) -> int:
         res = delta_partition_check(args.pmax)
         out.write(f"tau partition: {res.checked} primes checked, "
                   f"{len(res.violations)} exceptions\n")
-        gm = vanishing_rule_check(res.dataset)
-        verdict = ("holds" if gm.holds else "fails" if gm.nonsquares
-                   else "unverified (no nonsquare prime checked)")
+        st = vanishing_statement("delta", 23)
+        violations, seen = check_allowed(res.dataset, st.allowed)
+        verdict = ("unverified (no nonsquare prime checked)" if not st.holds(seen, st.allowed)
+                   else "fails" if violations else "holds")
         out.write(f"vanishing rule: a_p = 0 iff p nonsquare mod 23: {verdict}\n")
-        failures += len(res.violations) + (0 if gm.holds else 1)
+        failures += len(res.violations) + (verdict != "holds")
     if args.tables:
         checks = verify_fixture_tables(curve_fixtures(), args.pmax)
         for c in checks:

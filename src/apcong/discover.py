@@ -59,7 +59,6 @@ class ClassCongruence:
     the data).  direction is the strongest statement the sample supports.
     """
 
-    x: int
     modulus: int
     sup: frozenset[int]
     nec: frozenset[int]
@@ -107,7 +106,7 @@ def discover_class(ds: ApDataset, x: int, M: int) -> ClassCongruence:
         direction = "implied_by"
     else:
         direction = "implies"
-    return ClassCongruence(x, M, sup, nec, direction, len(ds), mn)
+    return ClassCongruence(M, sup, nec, direction, len(ds), mn)
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,7 @@ def best_modulus(ds: ApDataset, x: int, bound: int) -> ClassCongruence | None:
 
 
 # ---------------------------------------------------------------------------
-# quadratic-symbol fitting and the square/nonsquare rule
+# quadratic-symbol fitting
 
 
 def legendre_candidates(N: int, ell: int) -> list[int]:
@@ -221,34 +220,6 @@ def legendre_fit(ds: ApDataset, candidates) -> tuple[tuple[int, str], ...]:
         converse = premise[hits].all()
         fits.append((m, "iff" if converse and hits.any() else "implied_by"))
     return tuple(fits)
-
-
-@dataclass(frozen=True)
-class VanishingRuleResult:
-    """a_p = 0 mod ell vs (p/ell) = -1, counted in both directions; the
-    rule holds only when some nonsquare p was checked."""
-
-    ell: int
-    holds: bool
-    nonsquares: int  # the nonsquare p checked
-    forward_violations: tuple[int, ...]  # a_p = 0 but p a square mod ell
-    backward_violations: tuple[int, ...]  # p nonsquare but a_p != 0
-    zero_classes: frozenset[int]  # p mod ell residues with a_p = 0 seen
-
-
-def vanishing_rule_check(ds: ApDataset) -> VanishingRuleResult:
-    _require_reduced(ds)
-    res = ds.p % ds.ell
-    classes, inv = np.unique(res, return_inverse=True)
-    sym = np.array([legendre(r, ds.ell) for r in classes.tolist()], dtype=np.int64)[inv]
-    zero = ds.a == 0
-    fwd = ds.p[zero & (sym != -1)].tolist()
-    bwd = ds.p[~zero & (sym == -1)].tolist()
-    nonsquares = int(np.count_nonzero(sym == -1))
-    return VanishingRuleResult(
-        ds.ell, nonsquares > 0 and not fwd and not bwd, nonsquares, tuple(fwd),
-        tuple(bwd), frozenset(res[zero].tolist()),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +321,18 @@ class Statement(NamedTuple):
     detail: str = ""  # reported when the statement holds
 
 
+def vanishing_statement(label: str, ell: int) -> Statement:
+    """The square/nonsquare vanishing rule: a_p = 0 mod ell iff p is a
+    nonsquare mod ell, verified only when some nonsquare p was checked."""
+    nonsq = [r for r in range(ell) if legendre(r, ell) == -1]
+    return Statement(label, "square/nonsquare vanishing rule",
+                     _table(ell, ell, lambda r, a: (a == 0) == (r in nonsq)),
+                     lambda seen, allowed: seen[nonsq].any())
+
+
 @cache
 def _statements() -> tuple[Statement, ...]:
     s0 = _s0_mod39()
-    nonsq7 = [r for r in range(7) if legendre(r, 7) == -1]
     return (
         Statement("338d1", "disc-symbol forces even a_p",
                   _table(104, 2, lambda r, a: a == 0 or kronecker(-26, r) != -1)),
@@ -369,10 +348,7 @@ def _statements() -> tuple[Statement, ...]:
         Statement("2450ba1", "mod-7 four-row table sharp",
                   _table(7, 7, lambda r, a: a in MENU_2450BA1_MOD7.get(r, ())),
                   np.array_equal),
-        # verified only when some nonsquare p was checked
-        Statement("2450ba1", "square/nonsquare vanishing rule",
-                  _table(7, 7, lambda r, a: (a == 0) == (r in nonsq7)),
-                  lambda seen, allowed: seen[nonsq7].any()),
+        vanishing_statement("2450ba1", 7),
         Statement("2450a1", "mod-35 six-row one-way table",
                   _table(35, 7, lambda r, a: a == 0 or r in ROWS_2450A1_MOD35[a]),
                   _sharp(*([x] for x in ROWS_2450A1_MOD35))),
@@ -442,7 +418,7 @@ def x2_plus_23y2(n_max: int) -> np.ndarray:
 def delta_partition_check(p_max: int = 10_000) -> PartitionResult:
     """tau(p) mod 23 is 0 / 2 / -1 according to (-23/p) = -1, p = x^2+23y^2,
     otherwise; checked for every prime p <= p_max except 23."""
-    ds = build_dataset(delta_coeffs(p_max, 23), 23, p_max, level=1, label="delta")
+    ds = build_dataset(delta_coeffs(p_max, 23), 23, p_max)
     want = np.where(kronecker_column(-23, ds.p) == -1, 0,
                     np.where(x2_plus_23y2(p_max)[ds.p], 2, 22))
     bad = np.flatnonzero(ds.a != want)

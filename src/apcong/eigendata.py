@@ -59,17 +59,24 @@ def primes_upto(n: int) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class QSeries:
-    """The q-expansion sum a_n q^n of a cusp form to q^T, coefficients in Z/m.
+    """The q-expansion sum a_n q^n to q^T of the cusp form labelled label,
+    of weight and level at least 1, with coefficients in Z/m.
 
     coeffs is one read-only column indexed by exponent, coeffs[n] = a_n for
     n <= T with coeffs[0] = 0: int64, or object when int64 cannot hold the
     values.  m = 0 means exact integer coefficients.
     """
 
+    label: str
+    weight: int
+    level: int
     m: int
     coeffs: np.ndarray
 
     def __post_init__(self):
+        for key, v in (("weight", self.weight), ("level", self.level)):
+            if v < 1:
+                raise ValueError(f"{key!r} must be at least 1, got {v}")
         c = self.coeffs
         if self.m < 0:
             raise ValueError("modulus must be nonnegative")
@@ -83,7 +90,8 @@ class QSeries:
 
 
 def delta_coeffs(T: int, m: int = 0) -> QSeries:
-    """tau(n) for n <= T, as q * S^8 with S = sum (-1)^n (2n+1) q^(n(n+1)/2).
+    """The series "delta" of weight 12 and level 1: tau(n) for n <= T, mod m,
+    as q * S^8 with S = sum (-1)^n (2n+1) q^(n(n+1)/2).
 
     S is eta^3 without its q^(1/8), so q S^8 = eta^24.  Each of the seven
     products adds about sqrt(2T) shifted copies of the dense factor.
@@ -106,7 +114,7 @@ def delta_coeffs(T: int, m: int = 0) -> QSeries:
         for e, c in terms:
             out[e:] += c * dense[: T + 1 - e]
         dense = out % m if m else out
-    return QSeries(m, dense)
+    return QSeries("delta", 12, 1, m, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -452,31 +460,21 @@ def check_ell(ell: int) -> None:
         raise ValueError(f"residue characteristic {ell} is not prime")
 
 
-def build_dataset(
-    source: EllipticCurve | QSeries,
-    ell: int,
-    p_max: int,
-    *,
-    level: int | None = None,
-    label: str | None = None,
-) -> ApDataset:
-    """Samples (p, a_p mod ell) for all good primes p <= p_max.  A curve
-    gives its own conductor and label; a q-series needs both."""
+def build_dataset(source: EllipticCurve | QSeries, ell: int, p_max: int) -> ApDataset:
+    """Samples (p, a_p mod ell) for all good primes p <= p_max, labelled by
+    the source at its level: a curve's conductor or a series' level."""
     check_ell(ell)
     if isinstance(source, EllipticCurve):
-        if level is not None or label is not None:
-            raise ValueError("a curve source takes its level and label from the curve")
         return curve_dataset(source, p_max).reduce(ell)
     if not isinstance(source, QSeries):
         raise TypeError(f"unsupported source {type(source).__name__}")
-    if level is None or label is None:
-        raise ValueError("q-series sources need explicit level and label")
     if source.m and source.m % ell:
         raise ValueError(f"series mod {source.m} cannot produce data mod {ell}")
     top = len(source.coeffs) - 1
-    ps = np.array([p for p in primes_upto(min(p_max, top)) if (level * ell) % p],
+    ps = np.array([p for p in primes_upto(min(p_max, top)) if (source.level * ell) % p],
                   dtype=np.int64)
-    return ApDataset(label, level, ell, np.column_stack((ps, source.coeffs[ps] % ell)))
+    return ApDataset(source.label, source.level, ell,
+                     np.column_stack((ps, source.coeffs[ps] % ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -552,23 +550,19 @@ def curve_fixtures() -> dict[str, EllipticCurve]:
     return _records(ref.read_text(encoding="utf-8").splitlines(), _parse_curve)
 
 
-def _parse_form(rec: dict) -> tuple[str, int, int, QSeries]:
+def _parse_form(rec: dict) -> QSeries:
     weight, level = _field(rec, "weight", int), _field(rec, "level", int)
-    for key, v in (("weight", weight), ("level", level)):
-        if v < 1:
-            raise ValueError(f"{key!r} must be at least 1, got {v}")
     coeffs = [0] + _field(rec, "coeffs", list)
     try:
         column = np.array(coeffs, dtype=np.int64)
     except OverflowError:
         column = np.array(coeffs, dtype=object)
-    return _field(rec, "label", str), weight, level, QSeries(0, column)
+    return QSeries(_field(rec, "label", str), weight, level, 0, column)
 
 
-def load_form_file(path) -> dict[str, tuple[str, int, int, QSeries]]:
-    """JSON lines {"label", "weight", "level", "coeffs"}, coeffs listing a_1,
-    a_2, ..., -> (label, weight, level, exact series with coeffs[n] = a_n)
-    by label.  A level or weight below 1, or a label given twice, raises
-    ValueError."""
+def load_form_file(path) -> dict[str, QSeries]:
+    """Exact series by label from a JSON-lines file of {"label", "weight",
+    "level", "coeffs"}, coeffs listing a_1, a_2, ...  A level or weight
+    below 1, or a label given twice, raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         return _records(fh, _parse_form)

@@ -8,11 +8,12 @@ traceless and commutator-trace counts, the classes and the SL_2 cosets
 of an SL_2 overgroup read off the determinants with no products, the
 eigenline route to the Borel witness, element degrees by Frobenius powers,
 the one-prime point count, and the oracles below (primality by trial
-division and representation of a prime by a binary quadratic form among
-them)."""
+division, representation of a prime by a binary quadratic form and the
+square/nonsquare vanishing rule sample by sample among them)."""
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -354,6 +355,38 @@ def quadform_represents(p: int, a: int, b: int, c: int) -> bool:
             return True
     return False
 
+
+@dataclass(frozen=True)
+class VanishingRuleResult:
+    """a_p = 0 mod ell vs (p/ell) = -1, counted in both directions; the
+    rule holds only when some nonsquare p was checked."""
+
+    ell: int
+    holds: bool
+    nonsquares: int  # the nonsquare p checked
+    forward_violations: tuple[int, ...]  # a_p = 0 but p a square mod ell
+    backward_violations: tuple[int, ...]  # p nonsquare but a_p != 0
+    zero_classes: frozenset[int]  # p mod ell residues with a_p = 0 seen
+
+
+def vanishing_rule_check(ds) -> VanishingRuleResult:
+    """The square/nonsquare vanishing rule on a dataset mod an odd prime
+    ell, sample by sample, with the nonsquares found by Euler's criterion."""
+    ell = ds.ell
+    if ell % 2 == 0:
+        raise ValueError(f"the rule needs an odd prime ell, not {ell}")
+    fwd, bwd, nonsquares, zeros = [], [], 0, set()
+    for p, a in ds.samples:
+        nonsquare = pow(p, (ell - 1) // 2, ell) == ell - 1
+        nonsquares += nonsquare
+        if a == 0:
+            zeros.add(p % ell)
+            if not nonsquare:
+                fwd.append(p)
+        elif nonsquare:
+            bwd.append(p)
+    return VanishingRuleResult(ell, nonsquares > 0 and not fwd and not bwd, nonsquares,
+                               tuple(fwd), tuple(bwd), frozenset(zeros))
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -88,8 +88,8 @@ def test_verdicts_match_brute_force(G):
         assert is_semi_abelian(G, xi)[0] == bs
         assert is_abelian_class(G, xi)[0] == bu
         # the report reads the same three verdicts, as plain bools
-        assert per_class[xi] == ClassVerdict(xi, bw, bs, bu)
-        assert all(type(v) is bool for v in dataclasses.astuple(per_class[xi])[1:])
+        assert per_class[xi] == ClassVerdict(bw, bs, bu)
+        assert all(type(v) is bool for v in dataclasses.astuple(per_class[xi]))
 
 
 def test_verdicts_over_every_subgroup_of_gl2_f3():
@@ -366,8 +366,10 @@ def test_modulus_bound_validates_case_against_group():
         modulus_bound(split_cartan_normalizer(F5), 10, 5, "Borel")
     with pytest.raises(ValueError):
         modulus_bound(borel(F5), 10, 5, "DihedralWeak")
-    with pytest.raises(ValueError):
-        modulus_bound(nonsplit_cartan_normalizer(F7), 10, 5, "D2")  # n = 8
+    with pytest.raises(ValueError, match="case D2 does not match"):
+        modulus_bound(nonsplit_cartan_normalizer(F7), 10, 7, "D2")  # n = 8
+    with pytest.raises(ValueError, match="not the characteristic 5"):
+        modulus_bound(borel(F5), 338, 7, "Borel")
     with pytest.raises(ValueError):
         modulus_bound(None, 10, 2, "D2")
     with pytest.raises(ValueError):

@@ -17,9 +17,10 @@ from apcong.constructions import (
 )
 from apcong.discover import (
     best_modulus,
+    check_allowed,
     closed_loop_check,
     delta_partition_check,
-    vanishing_rule_check,
+    vanishing_statement,
     verify_fixture_tables,
 )
 from apcong.eigendata import build_dataset, curve_fixtures, delta_coeffs
@@ -49,13 +50,12 @@ def test_criterion_1_delta_partition_mod_23():
 
 
 def test_criterion_2_delta_vanishing_iff_nonsquare():
-    ds = build_dataset(delta_coeffs(10_000, 23), 23, 10_000,
-                       level=1, label="delta")
+    ds = build_dataset(delta_coeffs(10_000, 23), 23, 10_000)
     assert len(ds) == 1228
-    res = vanishing_rule_check(ds)
-    assert res.holds
-    assert res.forward_violations == () and res.backward_violations == ()
-    # both directions, restated without the helper
+    st = vanishing_statement("delta", 23)
+    violations, seen = check_allowed(ds, st.allowed)
+    assert violations == () and st.holds(seen, st.allowed)
+    # both directions, restated without the statement
     for p, a in ds.samples:
         assert (a == 0) == (legendre(p, 23) == -1)
 

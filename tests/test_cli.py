@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -6,13 +7,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from apcong import classify, cli, eigendata, ffield, matgrp
 from apcong.cli import VERBS, main, parse_args
 from apcong.constructions import gl2, nonsplit_cartan_normalizer, split_cartan
 from apcong.discover import verify_fixture_tables
-from apcong.eigendata import curve_fixtures, delta_coeffs, primes_upto
+from apcong.eigendata import ApDataset, curve_fixtures, delta_coeffs, primes_upto
 from apcong.ffield import make_field
 from apcong.matgrp import Mat2, group_to_json
 
@@ -420,6 +422,25 @@ def test_verify_delta_without_a_nonsquare_prime_is_unverified(capsys):
     assert "tau partition: 1 primes checked, 0 exceptions" in out
     assert ("vanishing rule: a_p = 0 iff p nonsquare mod 23: "
             "unverified (no nonsquare prime checked)\n") in out
+    assert err == "consistency failure: 1 verification failures\n"
+
+
+def test_verify_delta_reports_a_failing_vanishing_rule(capsys, monkeypatch):
+    # a_p + 1 vanishes at no nonsquare prime, while the partition checked
+    # on the true data still passes
+    real = cli.delta_partition_check
+
+    def shifted(p_max):
+        res = real(p_max)
+        ds = res.dataset
+        moved = ApDataset(ds.label, ds.level, 23, np.column_stack((ds.p, (ds.a + 1) % 23)))
+        return dataclasses.replace(res, dataset=moved)
+
+    monkeypatch.setattr(cli, "delta_partition_check", shifted)
+    code, out, err = run(capsys, "verify", "--delta", "--pmax", "500")
+    assert code == 2
+    assert out == ("tau partition: 94 primes checked, 0 exceptions\n"
+                   "vanishing rule: a_p = 0 iff p nonsquare mod 23: fails\n")
     assert err == "consistency failure: 1 verification failures\n"
 
 

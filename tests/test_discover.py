@@ -32,7 +32,7 @@ from apcong.discover import (
     legendre_fit,
     sample_dataset,
     synthetic_model,
-    vanishing_rule_check,
+    vanishing_statement,
     verify_fixture_tables,
     x2_plus_23y2,
 )
@@ -48,7 +48,7 @@ from apcong.eigendata import (
 from apcong.ffield import kronecker, legendre, make_field
 from apcong.matgrp import close_group, coset_of, enumerate_subgroups, identity, mul_codes
 
-from helpers import quadform_represents, random_subgroups
+from helpers import quadform_represents, random_subgroups, vanishing_rule_check
 
 
 def craft(ell, assign, p_max=500, level=1):
@@ -138,8 +138,7 @@ def test_insufficient_data():
 
 
 def delta_ds(p_max=3000):
-    return build_dataset(delta_coeffs(p_max, 23), 23, p_max,
-                         level=1, label="delta")
+    return build_dataset(delta_coeffs(p_max, 23), 23, p_max)
 
 
 def test_delta_vanishing_is_iff_on_nonsquares():
@@ -233,7 +232,6 @@ EXACT_DATASET_CALLS = {
     "discover_class": lambda ds: discover_class(ds, 0, 3),
     "discover_report": lambda ds: discover_report(ds, 3),
     "best_modulus": lambda ds: best_modulus(ds, 0, 12),
-    "vanishing_rule_check": vanishing_rule_check,
 }
 
 
@@ -401,14 +399,21 @@ def test_every_printed_statement_can_fail(monkeypatch):
 
 
 def test_vanishing_statement_matches_vanishing_rule_check():
-    st, = (s for s in _statements() if s.name == "square/nonsquare vanishing rule")
-    E = curve_fixtures()["2450ba1"]
-    for p_max, shift in ((600, 0), (600, 1), (3000, 3), (12, 0)):
-        ds = build_dataset(E, 7, p_max)
-        ds = ApDataset(ds.label, ds.level, 7, np.column_stack((ds.p, (ds.a + shift) % 7)))
+    # the packaged 2450ba1 statement mod 7 and the delta statement mod 23,
+    # each against the sample-by-sample oracle on shifted and unshifted data
+    packaged, = (s for s in _statements() if s.name == "square/nonsquare vanishing rule")
+    assert packaged.label == "2450ba1"
+    cases = [(packaged, build_dataset(curve_fixtures()["2450ba1"], 7, p_max), p_max, shift)
+             for p_max, shift in ((600, 0), (600, 1), (3000, 3), (12, 0))]
+    delta = vanishing_statement("delta", 23)
+    cases += [(delta, delta_ds(p_max), p_max, shift)
+              for p_max in (4, 5, 2000) for shift in (0, 1)]
+    for st, ds, p_max, shift in cases:
+        ell = st.allowed.shape[1]
+        ds = ApDataset(ds.label, ds.level, ell, np.column_stack((ds.p, (ds.a + shift) % ell)))
         rule = vanishing_rule_check(ds)
         v, seen = check_allowed(ds, st.allowed)
-        assert (not v and st.holds(seen, st.allowed)) == rule.holds
+        assert (not v and st.holds(seen, st.allowed)) == rule.holds, (st.label, p_max, shift)
         assert [int(s[2:s.index(":")]) for s in v] == sorted(
             rule.forward_violations + rule.backward_violations)
 

@@ -183,22 +183,27 @@ def test_eta_times_eta23_is_delta_mod_23():
 
 def test_qseries_is_one_read_only_column():
     col = np.array([0, 1, 4, 2], dtype=np.int64)
-    series = QSeries(5, col)
+    series = QSeries("f", 2, 1, 5, col)
     assert series.coeffs is col
     with pytest.raises(ValueError):
         series.coeffs[1] = 3
-    assert delta_coeffs(50, 2 ** 70).coeffs.dtype == object
+    delta = delta_coeffs(50, 2 ** 70)
+    assert (delta.label, delta.weight, delta.level, delta.m) == ("delta", 12, 1, 2 ** 70)
+    assert delta.coeffs.dtype == object
     for bad in (5, 7, -1):  # unreduced coefficients
         with pytest.raises(ValueError):
-            QSeries(5, np.array([0, bad]))
+            QSeries("f", 2, 1, 5, np.array([0, bad]))
     with pytest.raises(ValueError):
-        QSeries(5, np.array([1, 2]))  # nonzero constant term
+        QSeries("f", 2, 1, 5, np.array([1, 2]))  # nonzero constant term
     with pytest.raises(ValueError):
-        QSeries(0, np.array([0]))  # no a_1
+        QSeries("f", 2, 1, 0, np.array([0]))  # no a_1
     with pytest.raises(ValueError):
-        QSeries(0, np.array([0.0, 1.5]))  # not an integer column
+        QSeries("f", 2, 1, 0, np.array([0.0, 1.5]))  # not an integer column
     with pytest.raises(ValueError):
-        QSeries(-1, np.array([0, 1]))
+        QSeries("f", 2, 1, -1, np.array([0, 1]))
+    for weight, level, key in ((0, 1, "weight"), (2, -3, "level")):
+        with pytest.raises(ValueError, match=f"'{key}' must be at least 1"):
+            QSeries("f", weight, level, 0, np.array([0, 1]))
 
 
 def test_qseries_mod_product_overflow_guard():
@@ -439,7 +444,7 @@ def test_quadform_rejects_indefinite_forms():
 
 
 def test_delta_dataset_small():
-    ds = build_dataset(delta_coeffs(100, 23), 23, 100, level=1, label="delta")
+    ds = build_dataset(delta_coeffs(100, 23), 23, 100)
     assert len(ds) == 24  # 25 primes up to 100, minus p = 23
     assert dict(ds.samples)[5] == 4830 % 23
     assert ds.label == "delta" and ds.ell == 23
@@ -464,12 +469,17 @@ def test_curve_dataset_keeps_exactly_the_good_primes():
 
 
 def test_curve_source_takes_level_and_label_from_the_curve():
+    # each source labels its dataset itself: a curve at its conductor, a
+    # series at its level, which also drops the primes dividing the level
     E = curve_fixtures()["338d1"]
-    for extra in (dict(level=338), dict(label="338d1"), dict(level=1, label="x")):
-        with pytest.raises(ValueError, match="from the curve"):
+    ds = build_dataset(E, 5, 100)
+    assert (ds.label, ds.level) == ("338d1", 338)
+    series = QSeries("f6", 2, 6, 0, np.arange(12, dtype=np.int64))
+    ds = build_dataset(series, 5, 11)
+    assert (ds.label, ds.level, ds.samples) == ("f6", 6, ((7, 2), (11, 1)))
+    for extra in (dict(level=338), dict(label="338d1")):
+        with pytest.raises(TypeError):
             build_dataset(E, 5, 100, **extra)
-    with pytest.raises(ValueError, match="explicit level and label"):
-        build_dataset(delta_coeffs(100, 23), 23, 100, level=1)
 
 
 def test_dataset_validators():
@@ -552,11 +562,6 @@ def test_build_dataset_requires_prime_ell():
         build_dataset(E, 6, 100)
 
 
-def test_form_dataset_requires_level():
-    with pytest.raises(ValueError):
-        build_dataset(delta_coeffs(50, 23), 23, 50)
-
-
 # ---- fixture files ----
 
 
@@ -594,10 +599,10 @@ def test_load_form_file(tmp_path):
     path.write_text(json.dumps(rec) + "\n")
     forms = load_form_file(path)
     assert list(forms) == ["t1"]
-    label, weight, level, series = forms["t1"]
-    assert (label, weight, level) == ("t1", 12, 1)
+    series = forms["t1"]
+    assert (series.label, series.weight, series.level) == ("t1", 12, 1)
     assert series.m == 0 and series.coeffs.tolist() == [0, 1, -24, 252, -1472]
-    ds = build_dataset(series, 5, 3, level=1, label="t1")
+    ds = build_dataset(series, 5, 3)
     assert ds.samples == ((2, (-24) % 5), (3, 252 % 5))
 
 
@@ -678,10 +683,10 @@ def test_form_file_keeps_big_coefficients_exact(tmp_path):
     big = 3 ** 50
     path = tmp_path / "forms.jsonl"
     path.write_text(json.dumps(dict(GOOD_FORM, coeffs=[1, big, -big])) + "\n")
-    (_, _, _, series), = load_form_file(path).values()
+    series, = load_form_file(path).values()
     assert series.coeffs.dtype == object
     assert series.coeffs.tolist() == [0, 1, big, -big]
-    ds = build_dataset(series, 7, 3, level=1, label="t1")
+    ds = build_dataset(series, 7, 3)
     assert ds.samples == ((2, big % 7), (3, -big % 7))
 
 
@@ -694,10 +699,11 @@ def test_form_file_route_matches_delta_route(tmp_path):
            "coeffs": exact.coeffs[1:].tolist()}
     path = tmp_path / "delta.jsonl"
     path.write_text(json.dumps(rec) + "\n")
-    (label, weight, level, series), = load_form_file(path).values()
+    series, = load_form_file(path).values()
     assert series.coeffs.dtype == object  # tau(n) passes 2^63 below n = 3000
-    via_file = build_dataset(series, 23, T, level=level, label=label)
-    direct = build_dataset(delta_coeffs(T, 23), 23, T, level=1, label="delta")
+    via_file = build_dataset(series, 23, T)
+    direct = build_dataset(delta_coeffs(T, 23), 23, T)
+    assert (via_file.label, via_file.level) == (direct.label, direct.level) == ("delta", 1)
     assert len(direct) == 429  # 430 primes up to 3000, minus p = 23
     assert np.array_equal(via_file.p, direct.p)
     assert np.array_equal(via_file.a, direct.a)

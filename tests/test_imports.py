@@ -11,7 +11,9 @@ A module-level function named _name counts as referenced when some package
 module reads it as a name or an attribute or imports it.  A method of a
 package class, dunders aside, counts as read when some file of the
 package or its benchmark reads it as an attribute; a method that only the
-tests read belongs in tests/helpers.py.  The package holds no assert
+tests read belongs in tests/helpers.py.  A field of a package dataclass or
+NamedTuple counts as read when the package, its benchmark or its tests read
+it as an attribute or by getattr with its name.  The package holds no assert
 statement, since `python -O` would skip its check.  A defaulted parameter
 of a private function or method (_name) is passed, by keyword or by
 position, by some call in the package or its benchmark: an option that
@@ -27,7 +29,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted(ROOT.glob("src/apcong/*.py"))
-FILES = SRC + sorted(ROOT.glob("tests/*.py"))
+TESTS = sorted(ROOT.glob("tests/*.py"))
+FILES = SRC + TESTS
 READERS = SRC + sorted(ROOT.glob("perfbench/*.py"))
 
 
@@ -160,6 +163,60 @@ def test_scan_finds_an_unread_method():
 def test_no_unread_methods():
     classes = {p.name: p.read_text(encoding="utf-8") for p in SRC}
     assert unread_methods(classes, [p.read_text(encoding="utf-8") for p in READERS]) == []
+
+
+def unread_fields(classes: dict[str, str], readers: list[str]) -> list[str]:
+    def record(cls) -> bool:
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        return any(getattr(n, "id", None) in ("dataclass", "NamedTuple")
+                   for n in decorators + cls.bases)
+
+    def pseudo(node) -> bool:  # InitVar[...] and ClassVar[...] hold no field
+        return (isinstance(node.annotation, ast.Subscript)
+                and getattr(node.annotation.value, "id", None) in ("InitVar", "ClassVar"))
+
+    defined = {}
+    for module, source in classes.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and record(cls):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and not pseudo(node):
+                        defined[f"{cls.name}.{node.target.id}"] = (
+                            f"{module}:{node.lineno}", node.target.id)
+    read = set()
+    for source in readers:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "getattr" and len(n.args) > 1
+                  and isinstance(n.args[1], ast.Constant)):
+                read.add(n.args[1].value)
+    return sorted(f"{where}: {name}" for name, (where, field) in defined.items()
+                  if field not in read)
+
+
+def test_scan_finds_an_unread_field():
+    classes = {
+        "a": ("from dataclasses import InitVar, dataclass\n"
+              "from typing import NamedTuple\n\n\n"
+              "@dataclass(frozen=True)\n"
+              "class A:\n    shown: int\n    by_getattr: int\n    left_over: int\n"
+              "    seed: InitVar[int]\n\n"
+              "    def __post_init__(self, seed):\n        self.written = seed\n\n\n"
+              "class B(NamedTuple):\n    shown: int\n    stored_only: str = ''\n\n\n"
+              "class Plain:\n    never_read: int = 0\n"),
+    }
+    readers = [classes["a"],
+               "import a\n\nx = a.A(1, 2, 3, 4)\nprint(x.shown, getattr(x, 'by_getattr'))\n"
+               "x.left_over = 5\nstored_only = 'a name, not an attribute'\n"]
+    assert unread_fields(classes, readers) == ["a:18: B.stored_only", "a:9: A.left_over"]
+
+
+def test_no_unread_fields():
+    classes = {p.name: p.read_text(encoding="utf-8") for p in SRC}
+    readers = [p.read_text(encoding="utf-8") for p in READERS + TESTS]
+    assert unread_fields(classes, readers) == []
 
 
 def assert_statements(source: str) -> list[str]:
