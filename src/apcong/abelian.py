@@ -578,7 +578,6 @@ class ModulusBound:
     4 (a sign choice) because the level times the characteristic is odd.
     """
 
-    ell: int
     bound: int
     two_sided: bool | None
     m_one_mod_four: bool
@@ -659,4 +658,4 @@ def modulus_bound(G: MatGroup | None, N: int, ell: int, case: str,
         bound = radical(N * ell) * math.gcd(2, N) ** 2
         two_sided = True
         sign = (N * ell) % 2 == 1
-    return ModulusBound(ell, bound, two_sided, sign)
+    return ModulusBound(bound, two_sided, sign)

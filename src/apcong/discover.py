@@ -14,6 +14,7 @@ as such; the group machinery supplies the corresponding exact statements.
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .eigendata import (
     ApDataset,
     EllipticCurve,
     build_dataset,
-    curve_dataset,
+    curve_datasets,
     delta_coeffs,
 )
 from .ffield import is_prime, kronecker, legendre, make_field
@@ -372,13 +373,13 @@ def verify_fixture_tables(
 ) -> list[TableCheck]:
     """Re-derive every printed congruence table from point counts."""
     out = []
-    exact = {}
+    labels = [lab for lab in dict.fromkeys(st.label for st in _statements()) if lab in curves]
+    # each curve is point counted once, all in one kernel pass, and every
+    # ell reduces the same a_p
+    exact = dict(zip(labels, curve_datasets([curves[lab] for lab in labels], p_max)))
     for st in _statements():
-        if st.label not in curves:
-            continue
-        # each curve is point counted once; every ell reduces the same a_p
         if st.label not in exact:
-            exact[st.label] = curve_dataset(curves[st.label], p_max)
+            continue
         ds = exact[st.label].reduce(st.allowed.shape[1])
         # a statement checked on no prime is not verified
         if not len(ds):
@@ -508,10 +509,22 @@ def synthetic_model(G: MatGroup) -> SyntheticModel:
     return SyntheticModel(G, spec.p, M, assignment, data)
 
 
+def _bounded(seed: int, n: int, *bounds: int) -> list[np.ndarray]:
+    """For each bound k < 2^32, n integers in [0, k): 32-bit words of one
+    stdlib random.Random(seed) byte stream, each taken to floor(word k / 2^32),
+    which is uniform up to a relative bias of k / 2^32."""
+    if max(bounds) >= 2 ** 32:
+        raise ValueError("sampling bound past 2^32")
+    words = np.frombuffer(random.Random(seed).randbytes(4 * n * len(bounds)), dtype="<u4")
+    return [(row.astype(np.uint64) * k >> 32).astype(np.int64)
+            for row, k in zip(words.reshape(len(bounds), n), bounds)]
+
+
 def sample_dataset(model: SyntheticModel, n: int, seed: int) -> ApDataset:
     """n synthetic samples (p, trace mod ell) with p equidistributed over
-    the units mod M and traces drawn uniformly from the assigned coset."""
-    rng = np.random.default_rng(seed)
+    the units mod M and traces drawn uniformly from the assigned coset.
+    Each seed gives one fixed stream, drawn by _bounded from the stdlib
+    random.Random(seed), which numpy imports anyway."""
     units = sorted(model.assignment)
     M, ell = model.modulus, model.ell
     coset_idx = np.array([model.assignment[r] for r in units])
@@ -520,8 +533,7 @@ def sample_dataset(model: SyntheticModel, n: int, seed: int) -> ApDataset:
     G = model.group
     by_coset = np.argsort(coset_of(G, model.data.commutator, G.codes), kind="stable")
     trace_table = G.traces[by_coset].reshape(-1, hsize)
-    draws = rng.integers(0, len(units), size=n)
-    members = rng.integers(0, hsize, size=n)
+    draws, members = _bounded(seed, n, len(units), hsize)
     values = trace_table[coset_idx[draws], members] % ell
 
     # least representative of each residue class coprime to ell as well

@@ -14,10 +14,12 @@ O(T^1.5) instead of the O(T^2) of dense convolution.  Every product is
 reduced mod m, in int64 while the bound allows it and in Python integers
 otherwise (and for m = 0).
 
-A curve's a_p come from one kernel for all its good primes at once: a
-character sum for p <= 229, and above that a baby-step giant-step search
-(Shanks-Mestre) with one numpy lane per prime, O(p^(1/4)) point operations
-each, exact by Mestre's theorem.
+The a_p of one or several curves come from one kernel pass over all their
+good primes: a character sum for p <= 229, and above that a baby-step
+giant-step search (Shanks-Mestre) with one numpy lane per curve and prime,
+O(p^(1/4)) point operations each, exact by Mestre's theorem.  Steps match in
+affine coordinates after one batched inversion per lane, and p < 2^20 keeps
+every product of three residues inside int64.
 
 An ApDataset keeps its samples as two read-only int64 columns, p and a, so
 discovery and verification work on whole arrays.  A curve is point counted
@@ -170,29 +172,38 @@ class EllipticCurve:
 _MESTRE_MIN_P = 229
 # lanes x Hasse-interval cells per chunk, which bounds the kernel's arrays
 _CHUNK_CELLS = 1 << 20
+# below this a product of three residues stays under 2^60, inside int64
+_KERNEL_P_LIMIT = 1 << 20
 
 
-def _ap_kernel(E: EllipticCurve, ps: np.ndarray) -> np.ndarray:
-    """a_p for an ascending int64 array of good primes <= POINT_COUNT_GUARD.
+def _ap_kernel(curves: list[EllipticCurve], c: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """a_p of curves[c[i]] at the good prime ps[i] <= POINT_COUNT_GUARD, for
+    int64 columns c and ps.
 
-    Primes up to 229 take a character sum each.  Above it the primes are
-    numpy lanes of one baby-step giant-step search (Shanks-Mestre), in
-    chunks of at most _CHUNK_CELLS lanes x interval cells.
+    Primes up to 229 take a character sum each.  Above it the lanes of every
+    curve, each with its own model, join one baby-step giant-step search
+    (Shanks-Mestre) in ascending p, in chunks of at most _CHUNK_CELLS lanes x
+    interval cells.
     """
-    ps = np.asarray(ps, dtype=np.int64)
-    ap = np.empty(len(ps), dtype=np.int64)
-    lo = int(np.searchsorted(ps, _MESTRE_MIN_P, side="right"))
-    ap[:lo] = [_ap_char_sum(E, p) for p in ps[:lo].tolist()]
+    order = np.argsort(ps, kind="stable")
+    p, c = np.asarray(ps, dtype=np.int64)[order], np.asarray(c)[order]
+    ap = np.empty(len(p), dtype=np.int64)
+    lo = int(np.searchsorted(p, _MESTRE_MIN_P, side="right"))
+    ap[:lo] = [_ap_char_sum(curves[i], q) for i, q in zip(c[:lo].tolist(), p[:lo].tolist())]
+    # each curve's short model y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6
+    AB = [(-27 * c4, -54 * c6) for c4, c6 in (E.c_invariants for E in curves)]
     # Hasse: |a_p| <= w = floor(2 sqrt(p))
-    w = np.fromiter((math.isqrt(4 * p) for p in ps.tolist()), np.int64, len(ps))
-    while lo < len(ps):
+    w = np.fromiter((math.isqrt(4 * q) for q in p.tolist()), np.int64, len(p))
+    while lo < len(p):
         # widths grow with p, so the last lane of a chunk is its widest
-        n = np.arange(1, min(len(ps) - lo, _CHUNK_CELLS // (2 * int(w[lo]) + 1)) + 1)
+        n = np.arange(1, min(len(p) - lo, _CHUNK_CELLS // (2 * int(w[lo]) + 1)) + 1)
         cells = n * (2 * w[lo : lo + len(n)] + 1)
         hi = lo + max(1, int(np.searchsorted(cells, _CHUNK_CELLS, side="right")))
-        ap[lo:hi] = _shanks_mestre(E, ps[lo:hi], w[lo:hi])
+        A, B = np.array([[k % q for k in AB[i]] for i, q in
+                         zip(c[lo:hi].tolist(), p[lo:hi].tolist())], dtype=np.int64).T
+        ap[lo:hi] = _shanks_mestre(A, B, p[lo:hi], w[lo:hi])
         lo = hi
-    return ap
+    return ap[np.argsort(order)]
 
 
 def _ap_char_sum(E: EllipticCurve, p: int) -> int:
@@ -200,12 +211,8 @@ def _ap_char_sum(E: EllipticCurve, p: int) -> int:
     character sum over the completed square."""
     if p <= 3:
         a1, a2, a3, a4, a6 = (x % p for x in E.a)
-        affine = sum(
-            1
-            for x in range(p)
-            for y in range(p)
-            if (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p == 0
-        )
+        affine = sum((y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p == 0
+                     for x in range(p) for y in range(p))
         return p + 1 - (affine + 1)
     b2, b4, b6, _ = E.b_invariants
     xs = np.arange(p, dtype=np.int64)
@@ -219,21 +226,26 @@ def _ap_char_sum(E: EllipticCurve, p: int) -> int:
     return -int(chi[g].sum(dtype=np.int64))
 
 
-def _shanks_mestre(E: EllipticCurve, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a_p for primes p > 229 (one lane each) on the model
-    y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6, given w = floor(2 sqrt(p)).
+def _shanks_mestre(A: np.ndarray, B: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a_p for primes 229 < p < 2^20 (one lane each) on the models
+    y^2 = x^3 + A x + B of the residue columns A and B, given
+    w = floor(2 sqrt(p)).
 
     For x0 with d = f(x0) != 0 the point (x0 d, d^2) lies on
     y^2 = x^3 + A d^2 x + B d^3, which is E when d is a square mod p and
     its quadratic twist otherwise, so no square root is needed.  Points are
-    projective (X : Y : Z) and every product is of two residues, below
-    p^2 < 2^62.  Each lane keeps the candidates t in [-w, w] at index
-    t + w; a point on E keeps those with (p + 1 - t) P = O, a twist point
-    those with (p + 1 + t) P = O.  A lane retires with one candidate left
-    and otherwise tries the next x0.
+    built projective (X : Y : Z), adding the affine step P or stride
+    (2m + 1) P with Z = 1 where it can, and p < 2^20 keeps every product of
+    three residues below 2^60.  The baby steps j P, j <= m, and the giant
+    steps are then made affine by one batched inversion per lane, O written
+    x = p, y = 0, so a giant matches a baby by one comparison.  Each lane
+    keeps the candidates t in [-w, w] at index t + w; a point on E keeps
+    those with (p + 1 - t) P = O, a twist point those with
+    (p + 1 + t) P = O.  A lane retires with one candidate left and
+    otherwise tries the next x0.
     """
-    c4, c6 = E.c_invariants
-    A, B = _residues(-27 * c4, p), _residues(-54 * c6, p)
+    if (big := p >= _KERNEL_P_LIMIT).any():
+        raise OverflowError(f"point count at p = {p[big][0]} would overflow int64 (p < 2^20)")
     m = math.isqrt(int(w.max())) + 1  # baby steps 0..m, giant stride 2m + 1
     span = 2 * m + 1
     giants = -(-(2 * int(w.max()) + 1) // span)
@@ -253,33 +265,36 @@ def _shanks_mestre(E: EllipticCurve, p: np.ndarray, w: np.ndarray) -> np.ndarray
                 f"point count found no decisive point at p = {pl[x >= pl][0]}")
         dd = d * d % pl
         a = A[live] * dd % pl
-        # E lanes (d a square) walk the interval downwards from p + 1 + w,
-        # twist lanes upwards from p + 1 - w, so the hit at interval offset
-        # i is the candidate t = i - w in both cases
-        sigma = np.where(_is_square(d, pl), -1, 1)
-        step = (x * d % pl, sigma * dd % pl, np.ones_like(pl))
-        baby = [_O(pl), step]
-        for _ in range(m - 1):
-            baby.append(_ec_add(baby[-1], step, a, pl))
-        stride = _ec_add(_ec_dbl(baby[-1], a, pl), step, a, pl)
-        BX, BY, BZ = (np.stack(c, axis=1) for c in zip(*baby))
+        # E lanes (d a square by Euler's criterion) walk the interval
+        # downwards from p + 1 + w, twist lanes upwards from p + 1 - w, so
+        # the hit at interval offset i is the candidate t = i - w in both
+        sigma = np.where(_pow(d, (pl - 1) // 2, pl) == 1, -1, 1)
+        step = (x * d % pl, sigma * dd % pl, None)
+        # row j <= m of table is j P, row m + 1 the stride (2m + 1) P
+        table = np.empty((3, m + 2, live.size), dtype=np.int64)
+        table[:, 0], table[:2, 1], table[2, 1] = _O(pl), step[:2], 1
+        for j in range(1, m):
+            table[:, j + 1] = _ec_add(table[:, j], step, a, pl)
+        table[:, m + 1] = _ec_add(_ec_dbl(table[:, m], a, pl), step, a, pl)
         # the first giant c P = sigma (c step), c = p + 1 - sigma (w - m)
-        first = _ec_mul(p[live] + 1 - sigma * (w[live] - m), (BX, BY, BZ), a, pl)
-        Q = (first[0], sigma * first[1] % pl, first[2])
-        pc = pl[:, None]
+        first = _ec_mul(pl + 1 - sigma * (w[live] - m), table[:, : m + 1], a, pl)
+        bx, by, _ = _affine(table, pl)
+        stride, flat = (bx[m + 1], by[m + 1], None), np.flatnonzero(bx[m + 1] == pl)
+        giant = np.empty((3, giants, live.size), dtype=np.int64)
+        giant[:, 0] = first[0], sigma * first[1] % pl, first[2]
+        for k in range(1, giants):
+            giant[:, k] = _ec_add(giant[:, k - 1], stride, a, pl)
+            if flat.size:  # a stride of O leaves the giant where it is
+                giant[:, k, flat] = giant[:, k - 1, flat]
+        gx, gy, _ = _affine(giant, pl)
+        k, j, lane = np.nonzero(gx[:, None] == bx[None, : m + 1])
+        qy, ry, pj = gy[k, lane], by[j, lane], pl[lane]
+        # giant k = j step: hit at offset m - j; = -j step: at m + j.  Both
+        # are recorded, so j step = O or of order 2 marks both offsets
+        plus, minus = qy == ry, (qy + ry) % pj == 0
         hits = np.zeros((live.size, giants * span), dtype=bool)
-        for k in range(giants):
-            QX, QY, QZ = Q
-            lane, j = np.nonzero((QX[:, None] * BZ - BX * QZ[:, None]) % pc == 0)
-            pj = pl[lane]
-            qy, by = QY[lane] * BZ[lane, j] % pj, BY[lane, j] * QZ[lane] % pj
-            # Q = j step: hit at offset m - j; Q = -j step: at m + j.  Both
-            # are recorded, so j step = O or of order 2 marks both offsets
-            plus, minus = qy == by, (qy + by) % pj == 0
-            hits[lane[plus], k * span + m - j[plus]] = True
-            hits[lane[minus], k * span + m + j[minus]] = True
-            if k + 1 < giants:
-                Q = _ec_add(Q, stride, a, pl)
+        hits[lane[plus], k[plus] * span + m - j[plus]] = True
+        hits[lane[minus], k[minus] * span + m + j[minus]] = True
         c = cand[live] & hits
         count = c.sum(axis=1)
         if not count.all():
@@ -293,24 +308,44 @@ def _shanks_mestre(E: EllipticCurve, p: np.ndarray, w: np.ndarray) -> np.ndarray
     return ap
 
 
-def _residues(n: int, p: np.ndarray) -> np.ndarray:
-    """n mod each lane's prime, for an integer n of any size."""
-    return np.fromiter((n % q for q in p.tolist()), np.int64, len(p))
-
-
-def _is_square(d: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Euler's criterion d^((p - 1) / 2) = 1 mod p, per lane, for d != 0."""
-    e = (p - 1) // 2
-    r, b = np.ones_like(d), d.copy()
+def _pow(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """b^e mod p per lane, by square and multiply."""
+    r = np.ones_like(b)
     while e.any():
         r = np.where(e & 1 == 1, r * b % p, r)
         b = b * b % p
         e = e >> 1
-    return r == 1
+    return r
+
+
+def _affine(P, p):
+    """The projective rows P = (X, Y, Z), each shaped (n, lanes), made
+    affine in place: X/Z and Y/Z in rows X and Y, O written x = p, y = 0.
+    Montgomery's batched inversion inverts the n values Z of a lane with
+    one Fermat power."""
+    X, Y, Z = P
+    inf = Z == 0
+    Z[inf] = 1
+    inv = np.empty_like(Z)  # first the prefix products Z_0 ... Z_(i - 1)
+    run = np.ones_like(p)
+    for i in range(len(Z)):
+        inv[i] = run
+        run = run * Z[i] % p
+    run = _pow(run, p - 2, p)
+    for i in reversed(range(len(Z))):
+        inv[i] = inv[i] * run % p
+        run = run * Z[i] % p
+    for t in (X, Y):
+        t *= inv
+        t %= p
+    np.copyto(X, p, where=inf)
+    Y[inf] = 0
+    return P
 
 
 # projective points (X : Y : Z) on y^2 = x^3 + a x + b, one lane per prime;
-# b never enters the formulas
+# b never enters the formulas, and p < 2^20 lets a product of three
+# residues go unreduced
 
 
 def _O(p: np.ndarray):
@@ -323,47 +358,50 @@ def _pick(mask, P, Q):
 
 def _ec_dbl(P, a, p):
     X, Y, Z = P
-    w = (a * (Z * Z % p) + 3 * (X * X % p)) % p
+    w = (a * Z % p * Z + 3 * X * X) % p
     s = Y * Z % p
-    B = X * Y % p * s % p
+    B = X * Y * s % p
     h = (w * w - 8 * B) % p
     ss = s * s % p
-    R = (2 * h * s % p,
-         (w * ((4 * B - h) % p) - 8 * (Y * Y % p) * ss) % p,
-         8 * ss * s % p)
+    R = (2 * h * s % p, (w * (4 * B - h) - 8 * (Y * Y % p) * ss) % p, 8 * ss * s % p)
     inf = s == 0  # 2P = O for P = O or P of order 2
     return _pick(inf, _O(p), R) if inf.any() else R
 
 
 def _ec_add(P, Q, a, p):
+    """P + Q; a Q with Z = None is affine and not O, which saves the
+    products by Z2 (mixed addition)."""
     X1, Y1, Z1 = P
     X2, Y2, Z2 = Q
-    u = (Y2 * Z1 - Y1 * Z2) % p
-    v = (X2 * Z1 - X1 * Z2) % p
+    x1, y1, zz = (X1, Y1, Z1) if Z2 is None else (X1 * Z2 % p, Y1 * Z2 % p, Z1 * Z2 % p)
+    u = (Y2 * Z1 - y1) % p
+    v = (X2 * Z1 - x1) % p
     vv = v * v % p
     vvv = vv * v % p
-    zz = Z1 * Z2 % p
-    r = vv * (X1 * Z2 % p) % p
-    A = (u * u % p * zz - vvv - 2 * r) % p
-    R = (v * A % p, (u * (r - A) - vvv * (Y1 * Z2 % p)) % p, vvv * zz % p)
+    r = vv * x1 % p
+    A = (u * u * zz - vvv - 2 * r) % p
+    R = (v * A % p, (u * (r - A) - vvv * y1) % p, vvv * zz % p)
     same_x = v == 0  # P = +-Q, or P or Q is O
     if same_x.any():
         R = _pick(same_x, _O(p), R)
-        tangent = same_x & (u == 0) & (Z1 != 0) & (Z2 != 0)
-        if tangent.any():
-            R = _pick(tangent, _ec_dbl(P, a, p), R)
-        R = _pick(Z2 == 0, P, _pick(Z1 == 0, Q, R))
+        # double only the lanes with P = Q
+        t = np.flatnonzero(same_x & (u == 0) & (Z1 != 0) & (Z2 != 0))
+        for out, twice in zip(R, _ec_dbl(tuple(c[t] for c in P), a[t], p[t]) if t.size else ()):
+            out[t] = twice
+        R = _pick(Z1 == 0, (X2, Y2, 1 if Z2 is None else Z2), R)
+        if Z2 is not None:
+            R = _pick(Z2 == 0, P, R)
     return R
 
 
 def _ec_mul(c, table, a, p):
     """c T per lane, in windows of b bits whose multiples j T, j < 2^b, are
-    read from the columns of table."""
-    b = table[0].shape[1].bit_length() - 1
+    read from the rows of table."""
+    b = len(table[0]).bit_length() - 1
     rows = np.arange(len(p))
     R = None
     for shift in range(b * ((int(c.max()).bit_length() - 1) // b), -1, -b):
-        T = tuple(t[rows, (c >> shift) & ((1 << b) - 1)] for t in table)
+        T = tuple(t[(c >> shift) & ((1 << b) - 1), rows] for t in table)
         if R is None:
             R = T
             continue
@@ -442,16 +480,29 @@ class ApDataset:
         return ApDataset(self.label, self.level, ell, cols)
 
 
+def curve_datasets(curves: list[EllipticCurve], p_max: int) -> list[ApDataset]:
+    """Exact a_p (ell = 0) of each curve at its primes p <= p_max of good
+    reduction, labelled by the curve at its conductor: one point count per
+    curve and prime, all in one kernel pass.  A good prime past
+    POINT_COUNT_GUARD raises ValueError before any sieving."""
+    for E in curves:
+        past = next((p for p in range(POINT_COUNT_GUARD + 1, p_max + 1)
+                     if is_prime(p) and E.has_good_reduction(p)), None)
+        if past is not None:
+            raise ValueError(f"point counting guard exceeded at {past}")
+    primes = primes_upto(p_max)
+    ps = [np.array([p for p in primes if E.has_good_reduction(p)], dtype=np.int64)
+          for E in curves]
+    sizes = [len(q) for q in ps]
+    ap = _ap_kernel(curves, np.repeat(np.arange(len(curves)), sizes),
+                    np.concatenate([np.empty(0, dtype=np.int64), *ps]))
+    return [ApDataset(E.label, E.conductor, 0, np.column_stack((q, a)))
+            for E, q, a in zip(curves, ps, np.split(ap, np.cumsum(sizes)[:-1]))]
+
+
 def curve_dataset(E: EllipticCurve, p_max: int) -> ApDataset:
-    """Exact a_p (ell = 0) for the primes p <= p_max of good reduction,
-    one point count each, labelled by the curve at its conductor.  A good
-    prime past POINT_COUNT_GUARD raises ValueError before any sieving."""
-    past = next((p for p in range(POINT_COUNT_GUARD + 1, p_max + 1)
-                 if is_prime(p) and E.has_good_reduction(p)), None)
-    if past is not None:
-        raise ValueError(f"point counting guard exceeded at {past}")
-    ps = np.array([p for p in primes_upto(p_max) if E.has_good_reduction(p)], dtype=np.int64)
-    return ApDataset(E.label, E.conductor, 0, np.column_stack((ps, _ap_kernel(E, ps))))
+    """The one-curve case of curve_datasets."""
+    return curve_datasets([E], p_max)[0]
 
 
 def check_ell(ell: int) -> None:

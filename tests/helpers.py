@@ -517,7 +517,7 @@ def ap_point_count(E, p: int) -> int:
         raise ValueError(f"point counting guard exceeded at {p}")
     if not E.has_good_reduction(p):
         raise ValueError(f"bad reduction at {p} for {E.label}")
-    ap = int(_ap_kernel(E, np.array([p], dtype=np.int64))[0])
+    ap = int(_ap_kernel([E], np.zeros(1, dtype=np.int64), np.array([p], dtype=np.int64))[0])
     if ap * ap > 4 * p:
         raise RuntimeError(f"Hasse bound violated: a_{p} = {ap}")
     return ap

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from apcong.constructions import (
 )
 from apcong.discover import (
     InsufficientDataError,
+    _bounded,
     _s0_mod39,
     _statements,
     _units,
@@ -378,13 +383,13 @@ def tampered_tables(monkeypatch, change, p_max):
     # every curve's exact a_p replaced by change(a_p) before reduction
     import apcong.discover
 
-    real = apcong.discover.curve_dataset
+    real = apcong.discover.curve_datasets
 
-    def tampered(E, bound):
-        ds = real(E, bound)
-        return ApDataset(ds.label, ds.level, 0, np.column_stack((ds.p, change(ds.a))))
+    def tampered(curves, bound):
+        return [ApDataset(ds.label, ds.level, 0, np.column_stack((ds.p, change(ds.a))))
+                for ds in real(curves, bound)]
 
-    monkeypatch.setattr(apcong.discover, "curve_dataset", tampered)
+    monkeypatch.setattr(apcong.discover, "curve_datasets", tampered)
     return verify_fixture_tables(curve_fixtures(), p_max)
 
 
@@ -431,16 +436,18 @@ def test_fixture_tables_subset_and_tamper():
 def test_fixture_tables_count_each_curve_once(monkeypatch):
     import apcong.eigendata
 
-    counted = []
+    counted, passes = [], []
     real = apcong.eigendata._ap_kernel
 
-    def counting(E, ps):
-        counted.extend((E.label, p) for p in ps.tolist())
-        return real(E, ps)
+    def counting(curves, c, ps):
+        passes.append(len(ps))
+        counted.extend((curves[i].label, p) for i, p in zip(c.tolist(), ps.tolist()))
+        return real(curves, c, ps)
 
     monkeypatch.setattr(apcong.eigendata, "_ap_kernel", counting)
     checks = verify_fixture_tables(curve_fixtures(), p_max=600)
     assert len(checks) == 12
+    assert passes == [len(counted)]  # every curve in one pooled kernel pass
     assert len(counted) == len(set(counted))
     assert {label for label, _ in counted} == set(curve_fixtures())
 
@@ -598,6 +605,44 @@ def test_sample_dataset_invariants():
     assert again.samples == ds.samples
     other = sample_dataset(model, 3000, seed=8)
     assert other.samples != ds.samples
+
+
+def test_sample_draws_are_uniform_within_four_sigma():
+    # every unit residue in the samples, and every member index drawn for
+    # them, occurs within 4 sigma of n / k
+    model, n = synthetic_model(borel(make_field(5))), 100_000
+    ds = sample_dataset(model, n, seed=2)
+    hsize = model.data.commutator.order
+    residues = np.bincount(ds.p % model.modulus, minlength=model.modulus)
+    _, members = _bounded(2, n, len(model.assignment), hsize)
+    for counts, k in ((residues[sorted(model.assignment)], len(model.assignment)),
+                      (np.bincount(members, minlength=hsize), hsize)):
+        assert len(counts) == k > 1
+        sigma = (n * (1 / k) * (1 - 1 / k)) ** 0.5
+        assert np.abs(counts - n / k).max() <= 4 * sigma, counts
+
+
+def test_bounded_draws_refuse_bounds_past_32_bits():
+    assert [d.tolist() for d in _bounded(5, 3, 1, 2 ** 32 - 1)][0] == [0, 0, 0]
+    with pytest.raises(ValueError, match="2\\^32"):
+        _bounded(5, 3, 2 ** 32)
+
+
+def test_closed_loop_never_imports_numpy_random():
+    # pytest and hypothesis may import numpy.random, so this needs a fresh
+    # interpreter
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "from apcong.constructions import borel\n"
+            "from apcong.discover import closed_loop_check\n"
+            "from apcong.ffield import make_field\n"
+            "res = closed_loop_check(borel(make_field(5)), n=1000)\n"
+            "print(res.ok, 'numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True False\n"
 
 
 def test_closed_loop_named_groups():

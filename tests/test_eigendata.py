@@ -289,7 +289,8 @@ def test_kernel_matches_char_sum_on_fixtures():
     # one chunk whose baby-step count exceeds the Hasse width of its first lane
     E = curve_fixtures()["50700u1"]
     ps = np.array([233, 239, 999_953, 999_983], dtype=np.int64)
-    assert eigendata._ap_kernel(E, ps).tolist() == [char_sum_ap(E, p) for p in ps.tolist()]
+    got = eigendata._ap_kernel([E], np.zeros(4, dtype=np.int64), ps)
+    assert got.tolist() == [char_sum_ap(E, p) for p in ps.tolist()]
 
 
 # Curves with rational torsion.  At a prime p = n^2 + 1 with 4 | n (257,
@@ -311,8 +312,30 @@ def test_kernel_on_curves_with_small_torsion():
         E = EllipticCurve("t", a, 1)
         ps = np.array([p for p in primes_upto(3_000)
                        if p > 229 and E.discriminant % p], dtype=np.int64)
-        got = eigendata._ap_kernel(E, ps).tolist()
+        got = eigendata._ap_kernel([E], np.zeros(len(ps), dtype=np.int64), ps).tolist()
         assert got == [char_sum_ap(E, p) for p in ps.tolist()], a
+
+
+def test_one_pooled_kernel_pass_matches_char_sum_lane_by_lane():
+    # fixtures and small-order models share every chunk: the small-order
+    # lanes reach the baby step O and the giant stride O
+    curves = [*curve_fixtures().values()]
+    curves += [EllipticCurve("t", a, 1) for a in SMALL_ORDER_MODELS]
+    lanes = [(i, p) for p in primes_upto(3_000) if p > 229
+             for i, E in enumerate(curves) if E.has_good_reduction(p)]
+    c, ps = (np.array(col, dtype=np.int64) for col in zip(*lanes))
+    got = eigendata._ap_kernel(curves, c, ps).tolist()
+    assert got == [char_sum_ap(curves[i], p) for i, p in lanes]
+
+
+def test_kernel_refuses_primes_that_could_overflow_int64(monkeypatch):
+    # a product of three residues below 2^20 stays under 2^60
+    assert eigendata.POINT_COUNT_GUARD < 2 ** 20
+    monkeypatch.setattr(eigendata, "_pow", None)  # no arithmetic is reached
+    monkeypatch.setattr(eigendata, "_ec_add", None)
+    p = np.array([233, 2 ** 20 + 7], dtype=np.int64)  # the second is prime
+    with pytest.raises(OverflowError, match="p = 1048583"):
+        eigendata._shanks_mestre(np.array([1, 1]), np.array([1, 1]), p, np.array([30, 2048]))
 
 
 def _nonsingular(a):
@@ -344,12 +367,13 @@ def test_curve_dataset_to_200_000_at_sampled_primes():
 def test_kernel_raises_instead_of_guessing():
     # below Mestre's bound y^2 = x^3 - x over F_29 has no decisive point
     E = EllipticCurve("t", (0, 0, 0, -1, 0), 1)
+    p, (c4, c6) = np.array([29]), E.c_invariants
     with pytest.raises(ArithmeticError, match="no decisive point"):
-        eigendata._shanks_mestre(E, np.array([29]), np.array([10]))
+        eigendata._shanks_mestre(-27 * c4 % p, -54 * c6 % p, p, np.array([10]))
     # at a bad prime the nodal group and its twist contradict each other
     nodal = EllipticCurve("t", (0, 1, 0, 0, 373), 1)
     with pytest.raises(ArithmeticError, match="lost every candidate"):
-        eigendata._ap_kernel(nodal, np.array([373]))
+        eigendata._ap_kernel([nodal], np.array([0]), np.array([373]))
     with pytest.raises(ValueError, match="guard"):
         curve_dataset(E, 1_000_100)
 
