@@ -553,19 +553,12 @@ def analyze_group(G: MatGroup) -> AbelianReport:
 
 def radical(n: int) -> int:
     """Product of the distinct primes dividing n."""
-    out = 1
-    for p in factorize(n):
-        out *= p
-    return out
+    return math.prod(factorize(n))
 
 
 def part_supported(n: int, primes) -> int:
     """Largest divisor of n supported at the given primes."""
-    out = 1
-    for p, e in factorize(n).items():
-        if p in primes:
-            out *= p ** e
-    return out
+    return math.prod(p ** e for p, e in factorize(n).items() if p in primes)
 
 
 @dataclass(frozen=True)
@@ -573,24 +566,21 @@ class ModulusBound:
     """Bound on the modulus M of a governing congruence on p.
 
     bound is an integer every valid |M| divides.  two_sided records
-    whether the congruence is an equivalence (None when undetermined).  For
-    the quadratic cases, m_one_mod_four notes that M must be chosen = 1 mod
-    4 (a sign choice) because the level times the characteristic is odd.
+    whether the congruence is an equivalence.  For a dihedral image,
+    m_one_mod_four notes that M must be chosen = 1 mod 4 (a sign choice)
+    because the level times the characteristic is odd.
     """
 
     bound: int
-    two_sided: bool | None
+    two_sided: bool
     m_one_mod_four: bool
 
 
 def _semisimple_exponent(G: MatGroup) -> int:
     """Exponent of the diagonal-character image of a triangularisable G."""
     witness = classify_group(G).witness
-    if witness is None:
-        raise ValueError("group has no common eigenline over the quadratic "
-                         "extension; no semisimplified diagonal image")
     ext = witness.spec
-    emb = embedding_table(G.spec, ext)
+    emb = embedding_table(G.spec)
     conj = tuple(emb[x] for x in split_codes(G.spec, G.reps))
     m, s = ext.mul_a, ext.add_a
     a, _, c, d = mat_product(m, s, mat_product(m, s, witness.inv().e, conj), witness.e)
@@ -602,60 +592,40 @@ def _semisimple_exponent(G: MatGroup) -> int:
     return math.lcm(*orders, G.z_order)
 
 
-def modulus_bound(G: MatGroup | None, N: int, ell: int, case: str,
-                  exp_ss: int | None = None, n: int | None = None) -> ModulusBound:
-    """Bound the modulus of the congruence according to the image shape.
-
-    case "Borel" (totally abelian): a_p mod lambda is a function of
-    p mod M where M divides rad(N ell) times the part of twice the
-    exponent of the semisimplified image supported at primes of N ell.
-    Pass the group (triangularisable) or exp_ss directly.
-
-    case "DihedralWeak" (projective dihedral D_n, n > 1, char not
-    dividing n): there is an integer M with |M| dividing
-    rad(N ell) * gcd(2, N ell)^2 such that (M/p) = -1 forces a_p = 0;
-    the implication is an equivalence when ell is odd and n >= 3 is odd.
-
-    case "D2" (projective Klein four-group, odd characteristic): two
-    integers M1, M2 of the same bounded shape with gcd(2, N)^2, whose
-    symbols jointly decide a_p = 0.
-    """
+def _symbol_bound(N: int, ell: int) -> int:
+    """rad(N ell) gcd(2, N ell)^2: every |M| of a symbol (M/p) governing
+    a_p = 0 at level N and residue characteristic ell divides it."""
     if N < 1:
         raise ValueError("level must be a positive integer")
     if not is_prime(ell):
         raise ValueError("residue characteristic must be prime")
-    if case not in ("Borel", "DihedralWeak", "D2"):
-        raise ValueError(f"unknown case {case!r}")
-    if G is not None:
-        if ell != G.spec.p:
-            raise ValueError(f"ell = {ell} is not the characteristic {G.spec.p} of the group")
-        cls = classify_group(G)
-        if case == "Borel":
-            if cls.label != "BorelConjugable":
-                raise ValueError(f"case Borel does not match {cls.describe()}")
-        else:
-            if cls.label != "Dihedral" or cls.n < 2:
-                raise ValueError(f"case {case} does not match {cls.describe()}")
-            if case == "D2" and cls.n != 2:
-                raise ValueError(f"case D2 does not match {cls.describe()}")
-            n = cls.n
-    s_primes = set(factorize(N * ell))
-    if case == "Borel":
-        if exp_ss is None:
-            if G is None:
-                raise ValueError("case Borel needs the group or exp_ss")
-            exp_ss = _semisimple_exponent(G)
-        bound = radical(N * ell) * part_supported(2 * exp_ss, s_primes)
-        two_sided: bool | None = True
-        sign = False
-    elif case == "DihedralWeak":
-        bound = radical(N * ell) * math.gcd(2, N * ell) ** 2
-        two_sided = None if n is None else (ell != 2 and n % 2 == 1 and n >= 3)
-        sign = (N * ell) % 2 == 1
-    else:
-        if ell == 2:
-            raise ValueError("case D2 needs odd characteristic")
-        bound = radical(N * ell) * math.gcd(2, N) ** 2
-        two_sided = True
-        sign = (N * ell) % 2 == 1
-    return ModulusBound(bound, two_sided, sign)
+    return radical(N * ell) * math.gcd(2, N * ell) ** 2
+
+
+def modulus_bound(G: MatGroup, N: int) -> ModulusBound:
+    """Bound the modulus of the congruence on p that governs a_p for a
+    mod-ell image G at level N, everything read off G: ell is its
+    characteristic and the case its Dickson class.
+
+    Borel conjugable (totally abelian): a_p mod lambda is a function of
+    p mod M where M divides rad(N ell) times the part of twice the
+    exponent of the semisimplified image supported at primes of N ell.
+
+    Dihedral D_n (ell does not divide n): there is an integer M with |M|
+    dividing rad(N ell) gcd(2, N ell)^2 such that (M/p) = -1 forces
+    a_p = 0; the implication is an equivalence exactly when the traceless
+    slice of G is a union of commutator cosets (ell odd and n = 2 or n
+    odd).
+
+    Any other image raises ValueError.
+    """
+    if N < 1:
+        raise ValueError("level must be a positive integer")
+    ell, cls = G.spec.p, classify_group(G)
+    if cls.label == "Dihedral":
+        return ModulusBound(_symbol_bound(N, ell), is_abelian_class(G, 0)[0],
+                            (N * ell) % 2 == 1)
+    if cls.label != "BorelConjugable":
+        raise ValueError(f"no modulus bound for an image of class {cls.describe()}")
+    two_exp = part_supported(2 * _semisimple_exponent(G), set(factorize(N * ell)))
+    return ModulusBound(radical(N * ell) * two_exp, True, False)

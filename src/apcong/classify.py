@@ -136,7 +136,7 @@ def is_borel_conjugable(G: MatGroup):
     route_a = H.z_order == 1 and bool((disc[~_identity_class(H)] == 0).all())
 
     ext = quadratic_extension(spec)
-    emb = embedding_table(spec, ext)
+    emb = embedding_table(spec)
     gens_e = tuple(emb[x] for x in split_codes(spec, G.gens))
     if G.proj_order == 1:
         # every element scalar: already upper triangular

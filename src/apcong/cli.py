@@ -36,7 +36,7 @@ from .constructions import gl2
 from .discover import (
     InsufficientDataError,
     best_modulus,
-    check_allowed,
+    check_statement,
     delta_partition_check,
     discover_report,
     legendre_candidates,
@@ -198,10 +198,9 @@ def _run_verify(args, out) -> int:
         res = delta_partition_check(args.pmax)
         out.write(f"tau partition: {res.checked} primes checked, "
                   f"{len(res.violations)} exceptions\n")
-        st = vanishing_statement("delta", 23)
-        violations, seen = check_allowed(res.dataset, st.allowed)
-        verdict = ("unverified (no nonsquare prime checked)" if not st.holds(seen, st.allowed)
-                   else "fails" if violations else "holds")
+        c = check_statement(vanishing_statement("delta", 23), res.dataset)
+        verdict = ("holds" if c.ok else "fails" if c.violations
+                   else "unverified (no nonsquare prime checked)")
         out.write(f"vanishing rule: a_p = 0 iff p nonsquare mod 23: {verdict}\n")
         failures += len(res.violations) + (verdict != "holds")
     if args.tables:

@@ -109,7 +109,7 @@ def nonsplit_cartan(spec: FieldSpec) -> MatGroup:
         raise ValueError("nonsplit torus in characteristic 2 is not supported")
     q, D = spec.q, _nonsquare_int(spec)
     ext = quadratic_extension(spec)
-    emb, xs = embedding_table(spec, ext), np.arange(ext.q, dtype=np.int64)
+    emb, xs = embedding_table(spec), np.arange(ext.q, dtype=np.int64)
     root = int(np.flatnonzero(ext.mul_a(xs, xs) == emb[D])[0])
     a, b = np.divmod(np.arange(1, q * q, dtype=np.int64), q)
     full = mult_order(ext, ext.add_a(emb[a], ext.mul_a(emb[b], root))) == q * q - 1

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .abelian import CosetTraces, coset_traces, density_c, modulus_bound
+from .abelian import CosetTraces, _symbol_bound, coset_traces, density_c
 from .eigendata import (
     ApDataset,
     EllipticCurve,
@@ -64,7 +64,6 @@ class ClassCongruence:
     sup: frozenset[int]
     nec: frozenset[int]
     direction: str  # "iff" | "implied_by" | "implies"
-    n_samples: int
     min_class_count: int
 
     @property
@@ -107,7 +106,7 @@ def discover_class(ds: ApDataset, x: int, M: int) -> ClassCongruence:
         direction = "implied_by"
     else:
         direction = "implies"
-    return ClassCongruence(M, sup, nec, direction, len(ds), mn)
+    return ClassCongruence(M, sup, nec, direction, mn)
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,11 @@ def best_modulus(ds: ApDataset, x: int, bound: int) -> ClassCongruence | None:
 
 def legendre_candidates(N: int, ell: int) -> list[int]:
     """Signed divisors of rad(N ell) gcd(2, N ell)^2, the symbol moduli a
-    congruence of level N and characteristic ell can see."""
+    congruence of level N and characteristic ell can see: the bound that
+    modulus_bound gives a dihedral image, read off N and ell alone, since
+    the image of a dataset is not known."""
     out = []
-    for d in divisors(modulus_bound(None, N, ell, "DihedralWeak").bound):
+    for d in divisors(_symbol_bound(N, ell)):
         out += [d, -d]
     out.remove(1)
     return sorted(out, key=lambda m: (abs(m), m < 0))
@@ -368,27 +369,27 @@ def _statements() -> tuple[Statement, ...]:
     )
 
 
+def check_statement(st: Statement, ds: ApDataset) -> TableCheck:
+    """Check a statement on a dataset reduced mod its ell: it holds when no
+    sample lies outside its table and its seen-condition is met."""
+    # a statement checked on no prime is not verified
+    if not len(ds):
+        return TableCheck(st.label, st.name, False, (), "no samples")
+    violations, seen = check_allowed(ds, st.allowed)
+    ok = not violations and bool(st.holds(seen, st.allowed))
+    return TableCheck(st.label, st.name, ok, violations, st.detail if ok else "")
+
+
 def verify_fixture_tables(
     curves: dict[str, EllipticCurve], p_max: int = 10_000
 ) -> list[TableCheck]:
     """Re-derive every printed congruence table from point counts."""
-    out = []
     labels = [lab for lab in dict.fromkeys(st.label for st in _statements()) if lab in curves]
     # each curve is point counted once, all in one kernel pass, and every
     # ell reduces the same a_p
     exact = dict(zip(labels, curve_datasets([curves[lab] for lab in labels], p_max)))
-    for st in _statements():
-        if st.label not in exact:
-            continue
-        ds = exact[st.label].reduce(st.allowed.shape[1])
-        # a statement checked on no prime is not verified
-        if not len(ds):
-            out.append(TableCheck(st.label, st.name, False, (), "no samples"))
-            continue
-        violations, seen = check_allowed(ds, st.allowed)
-        ok = not violations and bool(st.holds(seen, st.allowed))
-        out.append(TableCheck(st.label, st.name, ok, violations, st.detail if ok else ""))
-    return out
+    return [check_statement(st, exact[st.label].reduce(st.allowed.shape[1]))
+            for st in _statements() if st.label in exact]
 
 
 # ---------------------------------------------------------------------------

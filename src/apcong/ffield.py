@@ -402,19 +402,19 @@ def quadratic_extension(spec: FieldSpec) -> FieldSpec:
 
 
 @cache
-def embedding_table(base: FieldSpec, ext: FieldSpec) -> np.ndarray:
-    """The embedding of base into ext on encodings: table[x] is the image of x.
+def embedding_table(base: FieldSpec) -> np.ndarray:
+    """The embedding of base into its quadratic extension on encodings:
+    table[x] is the image of x.
 
     The embedding sends the generator of the base field to the least root of
-    the base modulus inside ext, so it is deterministic and consistent across
-    calls.  The degree of base must divide the degree of ext.
+    the base modulus inside the extension, so it is deterministic and
+    consistent across calls.
     """
-    if base.p != ext.p or ext.r % base.r != 0:
-        raise ValueError("no embedding: incompatible fields")
-    if base == ext or base.r == 1:
+    if base.r == 1:
         # a constant polynomial has the same encoding in every degree
         table = np.arange(base.q, dtype=np.int64)
     else:
+        ext = quadratic_extension(base)
         xs = np.arange(ext.q, dtype=np.int64)
         acc = np.zeros(ext.q, dtype=np.int64)
         for c in reversed(base.modulus):
@@ -441,7 +441,7 @@ def ratio_orders(spec: FieldSpec) -> np.ndarray:
     exp = ext._tables[0]
     e = np.concatenate(((q + 1) * np.arange(q - 1), (q - 1) * np.arange(q + 1)))
     s = ext.add_a(exp[e], exp[(n - e) % n])
-    emb = embedding_table(spec, ext)
+    emb = embedding_table(spec)
     by_image = np.argsort(emb)
     s = by_image[np.searchsorted(emb, s, sorter=by_image)]
     table = np.zeros(q, dtype=np.int64)

@@ -2,7 +2,7 @@
 that cross-check `enumerate_subgroups` (closures of a subgroup with one
 more element, and the 2-generated subgroup sweep), every constructions
 family over a field, the elements of a group as matrices and the trace
-of one, the group exponent and trace frequencies, unclosed
+of one, the group and eigenvalue exponents, trace frequencies, unclosed
 wrapping of element sets, projective classes, projective orders by powers,
 traceless and commutator-trace counts, the classes and the SL_2 cosets
 of an SL_2 overgroup read off the determinants with no products, the
@@ -137,6 +137,29 @@ def group_exponent(G: MatGroup) -> int:
         o = element_order(m)
         exp = exp * o // gcd(exp, o)
     assert G.order % exp == 0
+    return exp
+
+
+def eigenvalue_exponent(G: MatGroup) -> int:
+    """The lcm of the multiplicative orders of the eigenvalues of every
+    element of G: each eigenvalue is a root of X^2 - t X + d found by trying
+    every element of F_{q^2}, and its order by repeated multiplication.
+    For a triangularisable G this is the exponent of its diagonal
+    characters."""
+    spec = G.spec
+    ext, emb = quadratic_extension(spec), embedding_table(spec)
+    xs = np.arange(ext.q, dtype=np.int64)
+    roots = set()
+    for a, b, c, d in {m.e for m in elements(G)}:
+        t, det = spec.add_i(a, d), spec.sub_i(spec.mul_i(a, d), spec.mul_i(b, c))
+        value = ext.add_a(ext.sub_a(ext.mul_a(xs, xs), ext.mul_a(emb[t], xs)), emb[det])
+        roots.update(xs[value == 0].tolist())
+    exp = 1
+    for x in roots:
+        y, order = x, 1
+        while y != 1:
+            y, order = ext.mul_i(y, x), order + 1
+        exp = math.lcm(exp, order)
     return exp
 
 
@@ -305,7 +328,7 @@ def borel_witness_by_eigenlines(G: MatGroup):
     increasing order of eigenvalue, each tested against every element of G
     with scalar arithmetic over the quadratic extension."""
     ext = quadratic_extension(G.spec)
-    emb = embedding_table(G.spec, ext)
+    emb = embedding_table(G.spec)
     mats = elements(G)
     nonscalar = [m for m in mats if is_scalar(m) is None]
     if not nonscalar:

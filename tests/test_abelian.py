@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import json
+import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 
 from apcong.abelian import (
     ClassVerdict,
+    ModulusBound,
     TheoremConsistencyError,
     analyze_group,
     coset_traces,
@@ -22,7 +25,7 @@ from apcong.abelian import (
     radical,
     theorem_crosscheck,
 )
-from apcong.classify import is_borel_conjugable
+from apcong.classify import classify_group, is_borel_conjugable
 from apcong.constructions import (
     a4_lift,
     a5_lift_f11,
@@ -38,9 +41,9 @@ from apcong.constructions import (
     split_cartan_normalizer,
     unipotent,
 )
-from apcong.ffield import make_field
+from apcong.ffield import factorize, make_field
 from apcong.matgrp import Mat2, close_group, coset_of, enumerate_subgroups
-from helpers import elements, trace_of
+from helpers import eigenvalue_exponent, elements, family_groups, trace_of
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -341,41 +344,60 @@ def test_radical_and_part_supported():
 
 
 def test_modulus_bound_borel():
-    mb = modulus_bound(None, 338, 5, "Borel", exp_ss=4)
+    mb = modulus_bound(borel(F5), 338)
+    # diagonal characters of the full Borel have order 4
     assert mb.bound == 1040 == 2 ** 4 * 5 * 13
-    assert mb.two_sided is True
-    mb = modulus_bound(borel(F5), 338, 5, "Borel")
-    assert mb.bound == 1040  # diagonal characters of the full Borel have order 4
-    mb = modulus_bound(unipotent(F7), 10, 7, "Borel")
-    assert mb.bound == radical(70) * part_supported(2, {2, 5, 7})
+    assert mb.two_sided is True and mb.m_one_mod_four is False
+    mb = modulus_bound(unipotent(F7), 10)
+    assert mb.bound == 140 == radical(70) * part_supported(2, {2, 5, 7})
 
 
 def test_modulus_bound_dihedral():
-    mb = modulus_bound(None, 338, 3, "DihedralWeak", n=2)
+    mb = modulus_bound(dihedral_lift(F3, 2), 338)
     assert mb.bound == 312 == 2 ** 3 * 3 * 13
-    assert mb.m_one_mod_four is False
-    mb = modulus_bound(None, 1, 23, "DihedralWeak", n=11)
+    assert mb.two_sided is True and mb.m_one_mod_four is False
+    mb = modulus_bound(dihedral_lift(make_field(23), 11), 1)
     assert mb.bound == 23
     assert mb.two_sided is True and mb.m_one_mod_four is True
-    mb = modulus_bound(None, 608, 5, "D2")
+    mb = modulus_bound(dihedral_lift(F5, 2), 608)
     assert mb.bound == 760 == 2 ** 3 * 5 * 19
 
 
 def test_modulus_bound_validates_case_against_group():
-    with pytest.raises(ValueError):
-        modulus_bound(split_cartan_normalizer(F5), 10, 5, "Borel")
-    with pytest.raises(ValueError):
-        modulus_bound(borel(F5), 10, 5, "DihedralWeak")
-    with pytest.raises(ValueError, match="case D2 does not match"):
-        modulus_bound(nonsplit_cartan_normalizer(F7), 10, 7, "D2")  # n = 8
-    with pytest.raises(ValueError, match="not the characteristic 5"):
-        modulus_bound(borel(F5), 338, 7, "Borel")
-    with pytest.raises(ValueError):
-        modulus_bound(None, 10, 2, "D2")
-    with pytest.raises(ValueError):
-        modulus_bound(None, 10, 6, "Borel", exp_ss=2)
-    with pytest.raises(ValueError):
-        modulus_bound(None, 0, 5, "Borel", exp_ss=2)
+    # the case is read off the image: other classes and levels below 1 raise
+    with pytest.raises(ValueError, match=re.escape("PGL2(5)")):
+        modulus_bound(gl2(F5), 10)
+    with pytest.raises(ValueError, match="level"):
+        modulus_bound(borel(F5), 0)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, "GL2(F3) subgroups"])
+def test_modulus_bound_matches_eigenvalue_oracle(q):
+    # every constructions family over F_q, or every subgroup of GL2(F3)
+    if q == "GL2(F3) subgroups":
+        groups = enumerate_subgroups(gl2(F3))
+    else:
+        (p, r), = factorize(q).items()
+        groups = [G for _, G in family_groups(make_field(p, r))]
+    for G in groups:
+        _check_modulus_bound(G)
+
+
+def _check_modulus_bound(G):
+    ell, cls = G.spec.p, classify_group(G)
+    for N in (1, 35, 338, 30030):
+        primes = factorize(N * ell)
+        if cls.label == "BorelConjugable":
+            two_exp = factorize(2 * eigenvalue_exponent(G))
+            want = math.prod(p ** (1 + two_exp.get(p, 0)) for p in primes)
+            assert modulus_bound(G, N) == ModulusBound(want, True, False)
+        elif cls.label == "Dihedral":
+            want = math.prod(primes) * math.gcd(2, N * ell) ** 2
+            two_sided = ell != 2 and (cls.n == 2 or cls.n % 2 == 1)
+            assert modulus_bound(G, N) == ModulusBound(want, two_sided, (N * ell) % 2 == 1)
+        else:
+            with pytest.raises(ValueError, match=re.escape(cls.describe())):
+                modulus_bound(G, N)
 
 
 def test_consistency_error_is_loud():
@@ -385,5 +407,4 @@ def test_consistency_error_is_loud():
     assert c == Fraction(3, 8)
     with pytest.raises(TheoremConsistencyError):
         from apcong.abelian import _check_density
-        from apcong.classify import classify_group
         _check_density(G, classify_group(G), Fraction(1, 2))

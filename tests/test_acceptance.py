@@ -9,6 +9,8 @@ from apcong.abelian import analyze_group, crosscheck_all_subgroups, density_c, m
 from apcong.constructions import (
     a4_lift,
     a5_lift_f11,
+    borel,
+    dihedral_lift,
     gl2,
     nonsplit_cartan_normalizer,
     s4_lift_f13,
@@ -103,10 +105,11 @@ def test_criterion_6_commutator_trace_sets():
 
 
 def test_criterion_7_modulus_bounds():
-    weak = modulus_bound(None, 338, 3, "DihedralWeak")
+    # level 338: a Klein-four image mod 3 and the full Borel group mod 5
+    weak = modulus_bound(dihedral_lift(make_field(3), 2), 338)
     assert weak.bound == 312 and factorize(weak.bound) == {2: 3, 3: 1, 13: 1}
-    borel = modulus_bound(None, 338, 5, "Borel", exp_ss=4)
-    assert borel.bound == 1040 and factorize(borel.bound) == {2: 4, 5: 1, 13: 1}
+    borel_bound = modulus_bound(borel(make_field(5)), 338)
+    assert borel_bound.bound == 1040 and factorize(borel_bound.bound) == {2: 4, 5: 1, 13: 1}
 
 
 def test_criterion_8_printed_tables_from_point_counts():

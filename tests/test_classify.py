@@ -99,7 +99,7 @@ def test_borel_witness_conjugates_into_triangular():
         ext = witness.spec
         assert ext.r == 2 * G.spec.r
         from apcong.ffield import embedding_table
-        emb = embedding_table(G.spec, ext)
+        emb = embedding_table(G.spec)
         pi = witness.inv()
         for g in elements(G):
             m = pi * Mat2(ext, tuple(emb[x] for x in g.e)) * witness

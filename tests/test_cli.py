@@ -425,9 +425,9 @@ def test_verify_delta_without_a_nonsquare_prime_is_unverified(capsys):
     assert err == "consistency failure: 1 verification failures\n"
 
 
-def test_verify_delta_reports_a_failing_vanishing_rule(capsys, monkeypatch):
-    # a_p + 1 vanishes at no nonsquare prime, while the partition checked
-    # on the true data still passes
+def shift_delta(monkeypatch):
+    """Make verify --delta check a_p + 1 for a_p, while the partition is
+    still checked on the true data."""
     real = cli.delta_partition_check
 
     def shifted(p_max):
@@ -437,9 +437,25 @@ def test_verify_delta_reports_a_failing_vanishing_rule(capsys, monkeypatch):
         return dataclasses.replace(res, dataset=moved)
 
     monkeypatch.setattr(cli, "delta_partition_check", shifted)
+
+
+def test_verify_delta_reports_a_failing_vanishing_rule(capsys, monkeypatch):
+    # a_p + 1 vanishes at no nonsquare prime
+    shift_delta(monkeypatch)
     code, out, err = run(capsys, "verify", "--delta", "--pmax", "500")
     assert code == 2
     assert out == ("tau partition: 94 primes checked, 0 exceptions\n"
+                   "vanishing rule: a_p = 0 iff p nonsquare mod 23: fails\n")
+    assert err == "consistency failure: 1 verification failures\n"
+
+
+def test_verify_delta_fails_a_broken_rule_before_any_nonsquare_prime(capsys, monkeypatch):
+    # p = 2 and 3 are squares mod 23 and a_2 + 1 = -23 vanishes: the rule
+    # is broken, not merely unverified
+    shift_delta(monkeypatch)
+    code, out, err = run(capsys, "verify", "--delta", "--pmax", "4")
+    assert code == 2
+    assert out == ("tau partition: 2 primes checked, 0 exceptions\n"
                    "vanishing rule: a_p = 0 iff p nonsquare mod 23: fails\n")
     assert err == "consistency failure: 1 verification failures\n"
 

@@ -15,8 +15,8 @@ tests read belongs in tests/helpers.py.  A field of a package dataclass or
 NamedTuple counts as read when the package, its benchmark or its tests read
 it as an attribute or by getattr with its name.  The package holds no assert
 statement, since `python -O` would skip its check.  A defaulted parameter
-of a private function or method (_name) is passed, by keyword or by
-position, by some call in the package or its benchmark: an option that
+of a package function or method, dunders aside, is passed, by keyword or
+by position, by some call in the package or its benchmark: an option that
 only tests set is a module constant they monkeypatch.  `Mat2` matrices
 are built and multiplied only at the edges (`MAT2_EDGES`): computations
 in between hold matrices as int64 codes.
@@ -246,7 +246,7 @@ def untaken_defaults(sources: dict[str, str], readers: list[str]) -> list[str]:
                    for node in cls.body}
         for node in ast.walk(tree):
             if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    or not node.name.startswith("_") or node.name.startswith("__")):
+                    or node.name.startswith("__")):
                 continue
             a = node.args
             pos = a.posonlyargs + a.args
@@ -299,7 +299,8 @@ def test_scan_finds_a_default_no_call_passes():
                "a.A()._m(8)\n"
                "a.A._s(10)\n"
                "_f(kw_only=4)\n"]
-    assert untaken_defaults(sources, readers) == ["a:14: _m(unset)", "a:1: _f(only_tests)"]
+    assert untaken_defaults(sources, readers) == [
+        "a:14: _m(unset)", "a:1: _f(only_tests)", "a:9: public(option)"]
 
 
 def test_no_defaults_that_only_tests_pass():
