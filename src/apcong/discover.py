@@ -89,7 +89,10 @@ def discover_class(ds: ApDataset, x: int, M: int) -> ClassCongruence:
     x %= ds.ell
     units = np.array(_units(M))
     # one pass: bin 2 (p mod M) + [a_p = x] gives misses and hits per residue
-    table = np.bincount(2 * (ds.p % M) + (ds.a == x), minlength=2 * M)
+    key = ds.p % M
+    key *= 2
+    key += ds.a == x
+    table = np.bincount(key, minlength=2 * M)
     hits = table[2 * units + 1]
     total = table[2 * units] + hits
     missing = int(np.count_nonzero(total == 0))
@@ -510,15 +513,18 @@ def synthetic_model(G: MatGroup) -> SyntheticModel:
     return SyntheticModel(G, spec.p, M, assignment, data)
 
 
-def _bounded(seed: int, n: int, *bounds: int) -> list[np.ndarray]:
-    """For each bound k < 2^32, n integers in [0, k): 32-bit words of one
-    stdlib random.Random(seed) byte stream, each taken to floor(word k / 2^32),
-    which is uniform up to a relative bias of k / 2^32."""
+def _bounded(seed: int, n: int, *bounds: int) -> np.ndarray:
+    """For each bound k < 2^32, a row of n integers in [0, k): 32-bit words
+    of one stdlib random.Random(seed) byte stream, each taken to
+    floor(word k / 2^32), which is uniform up to a relative bias of k / 2^32.
+    The rows form one (len(bounds), n) int64 block, mapped in place."""
     if max(bounds) >= 2 ** 32:
         raise ValueError("sampling bound past 2^32")
     words = np.frombuffer(random.Random(seed).randbytes(4 * n * len(bounds)), dtype="<u4")
-    return [(row.astype(np.uint64) * k >> 32).astype(np.int64)
-            for row, k in zip(words.reshape(len(bounds), n), bounds)]
+    out = words.reshape(len(bounds), n).astype(np.uint64)
+    out *= np.array(bounds, dtype=np.uint64)[:, None]
+    out >>= 32
+    return out.view(np.int64)  # every value is below 2^32
 
 
 def sample_dataset(model: SyntheticModel, n: int, seed: int) -> ApDataset:
@@ -528,15 +534,12 @@ def sample_dataset(model: SyntheticModel, n: int, seed: int) -> ApDataset:
     random.Random(seed), which numpy imports anyway."""
     units = sorted(model.assignment)
     M, ell = model.modulus, model.ell
-    coset_idx = np.array([model.assignment[r] for r in units])
     hsize = model.data.commutator.order
-    # row i: traces of coset i's members in increasing code order
+    # flat row i * hsize + j of the table: trace mod ell of coset i's member
+    # j, in increasing code order
     G = model.group
     by_coset = np.argsort(coset_of(G, model.data.commutator, G.codes), kind="stable")
-    trace_table = G.traces[by_coset].reshape(-1, hsize)
-    draws, members = _bounded(seed, n, len(units), hsize)
-    values = trace_table[coset_idx[draws], members] % ell
-
+    trace_table = G.traces[by_coset] % ell
     # least representative of each residue class coprime to ell as well
     reps = []
     for r in units:
@@ -547,9 +550,14 @@ def sample_dataset(model: SyntheticModel, n: int, seed: int) -> ApDataset:
     step = M * ell
     while step <= max(reps):  # keep the p sequence strictly increasing
         step += M * ell
-    ps = np.arange(1, n + 1, dtype=np.int64) * step + np.array(reps)[draws]
-    return ApDataset(f"synthetic-{model.group.order}", M, ell,
-                     np.column_stack((ps, values)))
+    # the rows (unit index, member index) of the draws become (p, a) in place
+    cols = _bounded(seed, n, len(units), hsize)
+    p, a = cols
+    a += (np.array([model.assignment[r] for r in units]) * hsize)[p]
+    a[:] = trace_table[a]
+    p[:] = np.array(reps)[p]
+    p += np.arange(step, (n + 1) * step, step)
+    return ApDataset(f"synthetic-{model.group.order}", M, ell, cols.T)
 
 
 @dataclass(frozen=True)

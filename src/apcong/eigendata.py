@@ -14,12 +14,16 @@ O(T^1.5) instead of the O(T^2) of dense convolution.  Every product is
 reduced mod m, in int64 while the bound allows it and in Python integers
 otherwise (and for m = 0).
 
-The a_p of one or several curves come from one kernel pass over all their
+The a_p of one or several curves come from one kernel call over all their
 good primes: a character sum for p <= 229, and above that a baby-step
 giant-step search (Shanks-Mestre) with one numpy lane per curve and prime,
 O(p^(1/4)) point operations each, exact by Mestre's theorem.  Steps match in
 affine coordinates after one batched inversion per lane, and p < 2^20 keeps
-every product of three residues inside int64.
+every product of three residues inside int64.  A pass runs its lanes in
+chunks whose baby rows, giant rows, inversion prefix and match cube stay
+within _CHUNK_BYTES (2 MiB); a lane's surviving candidates are a few sorted
+codes, never a row of the Hasse interval, and the lanes that their first
+point leaves undecided retry together, so a later pass serves every chunk.
 
 An ApDataset keeps its samples as two read-only int64 columns, p and a, so
 discovery and verification work on whole arrays.  A curve is point counted
@@ -170,8 +174,8 @@ class EllipticCurve:
 # Mestre: for p > 229 a point of E or of its quadratic twist has an order
 # with a single multiple in the Hasse interval (Schoof 1995, section 3)
 _MESTRE_MIN_P = 229
-# lanes x Hasse-interval cells per chunk, which bounds the kernel's arrays
-_CHUNK_CELLS = 1 << 20
+# bytes of per-lane arrays that one kernel pass may hold (see _lane_bytes)
+_CHUNK_BYTES = 2 << 20
 # below this a product of three residues stays under 2^60, inside int64
 _KERNEL_P_LIMIT = 1 << 20
 
@@ -182,27 +186,22 @@ def _ap_kernel(curves: list[EllipticCurve], c: np.ndarray, ps: np.ndarray) -> np
 
     Primes up to 229 take a character sum each.  Above it the lanes of every
     curve, each with its own model, join one baby-step giant-step search
-    (Shanks-Mestre) in ascending p, in chunks of at most _CHUNK_CELLS lanes x
-    interval cells.
+    (Shanks-Mestre) in ascending p.
     """
     order = np.argsort(ps, kind="stable")
     p, c = np.asarray(ps, dtype=np.int64)[order], np.asarray(c)[order]
     ap = np.empty(len(p), dtype=np.int64)
     lo = int(np.searchsorted(p, _MESTRE_MIN_P, side="right"))
     ap[:lo] = [_ap_char_sum(curves[i], q) for i, q in zip(c[:lo].tolist(), p[:lo].tolist())]
-    # each curve's short model y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6
-    AB = [(-27 * c4, -54 * c6) for c4, c6 in (E.c_invariants for E in curves)]
-    # Hasse: |a_p| <= w = floor(2 sqrt(p))
-    w = np.fromiter((math.isqrt(4 * q) for q in p.tolist()), np.int64, len(p))
-    while lo < len(p):
-        # widths grow with p, so the last lane of a chunk is its widest
-        n = np.arange(1, min(len(p) - lo, _CHUNK_CELLS // (2 * int(w[lo]) + 1)) + 1)
-        cells = n * (2 * w[lo : lo + len(n)] + 1)
-        hi = lo + max(1, int(np.searchsorted(cells, _CHUNK_CELLS, side="right")))
-        A, B = np.array([[k % q for k in AB[i]] for i, q in
-                         zip(c[lo:hi].tolist(), p[lo:hi].tolist())], dtype=np.int64).T
-        ap[lo:hi] = _shanks_mestre(A, B, p[lo:hi], w[lo:hi])
-        lo = hi
+    if lo < len(p):
+        # each curve's short model y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6
+        AB = [(-27 * c4, -54 * c6) for c4, c6 in (E.c_invariants for E in curves)]
+        n = len(p) - lo
+        A, B = (np.fromiter((AB[i][k] % q for i, q in zip(c[lo:].tolist(), p[lo:].tolist())),
+                            np.int64, n) for k in (0, 1))
+        # Hasse: |a_p| <= w = floor(2 sqrt(p))
+        w = np.fromiter((math.isqrt(4 * q) for q in p[lo:].tolist()), np.int64, n)
+        ap[lo:] = _shanks_mestre(A, B, p[lo:], w)
     return ap[np.argsort(order)]
 
 
@@ -226,10 +225,86 @@ def _ap_char_sum(E: EllipticCurve, p: int) -> int:
     return -int(chi[g].sum(dtype=np.int64))
 
 
+def _pass_shape(w: int) -> tuple[int, int, int]:
+    """(m, span, giants) of a pass whose widest lane has Hasse width w: baby
+    steps 0..m, giant stride span = 2m + 1 and enough giants to cover the
+    2w + 1 interval cells."""
+    m = math.isqrt(w) + 1
+    span = 2 * m + 1
+    return m, span, -(-(2 * w + 1) // span)
+
+
+def _lane_bytes(w: int) -> int:
+    """Bytes a lane costs in a pass whose widest lane has width w: a byte per
+    cell of its giants x babies match cube, and eight per entry of its
+    (3, m + 2) baby rows, its (3, giants) giant rows and the inversion prefix
+    of the longer of the two."""
+    m, _, giants = _pass_shape(w)
+    return giants * (m + 1) + 8 * (3 * (m + 2) + 3 * giants + max(m + 2, giants))
+
+
+def _chunks(cost: np.ndarray):
+    """(lo, hi) slices of lanes in ascending width, cost[i] the bytes per
+    lane of a pass whose widest lane is lane i: each slice is as long as
+    _CHUNK_BYTES allows at its last lane, one lane at least."""
+    lo = 0
+    while lo < len(cost):
+        # cost grows with width, so no more than this many lanes fit
+        top = min(len(cost), lo + _CHUNK_BYTES // int(cost[lo]) + 1)
+        held = np.arange(1, top - lo + 1) * cost[lo:top]
+        hi = lo + max(1, int(np.searchsorted(held, _CHUNK_BYTES, side="right")))
+        yield lo, hi
+        lo = hi
+
+
 def _shanks_mestre(A: np.ndarray, B: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a_p for primes 229 < p < 2^20 (one lane each) on the models
+    """a_p for ascending primes 229 < p < 2^20 (one lane each) on the models
     y^2 = x^3 + A x + B of the residue columns A and B, given
     w = floor(2 sqrt(p)).
+
+    A lane keeps the candidates t in [-w, w] that every point _mestre_pass
+    has tried on it allows, as the sorted codes lane * K + t + w with
+    K = 2 max(w) + 1, and retires with one left.  The first pass runs on
+    every lane, in chunks of at most _CHUNK_BYTES of per-lane arrays; the
+    lanes that every chunk leaves undecided then retry together on their
+    next x0, until none is left.
+    """
+    if (big := p >= _KERNEL_P_LIMIT).any():
+        raise OverflowError(f"point count at p = {p[big][0]} would overflow int64 (p < 2^20)")
+    K = 2 * int(w.max()) + 1
+    widths = unique_codes(w)
+    cost = np.array([_lane_bytes(v) for v in widths.tolist()], dtype=np.int64)
+    cost = cost[np.searchsorted(widths, w)]
+    ap = np.empty(len(p), dtype=np.int64)
+    x0 = np.zeros(len(p), dtype=np.int64)
+    live, kept = np.arange(len(p)), None  # before the first pass all of [-w, w]
+    while live.size:
+        undecided, survivors = [], []
+        for lo, hi in _chunks(cost[live]):
+            L = live[lo:hi]
+            x0[L], row, off = _mestre_pass(A[L], B[L], p[L], w[L], x0[L])
+            held = off <= 2 * w[L[row]]
+            if kept is not None:  # and among the lane's candidates so far
+                code = L[row] * K + off
+                held &= kept[np.searchsorted(kept, code).clip(max=len(kept) - 1)] == code
+            row, off = np.divmod(unique_codes((row * K + off)[held]), K)
+            count = np.bincount(row, minlength=len(L))
+            if not count.all():
+                raise ArithmeticError(
+                    f"point count lost every candidate at p = {p[L][count == 0][0]}")
+            done = (count == 1)[row]
+            ap[L[row[done]]] = off[done] - w[L[row[done]]]
+            undecided.append(L[count > 1])
+            survivors.append(L[row[~done]] * K + off[~done])
+        live, kept = np.concatenate(undecided), np.concatenate(survivors)
+        x0[live] += 1
+    return ap
+
+
+def _mestre_pass(A, B, p, w, x0):
+    """One search per lane, on the first x >= x0 that is not a root of f:
+    returns those x and the hits (row, t + w) of the candidates t that the
+    lane's point allows, with repeats.
 
     For x0 with d = f(x0) != 0 the point (x0 d, d^2) lies on
     y^2 = x^3 + A d^2 x + B d^3, which is E when d is a square mod p and
@@ -238,74 +313,49 @@ def _shanks_mestre(A: np.ndarray, B: np.ndarray, p: np.ndarray, w: np.ndarray) -
     (2m + 1) P with Z = 1 where it can, and p < 2^20 keeps every product of
     three residues below 2^60.  The baby steps j P, j <= m, and the giant
     steps are then made affine by one batched inversion per lane, O written
-    x = p, y = 0, so a giant matches a baby by one comparison.  Each lane
-    keeps the candidates t in [-w, w] at index t + w; a point on E keeps
-    those with (p + 1 - t) P = O, a twist point those with
-    (p + 1 + t) P = O.  A lane retires with one candidate left and
-    otherwise tries the next x0.
+    x = p, y = 0, so a giant matches a baby by one comparison.  A point on
+    E allows the t with (p + 1 - t) P = O, a twist point those with
+    (p + 1 + t) P = O.
     """
-    if (big := p >= _KERNEL_P_LIMIT).any():
-        raise OverflowError(f"point count at p = {p[big][0]} would overflow int64 (p < 2^20)")
-    m = math.isqrt(int(w.max())) + 1  # baby steps 0..m, giant stride 2m + 1
-    span = 2 * m + 1
-    giants = -(-(2 * int(w.max()) + 1) // span)
-    cand = np.arange(giants * span) <= 2 * w[:, None]
-    ap = np.empty(len(p), dtype=np.int64)
-    x0 = np.zeros(len(p), dtype=np.int64)
-    live = np.arange(len(p))
-    while live.size:
-        pl, x = p[live], x0[live]
-        d = ((x * x + A[live]) % pl * x + B[live]) % pl
-        while (root := d == 0).any():  # f has at most three roots
-            x[root] += 1
-            d[root] = ((x[root] * x[root] + A[live[root]]) % pl[root] * x[root]
-                       + B[live[root]]) % pl[root]
-        if (x >= pl).any():
-            raise ArithmeticError(
-                f"point count found no decisive point at p = {pl[x >= pl][0]}")
-        dd = d * d % pl
-        a = A[live] * dd % pl
-        # E lanes (d a square by Euler's criterion) walk the interval
-        # downwards from p + 1 + w, twist lanes upwards from p + 1 - w, so
-        # the hit at interval offset i is the candidate t = i - w in both
-        sigma = np.where(_pow(d, (pl - 1) // 2, pl) == 1, -1, 1)
-        step = (x * d % pl, sigma * dd % pl, None)
-        # row j <= m of table is j P, row m + 1 the stride (2m + 1) P
-        table = np.empty((3, m + 2, live.size), dtype=np.int64)
-        table[:, 0], table[:2, 1], table[2, 1] = _O(pl), step[:2], 1
-        for j in range(1, m):
-            table[:, j + 1] = _ec_add(table[:, j], step, a, pl)
-        table[:, m + 1] = _ec_add(_ec_dbl(table[:, m], a, pl), step, a, pl)
-        # the first giant c P = sigma (c step), c = p + 1 - sigma (w - m)
-        first = _ec_mul(pl + 1 - sigma * (w[live] - m), table[:, : m + 1], a, pl)
-        bx, by, _ = _affine(table, pl)
-        stride, flat = (bx[m + 1], by[m + 1], None), np.flatnonzero(bx[m + 1] == pl)
-        giant = np.empty((3, giants, live.size), dtype=np.int64)
-        giant[:, 0] = first[0], sigma * first[1] % pl, first[2]
-        for k in range(1, giants):
-            giant[:, k] = _ec_add(giant[:, k - 1], stride, a, pl)
-            if flat.size:  # a stride of O leaves the giant where it is
-                giant[:, k, flat] = giant[:, k - 1, flat]
-        gx, gy, _ = _affine(giant, pl)
-        k, j, lane = np.nonzero(gx[:, None] == bx[None, : m + 1])
-        qy, ry, pj = gy[k, lane], by[j, lane], pl[lane]
-        # giant k = j step: hit at offset m - j; = -j step: at m + j.  Both
-        # are recorded, so j step = O or of order 2 marks both offsets
-        plus, minus = qy == ry, (qy + ry) % pj == 0
-        hits = np.zeros((live.size, giants * span), dtype=bool)
-        hits[lane[plus], k[plus] * span + m - j[plus]] = True
-        hits[lane[minus], k[minus] * span + m + j[minus]] = True
-        c = cand[live] & hits
-        count = c.sum(axis=1)
-        if not count.all():
-            raise ArithmeticError(
-                f"point count lost every candidate at p = {pl[count == 0][0]}")
-        done = count == 1
-        ap[live[done]] = c[done].argmax(axis=1) - w[live[done]]
-        cand[live] = c
-        x0[live] = x + 1
-        live = live[~done]
-    return ap
+    m, span, giants = _pass_shape(int(w.max()))
+    x = x0.copy()
+    d = ((x * x + A) % p * x + B) % p
+    while (root := d == 0).any():  # f has at most three roots
+        x[root] += 1
+        d[root] = ((x[root] * x[root] + A[root]) % p[root] * x[root] + B[root]) % p[root]
+    if (x >= p).any():
+        raise ArithmeticError(f"point count found no decisive point at p = {p[x >= p][0]}")
+    dd = d * d % p
+    a = A * dd % p
+    # E lanes (d a square by Euler's criterion) walk the interval
+    # downwards from p + 1 + w, twist lanes upwards from p + 1 - w, so
+    # the hit at interval offset i is the candidate t = i - w in both
+    sigma = np.where(_pow(d, (p - 1) // 2, p) == 1, -1, 1)
+    step = (x * d % p, sigma * dd % p, None)
+    # row j <= m of table is j P, row m + 1 the stride (2m + 1) P
+    table = np.empty((3, m + 2, len(p)), dtype=np.int64)
+    table[:, 0], table[:2, 1], table[2, 1] = _O(p), step[:2], 1
+    for j in range(1, m):
+        table[:, j + 1] = _ec_add(table[:, j], step, a, p)
+    table[:, m + 1] = _ec_add(_ec_dbl(table[:, m], a, p), step, a, p)
+    # the first giant c P = sigma (c step), c = p + 1 - sigma (w - m)
+    first = _ec_mul(p + 1 - sigma * (w - m), table[:, : m + 1], a, p)
+    bx, by, _ = _affine(table, p)
+    stride, flat = (bx[m + 1], by[m + 1], None), np.flatnonzero(bx[m + 1] == p)
+    giant = np.empty((3, giants, len(p)), dtype=np.int64)
+    giant[:, 0] = first[0], sigma * first[1] % p, first[2]
+    for k in range(1, giants):
+        giant[:, k] = _ec_add(giant[:, k - 1], stride, a, p)
+        if flat.size:  # a stride of O leaves the giant where it is
+            giant[:, k, flat] = giant[:, k - 1, flat]
+    gx, gy, _ = _affine(giant, p)
+    k, j, lane = np.nonzero(gx[:, None] == bx[None, : m + 1])
+    qy, ry, pj = gy[k, lane], by[j, lane], p[lane]
+    # giant k = j step: hit at offset m - j; = -j step: at m + j.  Both
+    # are recorded, so j step = O or of order 2 marks both offsets
+    plus, minus = qy == ry, (qy + ry) % pj == 0
+    return (x, np.concatenate((lane[plus], lane[minus])),
+            np.concatenate((k[plus] * span + m - j[plus], k[minus] * span + m + j[minus])))
 
 
 def _pow(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -432,15 +482,26 @@ class ApDataset:
     a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, pairs):
-        try:
-            cols = np.array(pairs, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("sample beyond int64") from None
+        cols = np.asarray(pairs) if isinstance(pairs, np.ndarray) else np.array(pairs, dtype=object)
         if cols.size == 0:
-            cols = cols.reshape(0, 2)
+            cols = np.empty((0, 2), dtype=np.int64)
         if cols.ndim != 2 or cols.shape[1] != 2:
             raise ValueError("samples must be (p, a) pairs")
-        p, a = cols[:, 0].copy(), cols[:, 1].copy()
+        if cols.dtype == object:  # a sequence, or Python ints past int64
+            stray = next((v for v in cols.flat if isinstance(v, (bool, np.bool_))
+                          or not isinstance(v, (int, np.integer))), None)
+            if stray is not None:
+                raise ValueError(f"samples must be integers, got {stray!r}")
+            try:
+                cols = cols.astype(np.int64)
+            except OverflowError:
+                raise ValueError("sample beyond int64") from None
+        elif cols.dtype.kind not in "iu":
+            raise ValueError(f"samples must be integers, got {cols.dtype} values")
+        elif cols.dtype.kind == "u" and cols.max() >= 2 ** 63:
+            raise ValueError("sample beyond int64")
+        # check the columns as views, then keep copies that no caller holds
+        p, a = cols[:, 0], cols[:, 1]
         if len(p) and (p[0] <= 1 or np.any(p[1:] <= p[:-1])):
             raise ValueError("sample points must be strictly increasing")
         n = self.level * self.ell if self.ell else self.level
@@ -449,6 +510,7 @@ class ApDataset:
             raise ValueError(f"sample at bad prime {p[bad.argmax()]}")
         if self.ell and np.any((a < 0) | (a >= self.ell)):
             raise ValueError("sample value not reduced")
+        p, a = p.astype(np.int64), a.astype(np.int64)
         p.flags.writeable = a.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "a", a)
@@ -456,18 +518,13 @@ class ApDataset:
     def __len__(self) -> int:
         return len(self.p)
 
-    @property
-    def samples(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.p.tolist(), self.a.tolist()))
-
     def attained(self) -> list[int]:
         """The distinct sample values, ascending."""
         return unique_codes(self.a).tolist()
 
     def csv(self) -> str:
-        lines = ["p,ap_mod"]
-        lines += [f"{p},{r}" for p, r in self.samples]
-        return "\n".join(lines) + "\n"
+        return "p,ap_mod\n" + "".join(
+            f"{p},{r}\n" for p, r in zip(self.p.tolist(), self.a.tolist()))
 
     def reduce(self, ell: int) -> "ApDataset":
         """The samples mod ell, dropping the p that share a factor with ell."""
@@ -490,9 +547,8 @@ def curve_datasets(curves: list[EllipticCurve], p_max: int) -> list[ApDataset]:
                      if is_prime(p) and E.has_good_reduction(p)), None)
         if past is not None:
             raise ValueError(f"point counting guard exceeded at {past}")
-    primes = primes_upto(p_max)
-    ps = [np.array([p for p in primes if E.has_good_reduction(p)], dtype=np.int64)
-          for E in curves]
+    primes = np.array(primes_upto(p_max), dtype=np.int64)
+    ps = [primes[[E.has_good_reduction(p) for p in primes.tolist()]] for E in curves]
     sizes = [len(q) for q in ps]
     ap = _ap_kernel(curves, np.repeat(np.arange(len(curves)), sizes),
                     np.concatenate([np.empty(0, dtype=np.int64), *ps]))

@@ -19,7 +19,7 @@ from math import gcd
 import numpy as np
 
 from apcong import constructions
-from apcong.eigendata import POINT_COUNT_GUARD, _ap_kernel
+from apcong.eigendata import POINT_COUNT_GUARD, ApDataset, EllipticCurve, _ap_kernel
 from apcong.ffield import embedding_table, is_prime, quadratic_extension
 from apcong.matgrp import (
     Mat2,
@@ -392,14 +392,19 @@ class VanishingRuleResult:
     zero_classes: frozenset[int]  # p mod ell residues with a_p = 0 seen
 
 
-def vanishing_rule_check(ds) -> VanishingRuleResult:
+def samples(ds: ApDataset) -> tuple[tuple[int, int], ...]:
+    """The (p, a) pairs of a dataset, in sample order."""
+    return tuple(zip(ds.p.tolist(), ds.a.tolist()))
+
+
+def vanishing_rule_check(ds: ApDataset) -> VanishingRuleResult:
     """The square/nonsquare vanishing rule on a dataset mod an odd prime
     ell, sample by sample, with the nonsquares found by Euler's criterion."""
     ell = ds.ell
     if ell % 2 == 0:
         raise ValueError(f"the rule needs an odd prime ell, not {ell}")
     fwd, bwd, nonsquares, zeros = [], [], 0, set()
-    for p, a in ds.samples:
+    for p, a in samples(ds):
         nonsquare = pow(p, (ell - 1) // 2, ell) == ell - 1
         nonsquares += nonsquare
         if a == 0:
@@ -530,7 +535,7 @@ def oracle_proj_order(F: PolyField, m) -> int:
     return n
 
 
-def ap_point_count(E, p: int) -> int:
+def ap_point_count(E: EllipticCurve, p: int) -> int:
     """a_p = p + 1 - #E(F_p) for one prime p of good reduction, p <= the
     point counting guard: the one-lane case of the kernel behind
     curve_dataset."""

@@ -29,7 +29,7 @@ from apcong.eigendata import build_dataset, curve_fixtures, delta_coeffs
 from apcong.ffield import factorize, legendre, make_field
 from apcong.matgrp import ClosureGuardError
 
-from helpers import commutator_trace_set, random_subgroups, traceless_count
+from helpers import commutator_trace_set, random_subgroups, samples, traceless_count
 
 EXAMPLE_CURVES = ("338d1", "324b1", "608e1", "2450ba1", "2450a1", "50700u1")
 
@@ -58,7 +58,7 @@ def test_criterion_2_delta_vanishing_iff_nonsquare():
     violations, seen = check_allowed(ds, st.allowed)
     assert violations == () and st.holds(seen, st.allowed)
     # both directions, restated without the statement
-    for p, a in ds.samples:
+    for p, a in samples(ds):
         assert (a == 0) == (legendre(p, 23) == -1)
 
 

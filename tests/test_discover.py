@@ -1,6 +1,8 @@
+import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from apcong.constructions import (
 )
 from apcong.discover import (
     InsufficientDataError,
+    TableCheck,
     _bounded,
     _s0_mod39,
     _statements,
@@ -53,18 +56,18 @@ from apcong.eigendata import (
 from apcong.ffield import kronecker, legendre, make_field
 from apcong.matgrp import close_group, coset_of, enumerate_subgroups, identity, mul_codes
 
-from helpers import quadform_represents, random_subgroups, vanishing_rule_check
+from helpers import quadform_represents, random_subgroups, samples, vanishing_rule_check
 
 
 def craft(ell, assign, p_max=500, level=1):
-    samples = []
+    pairs = []
     for p in primes_upto(p_max):
         if (level * ell) % p == 0:
             continue
         a = assign(p)
         if a is not None:
-            samples.append((p, a % ell))
-    return ApDataset("craft", level, ell, tuple(samples))
+            pairs.append((p, a % ell))
+    return ApDataset("craft", level, ell, tuple(pairs))
 
 
 def test_units_and_divisors():
@@ -279,7 +282,7 @@ def test_vanishing_rule_608e1_mod5_fails():
     assert not res.holds
     assert res.forward_violations  # vanishing at squares mod 5 does occur
     for p in res.forward_violations:
-        assert legendre(p % 5, 5) == 1 and dict(ds.samples)[p] == 0
+        assert legendre(p % 5, 5) == 1 and dict(samples(ds))[p] == 0
 
 
 # ---- table verification primitives ----
@@ -309,13 +312,13 @@ def rule_table(M, ell, rule, two_way):
 def loop_menu(ds, M, menu):
     # per-sample reference for a menu table
     return tuple(f"p={p}: a_p={a} not allowed in class {p % M} mod {M}"
-                 for p, a in ds.samples if a not in menu.get(p % M, ()))
+                 for p, a in samples(ds) if a not in menu.get(p % M, ()))
 
 
 def loop_rule(ds, M, rule, two_way):
     # per-sample reference for a rule table
     out = []
-    for p, a in ds.samples:
+    for p, a in samples(ds):
         r = p % M
         bad = a in rule and r not in rule[a]
         bad |= two_way and any(r in c and a != x for x, c in rule.items())
@@ -353,7 +356,7 @@ def test_check_allowed_rules():
 
 def test_check_allowed_matches_per_sample_loops():
     ds = menu_dataset()
-    pairs = {(p % 3, a) for p, a in ds.samples}
+    pairs = {(p % 3, a) for p, a in samples(ds)}
     for menu in ({1: {1}}, {1: {1}, 2: {2}}, {2: {3, 4}}):
         v, seen = check_allowed(ds, menu_table(3, 5, menu))
         assert v and v == loop_menu(ds, 3, menu)
@@ -379,7 +382,7 @@ def test_fixture_tables_all_pass():
 CONVERSE = "converse fails at p = 1, 9 mod 20"
 
 
-def tampered_tables(monkeypatch, change, p_max):
+def tampered_tables(monkeypatch, change, p_max) -> list[TableCheck]:
     # every curve's exact a_p replaced by change(a_p) before reduction
     import apcong.discover
 
@@ -436,25 +439,55 @@ def test_fixture_tables_subset_and_tamper():
 def test_fixture_tables_count_each_curve_once(monkeypatch):
     import apcong.eigendata
 
-    counted, passes = [], []
+    counted, calls = [], []
     real = apcong.eigendata._ap_kernel
 
-    def counting(curves, c, ps):
-        passes.append(len(ps))
+    def counting(curves: list[EllipticCurve], c, ps):
+        calls.append(len(ps))
         counted.extend((curves[i].label, p) for i, p in zip(c.tolist(), ps.tolist()))
         return real(curves, c, ps)
 
     monkeypatch.setattr(apcong.eigendata, "_ap_kernel", counting)
     checks = verify_fixture_tables(curve_fixtures(), p_max=600)
     assert len(checks) == 12
-    assert passes == [len(counted)]  # every curve in one pooled kernel pass
+    assert calls == [len(counted)]  # every curve in one pooled kernel call
     assert len(counted) == len(set(counted))
     assert {label for label, _ in counted} == set(curve_fixtures())
 
 
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory that tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fixture_tables_working_set_and_kernel_passes(monkeypatch):
+    # the kernel's per-lane arrays stay under its byte budget, and the lanes
+    # that a chunk leaves undecided retry with those of every other chunk
+    import apcong.eigendata
+
+    lanes = []
+    real = apcong.eigendata._mestre_pass
+
+    def counting(A, B, p, w, x0):
+        lanes.append(len(p))
+        return real(A, B, p, w, x0)
+
+    monkeypatch.setattr(apcong.eigendata, "_mestre_pass", counting)
+    curves = curve_fixtures()
+    checks, peak = _traced_peak(verify_fixture_tables, curves, 10_000)
+    assert [c.ok for c in checks] == [True] * 12
+    assert peak <= 3.5 * 2 ** 20  # 7.8 MB (2^20 bytes) with dense candidates
+    assert len(lanes) <= 11
+    assert max(lanes[1:]) < lanes[0]
+
+
 def test_delta_partition_keeps_its_dataset():
     res = delta_partition_check(300)
-    assert res.dataset.samples == delta_ds(300).samples
+    assert samples(res.dataset) == samples(delta_ds(300))
     assert res.checked == len(res.dataset)
 
 
@@ -483,7 +516,7 @@ def test_delta_partition_reports_violations_in_prime_order(monkeypatch):
     monkeypatch.setattr(apcong.discover, "build_dataset", tampered)
     res = delta_partition_check(1000)
     want = []
-    for p, got in res.dataset.samples:
+    for p, got in samples(res.dataset):
         if kronecker(-23, p) == -1:
             expect = 0
         elif quadform_represents(p, 1, 0, 23):
@@ -599,12 +632,30 @@ def test_sample_dataset_invariants():
     assert ds.ell == 5 and len(ds) == 3000
     data = model.data
     pairs = set(zip(data.pair_coset.tolist(), data.pair_trace.tolist()))
-    for p, a in ds.samples:
+    for p, a in samples(ds):
         assert (model.assignment[p % model.modulus], a) in pairs
     again = sample_dataset(model, 3000, seed=7)
-    assert again.samples == ds.samples
+    assert samples(again) == samples(ds)
     other = sample_dataset(model, 3000, seed=8)
-    assert other.samples != ds.samples
+    assert samples(other) != samples(ds)
+
+
+def test_sample_dataset_stream_is_pinned():
+    # md5 of the little-endian p and a columns, as the sampler drew them
+    # before it filled one block in place
+    ds = sample_dataset(synthetic_model(borel(make_field(5))), 3000, seed=7)
+    assert ds.p[:5].tolist() == [346, 712, 984, 1324, 1668]
+    digest = hashlib.md5(ds.p.astype("<i8").tobytes() + ds.a.astype("<i8").tobytes())
+    assert digest.hexdigest() == "1728084775199442943c77bb3659171f"
+
+
+def test_closed_loop_working_set_stays_near_its_columns():
+    # n = 100 000 samples hold 1.6 MB in their two int64 columns: the draws
+    # become the columns in place, and the dataset copies them once
+    G = borel(make_field(5))
+    res, peak = _traced_peak(closed_loop_check, G, 100_000)
+    assert res.ok
+    assert peak <= 4.0 * 2 ** 20  # 8.5 MB (2^20 bytes) with a copy per step
 
 
 def test_sample_draws_are_uniform_within_four_sigma():

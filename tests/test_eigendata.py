@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -28,6 +29,7 @@ from helpers import (
     char_sum_ap,
     eta_qexp,
     quadform_represents,
+    samples,
     series_mul,
     squaring_chain_delta,
 )
@@ -220,7 +222,7 @@ def test_qseries_mod_product_overflow_guard():
 # ---- elliptic curves and point counts ----
 
 
-def brute_ap(curve, p):
+def brute_ap(curve: EllipticCurve, p):
     a1, a2, a3, a4, a6 = curve.a
     n = 0
     for x in range(p):
@@ -470,17 +472,17 @@ def test_quadform_rejects_indefinite_forms():
 def test_delta_dataset_small():
     ds = build_dataset(delta_coeffs(100, 23), 23, 100)
     assert len(ds) == 24  # 25 primes up to 100, minus p = 23
-    assert dict(ds.samples)[5] == 4830 % 23
+    assert dict(samples(ds))[5] == 4830 % 23
     assert ds.label == "delta" and ds.ell == 23
 
 
 def test_curve_dataset_skips_bad_primes():
     E = curve_fixtures()["338d1"]
     ds = build_dataset(E, 5, 100)
-    ps = [p for p, _ in ds.samples]
+    ps = [p for p, _ in samples(ds)]
     assert 2 not in ps and 13 not in ps and 5 not in ps
     assert ps == [p for p in primes_upto(100) if p not in (2, 5, 13)]
-    for p, r in ds.samples:
+    for p, r in samples(ds):
         assert r == ap_point_count(E, p) % 5
     assert (ds.label, ds.level) == ("338d1", 338)
 
@@ -500,7 +502,7 @@ def test_curve_source_takes_level_and_label_from_the_curve():
     assert (ds.label, ds.level) == ("338d1", 338)
     series = QSeries("f6", 2, 6, 0, np.arange(12, dtype=np.int64))
     ds = build_dataset(series, 5, 11)
-    assert (ds.label, ds.level, ds.samples) == ("f6", 6, ((7, 2), (11, 1)))
+    assert (ds.label, ds.level, samples(ds)) == ("f6", 6, ((7, 2), (11, 1)))
     for extra in (dict(level=338), dict(label="338d1")):
         with pytest.raises(TypeError):
             build_dataset(E, 5, 100, **extra)
@@ -520,8 +522,8 @@ def test_dataset_validators():
 def test_dataset_columns_are_read_only_int64():
     ds = ApDataset("x", 1, 5, np.array([[7, 4], [11, 0]]))
     assert ds.p.dtype == ds.a.dtype == np.int64
-    assert ds.samples == ((7, 4), (11, 0)) and len(ds) == 2
-    assert dict(ds.samples) == {7: 4, 11: 0} and ds.attained() == [0, 4]
+    assert samples(ds) == ((7, 4), (11, 0)) and len(ds) == 2
+    assert dict(samples(ds)) == {7: 4, 11: 0} and ds.attained() == [0, 4]
     with pytest.raises(ValueError):
         ds.p[0] = 13
     assert len(ApDataset("x", 1, 5, ())) == 0
@@ -530,19 +532,67 @@ def test_dataset_columns_are_read_only_int64():
     with pytest.raises(ValueError):
         ApDataset("x", 1, 5, ((2 ** 64 + 1, 1),))  # beyond int64
     level = 3 * 2 ** 70  # level * ell beyond int64
-    assert ApDataset("x", level, 5, ((7, 1),)).samples == ((7, 1),)
+    assert samples(ApDataset("x", level, 5, ((7, 1),))) == ((7, 1),)
     with pytest.raises(ValueError):
         ApDataset("x", level, 5, ((3, 1),))
+
+
+@pytest.mark.parametrize("pairs", [
+    [(2.7, 1), (3.0, 4)],  # np.array(..., dtype=int64) would truncate to p = 2, 3
+    [(True, 1)],  # and read True as 1
+    [(7, 1j)],
+    [(2 ** 70, 0.5)],
+    np.array([[7.0, 1.0]]),
+    np.array([[True, False]]),
+    np.array([["7", "1"]]),
+], ids=["floats", "bool", "complex", "big-int-and-float", "float-array", "bool-array",
+        "str-array"])
+def test_dataset_rejects_samples_that_are_not_integers(pairs):
+    with pytest.raises(ValueError, match="must be integers"):
+        ApDataset("x", 1, 0, pairs)
+
+
+def test_dataset_keeps_the_int64_overflow_error():
+    for pairs in (((2 ** 63, 1),), np.array([[2 ** 63, 1]], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="beyond int64"):
+            ApDataset("x", 1, 0, pairs)
+    ok = ApDataset("x", 1, 0, [(np.int64(7), 1), (2 ** 63 - 1, np.int32(-2))])
+    assert samples(ok) == ((7, 1), (2 ** 63 - 1, -2))
+    assert samples(ApDataset("x", 1, 0, np.array([[7, 1]], dtype=np.uint8))) == ((7, 1),)
+
+
+def test_dataset_owns_its_columns():
+    cols = np.array([[7, 4], [11, 0]])
+    ds = ApDataset("x", 1, 5, cols)
+    cols[:] = [[13, 1], [17, 2]]
+    assert samples(ds) == ((7, 4), (11, 0))
+    # a transposed block is checked and copied the same way
+    block = np.array([[7, 11], [4, 0]])
+    ds = ApDataset("x", 1, 5, block.T)
+    block[1] = 3
+    assert samples(ds) == ((7, 4), (11, 0)) and ds.p.flags.c_contiguous
+
+
+def test_dataset_csv_bytes_are_pinned():
+    assert ApDataset("x", 1, 5, ()).csv() == "p,ap_mod\n"
+    ds = ApDataset("x", 1, 0, ((3, -2), (5, 7), (7, 0), (2 ** 40 + 15, -5)))
+    assert ds.csv() == "p,ap_mod\n3,-2\n5,7\n7,0\n1099511627791,-5\n"
+    # md5 digests of the output before the join over the two columns
+    exact = curve_dataset(curve_fixtures()["338d1"], 30_000)
+    for ds, size, digest in ((exact, 30415, "0188aca76e86eede5615017115b18f63"),
+                             (exact.reduce(5), 24530, "c0f0f861401a686602b2a58e818247f4")):
+        text = ds.csv()
+        assert len(text) == size and hashlib.md5(text.encode()).hexdigest() == digest
 
 
 def test_exact_dataset_reduces_like_a_series():
     ds = ApDataset("x", 1, 0, ((3, -2), (5, 7), (7, 0), (11, -5)))
     assert ds.ell == 0 and ds.csv() == "p,ap_mod\n3,-2\n5,7\n7,0\n11,-5\n"
     d5 = ds.reduce(5)
-    assert d5.ell == 5 and d5.samples == ((3, 3), (7, 0), (11, 0))
+    assert d5.ell == 5 and samples(d5) == ((3, 3), (7, 0), (11, 0))
     d6 = ds.reduce(6)
-    assert d6.samples == ((5, 1), (7, 0), (11, 1))
-    assert d6.reduce(2).samples == ((5, 1), (7, 0), (11, 1))
+    assert samples(d6) == ((5, 1), (7, 0), (11, 1))
+    assert samples(d6.reduce(2)) == ((5, 1), (7, 0), (11, 1))
     with pytest.raises(ValueError):
         d5.reduce(3)
     with pytest.raises(ValueError):
@@ -553,9 +603,9 @@ def test_curve_dataset_is_exact():
     E = curve_fixtures()["338d1"]
     exact = curve_dataset(E, 200)
     assert exact.ell == 0 and exact.level == 338 and exact.label == "338d1"
-    assert exact.samples == tuple(
+    assert samples(exact) == tuple(
         (p, brute_ap(E, p)) for p in primes_upto(200) if p not in (2, 13))
-    assert build_dataset(E, 3, 200).samples == exact.reduce(3).samples
+    assert samples(build_dataset(E, 3, 200)) == samples(exact.reduce(3))
 
 
 @st.composite
@@ -571,13 +621,13 @@ def datasets(draw):
 
 @settings(max_examples=60)
 @given(datasets())
-def test_dataset_columns_round_trip_through_csv(ds):
+def test_dataset_columns_round_trip_through_csv(ds: ApDataset):
     lines = ds.csv().splitlines()
     assert lines[0] == "p,ap_mod"
     rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
     again = ApDataset(ds.label, ds.level, ds.ell, rows)
     assert np.array_equal(again.p, ds.p) and np.array_equal(again.a, ds.a)
-    assert again.samples == ds.samples == tuple(rows)
+    assert samples(again) == samples(ds) == tuple(rows)
 
 
 def test_build_dataset_requires_prime_ell():
@@ -627,7 +677,7 @@ def test_load_form_file(tmp_path):
     assert (series.label, series.weight, series.level) == ("t1", 12, 1)
     assert series.m == 0 and series.coeffs.tolist() == [0, 1, -24, 252, -1472]
     ds = build_dataset(series, 5, 3)
-    assert ds.samples == ((2, (-24) % 5), (3, 252 % 5))
+    assert samples(ds) == ((2, (-24) % 5), (3, 252 % 5))
 
 
 GOOD_CURVE = {"label": "324b1", "a": [0, 0, 0, 9, -18], "conductor": 324}
@@ -711,7 +761,7 @@ def test_form_file_keeps_big_coefficients_exact(tmp_path):
     assert series.coeffs.dtype == object
     assert series.coeffs.tolist() == [0, 1, big, -big]
     ds = build_dataset(series, 7, 3)
-    assert ds.samples == ((2, big % 7), (3, -big % 7))
+    assert samples(ds) == ((2, big % 7), (3, -big % 7))
 
 
 def test_form_file_route_matches_delta_route(tmp_path):
